@@ -47,6 +47,7 @@ from .dynamics import (
 )
 from .integrator import (
     NumericalDivergence,
+    SignalGrid,
     SimConfig,
     Trajectory,
     simulate,
@@ -78,6 +79,7 @@ __all__ = [
     "RegressorSignal",
     "RichnessReport",
     "SOFT_RESET_KINDS",
+    "SignalGrid",
     "SimConfig",
     "SystemKind",
     "Trajectory",

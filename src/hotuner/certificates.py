@@ -447,7 +447,7 @@ def matrosov_check(
     weights = weights * np.exp(-offsets)
     kernels = []
     for t in t_grid:
-        phi_nodes, _ = signal.eval_grid(t + offsets)
+        phi_nodes = signal.phi_grid(t + offsets)
         kernel = (phi_nodes * weights[:, None]).T @ phi_nodes
         kernels.append(0.5 * (kernel + kernel.T))
     rng = np.random.default_rng(seed)

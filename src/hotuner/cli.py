@@ -33,7 +33,7 @@ from .dynamics import (
     SystemKind,
     TunerState,
 )
-from .integrator import NumericalDivergence, SimConfig, Trajectory, simulate
+from .integrator import NumericalDivergence, SignalGrid, SimConfig, Trajectory, simulate
 from .signals import RegressorSignal, check_pe
 
 __all__ = [
@@ -274,7 +274,7 @@ def load_scenario(
 
 
 def _simulate_system(
-    scenario: Scenario, kind: SystemKind
+    scenario: Scenario, kind: SystemKind, grid: SignalGrid
 ) -> tuple[Trajectory, DataBuffer]:
     init = TunerState.from_theta0(scenario.init_theta0)
     if kind in BUFFER_KINDS and not scenario.cl_online:
@@ -291,6 +291,7 @@ def _simulate_system(
         cl_online=scenario.cl_online,
         epsilon=scenario.cl_epsilon,
         N_bar=scenario.cl_N_bar,
+        grid=grid,
     )
 
 
@@ -364,8 +365,9 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _warn_gains(scenario, sys.stderr)
     results: dict[SystemKind, tuple[Trajectory, DataBuffer]] = {}
+    grid = SignalGrid(scenario.signal, scenario.sim)
     for kind in scenario.systems:
-        trajectory, buffer = _simulate_system(scenario, kind)
+        trajectory, buffer = _simulate_system(scenario, kind, grid)
         results[kind] = (trajectory, buffer)
         (out / f"{scenario.name}_{kind.value}.csv").write_text(trajectory.to_csv())
         if kind in BUFFER_KINDS and len(buffer):
@@ -447,10 +449,11 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
         lines.append(f"{kind.value},{check},{report.to_csv_line()}")
         failed = failed or not report.passed
 
+    grid = SignalGrid(scenario.signal, scenario.sim)
     for kind in scenario.systems:
         if kind in BASELINE_KINDS:
             continue
-        trajectory, buffer = _simulate_system(scenario, kind)
+        trajectory, buffer = _simulate_system(scenario, kind, grid)
         if kind in BUFFER_KINDS:
             rich = richness(buffer, scenario.gains.mu)
             if not rich.sufficient:

@@ -14,11 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DataAggregates",
     "DataBuffer",
     "DataSample",
     "RichnessReport",
     "b_term",
     "buffer_csv",
+    "data_aggregates",
+    "data_term",
     "maybe_record",
     "p_matrix",
     "richness",
@@ -28,6 +31,9 @@ __all__ = [
 RANK_TOLERANCE = 1e-10
 # Below this the current regressor is treated as zero and never recorded.
 ZERO_REGRESSOR_NORM = 1e-12
+
+# (phi_mat, y_vec, weights) of recorded samples, as data_aggregates returns them.
+DataAggregates = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -183,8 +189,8 @@ def p_matrix(buffer: DataBuffer, mu: float) -> np.ndarray:
         raise ValueError("p_matrix needs a nonempty buffer")
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
-    weights = 1.0 / (1.0 + mu * buffer._phi_sq)
-    p = (buffer._phi_mat * weights) @ buffer._phi_mat.T
+    phi_mat, _, weights = data_aggregates(buffer, mu)
+    p = (phi_mat * weights) @ phi_mat.T
     return 0.5 * (p + p.T)
 
 
@@ -197,9 +203,29 @@ def b_term(buffer: DataBuffer, theta, mu: float) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (buffer.dimension,):
         raise ValueError("theta dimension does not match the buffer")
-    weights = 1.0 / (1.0 + mu * buffer._phi_sq)
-    residuals = buffer._phi_mat.T @ theta - buffer._y_vec
-    return buffer._phi_mat @ (weights * residuals)
+    return data_term(data_aggregates(buffer, mu), theta)
+
+
+def data_aggregates(buffer: DataBuffer, mu: float, count: int | None = None) -> DataAggregates:
+    """Arrays (phi_mat, y_vec, weights) that the data term of the first count samples reads.
+
+    Column k of phi_mat is phi_k and weights[k] = 1 / (1 + mu |phi_k|^2). A
+    prefix is copied into the contiguous layout that a buffer holding only
+    those samples has, so data_term rounds exactly as it would on that buffer.
+    """
+    if count is None or count == len(buffer):
+        phi_mat, y_vec, phi_sq = buffer._phi_mat, buffer._y_vec, buffer._phi_sq
+    else:
+        phi_mat = np.ascontiguousarray(buffer._phi_mat[:, :count])
+        y_vec = buffer._y_vec[:count]
+        phi_sq = (phi_mat**2).sum(axis=0)
+    return phi_mat, y_vec, 1.0 / (1.0 + mu * phi_sq)
+
+
+def data_term(aggregates: DataAggregates, theta: np.ndarray) -> np.ndarray:
+    """sum_k phi_k (phi_k' theta - y*_k) weights[k] from data_aggregates output."""
+    phi_mat, y_vec, weights = aggregates
+    return phi_mat @ (weights * (phi_mat.T @ theta - y_vec))
 
 
 def richness(buffer: DataBuffer, mu: float) -> RichnessReport:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .databuffer import DataBuffer, b_term
+from .databuffer import DataAggregates, DataBuffer, data_aggregates, data_term
 from .signals import RegressorSignal
 
 __all__ = [
@@ -160,10 +160,15 @@ def grad_L(phi_t, y_star_t: float, theta) -> np.ndarray:
     return phi_t * (float(phi_t @ theta) - y_star_t)
 
 
-def _require_buffer(kind: SystemKind, buffer: DataBuffer | None) -> DataBuffer:
-    if buffer is None or len(buffer) == 0:
+def _data_mu(kind: SystemKind, gains: Gains) -> float:
+    """mu in the data-term weights 1 / (1 + mu |phi_k|^2); basic_cl weighs every sample 1."""
+    return 0.0 if kind is SystemKind.BASIC_CL else gains.mu
+
+
+def _require_data(kind: SystemKind, data: DataAggregates | None) -> DataAggregates:
+    if data is None:
         raise ValueError(f"system '{kind.value}' requires a nonempty data buffer")
-    return buffer
+    return data
 
 
 def _field_arrays(
@@ -172,45 +177,44 @@ def _field_arrays(
     vartheta: np.ndarray,
     phi: np.ndarray,
     y_star: float,
-    buffer: DataBuffer | None,
+    nt: float,
+    data: DataAggregates | None,
     gains: Gains,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Core per-kind derivative computation on raw arrays."""
+    """Core per-kind derivative on raw arrays.
+
+    nt is N_t at phi and data holds the buffer aggregates weighted for this
+    kind (see _data_mu), or None for an empty buffer.
+    """
     grad = phi * (float(phi @ theta) - y_star)
     if kind is SystemKind.BASIC:
         return -grad, np.zeros_like(theta)
     if kind is SystemKind.BASIC_CL:
-        buffer = _require_buffer(kind, buffer)
-        correction = b_term(buffer, theta, 0.0)
+        correction = data_term(_require_data(kind, data), theta)
         return -gains.gamma * (grad + correction), np.zeros_like(theta)
-    nt = 1.0 + gains.mu * float(phi @ phi)
     if kind is SystemKind.BASIC_NORMALIZED:
         return -(gains.gamma / nt) * grad, np.zeros_like(theta)
     if kind is SystemKind.BASIC_NORMALIZED_CL:
-        buffer = _require_buffer(kind, buffer)
-        correction = b_term(buffer, theta, gains.mu)
+        correction = data_term(_require_data(kind, data), theta)
         return -gains.gamma * (grad / nt + correction), np.zeros_like(theta)
     if kind is SystemKind.HT:
         return -gains.beta * nt * (theta - vartheta), -gains.gamma * grad
     if kind is SystemKind.HT_NORMALIZED:
         return -gains.beta * (theta - vartheta), -(gains.gamma / nt) * grad
     if kind is SystemKind.HT_CL:
-        buffer = _require_buffer(kind, buffer)
-        correction = b_term(buffer, theta, gains.mu)
+        correction = data_term(_require_data(kind, data), theta)
         return (
             -gains.beta * nt * (theta - vartheta),
             -gains.gamma * (grad + nt * correction),
         )
     if kind is SystemKind.HT_NORMALIZED_CL:
-        buffer = _require_buffer(kind, buffer)
-        correction = b_term(buffer, theta, gains.mu)
+        correction = data_term(_require_data(kind, data), theta)
         return (
             -gains.beta * (theta - vartheta),
             -gains.gamma * (grad / nt + correction),
         )
     if kind is SystemKind.HT_B:
-        buffer = _require_buffer(kind, buffer)
-        correction = b_term(buffer, theta, gains.mu)
+        correction = data_term(_require_data(kind, data), theta)
         return -gains.beta * (theta - vartheta), -gains.gamma * correction
     raise ValueError(f"soft-reset kind '{kind.value}' is evaluated by field_softreset")
 
@@ -221,12 +225,12 @@ def _indicator_arrays(
     vartheta: np.ndarray,
     phi: np.ndarray,
     y_star: float,
-    gains: Gains,
+    nt: float,
 ) -> float:
     grad = phi * (float(phi @ theta) - y_star)
     value = float((vartheta - theta) @ grad)
     if kind is SystemKind.HT_NORMALIZED_CL_SOFTRESET:
-        value /= 1.0 + gains.mu * float(phi @ phi)
+        value /= nt
     return value
 
 
@@ -236,11 +240,12 @@ def _softreset_arrays(
     vartheta: np.ndarray,
     phi: np.ndarray,
     y_star: float,
-    buffer: DataBuffer | None,
+    nt: float,
+    data: DataAggregates | None,
     gains: Gains,
 ) -> tuple[np.ndarray, np.ndarray]:
-    base = _field_arrays(_SOFT_BASE[kind], theta, vartheta, phi, y_star, buffer, gains)
-    indicator = _indicator_arrays(kind, theta, vartheta, phi, y_star, gains)
+    base = _field_arrays(_SOFT_BASE[kind], theta, vartheta, phi, y_star, nt, data, gains)
+    indicator = _indicator_arrays(kind, theta, vartheta, phi, y_star, nt)
     # Selection at the switching surface: sign(0) taken as -1, multiplier 0.
     sign = 1.0 if indicator > 0.0 else -1.0
     multiplier = gains.beta_r * (sign + 1.0)
@@ -248,7 +253,7 @@ def _softreset_arrays(
         return base
     pull = -multiplier * (theta - vartheta)
     if kind is SystemKind.HT_CL_SOFTRESET:
-        pull = pull * (1.0 + gains.mu * float(phi @ phi))
+        pull = pull * nt
     return base[0] + pull, base[1]
 
 
@@ -258,12 +263,29 @@ def _rhs_arrays(
     vartheta: np.ndarray,
     phi: np.ndarray,
     y_star: float,
-    buffer: DataBuffer | None,
+    nt: float,
+    data: DataAggregates | None,
     gains: Gains,
 ) -> tuple[np.ndarray, np.ndarray]:
     if kind in SOFT_RESET_KINDS:
-        return _softreset_arrays(kind, theta, vartheta, phi, y_star, buffer, gains)
-    return _field_arrays(kind, theta, vartheta, phi, y_star, buffer, gains)
+        return _softreset_arrays(kind, theta, vartheta, phi, y_star, nt, data, gains)
+    return _field_arrays(kind, theta, vartheta, phi, y_star, nt, data, gains)
+
+
+def _inputs_at(
+    kind: SystemKind,
+    t: float,
+    signal: RegressorSignal,
+    buffer: DataBuffer | None,
+    gains: Gains,
+) -> tuple[np.ndarray, float, float, DataAggregates | None]:
+    """(phi, y*, N_t, data aggregates) at time t, as the integrator precomputes them."""
+    phi, y_star = signal.eval(t)
+    nt = normalization(phi, gains.mu)
+    data = None
+    if kind in BUFFER_KINDS and buffer is not None and len(buffer):
+        data = data_aggregates(buffer, _data_mu(kind, gains))
+    return phi, y_star, nt, data
 
 
 def field(
@@ -277,8 +299,8 @@ def field(
     """Derivative (dtheta/dt, dvartheta/dt) for the non-switching kinds."""
     if kind in SOFT_RESET_KINDS:
         raise ValueError(f"use field_softreset for '{kind.value}'")
-    phi, y_star = signal.eval(t)
-    return _field_arrays(kind, state.theta, state.vartheta, phi, y_star, buffer, gains)
+    inputs = _inputs_at(kind, t, signal, buffer, gains)
+    return _field_arrays(kind, state.theta, state.vartheta, *inputs, gains)
 
 
 def reset_indicator(
@@ -296,8 +318,8 @@ def reset_indicator(
     """
     if kind not in SOFT_RESET_KINDS:
         raise ValueError(f"'{kind.value}' has no reset indicator")
-    phi, y_star = signal.eval(t)
-    return _indicator_arrays(kind, state.theta, state.vartheta, phi, y_star, gains)
+    phi, y_star, nt, _ = _inputs_at(kind, t, signal, None, gains)
+    return _indicator_arrays(kind, state.theta, state.vartheta, phi, y_star, nt)
 
 
 def field_softreset(
@@ -316,8 +338,8 @@ def field_softreset(
     """
     if kind not in SOFT_RESET_KINDS:
         raise ValueError(f"'{kind.value}' is not a soft-reset kind; use field")
-    phi, y_star = signal.eval(t)
-    return _softreset_arrays(kind, state.theta, state.vartheta, phi, y_star, buffer, gains)
+    inputs = _inputs_at(kind, t, signal, buffer, gains)
+    return _softreset_arrays(kind, state.theta, state.vartheta, *inputs, gains)
 
 
 def rhs(
@@ -329,5 +351,5 @@ def rhs(
     gains: Gains,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch to field or field_softreset based on the kind."""
-    phi, y_star = signal.eval(t)
-    return _rhs_arrays(kind, state.theta, state.vartheta, phi, y_star, buffer, gains)
+    inputs = _inputs_at(kind, t, signal, buffer, gains)
+    return _rhs_arrays(kind, state.theta, state.vartheta, *inputs, gains)

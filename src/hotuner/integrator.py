@@ -1,9 +1,16 @@
 """Fixed-step explicit Euler simulation of the tuner family.
 
-One step is: evaluate the signal, apply the online recording rule (for
-buffer-driven kinds running online), emit an output row if due, evaluate the
-field with the current buffer, update the state. Recording therefore takes
-effect from the very step at which a sample is kept.
+One step is: apply the online recording rule (for buffer-driven kinds running
+online), emit an output row if due, evaluate the field with the current
+buffer, update the state. Recording therefore takes effect from the very step
+at which a sample is kept.
+
+Nothing on that list but the field depends on the state, so a SignalGrid
+computes the rest once per scenario: phi(t_k), y*(t_k) and |phi(t_k)|^2 on the
+whole time grid, and the recording schedule, which reads only t, phi and the
+last kept sample. The Euler loop then evaluates the field on precomputed
+inputs. Every grid value equals its per-step counterpart bit for bit, so the
+outputs do not depend on whether a grid was shared.
 """
 
 from __future__ import annotations
@@ -12,23 +19,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .databuffer import DataBuffer, maybe_record
+from .databuffer import DataAggregates, DataBuffer, data_aggregates, maybe_record
 from .dynamics import (
     BUFFER_KINDS,
     Gains,
     SystemKind,
     TunerState,
+    _data_mu,
     _rhs_arrays,
 )
-from .signals import RegressorSignal
+from .signals import RegressorSignal, row_dots
 
 __all__ = [
     "NumericalDivergence",
+    "SignalGrid",
     "SimConfig",
     "Trajectory",
     "simulate",
     "simulate_with_buffer",
 ]
+
+# Rows rendered per block by Trajectory.to_csv, which bounds its scratch memory.
+_CSV_BLOCK_ROWS = 4096
 
 
 class NumericalDivergence(RuntimeError):
@@ -52,6 +64,12 @@ class SimConfig:
             raise ValueError("t_end must not precede t_start")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
+        steps = (self.t_end - self.t_start) / self.step_h
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ValueError(
+                f"horizon t_end - t_start = {self.t_end - self.t_start!r} is not a whole "
+                f"number of steps of step_h = {self.step_h!r} ({steps!r} steps)"
+            )
 
     @property
     def num_steps(self) -> int:
@@ -105,84 +123,211 @@ class Trajectory:
             + [f"vartheta_{i + 1}" for i in range(n)]
             + ["err_norm", "p_norm", "n_samples"]
         )
+        columns = [
+            self.t, *self.theta.T, *self.vartheta.T, self.err_norm, self.p_norm
+        ]
+        columns = [np.asarray(c, dtype=float) for c in columns]
+        columns.append(np.asarray(self.n_samples).astype(int))
         if self.v is not None:
             header.append("V")
+            columns.append(np.asarray(self.v, dtype=float))
         lines = [",".join(header)]
-        for k in range(self.n_rows):
-            cells = [repr(float(self.t[k]))]
-            cells += [repr(float(x)) for x in self.theta[k]]
-            cells += [repr(float(x)) for x in self.vartheta[k]]
-            cells += [
-                repr(float(self.err_norm[k])),
-                repr(float(self.p_norm[k])),
-                str(int(self.n_samples[k])),
-            ]
-            if self.v is not None:
-                cells.append(repr(float(self.v[k])))
-            lines.append(",".join(cells))
+        # repr of a Python float or int is the cell text; tolist() makes them
+        # without boxing each cell through float() or int().
+        for start in range(0, self.n_rows, _CSV_BLOCK_ROWS):
+            block = [c[start:start + _CSV_BLOCK_ROWS].tolist() for c in columns]
+            lines.extend(",".join(map(repr, row)) for row in zip(*block))
         return "\n".join(lines) + "\n"
+
+
+class SignalGrid:
+    """Everything a run of one signal on one time grid needs but the state.
+
+    Rows k = 0..num_steps hold t_k = t_start + k h, phi(t_k), y*(t_k) and
+    |phi(t_k)|^2, about n + 3 floats per step; each value equals the per-step
+    computation bit for bit. Recording schedules are built on first use and
+    cached per (capacity, epsilon), so every system of a scenario shares them.
+    """
+
+    def __init__(self, signal: RegressorSignal, sim: SimConfig) -> None:
+        self.signal = signal
+        self.t_start = sim.t_start
+        self.step_h = sim.step_h
+        self.num_steps = sim.num_steps
+        self.t = sim.t_start + np.arange(self.num_steps + 1) * sim.step_h
+        self.phi, self.y_star = signal.eval_grid(self.t)
+        self.phi_sq = row_dots(self.phi, self.phi)
+        self._schedules: dict[tuple[int, float], tuple[list[int], DataBuffer]] = {}
+
+    def matches(self, signal: RegressorSignal, sim: SimConfig) -> bool:
+        return (
+            signal is self.signal
+            and sim.t_start == self.t_start
+            and sim.step_h == self.step_h
+            and sim.num_steps == self.num_steps
+        )
+
+    def schedule(self, capacity: int, epsilon: float) -> tuple[list[int], DataBuffer]:
+        """Steps at which online recording keeps a sample, and the final buffer.
+
+        The rule runs at steps 0..num_steps-1 until the buffer freezes; a
+        sample kept at step k is in the buffer from step k on.
+        """
+        key = (capacity, epsilon)
+        if key not in self._schedules:
+            buffer = DataBuffer.empty(capacity=capacity, epsilon=epsilon)
+            steps = []
+            for k in range(self.num_steps):
+                if buffer.frozen:
+                    break
+                buffer, kept = maybe_record(
+                    buffer, self.t.item(k), self.phi[k], self.y_star.item(k)
+                )
+                if kept:
+                    steps.append(k)
+            self._schedules[key] = (steps, buffer)
+        return self._schedules[key]
+
+
+class _Euler:
+    """The Euler loop of one system on a SignalGrid, writing output rows."""
+
+    def __init__(
+        self,
+        kind: SystemKind,
+        gains: Gains,
+        sim: SimConfig,
+        grid: SignalGrid,
+        keeps: list[int],
+        buffer: DataBuffer,
+        first_count: int,
+    ) -> None:
+        """keeps are the steps that add a sample to the first_count samples
+        held at the start; every sample is read from buffer."""
+        self.kind = kind
+        self.gains = gains
+        self.grid = grid
+        self.every = sim.record_every
+        self.keeps = keeps
+        self.buffer = buffer
+        self.first_count = first_count
+        self.reads_data = kind in BUFFER_KINDS
+        self.data_mu = _data_mu(kind, gains)
+        self.nt = 1.0 + gains.mu * grid.phi_sq
+        n_rows = grid.num_steps // self.every + 1
+        self.theta = np.empty((n_rows, grid.phi.shape[1]))
+        self.vartheta = np.empty_like(self.theta)
+        self.row = 0
+
+    def data(self, count: int) -> DataAggregates | None:
+        if not self.reads_data or count == 0:
+            return None
+        return data_aggregates(self.buffer, self.data_mu, count)
+
+    def advance(self, row: int, checked: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Run from the state stored at row to the end; return the final state.
+
+        With checked set, the state is tested after every step and the first
+        non-finite one raises NumericalDivergence.
+        """
+        kind, gains, grid, every, keeps = self.kind, self.gains, self.grid, self.every, self.keeps
+        h = grid.step_h
+        num_steps = grid.num_steps
+        phis, y_star, nt = grid.phi, grid.y_star, self.nt
+        theta = self.theta[row].copy()
+        vartheta = self.vartheta[row].copy()
+        k0 = row * every
+        kept = int(np.searchsorted(keeps, k0))
+        data = self.data(self.first_count + kept)
+        next_keep = keeps[kept] if kept < len(keeps) else -1
+        for row in range(row, self.theta.shape[0]):
+            self.row = row
+            self.theta[row] = theta
+            self.vartheta[row] = vartheta
+            for k in range(k0, min(k0 + every, num_steps)):
+                if k == next_keep:
+                    kept += 1
+                    data = self.data(self.first_count + kept)
+                    next_keep = keeps[kept] if kept < len(keeps) else -1
+                dtheta, dvartheta = _rhs_arrays(
+                    kind, theta, vartheta, phis[k], y_star.item(k), nt.item(k), data, gains
+                )
+                theta = theta + h * dtheta
+                vartheta = vartheta + h * dvartheta
+                if checked and not (np.isfinite(theta).all() and np.isfinite(vartheta).all()):
+                    raise NumericalDivergence(
+                        f"non-finite state for '{kind.value}' at "
+                        f"t={grid.t.item(k) + h:.6g} (after step {k + 1})"
+                    )
+            k0 += every
+        return theta, vartheta
+
+    def run(self, init: TunerState) -> None:
+        """Fill every row; a diverging run raises as a step-by-step check would.
+
+        The fast pass checks nothing per step. A non-finite state stays
+        non-finite under Euler updates, so it shows in a later row or the
+        final state, and the pass stops early on any floating-point overflow
+        or invalid operation. Either way the run is repeated with the check
+        after every step from the last row known to be finite, which also
+        reproduces the warnings numpy gives for the steps it repeats.
+        """
+        self.theta[0] = init.theta
+        self.vartheta[0] = init.vartheta
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                final = self.advance(0, checked=False)
+        except FloatingPointError:
+            final = None
+        stored = slice(0, self.row + 1)
+        finite = np.isfinite(self.theta[stored]).all(axis=1)
+        finite &= np.isfinite(self.vartheta[stored]).all(axis=1)
+        if finite.all() and final is not None and all(np.isfinite(x).all() for x in final):
+            return
+        resume = self.row if finite.all() else max(int(np.argmin(finite)) - 1, 0)
+        self.advance(resume, checked=True)
 
 
 def _run(
     kind: SystemKind,
-    signal: RegressorSignal,
     gains: Gains,
     sim: SimConfig,
+    grid: SignalGrid,
     init: TunerState,
     buffer: DataBuffer,
     online: bool,
 ) -> tuple[Trajectory, DataBuffer]:
-    n = signal.dimension
+    n = grid.signal.dimension
     if init.theta.shape != (n,):
         raise ValueError("initial state dimension does not match the signal")
-    h = sim.step_h
-    num_steps = sim.num_steps
-    theta_star = signal.theta_star
-    records = online and kind in BUFFER_KINDS
-
-    n_rows = num_steps // sim.record_every + 1
-    out_t = np.empty(n_rows)
-    out_theta = np.empty((n_rows, n))
-    out_vartheta = np.empty((n_rows, n))
-    out_err = np.empty(n_rows)
-    out_p = np.empty(n_rows)
-    out_n = np.empty(n_rows, dtype=int)
-
-    theta = init.theta.astype(float).copy()
-    vartheta = init.vartheta.astype(float).copy()
-    row = 0
-    for k in range(num_steps + 1):
-        t = sim.t_start + k * h
-        phi, y_star = signal.eval(t)
-        if records and k < num_steps and not buffer.frozen:
-            buffer, _ = maybe_record(buffer, t, phi, y_star)
-        if k % sim.record_every == 0:
-            out_t[row] = t
-            out_theta[row] = theta
-            out_vartheta[row] = vartheta
-            out_err[row] = np.linalg.norm(theta - theta_star)
-            out_p[row] = np.linalg.norm(vartheta - theta)
-            out_n[row] = len(buffer)
-            row += 1
-        if k == num_steps:
-            break
-        dtheta, dvartheta = _rhs_arrays(kind, theta, vartheta, phi, y_star, buffer, gains)
-        theta = theta + h * dtheta
-        vartheta = vartheta + h * dvartheta
-        if not (np.isfinite(theta).all() and np.isfinite(vartheta).all()):
-            raise NumericalDivergence(
-                f"non-finite state for '{kind.value}' at t={t + h:.6g} (after step {k + 1})"
-            )
+    if online and kind in BUFFER_KINDS:
+        keeps, buffer = grid.schedule(buffer.capacity, buffer.epsilon)
+        first_count = 0
+    else:
+        keeps, first_count = [], len(buffer)
+    euler = _Euler(kind, gains, sim, grid, keeps, buffer, first_count)
+    euler.run(init)
+    row_steps = np.arange(euler.theta.shape[0]) * sim.record_every
+    theta_err = euler.theta - grid.signal.theta_star
+    gap = euler.vartheta - euler.theta
     trajectory = Trajectory(
         kind=kind,
-        t=out_t[:row],
-        theta=out_theta[:row],
-        vartheta=out_vartheta[:row],
-        err_norm=out_err[:row],
-        p_norm=out_p[:row],
-        n_samples=out_n[:row],
+        t=grid.t[row_steps],
+        theta=euler.theta,
+        vartheta=euler.vartheta,
+        err_norm=np.sqrt(row_dots(theta_err, theta_err)),
+        p_norm=np.sqrt(row_dots(gap, gap)),
+        n_samples=first_count + np.searchsorted(keeps, row_steps, side="right"),
     )
     return trajectory, buffer
+
+
+def _grid_for(signal: RegressorSignal, sim: SimConfig, grid: SignalGrid | None) -> SignalGrid:
+    if grid is None:
+        return SignalGrid(signal, sim)
+    if not grid.matches(signal, sim):
+        raise ValueError("grid was built for another signal or time grid")
+    return grid
 
 
 def simulate(
@@ -194,12 +339,14 @@ def simulate(
     cl_online: bool = False,
     epsilon: float | None = None,
     N_bar: int | None = None,
+    grid: SignalGrid | None = None,
 ) -> tuple[Trajectory, DataBuffer]:
     """Simulate one system, recording samples online for buffer-driven kinds.
 
     Buffer-driven kinds need cl_online=True together with the recording
     threshold epsilon and the sample budget N_bar; to run them against fixed
-    pre-recorded data use simulate_with_buffer instead.
+    pre-recorded data use simulate_with_buffer instead. Pass the SignalGrid of
+    (signal, sim) to share it between systems; by default one is built.
     """
     if kind in BUFFER_KINDS:
         if not cl_online:
@@ -212,7 +359,8 @@ def simulate(
         buffer = DataBuffer.empty(capacity=N_bar, epsilon=epsilon)
     else:
         buffer = DataBuffer.empty(capacity=max(N_bar or 1, 1), epsilon=epsilon or 1.0)
-    return _run(kind, signal, gains, sim, init, buffer, online=cl_online)
+    grid = _grid_for(signal, sim, grid)
+    return _run(kind, gains, sim, grid, init, buffer, online=cl_online)
 
 
 def simulate_with_buffer(
@@ -222,9 +370,11 @@ def simulate_with_buffer(
     sim: SimConfig,
     init: TunerState,
     buffer: DataBuffer,
+    grid: SignalGrid | None = None,
 ) -> Trajectory:
     """Simulate with a fixed pre-recorded buffer (no online recording)."""
     if kind in BUFFER_KINDS and len(buffer) == 0:
         raise ValueError(f"'{kind.value}' needs a nonempty buffer")
-    trajectory, _ = _run(kind, signal, gains, sim, init, buffer, online=False)
+    grid = _grid_for(signal, sim, grid)
+    trajectory, _ = _run(kind, gains, sim, grid, init, buffer, online=False)
     return trajectory

@@ -23,6 +23,7 @@ __all__ = [
     "make_constant",
     "make_sinusoid_mix",
     "pe_gram",
+    "row_dots",
 ]
 
 DEFAULT_QUADRATURE_STEP = 1e-3
@@ -37,6 +38,18 @@ _DESCRIPTOR_KEYS = (
     "phases",
     "theta_star",
 )
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products a[k] @ b[k] (b may be a single vector).
+
+    Each row goes through the same dot kernel as a 1-d `@`, so grid values are
+    bit-equal to per-row ones; a matrix-vector product or an elementwise sum
+    may round differently.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.matmul(a[:, None, :], b[..., :, None])[:, 0, 0]
 
 
 def _as_vector(values, n: int, name: str) -> np.ndarray:
@@ -86,13 +99,17 @@ class RegressorSignal:
         phi = self.phi(t)
         return phi, float(phi @ self.theta_star)
 
-    def eval_grid(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized evaluation; rows of the first result are phi(ts[k])."""
+    def phi_grid(self, ts: np.ndarray) -> np.ndarray:
+        """Regressor rows phi(ts[k]) for a vector of times."""
         ts = np.asarray(ts, dtype=float)
-        phi = self.offsets + self.amplitudes * np.sin(
+        return self.offsets + self.amplitudes * np.sin(
             np.outer(ts, self.frequencies) + self.phases
         )
-        return phi, phi @ self.theta_star
+
+    def eval_grid(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized evaluation; row k equals eval(ts[k]) bit for bit."""
+        phi = self.phi_grid(ts)
+        return phi, row_dots(phi, self.theta_star)
 
     def norm_bound(self) -> float:
         """Certified upper bound on sup_t |phi(t)| from the component ranges."""
@@ -179,7 +196,7 @@ def pe_gram(
     m = max(1, int(round(T / quadrature_step)))
     step = T / m
     nodes = t + step * np.arange(m + 1)
-    phi, _ = signal.eval_grid(nodes)
+    phi = signal.phi_grid(nodes)
     weights = np.full(m + 1, step)
     weights[0] = weights[-1] = 0.5 * step
     gram = (phi * weights[:, None]).T @ phi
@@ -234,7 +251,7 @@ def check_pe(
         gram = pe_gram(signal, float(start), T, quadrature_step)
         delta = min(delta, float(np.linalg.eigvalsh(gram)[0]))
     grid = quadrature_step * np.arange(int(np.floor(scan_horizon / quadrature_step)) + 1)
-    phi, _ = signal.eval_grid(grid)
+    phi = signal.phi_grid(grid)
     m_hat = float(np.sqrt((phi**2).sum(axis=1).max()))
     return PEReport(
         window_T=float(T),

@@ -93,5 +93,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for num in sorted(outcomes):
         label, ok = outcomes[num]
-        verdict = "PASS" if ok else "FAIL"
+        # Deselected or skipped criteria have no call report: they did not run.
+        verdict = "not run" if ok is None else "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {num:2d} ({label}): {verdict}")

@@ -118,6 +118,14 @@ def test_load_scenario_rejects_bad_config(tmp_path, mutate, message):
     assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
+def test_load_scenario_rejects_fractional_horizon(tmp_path, capsys):
+    path = write_scenario(tmp_path, scenario_dict())
+    with pytest.raises(ConfigError, match="sim: horizon .* not a whole number of steps"):
+        load_scenario(path, t_end=1.0005)
+    assert main(["run", path, "--t-end", "1.0005", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "not a whole number of steps" in capsys.readouterr().err
+
+
 def test_load_scenario_overrides(tmp_path):
     path = write_scenario(tmp_path, scenario_dict())
     scenario = load_scenario(path, seed=3, step_h=5e-3, t_end=7.0)

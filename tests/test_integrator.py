@@ -155,6 +155,28 @@ def test_divergence_raises():
         simulate(SystemKind.HT, sig, gains, sim, TunerState.from_theta0([1.0]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("every", [1, 100])
+def test_divergence_report_names_the_first_non_finite_step(every):
+    sig = make_constant([1.0], [0.0])
+    gains = Gains(beta=1e8, gamma=1e8, mu=0.0)
+    sim = SimConfig(t_end=1.0, record_every=every)
+    with pytest.raises(NumericalDivergence) as caught:
+        simulate(SystemKind.HT, sig, gains, sim, TunerState.from_theta0([1.0]))
+    assert str(caught.value) == "non-finite state for 'ht' at t=0.062 (after step 62)"
+
+
+def test_horizon_must_be_whole_number_of_steps():
+    with pytest.raises(ValueError, match=r"1\.05.* 0\.1 .*10\.5"):
+        SimConfig(t_end=1.05, step_h=0.1)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        SimConfig(t_end=1.0005, step_h=1e-3)
+    # Rounding noise in the quotient is not an error.
+    assert SimConfig(t_end=10.3, t_start=0.3, step_h=1e-3).num_steps == 10000
+    assert SimConfig(t_end=15.0, step_h=1e-3).num_steps == 15000
+    assert SimConfig(t_end=0.3, step_h=0.1).num_steps == 3
+
+
 def test_simulate_argument_guards():
     sig = mix3()
     gains = Gains(beta=1.0, gamma=0.1, mu=0.2)
