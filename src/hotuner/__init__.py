@@ -11,13 +11,11 @@ from .certificates import (
     check_decrease_along,
     check_decrease_pointwise,
     decrease_margin,
+    energy_matrix,
     error_field,
     estimate_decay_rate,
     lyapunov_along,
     matrosov_check,
-    v0,
-    v_b,
-    v_cl,
 )
 from .databuffer import (
     DataBuffer,
@@ -33,16 +31,15 @@ from .dynamics import (
     BASELINE_KINDS,
     BUFFER_KINDS,
     HIGH_ORDER_KINDS,
+    KINDS,
+    POINTWISE_KINDS,
     RATE_CONDITION_KINDS,
     SOFT_RESET_KINDS,
     Gains,
     SystemKind,
     TunerState,
-    field,
-    field_softreset,
     grad_L,
     normalization,
-    reset_indicator,
     rhs,
 )
 from .integrator import (
@@ -73,8 +70,10 @@ __all__ = [
     "ErrorCoords",
     "Gains",
     "HIGH_ORDER_KINDS",
+    "KINDS",
     "NumericalDivergence",
     "PEReport",
+    "POINTWISE_KINDS",
     "RATE_CONDITION_KINDS",
     "RegressorSignal",
     "RichnessReport",
@@ -90,10 +89,9 @@ __all__ = [
     "check_decrease_pointwise",
     "check_pe",
     "decrease_margin",
+    "energy_matrix",
     "error_field",
     "estimate_decay_rate",
-    "field",
-    "field_softreset",
     "grad_L",
     "lyapunov_along",
     "make_constant",
@@ -103,12 +101,8 @@ __all__ = [
     "normalization",
     "p_matrix",
     "pe_gram",
-    "reset_indicator",
     "rhs",
     "richness",
     "simulate",
     "simulate_with_buffer",
-    "v0",
-    "v_b",
-    "v_cl",
 ]

@@ -21,11 +21,17 @@ import numpy as np
 from .databuffer import DataBuffer, p_matrix
 from .dynamics import (
     BASELINE_KINDS,
+    BUFFER_KINDS,
+    KINDS,
+    POINTWISE_KINDS,
     RATE_CONDITION_KINDS,
-    SOFT_RESET_KINDS,
     Gains,
     SystemKind,
     TunerState,
+    _data_for,
+    _rhs_arrays,
+    normalization,
+    rhs,
 )
 from .integrator import Trajectory
 from .signals import DEFAULT_QUADRATURE_STEP, RegressorSignal
@@ -37,13 +43,11 @@ __all__ = [
     "check_decrease_along",
     "check_decrease_pointwise",
     "decrease_margin",
+    "energy_matrix",
     "error_field",
     "estimate_decay_rate",
     "lyapunov_along",
     "matrosov_check",
-    "v0",
-    "v_b",
-    "v_cl",
 ]
 
 POINTWISE_TOLERANCE = 1e-9
@@ -52,19 +56,6 @@ SLACK_COEFF = 10.0
 # Discarding the integral tail beyond this horizon changes the auxiliary
 # function by at most exp(-30) M^2 |theta_tilde|^2, far below tolerance.
 MIN_MATROSOV_TRUNCATION = 30.0
-
-_POINTWISE_KINDS = frozenset(
-    {
-        SystemKind.HT,
-        SystemKind.HT_NORMALIZED,
-        SystemKind.HT_CL,
-        SystemKind.HT_NORMALIZED_CL,
-        SystemKind.HT_B,
-    }
-)
-_CL_KINDS = frozenset(
-    {SystemKind.HT_CL, SystemKind.HT_NORMALIZED_CL} | SOFT_RESET_KINDS
-)
 
 
 @dataclass
@@ -114,71 +105,44 @@ class CertificateReport:
         )
 
 
-def v0(err: ErrorCoords, gamma: float) -> float:
-    """Base energy (1/gamma)(|theta_tilde + p|^2 + |p|^2)."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    s = err.theta_tilde + err.p
-    return float(s @ s + err.p @ err.p) / gamma
+def energy_matrix(
+    kind: SystemKind, gains: Gains, n: int, p_mu: np.ndarray | None = None
+) -> np.ndarray:
+    """Matrix Q of the kind's certified energy V = x' Q x at x = (theta_tilde, p).
+
+    Without recorded data V is (1/gamma)(|theta_tilde + p|^2 + |p|^2). The
+    concurrent-learning kinds add (2/beta) theta_tilde' P_mu theta_tilde; the
+    data-only kind halves the base quadratics and adds (gamma/beta) of it.
+    A soft-reset kind has the energy of its base kind. grad V = 2 Q x. A stack
+    of P_mu matrices (..., n, n) gives the stack of their Q (..., 2n, 2n).
+    """
+    spec = KINDS[kind]
+    if not spec.high_order:
+        raise ValueError(f"no certified energy function for '{kind.value}'")
+    q = np.kron([[1.0, 1.0], [1.0, 2.0]], np.eye(n))
+    if spec.data is None:
+        return q / gains.gamma
+    if p_mu is None:
+        raise ValueError(f"the energy of '{kind.value}' needs the data matrix P_mu")
+    p_mu = np.asarray(p_mu, dtype=float)
+    if spec.grad is None:
+        q, weight = 0.5 * q, gains.gamma / gains.beta
+    else:
+        q, weight = q / gains.gamma, 2.0 / gains.beta
+    q = np.tile(q, p_mu.shape[:-2] + (1, 1))
+    q[..., :n, :n] += weight * p_mu
+    return q
 
 
-def v_cl(err: ErrorCoords, gains: Gains, p_mu: np.ndarray) -> float:
-    """Base energy plus the recorded-data quadratic (2/beta) theta_tilde' P theta_tilde."""
-    quad = float(err.theta_tilde @ (p_mu @ err.theta_tilde))
-    return v0(err, gains.gamma) + 2.0 * quad / gains.beta
-
-
-def v_b(err: ErrorCoords, gains: Gains, p_mu: np.ndarray) -> float:
-    """Energy for the data-only tuner: halved base quadratics plus (gamma/beta) data term."""
-    s = err.theta_tilde + err.p
-    quad = float(err.theta_tilde @ (p_mu @ err.theta_tilde))
-    return 0.5 * float(s @ s + err.p @ err.p) + gains.gamma * quad / gains.beta
-
-
-def _grad_v(
-    kind: SystemKind, err: ErrorCoords, gains: Gains, p_mu: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of the kind's V with respect to (theta_tilde, p)."""
-    s = err.theta_tilde + err.p
-    if kind in (SystemKind.HT, SystemKind.HT_NORMALIZED):
-        g_tilde = (2.0 / gains.gamma) * s
-        g_p = (2.0 / gains.gamma) * s + (2.0 / gains.gamma) * err.p
-        return g_tilde, g_p
-    if kind in (SystemKind.HT_CL, SystemKind.HT_NORMALIZED_CL):
-        g_tilde = (2.0 / gains.gamma) * s + (4.0 / gains.beta) * (p_mu @ err.theta_tilde)
-        g_p = (2.0 / gains.gamma) * s + (2.0 / gains.gamma) * err.p
-        return g_tilde, g_p
-    if kind is SystemKind.HT_B:
-        g_tilde = s + (2.0 * gains.gamma / gains.beta) * (p_mu @ err.theta_tilde)
-        g_p = s + err.p
-        return g_tilde, g_p
-    raise ValueError(f"no certified energy function for '{kind.value}'")
-
-
-def _error_field_arrays(
-    kind: SystemKind,
-    theta_tilde: np.ndarray,
-    p: np.ndarray,
-    phi: np.ndarray,
-    gains: Gains,
-    p_mu: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    e_y = float(phi @ theta_tilde)
-    grad = phi * e_y
-    nt = 1.0 + gains.mu * float(phi @ phi)
-    if kind is SystemKind.HT:
-        return gains.beta * nt * p, -gains.beta * nt * p - gains.gamma * grad
-    if kind is SystemKind.HT_NORMALIZED:
-        return gains.beta * p, -gains.beta * p - (gains.gamma / nt) * grad
-    if kind is SystemKind.HT_CL:
-        drive = gains.gamma * (grad + nt * (p_mu @ theta_tilde))
-        return gains.beta * nt * p, -gains.beta * nt * p - drive
-    if kind is SystemKind.HT_NORMALIZED_CL:
-        drive = gains.gamma * (grad / nt + p_mu @ theta_tilde)
-        return gains.beta * p, -gains.beta * p - drive
-    if kind is SystemKind.HT_B:
-        return gains.beta * p, -gains.beta * p - gains.gamma * (p_mu @ theta_tilde)
-    raise ValueError(f"no error-coordinate field for '{kind.value}'")
+def _data_matrix(
+    kind: SystemKind, buffer: DataBuffer | None, gains: Gains
+) -> np.ndarray | None:
+    """P_mu of the buffer for the kinds whose energy reads recorded data, else None."""
+    if kind not in BUFFER_KINDS:
+        return None
+    if buffer is None or len(buffer) == 0:
+        raise ValueError(f"'{kind.value}' needs a nonempty buffer")
+    return p_matrix(buffer, gains.mu)
 
 
 def error_field(
@@ -187,15 +151,18 @@ def error_field(
     t: float,
     signal: RegressorSignal,
     gains: Gains,
-    p_mu: np.ndarray | None = None,
+    buffer: DataBuffer | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Field in error coordinates, (d theta_tilde/dt, d p/dt).
 
-    For the buffer-driven kinds the recorded data enters only through the
-    matrix P_mu, which must describe samples consistent with theta*.
+    This is the state field of `rhs` at theta = theta* + theta_tilde and
+    vartheta = theta + p, seen through the change of variables:
+    (dtheta/dt, dvartheta/dt - dtheta/dt). The decrease bounds assume that
+    the buffer of a buffer-driven kind holds samples consistent with theta*.
     """
-    phi = signal.phi(t)
-    return _error_field_arrays(kind, err.theta_tilde, err.p, phi, gains, p_mu)
+    state = err.to_state(signal.theta_star)
+    d_theta, d_vartheta = rhs(kind, state, t, signal, buffer, gains)
+    return d_theta, d_vartheta - d_theta
 
 
 def _decrease_bound(
@@ -234,7 +201,7 @@ def decrease_margin(
     t: float,
     signal: RegressorSignal,
     gains: Gains,
-    p_mu: np.ndarray | None = None,
+    buffer: DataBuffer | None = None,
     m_bound: float | None = None,
 ) -> tuple[float, float]:
     """Return (lhs, rhs) of the decrease inequality <grad V, f> <= bound.
@@ -242,23 +209,16 @@ def decrease_margin(
     m_bound defaults to the signal's certified amplitude bound, which only
     matters for the normalized concurrent-learning kind.
     """
-    phi = signal.phi(t)
     if m_bound is None:
         m_bound = signal.norm_bound()
-    g_tilde, g_p = _grad_v(kind, err, gains, p_mu)
-    f_tilde, f_p = _error_field_arrays(kind, err.theta_tilde, err.p, phi, gains, p_mu)
-    lhs = float(g_tilde @ f_tilde + g_p @ f_p)
+    p_mu = _data_matrix(kind, buffer, gains)
+    x = np.concatenate((err.theta_tilde, err.p))
+    q = energy_matrix(kind, gains, signal.dimension, p_mu)
+    f = np.concatenate(error_field(kind, err, t, signal, gains, buffer))
+    lhs = 2.0 * float((q @ x) @ f)
+    phi = signal.phi(t)
     rhs = _decrease_bound(kind, err.theta_tilde, err.p, phi, gains, p_mu, m_bound)
     return lhs, rhs
-
-
-def _require_rate_condition(kind: SystemKind, gains: Gains) -> None:
-    if kind in RATE_CONDITION_KINDS and not gains.rate_condition_ok:
-        raise ValueError(
-            f"decrease bound for '{kind.value}' is only certified when "
-            f"beta >= 2 gamma / mu with mu > 0 "
-            f"(got beta={gains.beta}, gamma={gains.gamma}, mu={gains.mu})"
-        )
 
 
 def _sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
@@ -289,28 +249,39 @@ def check_decrease_pointwise(
     concurrent-learning kind uses the largest |phi| seen on that grid, so the
     certified inequality applies at every sampled point exactly.
     """
-    if kind not in _POINTWISE_KINDS:
+    if kind not in POINTWISE_KINDS:
         raise ValueError(f"no pointwise decrease bound for '{kind.value}'")
-    _require_rate_condition(kind, gains)
-    p_mu = None
-    if kind in (SystemKind.HT_CL, SystemKind.HT_NORMALIZED_CL, SystemKind.HT_B):
-        if buffer is None or len(buffer) == 0:
-            raise ValueError(f"'{kind.value}' needs a nonempty buffer")
-        p_mu = p_matrix(buffer, gains.mu)
+    if kind in RATE_CONDITION_KINDS and not gains.rate_condition_ok:
+        raise ValueError(
+            f"decrease bound for '{kind.value}' is only certified when "
+            f"beta >= 2 gamma / mu with mu > 0 "
+            f"(got beta={gains.beta}, gamma={gains.gamma}, mu={gains.mu})"
+        )
+    p_mu = _data_matrix(kind, buffer, gains)
+    data = _data_for(kind, buffer, gains)
     n = signal.dimension
+    q = energy_matrix(kind, gains, n, p_mu)
+    theta_star = signal.theta_star
     t_grid = np.linspace(0.0, t_span, t_points)
-    phis = [signal.phi(float(t)) for t in t_grid]
-    m_bound = max(float(np.linalg.norm(phi)) for phi in phis)
+    inputs = []
+    for t in t_grid:
+        phi, y_star = signal.eval(float(t))
+        inputs.append((phi, y_star, normalization(phi, gains.mu)))
+    m_bound = max(float(np.linalg.norm(phi)) for phi, _, _ in inputs)
     rng = np.random.default_rng(seed)
     violations = 0
     worst = -math.inf
     for i in range(sample_count):
-        phi = phis[i % t_points]
+        phi, y_star, nt = inputs[i % t_points]
         x = _sample_ball(rng, 2 * n, radius)
         theta_tilde, p = x[:n], x[n:]
-        g_tilde, g_p = _grad_v(kind, ErrorCoords(theta_tilde, p), gains, p_mu)
-        f_tilde, f_p = _error_field_arrays(kind, theta_tilde, p, phi, gains, p_mu)
-        lhs = float(g_tilde @ f_tilde + g_p @ f_p)
+        # error_field on the precomputed inputs
+        theta = theta_star + theta_tilde
+        d_theta, d_vartheta = _rhs_arrays(
+            kind, theta, theta + p, phi, y_star, nt, data, gains
+        )
+        f = np.concatenate((d_theta, d_vartheta - d_theta))
+        lhs = 2.0 * float((q @ x) @ f)
         rhs = _decrease_bound(kind, theta_tilde, p, phi, gains, p_mu, m_bound)
         margin = lhs - rhs
         if margin > tolerance:
@@ -340,31 +311,28 @@ def lyapunov_along(
     """
     if kind in BASELINE_KINDS:
         raise ValueError(f"no certified energy function for '{kind.value}'")
-    theta_star = signal.theta_star
-    tilde = trajectory.theta - theta_star
-    p = trajectory.vartheta - trajectory.theta
-    s = tilde + p
-    base = ((s**2).sum(axis=1) + (p**2).sum(axis=1)) / gains.gamma
-    if kind in (SystemKind.HT, SystemKind.HT_NORMALIZED):
-        return base
+    n = signal.dimension
+    tilde = trajectory.theta - signal.theta_star
+    x = np.hstack((tilde, trajectory.vartheta - trajectory.theta))
+    if kind not in BUFFER_KINDS:
+        q = energy_matrix(kind, gains, n)
+        return np.einsum("ri,ij,rj->r", x, q, x)
     if buffer is None or len(buffer) == 0:
         raise ValueError(f"'{kind.value}' needs the buffer that drove the run")
     counts = trajectory.n_samples
     if counts.max() > len(buffer):
         raise ValueError("trajectory refers to more samples than the buffer holds")
     # Prefix data-sum matrices: prefix[m] covers the first m samples.
-    n = buffer.dimension
     prefix = np.zeros((len(buffer) + 1, n, n))
     for m, sample in enumerate(buffer.samples, start=1):
         weight = 1.0 / (1.0 + gains.mu * float(sample.phi_k @ sample.phi_k))
         prefix[m] = prefix[m - 1] + weight * np.outer(sample.phi_k, sample.phi_k)
-    quad = np.empty(trajectory.n_rows)
+    q = energy_matrix(kind, gains, n, prefix)
+    values = np.empty(trajectory.n_rows)
     for m in np.unique(counts):
         rows = counts == m
-        quad[rows] = np.einsum("ri,ij,rj->r", tilde[rows], prefix[int(m)], tilde[rows])
-    if kind is SystemKind.HT_B:
-        return 0.5 * gains.gamma * base + gains.gamma * quad / gains.beta
-    return base + 2.0 * quad / gains.beta
+        values[rows] = np.einsum("ri,ij,rj->r", x[rows], q[m], x[rows])
+    return values
 
 
 def check_decrease_along(

@@ -27,8 +27,9 @@ from .databuffer import DataBuffer, buffer_csv, richness
 from .dynamics import (
     BASELINE_KINDS,
     BUFFER_KINDS,
+    KINDS,
+    POINTWISE_KINDS,
     RATE_CONDITION_KINDS,
-    SOFT_RESET_KINDS,
     Gains,
     SystemKind,
     TunerState,
@@ -58,16 +59,6 @@ EXIT_NUMERIC = 3
 EXIT_CERTIFICATE = 4
 
 THRESHOLD_FRACTIONS = (1e-1, 1e-2, 1e-3)
-
-_POINTWISE_KINDS = frozenset(
-    {
-        SystemKind.HT,
-        SystemKind.HT_NORMALIZED,
-        SystemKind.HT_CL,
-        SystemKind.HT_NORMALIZED_CL,
-        SystemKind.HT_B,
-    }
-)
 
 
 class ConfigError(ValueError):
@@ -462,7 +453,7 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
                     f"(rank {rich.rank_D} of {scenario.signal.dimension}); the "
                     "decrease bound is not strictly negative in every direction"
                 )
-        if kind in _POINTWISE_KINDS:
+        if kind in POINTWISE_KINDS:
             report = certificates.check_decrease_pointwise(
                 kind, scenario.signal, buffer if kind in BUFFER_KINDS else None,
                 scenario.gains, sample_count=2000, seed=scenario.sim.seed,
@@ -475,13 +466,14 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
         step = scenario.sim.step_h * scenario.sim.record_every
         note(kind, "trajectory",
              certificates.check_decrease_along(trajectory, v_values, step))
-        if kind in (SystemKind.HT, SystemKind.HT_NORMALIZED):
+        # Without recorded data the V derivative is only semidefinite.
+        if kind not in BUFFER_KINDS:
             report = certificates.matrosov_check(
                 scenario.signal, scenario.gains, T=pe.window_T,
                 delta=pe_report.delta_hat, M=pe_report.M_hat,
                 seed=scenario.sim.seed,
-                cross_coeff=(scenario.gains.beta * pe_report.M_hat**2
-                             if kind is SystemKind.HT_NORMALIZED else None),
+                cross_coeff=(None if KINDS[kind].theta_nt
+                             else scenario.gains.beta * pe_report.M_hat**2),
             )
             note(kind, "auxiliary", report)
     (out / f"{scenario.name}_certificates.csv").write_text("\n".join(lines) + "\n")

@@ -24,15 +24,15 @@ __all__ = [
     "BUFFER_KINDS",
     "Gains",
     "HIGH_ORDER_KINDS",
+    "KINDS",
+    "KindSpec",
+    "POINTWISE_KINDS",
     "RATE_CONDITION_KINDS",
     "SOFT_RESET_KINDS",
     "SystemKind",
     "TunerState",
-    "field",
-    "field_softreset",
     "grad_L",
     "normalization",
-    "reset_indicator",
     "rhs",
 ]
 
@@ -53,50 +53,58 @@ class SystemKind(str, Enum):
     HT_NORMALIZED_CL_SOFTRESET = "ht_normalized_cl_softreset"
 
 
-BASELINE_KINDS = frozenset(
-    {
-        SystemKind.BASIC,
-        SystemKind.BASIC_CL,
-        SystemKind.BASIC_NORMALIZED,
-        SystemKind.BASIC_NORMALIZED_CL,
-    }
-)
-SOFT_RESET_KINDS = frozenset(
-    {SystemKind.HT_CL_SOFTRESET, SystemKind.HT_NORMALIZED_CL_SOFTRESET}
-)
-HIGH_ORDER_KINDS = frozenset(
-    {
-        SystemKind.HT,
-        SystemKind.HT_NORMALIZED,
-        SystemKind.HT_CL,
-        SystemKind.HT_NORMALIZED_CL,
-        SystemKind.HT_B,
-    }
-) | SOFT_RESET_KINDS
-# Kinds whose right-hand side reads the data buffer.
-BUFFER_KINDS = frozenset(
-    {
-        SystemKind.BASIC_CL,
-        SystemKind.BASIC_NORMALIZED_CL,
-        SystemKind.HT_CL,
-        SystemKind.HT_NORMALIZED_CL,
-        SystemKind.HT_B,
-    }
-) | SOFT_RESET_KINDS
-# Kinds whose decrease certificates assume beta >= 2 gamma / mu.
-RATE_CONDITION_KINDS = frozenset(
-    {
-        SystemKind.HT,
-        SystemKind.HT_NORMALIZED,
-        SystemKind.HT_CL,
-        SystemKind.HT_NORMALIZED_CL,
-    }
-) | SOFT_RESET_KINDS
+@dataclass(frozen=True)
+class KindSpec:
+    """How one kind assembles its field from the shared terms (see _rhs_arrays).
 
-_SOFT_BASE = {
-    SystemKind.HT_CL_SOFTRESET: SystemKind.HT_CL,
-    SystemKind.HT_NORMALIZED_CL_SOFTRESET: SystemKind.HT_NORMALIZED_CL,
+    The drive is -gain (grad + data) with the loss gradient grad and the
+    recorded-data correction data, each scaled by N_t to the power given here
+    (None: the term is absent). The gain is gamma, gamma / N_t with gain_nt,
+    or 1 with unit_gain. Baseline kinds apply the drive to theta and keep
+    vartheta constant. High-order kinds apply it to vartheta and pull theta
+    toward vartheta at rate beta, times N_t with theta_nt. data_mu False
+    weighs every recorded sample 1 instead of 1 / (1 + mu |phi_k|^2). reset
+    adds the soft-reset pull on theta to the row of its base kind.
+    """
+
+    high_order: bool
+    grad: int | None
+    data: int | None
+    theta_nt: bool = False
+    gain_nt: bool = False
+    unit_gain: bool = False
+    data_mu: bool = True
+    reset: bool = False
+
+
+KINDS: dict[SystemKind, KindSpec] = {
+    SystemKind.BASIC: KindSpec(False, grad=0, data=None, unit_gain=True),
+    SystemKind.BASIC_CL: KindSpec(False, grad=0, data=0, data_mu=False),
+    SystemKind.BASIC_NORMALIZED: KindSpec(False, grad=0, data=None, gain_nt=True),
+    SystemKind.BASIC_NORMALIZED_CL: KindSpec(False, grad=-1, data=0),
+    SystemKind.HT: KindSpec(True, grad=0, data=None, theta_nt=True),
+    SystemKind.HT_NORMALIZED: KindSpec(True, grad=0, data=None, gain_nt=True),
+    SystemKind.HT_CL: KindSpec(True, grad=0, data=1, theta_nt=True),
+    SystemKind.HT_NORMALIZED_CL: KindSpec(True, grad=-1, data=0),
+    SystemKind.HT_B: KindSpec(True, grad=None, data=0),
+    SystemKind.HT_CL_SOFTRESET: KindSpec(True, grad=0, data=1, theta_nt=True, reset=True),
+    SystemKind.HT_NORMALIZED_CL_SOFTRESET: KindSpec(True, grad=-1, data=0, reset=True),
 }
+
+
+def _kinds_where(test) -> frozenset[SystemKind]:
+    return frozenset(kind for kind, spec in KINDS.items() if test(spec))
+
+
+BASELINE_KINDS = _kinds_where(lambda s: not s.high_order)
+HIGH_ORDER_KINDS = _kinds_where(lambda s: s.high_order)
+SOFT_RESET_KINDS = _kinds_where(lambda s: s.reset)
+# Kinds whose right-hand side reads the data buffer.
+BUFFER_KINDS = _kinds_where(lambda s: s.data is not None)
+# Kinds whose decrease certificates assume beta >= 2 gamma / mu.
+RATE_CONDITION_KINDS = _kinds_where(lambda s: s.high_order and s.grad is not None)
+# Kinds with a pointwise decrease bound on their energy.
+POINTWISE_KINDS = _kinds_where(lambda s: s.high_order and not s.reset)
 
 
 @dataclass(frozen=True)
@@ -161,100 +169,17 @@ def grad_L(phi_t, y_star_t: float, theta) -> np.ndarray:
 
 
 def _data_mu(kind: SystemKind, gains: Gains) -> float:
-    """mu in the data-term weights 1 / (1 + mu |phi_k|^2); basic_cl weighs every sample 1."""
-    return 0.0 if kind is SystemKind.BASIC_CL else gains.mu
+    """mu in the data-term weights 1 / (1 + mu |phi_k|^2)."""
+    return gains.mu if KINDS[kind].data_mu else 0.0
 
 
-def _require_data(kind: SystemKind, data: DataAggregates | None) -> DataAggregates:
-    if data is None:
-        raise ValueError(f"system '{kind.value}' requires a nonempty data buffer")
-    return data
-
-
-def _field_arrays(
-    kind: SystemKind,
-    theta: np.ndarray,
-    vartheta: np.ndarray,
-    phi: np.ndarray,
-    y_star: float,
-    nt: float,
-    data: DataAggregates | None,
-    gains: Gains,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Core per-kind derivative on raw arrays.
-
-    nt is N_t at phi and data holds the buffer aggregates weighted for this
-    kind (see _data_mu), or None for an empty buffer.
-    """
-    grad = phi * (float(phi @ theta) - y_star)
-    if kind is SystemKind.BASIC:
-        return -grad, np.zeros_like(theta)
-    if kind is SystemKind.BASIC_CL:
-        correction = data_term(_require_data(kind, data), theta)
-        return -gains.gamma * (grad + correction), np.zeros_like(theta)
-    if kind is SystemKind.BASIC_NORMALIZED:
-        return -(gains.gamma / nt) * grad, np.zeros_like(theta)
-    if kind is SystemKind.BASIC_NORMALIZED_CL:
-        correction = data_term(_require_data(kind, data), theta)
-        return -gains.gamma * (grad / nt + correction), np.zeros_like(theta)
-    if kind is SystemKind.HT:
-        return -gains.beta * nt * (theta - vartheta), -gains.gamma * grad
-    if kind is SystemKind.HT_NORMALIZED:
-        return -gains.beta * (theta - vartheta), -(gains.gamma / nt) * grad
-    if kind is SystemKind.HT_CL:
-        correction = data_term(_require_data(kind, data), theta)
-        return (
-            -gains.beta * nt * (theta - vartheta),
-            -gains.gamma * (grad + nt * correction),
-        )
-    if kind is SystemKind.HT_NORMALIZED_CL:
-        correction = data_term(_require_data(kind, data), theta)
-        return (
-            -gains.beta * (theta - vartheta),
-            -gains.gamma * (grad / nt + correction),
-        )
-    if kind is SystemKind.HT_B:
-        correction = data_term(_require_data(kind, data), theta)
-        return -gains.beta * (theta - vartheta), -gains.gamma * correction
-    raise ValueError(f"soft-reset kind '{kind.value}' is evaluated by field_softreset")
-
-
-def _indicator_arrays(
-    kind: SystemKind,
-    theta: np.ndarray,
-    vartheta: np.ndarray,
-    phi: np.ndarray,
-    y_star: float,
-    nt: float,
-) -> float:
-    grad = phi * (float(phi @ theta) - y_star)
-    value = float((vartheta - theta) @ grad)
-    if kind is SystemKind.HT_NORMALIZED_CL_SOFTRESET:
-        value /= nt
-    return value
-
-
-def _softreset_arrays(
-    kind: SystemKind,
-    theta: np.ndarray,
-    vartheta: np.ndarray,
-    phi: np.ndarray,
-    y_star: float,
-    nt: float,
-    data: DataAggregates | None,
-    gains: Gains,
-) -> tuple[np.ndarray, np.ndarray]:
-    base = _field_arrays(_SOFT_BASE[kind], theta, vartheta, phi, y_star, nt, data, gains)
-    indicator = _indicator_arrays(kind, theta, vartheta, phi, y_star, nt)
-    # Selection at the switching surface: sign(0) taken as -1, multiplier 0.
-    sign = 1.0 if indicator > 0.0 else -1.0
-    multiplier = gains.beta_r * (sign + 1.0)
-    if multiplier == 0.0:
-        return base
-    pull = -multiplier * (theta - vartheta)
-    if kind is SystemKind.HT_CL_SOFTRESET:
-        pull = pull * nt
-    return base[0] + pull, base[1]
+def _data_for(
+    kind: SystemKind, buffer: DataBuffer | None, gains: Gains
+) -> DataAggregates | None:
+    """Aggregates of the whole buffer as the kind reads them; None if it reads none."""
+    if kind in BUFFER_KINDS and buffer is not None and len(buffer):
+        return data_aggregates(buffer, _data_mu(kind, gains))
+    return None
 
 
 def _rhs_arrays(
@@ -267,79 +192,43 @@ def _rhs_arrays(
     data: DataAggregates | None,
     gains: Gains,
 ) -> tuple[np.ndarray, np.ndarray]:
-    if kind in SOFT_RESET_KINDS:
-        return _softreset_arrays(kind, theta, vartheta, phi, y_star, nt, data, gains)
-    return _field_arrays(kind, theta, vartheta, phi, y_star, nt, data, gains)
+    """Derivative (dtheta/dt, dvartheta/dt) of any kind, on raw arrays.
 
-
-def _inputs_at(
-    kind: SystemKind,
-    t: float,
-    signal: RegressorSignal,
-    buffer: DataBuffer | None,
-    gains: Gains,
-) -> tuple[np.ndarray, float, float, DataAggregates | None]:
-    """(phi, y*, N_t, data aggregates) at time t, as the integrator precomputes them."""
-    phi, y_star = signal.eval(t)
-    nt = normalization(phi, gains.mu)
-    data = None
-    if kind in BUFFER_KINDS and buffer is not None and len(buffer):
-        data = data_aggregates(buffer, _data_mu(kind, gains))
-    return phi, y_star, nt, data
-
-
-def field(
-    kind: SystemKind,
-    state: TunerState,
-    t: float,
-    signal: RegressorSignal,
-    buffer: DataBuffer | None,
-    gains: Gains,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative (dtheta/dt, dvartheta/dt) for the non-switching kinds."""
-    if kind in SOFT_RESET_KINDS:
-        raise ValueError(f"use field_softreset for '{kind.value}'")
-    inputs = _inputs_at(kind, t, signal, buffer, gains)
-    return _field_arrays(kind, state.theta, state.vartheta, *inputs, gains)
-
-
-def reset_indicator(
-    kind: SystemKind,
-    state: TunerState,
-    t: float,
-    signal: RegressorSignal,
-    gains: Gains,
-) -> float:
-    """Alignment of (vartheta - theta) with the loss gradient, the reset trigger.
-
-    Positive values mean the companion state leads the estimate uphill, which
-    is when the extra pull toward vartheta switches on. The normalized variant
-    divides by N_t, matching its normalized gradient.
+    nt is N_t at phi and data holds the buffer aggregates weighted for this
+    kind (see _data_mu), or None for an empty buffer. An absent term is
+    skipped rather than added as zero, and a soft-reset pull that is off is
+    not added either, which keeps the sign of every zero component.
     """
-    if kind not in SOFT_RESET_KINDS:
-        raise ValueError(f"'{kind.value}' has no reset indicator")
-    phi, y_star, nt, _ = _inputs_at(kind, t, signal, None, gains)
-    return _indicator_arrays(kind, state.theta, state.vartheta, phi, y_star, nt)
-
-
-def field_softreset(
-    kind: SystemKind,
-    state: TunerState,
-    t: float,
-    signal: RegressorSignal,
-    buffer: DataBuffer | None,
-    gains: Gains,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative for the soft-reset kinds: base field plus the switched pull.
-
-    The pull is beta_r (sign + 1) in strength, so it vanishes whenever the
-    indicator is nonpositive and doubles beta_r when it is positive; for the
-    unnormalized kind the pull carries the same N_t factor as its theta row.
-    """
-    if kind not in SOFT_RESET_KINDS:
-        raise ValueError(f"'{kind.value}' is not a soft-reset kind; use field")
-    inputs = _inputs_at(kind, t, signal, buffer, gains)
-    return _softreset_arrays(kind, state.theta, state.vartheta, *inputs, gains)
+    spec = KINDS[kind]
+    drive = None
+    if spec.grad is not None:
+        grad = phi * (float(phi @ theta) - y_star)
+        drive = grad / nt if spec.grad < 0 else grad
+    if spec.data is not None:
+        if data is None:
+            raise ValueError(f"system '{kind.value}' requires a nonempty data buffer")
+        correction = data_term(data, theta)
+        if spec.data > 0:
+            correction = nt * correction
+        drive = correction if drive is None else drive + correction
+    gain = 1.0 if spec.unit_gain else gains.gamma / nt if spec.gain_nt else gains.gamma
+    drive = -gain * drive
+    if not spec.high_order:
+        return drive, np.zeros_like(theta)
+    gap = theta - vartheta
+    dtheta = -gains.beta * (nt if spec.theta_nt else 1.0) * gap
+    if spec.reset:
+        # The pull switches on when vartheta - theta leads uphill along the
+        # loss gradient; at the switching surface (indicator 0) it is off.
+        indicator = float((vartheta - theta) @ grad)
+        if not spec.theta_nt:
+            indicator /= nt
+        if indicator > 0.0 and gains.beta_r > 0.0:
+            pull = -(2.0 * gains.beta_r) * gap
+            if spec.theta_nt:
+                pull = pull * nt
+            dtheta = dtheta + pull
+    return dtheta, drive
 
 
 def rhs(
@@ -350,6 +239,13 @@ def rhs(
     buffer: DataBuffer | None,
     gains: Gains,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch to field or field_softreset based on the kind."""
-    inputs = _inputs_at(kind, t, signal, buffer, gains)
-    return _rhs_arrays(kind, state.theta, state.vartheta, *inputs, gains)
+    """Derivative (dtheta/dt, dvartheta/dt) of the kind at state and time t.
+
+    The soft-reset pull on theta is 2 beta_r (vartheta - theta), times N_t for
+    the unnormalized kind, while (vartheta - theta)' grad L > 0, else 0.
+    """
+    phi, y_star = signal.eval(t)
+    return _rhs_arrays(
+        kind, state.theta, state.vartheta, phi, y_star, normalization(phi, gains.mu),
+        _data_for(kind, buffer, gains), gains,
+    )

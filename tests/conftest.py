@@ -1,6 +1,7 @@
 """Shared fixtures: bundled scenarios, full-resolution reference runs, frozen values."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +69,27 @@ def fig2_runs(fig2_scenario):
     return run_all(fig2_scenario)
 
 
+# finish() in test_acceptance.py prints the first on success; its budget
+# assertion carries the second on failure.
+_TIMING = (
+    re.compile(r"PASS in (\d\S*s) \(budget ([^)]*)\)"),
+    re.compile(r"took (\d\S*s) \(budget ([^)]*)\)"),
+)
+
+
+def _timing(rep) -> str:
+    """' in 0.31s (budget 1s)' from a criterion's call report, or '' if it has none."""
+    texts = (getattr(rep, "capstdout", ""), str(getattr(rep, "longrepr", "") or ""))
+    for pattern, text in zip(_TIMING, texts):
+        match = pattern.search(text)
+        if match:
+            return f" in {match.group(1)} (budget {match.group(2)})"
+    return ""
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one line per acceptance criterion so the verdicts are easy to scan."""
-    outcomes: dict[int, tuple[str, bool]] = {}
+    outcomes: dict[int, tuple[str, bool | None, str]] = {}
     for reports in terminalreporter.stats.values():
         for rep in reports:
             nodeid = getattr(rep, "nodeid", "")
@@ -81,18 +100,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             label = tail.split("_", 1)[1].replace("_", " ")
             failed = getattr(rep, "outcome", "") == "failed"
             called = getattr(rep, "when", None) == "call"
-            prev_label, prev_ok = outcomes.get(num, (label, None))
-            ok = prev_ok
+            _, ok, timing = outcomes.get(num, (label, None, ""))
             if failed:
                 ok = False
             elif called and ok is None:
                 ok = True
-            outcomes[num] = (label, ok)
+            if called:
+                timing = _timing(rep)
+            outcomes[num] = (label, ok, timing)
     if not outcomes:
         return
     terminalreporter.section("acceptance criteria")
     for num in sorted(outcomes):
-        label, ok = outcomes[num]
+        label, ok, timing = outcomes[num]
         # Deselected or skipped criteria have no call report: they did not run.
         verdict = "not run" if ok is None else "PASS" if ok else "FAIL"
-        terminalreporter.write_line(f"criterion {num:2d} ({label}): {verdict}")
+        terminalreporter.write_line(f"criterion {num:2d} ({label}): {verdict}{timing}")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotuner import (
     DataBuffer,
@@ -16,9 +18,9 @@ from hotuner import (
     check_decrease_along,
     check_decrease_pointwise,
     decrease_margin,
+    energy_matrix,
     error_field,
     estimate_decay_rate,
-    field,
     lyapunov_along,
     make_constant,
     make_sinusoid_mix,
@@ -26,9 +28,6 @@ from hotuner import (
     p_matrix,
     simulate,
     simulate_with_buffer,
-    v0,
-    v_b,
-    v_cl,
 )
 
 PI = np.pi
@@ -45,6 +44,12 @@ def consistent_buffer(sig, times):
     phis = [sig.phi(float(t)) for t in times]
     return DataBuffer.from_samples(phis, [float(p @ sig.theta_star) for p in phis],
                                    times=list(times))
+
+
+def energy(kind, err, gains, p_mu=None):
+    """V = x' Q x at x = (theta_tilde, p), Q the kind's energy matrix."""
+    x = np.concatenate((err.theta_tilde, err.p))
+    return float(x @ energy_matrix(kind, gains, x.shape[0] // 2, p_mu) @ x)
 
 
 def synthetic_trajectory(t, err):
@@ -74,47 +79,126 @@ def test_error_coords_round_trip():
 
 def test_energy_hand_values():
     err = ErrorCoords(theta_tilde=np.array([1.0, 0.0]), p=np.array([0.0, 2.0]))
-    assert v0(err, 0.5) == 18.0
     gains = Gains(beta=4.0, gamma=0.5, mu=0.2)
+    assert energy(SystemKind.HT, err, gains) == 18.0
     p_mu = np.diag([2.0, 1.0])
-    assert v_cl(err, gains, p_mu) == 19.0
-    assert v_b(err, gains, p_mu) == 4.75
-    with pytest.raises(ValueError):
-        v0(err, 0.0)
+    assert energy(SystemKind.HT_CL, err, gains, p_mu) == 19.0
+    assert energy(SystemKind.HT_B, err, gains, p_mu) == 4.75
+    with pytest.raises(ValueError, match="no certified energy"):
+        energy_matrix(SystemKind.BASIC, gains, 2)
+    with pytest.raises(ValueError, match="needs the data matrix"):
+        energy_matrix(SystemKind.HT_CL, gains, 2)
 
 
-def test_error_field_matches_state_field():
-    """The error-coordinate flow is the state flow seen through the change of variables."""
-    sig = mix3()
-    buffer = consistent_buffer(sig, (0.0, 1.0, 2.2, 3.7))
-    p_mu = p_matrix(buffer, CERTIFIED_GAINS.mu)
-    rng = np.random.default_rng(21)
+# Closed-form references in error coordinates (theta_tilde, p), with
+# e_y = phi' theta_tilde, N_t = 1 + mu |phi|^2 and P = P_mu of data consistent
+# with theta*. They are written out independently of the kind table.
+SOFT_BASE = {
+    SystemKind.HT_CL_SOFTRESET: SystemKind.HT_CL,
+    SystemKind.HT_NORMALIZED_CL_SOFTRESET: SystemKind.HT_NORMALIZED_CL,
+}
+
+
+def closed_form_error_field(kind, theta_tilde, p, phi, gains, p_mu):
+    """Error field of a pointwise kind; for a soft-reset kind, of its base kind."""
+    beta, gamma = gains.beta, gains.gamma
+    grad = phi * float(phi @ theta_tilde)
+    nt = 1.0 + gains.mu * float(phi @ phi)
+    kind = SOFT_BASE.get(kind, kind)
+    if kind is SystemKind.HT:
+        return beta * nt * p, -beta * nt * p - gamma * grad
+    if kind is SystemKind.HT_NORMALIZED:
+        return beta * p, -beta * p - (gamma / nt) * grad
+    if kind is SystemKind.HT_CL:
+        drive = gamma * (grad + nt * (p_mu @ theta_tilde))
+        return beta * nt * p, -beta * nt * p - drive
+    if kind is SystemKind.HT_NORMALIZED_CL:
+        drive = gamma * (grad / nt + p_mu @ theta_tilde)
+        return beta * p, -beta * p - drive
+    assert kind is SystemKind.HT_B
+    return beta * p, -beta * p - gamma * (p_mu @ theta_tilde)
+
+
+def closed_form_pull(kind, theta_tilde, p, phi, gains):
+    """(soft-reset indicator, pull on theta when it is on): 2 beta_r p, times N_t
+    for the unnormalized kind; the indicator p' grad L is over N_t for the other."""
+    nt = 1.0 + gains.mu * float(phi @ phi)
+    indicator = float(p @ phi) * float(phi @ theta_tilde)
+    pull = 2.0 * gains.beta_r * p
+    if kind is SystemKind.HT_CL_SOFTRESET:
+        return indicator, nt * pull
+    return indicator / nt, pull
+
+
+def closed_form_energy(kind, theta_tilde, p, gains, p_mu):
+    s = theta_tilde + p
+    base = float(s @ s + p @ p)
+    if kind in (SystemKind.HT, SystemKind.HT_NORMALIZED):
+        return base / gains.gamma
+    quad = float(theta_tilde @ (p_mu @ theta_tilde))
+    if kind is SystemKind.HT_B:
+        return 0.5 * base + gains.gamma * quad / gains.beta
+    return base / gains.gamma + 2.0 * quad / gains.beta
+
+
+@st.composite
+def error_field_cases(draw):
+    """A sinusoid-mix signal, gains, an error state, a time and consistent data."""
+    n = draw(st.integers(1, 4))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    sig = make_sinusoid_mix(n, vec(-2, 2), vec(0, 3), vec(0, 5), vec(0, 2 * PI),
+                            vec(-3, 3))
+    gains = Gains(beta=draw(st.floats(0.1, 5.0)), gamma=draw(st.floats(0.01, 2.0)),
+                  mu=draw(st.floats(0.0, 2.0)), beta_r=draw(st.floats(0.0, 5.0)))
+    gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6))
+    buffer = consistent_buffer(sig, np.cumsum(gaps))
+    err = ErrorCoords(vec(-3, 3), vec(-3, 3))
+    return sig, gains, buffer, err, draw(st.floats(0.0, 20.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(error_field_cases())
+def test_error_field_matches_state_field(case):
+    """The error field derived from rhs equals the closed forms in error coordinates,
+    and each energy matrix equals its closed-form quadratic."""
+    sig, gains, buffer, err, t = case
+    phi = sig.phi(t)
+    p_mu = p_matrix(buffer, gains.mu)
+    theta_tilde, p = err.theta_tilde, err.p
     for kind in (SystemKind.HT, SystemKind.HT_NORMALIZED, SystemKind.HT_CL,
-                 SystemKind.HT_NORMALIZED_CL, SystemKind.HT_B):
-        needs_data = kind in (SystemKind.HT_CL, SystemKind.HT_NORMALIZED_CL,
-                              SystemKind.HT_B)
-        for _ in range(20):
-            theta_tilde = rng.uniform(-3, 3, 3)
-            p = rng.uniform(-3, 3, 3)
-            t = float(rng.uniform(0, 12))
-            err = ErrorCoords(theta_tilde=theta_tilde, p=p)
-            state = err.to_state(sig.theta_star)
-            d_tilde, d_p = error_field(kind, err, t, sig, CERTIFIED_GAINS,
-                                       p_mu if needs_data else None)
-            d_theta, d_vartheta = field(kind, state, t, sig,
-                                        buffer if needs_data else None, CERTIFIED_GAINS)
-            assert np.allclose(d_tilde, d_theta, atol=1e-10)
-            assert np.allclose(d_p, d_vartheta - d_theta, atol=1e-10)
+                 SystemKind.HT_NORMALIZED_CL, SystemKind.HT_B, *SOFT_BASE):
+        got = np.concatenate(error_field(kind, err, t, sig, gains, buffer))
+        want = np.concatenate(closed_form_error_field(kind, theta_tilde, p, phi, gains,
+                                                      p_mu))
+        wants = [want]
+        if kind in SOFT_BASE:
+            indicator, pull = closed_form_pull(kind, theta_tilde, p, phi, gains)
+            on = want + np.concatenate((pull, -pull))
+            # within rounding of the switching surface either side is right
+            near = abs(indicator) <= 1e-9 * (1.0 + float(phi @ phi)) * (
+                1.0 + float(p @ p) + float(theta_tilde @ theta_tilde))
+            wants = [want, on] if near else [on] if indicator > 0.0 else [want]
+        tol = 1e-9 * (1.0 + max(np.abs(w).max() for w in wants))
+        assert any(np.allclose(got, w, rtol=0.0, atol=tol) for w in wants), kind
+        if kind in SOFT_BASE:
+            assert np.array_equal(energy_matrix(kind, gains, sig.dimension, p_mu),
+                                  energy_matrix(SOFT_BASE[kind], gains, sig.dimension,
+                                                p_mu))
+            continue
+        want_v = closed_form_energy(kind, theta_tilde, p, gains, p_mu)
+        assert abs(energy(kind, err, gains, p_mu) - want_v) <= 1e-12 * (1.0 + abs(want_v))
 
 
 def test_decrease_margin_zero_at_origin():
     sig = mix3()
     buffer = consistent_buffer(sig, (0.0, 1.0, 2.2))
-    p_mu = p_matrix(buffer, CERTIFIED_GAINS.mu)
     err = ErrorCoords(theta_tilde=np.zeros(3), p=np.zeros(3))
-    for kind, data in ((SystemKind.HT, None), (SystemKind.HT_CL, p_mu),
-                       (SystemKind.HT_B, p_mu)):
-        lhs, rhs = decrease_margin(kind, err, 0.4, sig, CERTIFIED_GAINS, p_mu=data)
+    for kind, data in ((SystemKind.HT, None), (SystemKind.HT_CL, buffer),
+                       (SystemKind.HT_B, buffer)):
+        lhs, rhs = decrease_margin(kind, err, 0.4, sig, CERTIFIED_GAINS, buffer=data)
         assert lhs == 0.0 and rhs == 0.0
 
 
@@ -123,27 +207,22 @@ def test_decrease_margin_matches_directional_difference():
     sig = mix3()
     buffer = consistent_buffer(sig, (0.0, 1.0, 2.2))
     p_mu = p_matrix(buffer, CERTIFIED_GAINS.mu)
-    values = {
-        SystemKind.HT: lambda e: v0(e, CERTIFIED_GAINS.gamma),
-        SystemKind.HT_NORMALIZED: lambda e: v0(e, CERTIFIED_GAINS.gamma),
-        SystemKind.HT_CL: lambda e: v_cl(e, CERTIFIED_GAINS, p_mu),
-        SystemKind.HT_NORMALIZED_CL: lambda e: v_cl(e, CERTIFIED_GAINS, p_mu),
-        SystemKind.HT_B: lambda e: v_b(e, CERTIFIED_GAINS, p_mu),
-    }
     rng = np.random.default_rng(8)
     delta = 1e-6
-    for kind, value in values.items():
+    for kind in (SystemKind.HT, SystemKind.HT_NORMALIZED, SystemKind.HT_CL,
+                 SystemKind.HT_NORMALIZED_CL, SystemKind.HT_B):
         needs_data = kind in (SystemKind.HT_CL, SystemKind.HT_NORMALIZED_CL,
                               SystemKind.HT_B)
-        data = p_mu if needs_data else None
+        data = buffer if needs_data else None
         for _ in range(25):
             err = ErrorCoords(rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 3))
             t = float(rng.uniform(0, 12))
-            lhs, _ = decrease_margin(kind, err, t, sig, CERTIFIED_GAINS, p_mu=data)
+            lhs, _ = decrease_margin(kind, err, t, sig, CERTIFIED_GAINS, buffer=data)
             f_tilde, f_p = error_field(kind, err, t, sig, CERTIFIED_GAINS, data)
             plus = ErrorCoords(err.theta_tilde + delta * f_tilde, err.p + delta * f_p)
             minus = ErrorCoords(err.theta_tilde - delta * f_tilde, err.p - delta * f_p)
-            fd = (value(plus) - value(minus)) / (2.0 * delta)
+            fd = (energy(kind, plus, CERTIFIED_GAINS, p_mu)
+                  - energy(kind, minus, CERTIFIED_GAINS, p_mu)) / (2.0 * delta)
             assert abs(fd - lhs) <= 1e-6 * max(1.0, abs(lhs))
 
 
@@ -182,35 +261,39 @@ def test_decrease_pointwise_guards():
 def test_lyapunov_along_plain_kind_is_v0():
     sig = mix3()
     sim = SimConfig(t_end=3.0, step_h=1e-3, record_every=10)
-    traj, _ = simulate(SystemKind.HT, sig, CERTIFIED_GAINS, sim,
-                       TunerState.from_theta0([1.0, -2.0, 0.0]))
-    values = lyapunov_along(SystemKind.HT, traj, sig, CERTIFIED_GAINS)
-    for k in range(0, traj.n_rows, 37):
-        err = ErrorCoords(traj.theta[k] - sig.theta_star,
-                          traj.vartheta[k] - traj.theta[k])
-        assert abs(values[k] - v0(err, CERTIFIED_GAINS.gamma)) < 1e-12
+    for kind in (SystemKind.HT, SystemKind.HT_NORMALIZED):
+        traj, _ = simulate(kind, sig, CERTIFIED_GAINS, sim,
+                           TunerState.from_theta0([1.0, -2.0, 0.0]))
+        values = lyapunov_along(kind, traj, sig, CERTIFIED_GAINS)
+        for k in range(traj.n_rows):
+            err = ErrorCoords(traj.theta[k] - sig.theta_star,
+                              traj.vartheta[k] - traj.theta[k])
+            assert abs(values[k] - energy(kind, err, CERTIFIED_GAINS)) < 1e-12, kind
 
 
 def test_lyapunov_along_uses_samples_recorded_so_far():
     sig = mix3()
-    sim = SimConfig(t_end=8.0, step_h=1e-3)
-    traj, buffer = simulate(SystemKind.HT_CL, sig, CERTIFIED_GAINS, sim,
-                            TunerState.from_theta0([1.0, 1.0, 1.0]),
-                            cl_online=True, epsilon=1.0, N_bar=4)
-    assert buffer.frozen
-    values = lyapunov_along(SystemKind.HT_CL, traj, sig, CERTIFIED_GAINS, buffer)
-    for k in range(0, traj.n_rows, 501):
-        m = int(traj.n_samples[k])
-        prefix = DataBuffer.from_samples(
-            [s.phi_k for s in buffer.samples[:m]],
-            [s.y_star_k for s in buffer.samples[:m]],
-            times=[s.t_k for s in buffer.samples[:m]],
-            capacity=max(m, 3),
-        )
-        err = ErrorCoords(traj.theta[k] - sig.theta_star,
-                          traj.vartheta[k] - traj.theta[k])
-        want = v_cl(err, CERTIFIED_GAINS, p_matrix(prefix, CERTIFIED_GAINS.mu))
-        assert abs(values[k] - want) < 1e-10
+    sim = SimConfig(t_end=8.0, step_h=1e-3, record_every=7)
+    gains = Gains(beta=1.0, gamma=0.1, mu=0.2, beta_r=4.0)
+    for kind in (SystemKind.HT_CL, SystemKind.HT_NORMALIZED_CL,
+                 SystemKind.HT_CL_SOFTRESET, SystemKind.HT_NORMALIZED_CL_SOFTRESET):
+        traj, buffer = simulate(kind, sig, gains, sim,
+                                TunerState.from_theta0([1.0, 1.0, 1.0]),
+                                cl_online=True, epsilon=1.0, N_bar=4)
+        assert buffer.frozen
+        values = lyapunov_along(kind, traj, sig, gains, buffer)
+        for k in range(traj.n_rows):
+            m = int(traj.n_samples[k])
+            prefix = DataBuffer.from_samples(
+                [s.phi_k for s in buffer.samples[:m]],
+                [s.y_star_k for s in buffer.samples[:m]],
+                times=[s.t_k for s in buffer.samples[:m]],
+                capacity=max(m, 3),
+            )
+            err = ErrorCoords(traj.theta[k] - sig.theta_star,
+                              traj.vartheta[k] - traj.theta[k])
+            want = energy(kind, err, gains, p_matrix(prefix, gains.mu))
+            assert abs(values[k] - want) < 1e-10, kind
 
 
 def test_lyapunov_along_data_only_kind():
@@ -224,7 +307,7 @@ def test_lyapunov_along_data_only_kind():
     for k in range(traj.n_rows):
         err = ErrorCoords(traj.theta[k] - sig.theta_star,
                           traj.vartheta[k] - traj.theta[k])
-        assert abs(values[k] - v_b(err, CERTIFIED_GAINS, p_mu)) < 1e-12
+        assert abs(values[k] - energy(SystemKind.HT_B, err, CERTIFIED_GAINS, p_mu)) < 1e-12
 
 
 def test_lyapunov_along_guards():

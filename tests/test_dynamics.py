@@ -7,6 +7,8 @@ from hotuner import (
     BASELINE_KINDS,
     BUFFER_KINDS,
     HIGH_ORDER_KINDS,
+    KINDS,
+    POINTWISE_KINDS,
     RATE_CONDITION_KINDS,
     SOFT_RESET_KINDS,
     DataBuffer,
@@ -14,13 +16,10 @@ from hotuner import (
     SystemKind,
     TunerState,
     b_term,
-    field,
-    field_softreset,
     grad_L,
     make_constant,
     make_sinusoid_mix,
     normalization,
-    reset_indicator,
     rhs,
 )
 
@@ -35,6 +34,15 @@ def scalar_setup():
     return signal, buffer, gains
 
 
+def indicator(kind, state, t, signal, gains):
+    """Reset trigger (vartheta - theta)' grad L, over N_t for the normalized kind."""
+    phi, y_star = signal.eval(t)
+    value = float((state.vartheta - state.theta) @ grad_L(phi, y_star, state.theta))
+    if kind is SystemKind.HT_NORMALIZED_CL_SOFTRESET:
+        value /= normalization(phi, gains.mu)
+    return value
+
+
 def test_kind_partitions():
     assert len(SystemKind) == 11
     assert BASELINE_KINDS | HIGH_ORDER_KINDS == frozenset(SystemKind)
@@ -42,6 +50,8 @@ def test_kind_partitions():
     assert SOFT_RESET_KINDS <= BUFFER_KINDS
     assert SystemKind.HT_B in BUFFER_KINDS
     assert SystemKind.HT_B not in RATE_CONDITION_KINDS
+    assert POINTWISE_KINDS == HIGH_ORDER_KINDS - SOFT_RESET_KINDS
+    assert set(KINDS) == set(SystemKind)
     assert SystemKind("ht_cl") is SystemKind.HT_CL
 
 
@@ -106,7 +116,7 @@ def test_hand_values_every_kind():
         SystemKind.HT_B: (-1.0, -0.4),
     }
     for kind, (dt, dv) in expected.items():
-        got_t, got_v = field(kind, state, 0.0, signal, buffer, gains)
+        got_t, got_v = rhs(kind, state, 0.0, signal, buffer, gains)
         assert abs(got_t[0] - dt) < 1e-12, kind
         assert abs(got_v[0] - dv) < 1e-12, kind
 
@@ -115,17 +125,14 @@ def test_softreset_inactive_matches_base():
     """Nonpositive indicator: the switched pull vanishes and the base field returns."""
     signal, buffer, gains = scalar_setup()
     state = TunerState(theta=np.array([2.0]), vartheta=np.array([1.5]))
-    assert reset_indicator(SystemKind.HT_CL_SOFTRESET, state, 0.0, signal, gains) == -2.0
-    assert (
-        reset_indicator(SystemKind.HT_NORMALIZED_CL_SOFTRESET, state, 0.0, signal, gains)
-        == -1.0
-    )
+    assert indicator(SystemKind.HT_CL_SOFTRESET, state, 0.0, signal, gains) == -2.0
+    assert indicator(SystemKind.HT_NORMALIZED_CL_SOFTRESET, state, 0.0, signal, gains) == -1.0
     for soft, base in (
         (SystemKind.HT_CL_SOFTRESET, SystemKind.HT_CL),
         (SystemKind.HT_NORMALIZED_CL_SOFTRESET, SystemKind.HT_NORMALIZED_CL),
     ):
-        got = field_softreset(soft, state, 0.0, signal, buffer, gains)
-        want = field(base, state, 0.0, signal, buffer, gains)
+        got = rhs(soft, state, 0.0, signal, buffer, gains)
+        want = rhs(base, state, 0.0, signal, buffer, gains)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
@@ -133,14 +140,12 @@ def test_softreset_inactive_matches_base():
 def test_softreset_active_hand_values():
     signal, buffer, gains = scalar_setup()
     state = TunerState(theta=np.array([2.0]), vartheta=np.array([3.0]))
-    assert reset_indicator(SystemKind.HT_CL_SOFTRESET, state, 0.0, signal, gains) == 4.0
-    got_t, got_v = field_softreset(
-        SystemKind.HT_CL_SOFTRESET, state, 0.0, signal, buffer, gains
-    )
+    assert indicator(SystemKind.HT_CL_SOFTRESET, state, 0.0, signal, gains) == 4.0
+    got_t, got_v = rhs(SystemKind.HT_CL_SOFTRESET, state, 0.0, signal, buffer, gains)
     # base theta row 4 plus pull 2 * beta_r * (vartheta - theta) * N_t = 12
     assert abs(got_t[0] - 16.0) < 1e-12
     assert abs(got_v[0] + 2.8) < 1e-12
-    got_t, got_v = field_softreset(
+    got_t, got_v = rhs(
         SystemKind.HT_NORMALIZED_CL_SOFTRESET, state, 0.0, signal, buffer, gains
     )
     assert abs(got_t[0] - 8.0) < 1e-12
@@ -160,32 +165,31 @@ def test_softreset_active_raises_theta_gain():
     for _ in range(200):
         state = TunerState(theta=rng.uniform(-3, 3, 2), vartheta=rng.uniform(-3, 3, 2))
         t = float(rng.uniform(0, 10))
-        if reset_indicator(SystemKind.HT_CL_SOFTRESET, state, t, sig, gains) <= 0.0:
+        if indicator(SystemKind.HT_CL_SOFTRESET, state, t, sig, gains) <= 0.0:
             continue
         checked += 1
-        got = field_softreset(SystemKind.HT_CL_SOFTRESET, state, t, sig, buffer, gains)
-        want_theta = field(SystemKind.HT_CL, state, t, sig, buffer, boosted)[0]
-        want_vartheta = field(SystemKind.HT_CL, state, t, sig, buffer, gains)[1]
+        got = rhs(SystemKind.HT_CL_SOFTRESET, state, t, sig, buffer, gains)
+        want_theta = rhs(SystemKind.HT_CL, state, t, sig, buffer, boosted)[0]
+        want_vartheta = rhs(SystemKind.HT_CL, state, t, sig, buffer, gains)[1]
         assert np.allclose(got[0], want_theta, atol=1e-12)
         assert np.allclose(got[1], want_vartheta, atol=1e-12)
     assert checked > 20
 
 
 def test_dispatch_and_guards():
+    """Each soft-reset row of the kind table is its base row plus the reset."""
     signal, buffer, gains = scalar_setup()
-    state = TunerState.from_theta0([0.0])
-    with pytest.raises(ValueError, match="field_softreset"):
-        field(SystemKind.HT_CL_SOFTRESET, state, 0.0, signal, buffer, gains)
-    with pytest.raises(ValueError, match="not a soft-reset kind"):
-        field_softreset(SystemKind.HT, state, 0.0, signal, buffer, gains)
-    with pytest.raises(ValueError, match="no reset indicator"):
-        reset_indicator(SystemKind.HT_CL, state, 0.0, signal, gains)
-    a = rhs(SystemKind.HT, state, 0.3, signal, buffer, gains)
-    b = field(SystemKind.HT, state, 0.3, signal, buffer, gains)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    a = rhs(SystemKind.HT_CL_SOFTRESET, state, 0.3, signal, buffer, gains)
-    b = field_softreset(SystemKind.HT_CL_SOFTRESET, state, 0.3, signal, buffer, gains)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    no_pull = Gains(beta=gains.beta, gamma=gains.gamma, mu=gains.mu, beta_r=0.0)
+    state = TunerState(theta=np.array([2.0]), vartheta=np.array([3.0]))  # pull on
+    for soft, base in (
+        (SystemKind.HT_CL_SOFTRESET, SystemKind.HT_CL),
+        (SystemKind.HT_NORMALIZED_CL_SOFTRESET, SystemKind.HT_NORMALIZED_CL),
+    ):
+        assert KINDS[soft].reset and not KINDS[base].reset
+        assert {**vars(KINDS[soft]), "reset": False} == vars(KINDS[base])
+        got = rhs(soft, state, 0.3, signal, buffer, no_pull)
+        want = rhs(base, state, 0.3, signal, buffer, no_pull)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_buffer_kinds_require_data():
@@ -194,11 +198,11 @@ def test_buffer_kinds_require_data():
     empty = DataBuffer.empty(capacity=1, epsilon=1.0)
     for kind in (SystemKind.BASIC_CL, SystemKind.HT_CL, SystemKind.HT_B):
         with pytest.raises(ValueError, match="nonempty data buffer"):
-            field(kind, state, 0.0, signal, None, gains)
+            rhs(kind, state, 0.0, signal, None, gains)
         with pytest.raises(ValueError, match="nonempty data buffer"):
-            field(kind, state, 0.0, signal, empty, gains)
+            rhs(kind, state, 0.0, signal, empty, gains)
     # non-buffer kinds never touch it
-    out = field(SystemKind.HT, state, 0.0, signal, None, gains)
+    out = rhs(SystemKind.HT, state, 0.0, signal, None, gains)
     assert out[0].shape == (1,)
 
 
@@ -211,8 +215,8 @@ def test_normalized_pairs_differ_by_n_t():
         state = TunerState(theta=rng.uniform(-4, 4, 3), vartheta=rng.uniform(-4, 4, 3))
         t = float(rng.uniform(0, 10))
         nt = normalization(sig.phi(t), gains.mu)
-        ht = field(SystemKind.HT, state, t, sig, None, gains)
-        htn = field(SystemKind.HT_NORMALIZED, state, t, sig, None, gains)
+        ht = rhs(SystemKind.HT, state, t, sig, None, gains)
+        htn = rhs(SystemKind.HT_NORMALIZED, state, t, sig, None, gains)
         assert np.allclose(ht[0], nt * htn[0], atol=1e-10)
         assert np.allclose(htn[1], ht[1] / nt, atol=1e-10)
 
@@ -228,8 +232,8 @@ def test_cl_correction_is_additive():
     for _ in range(50):
         state = TunerState(theta=rng.uniform(-4, 4, 3), vartheta=rng.uniform(-4, 4, 3))
         t = float(rng.uniform(0, 10))
-        plain = field(SystemKind.HT, state, t, sig, None, gains)
-        with_cl = field(SystemKind.HT_CL, state, t, sig, buffer, gains)
+        plain = rhs(SystemKind.HT, state, t, sig, None, gains)
+        with_cl = rhs(SystemKind.HT_CL, state, t, sig, buffer, gains)
         nt = normalization(sig.phi(t), gains.mu)
         correction = b_term(buffer, state.theta, gains.mu)
         assert np.array_equal(plain[0], with_cl[0])
