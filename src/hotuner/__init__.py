@@ -25,6 +25,7 @@ from .databuffer import (
     buffer_csv,
     maybe_record,
     p_matrix,
+    record_steps,
     richness,
 )
 from .dynamics import (
@@ -38,6 +39,7 @@ from .dynamics import (
     Gains,
     SystemKind,
     TunerState,
+    compile_field,
     grad_L,
     normalization,
     rhs,
@@ -88,6 +90,7 @@ __all__ = [
     "check_decrease_along",
     "check_decrease_pointwise",
     "check_pe",
+    "compile_field",
     "decrease_margin",
     "energy_matrix",
     "error_field",
@@ -101,6 +104,7 @@ __all__ = [
     "normalization",
     "p_matrix",
     "pe_gram",
+    "record_steps",
     "rhs",
     "richness",
     "simulate",

@@ -29,7 +29,7 @@ from .dynamics import (
     SystemKind,
     TunerState,
     _data_for,
-    _rhs_arrays,
+    compile_field,
     normalization,
     rhs,
 )
@@ -259,6 +259,7 @@ def check_decrease_pointwise(
         )
     p_mu = _data_matrix(kind, buffer, gains)
     data = _data_for(kind, buffer, gains)
+    field = compile_field(kind, gains)
     n = signal.dimension
     q = energy_matrix(kind, gains, n, p_mu)
     theta_star = signal.theta_star
@@ -277,9 +278,7 @@ def check_decrease_pointwise(
         theta_tilde, p = x[:n], x[n:]
         # error_field on the precomputed inputs
         theta = theta_star + theta_tilde
-        d_theta, d_vartheta = _rhs_arrays(
-            kind, theta, theta + p, phi, y_star, nt, data, gains
-        )
+        d_theta, d_vartheta = field(theta, theta + p, phi, y_star, nt, data)
         f = np.concatenate((d_theta, d_vartheta - d_theta))
         lhs = 2.0 * float((q @ x) @ f)
         rhs = _decrease_bound(kind, theta_tilde, p, phi, gains, p_mu, m_bound)

@@ -27,6 +27,7 @@ from .databuffer import DataBuffer, buffer_csv, richness
 from .dynamics import (
     BASELINE_KINDS,
     BUFFER_KINDS,
+    HIGH_ORDER_KINDS,
     KINDS,
     POINTWISE_KINDS,
     RATE_CONDITION_KINDS,
@@ -350,11 +351,32 @@ def _warn_gains(scenario: Scenario, stream) -> None:
         )
 
 
+def _warn_step(scenario: Scenario, stream) -> None:
+    """Warn when the step is too large for explicit Euler on the theta row.
+
+    The theta row of a high-order kind contracts theta - vartheta at a rate of
+    at most (beta + 2 beta_r)(1 + mu M^2), M the signal's amplitude bound; once
+    h times that reaches 1 an Euler step overshoots. Simulation still runs.
+    """
+    kinds = [k.value for k in scenario.systems if k in HIGH_ORDER_KINDS]
+    gains, h = scenario.gains, scenario.sim.step_h
+    m_bound = scenario.signal.norm_bound()
+    product = h * (gains.beta + 2.0 * gains.beta_r) * (1.0 + gains.mu * m_bound**2)
+    if kinds and product >= 1.0:
+        print(
+            f"warning: step h={h!r} gives h (beta + 2 beta_r)(1 + mu M^2) = "
+            f"{product:.4g} >= 1 with |phi| <= M = {m_bound:.4g}; explicit Euler "
+            f"may overshoot or diverge for {', '.join(kinds)}",
+            file=stream,
+        )
+
+
 def run_scenario(scenario: Scenario, out_dir: str | Path) -> int:
     """Simulate every system in the scenario and write CSV outputs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _warn_gains(scenario, sys.stderr)
+    _warn_step(scenario, sys.stderr)
     results: dict[SystemKind, tuple[Trajectory, DataBuffer]] = {}
     grid = SignalGrid(scenario.signal, scenario.sim)
     for kind in scenario.systems:
@@ -413,6 +435,7 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
             + f" (beta={scenario.gains.beta}, gamma={scenario.gains.gamma}, "
             f"mu={scenario.gains.mu})"
         )
+    _warn_step(scenario, sys.stderr)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pe = scenario.pe

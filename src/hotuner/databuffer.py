@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import row_dots
+
 __all__ = [
     "DataAggregates",
     "DataBuffer",
@@ -24,6 +26,7 @@ __all__ = [
     "data_term",
     "maybe_record",
     "p_matrix",
+    "record_steps",
     "richness",
 ]
 
@@ -31,6 +34,8 @@ __all__ = [
 RANK_TOLERANCE = 1e-10
 # Below this the current regressor is treated as zero and never recorded.
 ZERO_REGRESSOR_NORM = 1e-12
+# Rows that record_steps tests per vectorized pass.
+_RECORD_CHUNK = 256
 
 # (phi_mat, y_vec, weights) of recorded samples, as data_aggregates returns them.
 DataAggregates = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -183,6 +188,35 @@ def maybe_record(buffer: DataBuffer, t: float, phi_t, y_star_t: float) -> tuple[
     return buffer, False
 
 
+def record_steps(phis, capacity: int, epsilon: float) -> list[int]:
+    """Rows of phis that maybe_record keeps when fed them in order.
+
+    Row k stands for the regressor at the k-th of increasing times, starting
+    from an empty buffer of the given capacity and epsilon; recording stops
+    when the buffer freezes. The result equals replaying maybe_record row by
+    row: each row's norm is the square root of its dot product, as in
+    np.linalg.norm, and its squared gap is summed along the row, as np.sum
+    sums a 1-d vector. From each kept row, the following rows are tested in
+    chunks for the first one far enough from it.
+    """
+    phis = np.asarray(phis, dtype=float)
+    count = phis.shape[0]
+    steps = [0] if count else []
+    start = 1
+    while len(steps) < capacity and start < count:
+        rows = phis[start:start + _RECORD_CHUNK]
+        norm = np.sqrt(row_dots(rows, rows))
+        gap = ((rows - phis[steps[-1]]) ** 2).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hits = np.flatnonzero((norm >= ZERO_REGRESSOR_NORM) & (gap / norm >= epsilon))
+        if hits.shape[0]:
+            steps.append(start + int(hits[0]))
+            start = steps[-1] + 1
+        else:
+            start += rows.shape[0]
+    return steps
+
+
 def p_matrix(buffer: DataBuffer, mu: float) -> np.ndarray:
     """Normalized data-sum matrix sum_k phi_k phi_k' / (1 + mu |phi_k|^2)."""
     if len(buffer) == 0:
@@ -223,9 +257,13 @@ def data_aggregates(buffer: DataBuffer, mu: float, count: int | None = None) -> 
 
 
 def data_term(aggregates: DataAggregates, theta: np.ndarray) -> np.ndarray:
-    """sum_k phi_k (phi_k' theta - y*_k) weights[k] from data_aggregates output."""
+    """sum_k phi_k (phi_k' theta - y*_k) weights[k] from data_aggregates output.
+
+    ndarray.dot makes the same matrix-vector calls as `@`, bit for bit, with
+    less overhead per call.
+    """
     phi_mat, y_vec, weights = aggregates
-    return phi_mat @ (weights * (phi_mat.T @ theta - y_vec))
+    return phi_mat.dot(weights * (phi_mat.T.dot(theta) - y_vec))
 
 
 def richness(buffer: DataBuffer, mu: float) -> RichnessReport:

@@ -11,6 +11,7 @@ disagree about the descent direction.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,6 +23,7 @@ from .signals import RegressorSignal
 __all__ = [
     "BASELINE_KINDS",
     "BUFFER_KINDS",
+    "Field",
     "Gains",
     "HIGH_ORDER_KINDS",
     "KINDS",
@@ -31,6 +33,7 @@ __all__ = [
     "SOFT_RESET_KINDS",
     "SystemKind",
     "TunerState",
+    "compile_field",
     "grad_L",
     "normalization",
     "rhs",
@@ -55,7 +58,7 @@ class SystemKind(str, Enum):
 
 @dataclass(frozen=True)
 class KindSpec:
-    """How one kind assembles its field from the shared terms (see _rhs_arrays).
+    """How one kind assembles its field from the shared terms (see compile_field).
 
     The drive is -gain (grad + data) with the loss gradient grad and the
     recorded-data correction data, each scaled by N_t to the power given here
@@ -182,53 +185,66 @@ def _data_for(
     return None
 
 
-def _rhs_arrays(
-    kind: SystemKind,
-    theta: np.ndarray,
-    vartheta: np.ndarray,
-    phi: np.ndarray,
-    y_star: float,
-    nt: float,
-    data: DataAggregates | None,
-    gains: Gains,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative (dtheta/dt, dvartheta/dt) of any kind, on raw arrays.
+# A compiled field: (theta, vartheta, phi, y_star, nt, data) -> (dtheta, dvartheta),
+# with dvartheta None for a baseline kind, whose vartheta stays constant.
+Field = Callable[
+    [np.ndarray, np.ndarray, np.ndarray, float, float, DataAggregates | None],
+    tuple[np.ndarray, np.ndarray | None],
+]
 
-    nt is N_t at phi and data holds the buffer aggregates weighted for this
-    kind (see _data_mu), or None for an empty buffer. An absent term is
-    skipped rather than added as zero, and a soft-reset pull that is off is
-    not added either, which keeps the sign of every zero component.
+
+def compile_field(kind: SystemKind, gains: Gains) -> Field:
+    """The field of one kind with one gain set, resolved once for many calls.
+
+    The closure takes the state, phi and y* at time t, N_t at phi, and the
+    buffer aggregates weighted for this kind (see _data_mu), or None for an
+    empty buffer. An absent term is skipped rather than added as zero, and a
+    soft-reset pull that is off (or has beta_r = 0) is not added either, which
+    keeps the sign of every zero component. The 1-d ndarray.dot calls use the
+    same dot kernel as a 1-d `@`.
     """
     spec = KINDS[kind]
-    drive = None
-    if spec.grad is not None:
-        grad = phi * (float(phi @ theta) - y_star)
-        drive = grad / nt if spec.grad < 0 else grad
-    if spec.data is not None:
-        if data is None:
-            raise ValueError(f"system '{kind.value}' requires a nonempty data buffer")
-        correction = data_term(data, theta)
-        if spec.data > 0:
-            correction = nt * correction
-        drive = correction if drive is None else drive + correction
-    gain = 1.0 if spec.unit_gain else gains.gamma / nt if spec.gain_nt else gains.gamma
-    drive = -gain * drive
-    if not spec.high_order:
-        return drive, np.zeros_like(theta)
-    gap = theta - vartheta
-    dtheta = -gains.beta * (nt if spec.theta_nt else 1.0) * gap
-    if spec.reset:
-        # The pull switches on when vartheta - theta leads uphill along the
-        # loss gradient; at the switching surface (indicator 0) it is off.
-        indicator = float((vartheta - theta) @ grad)
-        if not spec.theta_nt:
-            indicator /= nt
-        if indicator > 0.0 and gains.beta_r > 0.0:
-            pull = -(2.0 * gains.beta_r) * gap
-            if spec.theta_nt:
-                pull = pull * nt
-            dtheta = dtheta + pull
-    return dtheta, drive
+    grad_power, data_power = spec.grad, spec.data
+    gain_nt, theta_nt = spec.gain_nt, spec.theta_nt
+    high_order = spec.high_order
+    pulls = spec.reset and gains.beta_r > 0.0
+    gamma = gains.gamma
+    neg_gain = -1.0 if spec.unit_gain else -gamma
+    neg_beta = -gains.beta
+    neg_pull = -(2.0 * gains.beta_r)
+    missing_data = f"system '{kind.value}' requires a nonempty data buffer"
+
+    def field(theta, vartheta, phi, y_star, nt, data):
+        drive = None
+        if grad_power is not None:
+            grad = phi * (phi.dot(theta) - y_star)
+            drive = grad / nt if grad_power < 0 else grad
+        if data_power is not None:
+            if data is None:
+                raise ValueError(missing_data)
+            correction = data_term(data, theta)
+            if data_power > 0:
+                correction = nt * correction
+            drive = correction if drive is None else drive + correction
+        drive = (-(gamma / nt) if gain_nt else neg_gain) * drive
+        if not high_order:
+            return drive, None
+        gap = theta - vartheta
+        dtheta = (neg_beta * nt if theta_nt else neg_beta) * gap
+        if pulls:
+            # The pull switches on when vartheta - theta leads uphill along the
+            # loss gradient; at the switching surface (indicator 0) it is off.
+            indicator = (vartheta - theta).dot(grad)
+            if not theta_nt:
+                indicator /= nt
+            if indicator > 0.0:
+                pull = neg_pull * gap
+                if theta_nt:
+                    pull = pull * nt
+                dtheta = dtheta + pull
+        return dtheta, drive
+
+    return field
 
 
 def rhs(
@@ -245,7 +261,8 @@ def rhs(
     the unnormalized kind, while (vartheta - theta)' grad L > 0, else 0.
     """
     phi, y_star = signal.eval(t)
-    return _rhs_arrays(
-        kind, state.theta, state.vartheta, phi, y_star, normalization(phi, gains.mu),
-        _data_for(kind, buffer, gains), gains,
+    dtheta, dvartheta = compile_field(kind, gains)(
+        state.theta, state.vartheta, phi, y_star, normalization(phi, gains.mu),
+        _data_for(kind, buffer, gains),
     )
+    return dtheta, np.zeros_like(state.theta) if dvartheta is None else dvartheta

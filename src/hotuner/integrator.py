@@ -8,9 +8,10 @@ at which a sample is kept.
 Nothing on that list but the field depends on the state, so a SignalGrid
 computes the rest once per scenario: phi(t_k), y*(t_k) and |phi(t_k)|^2 on the
 whole time grid, and the recording schedule, which reads only t, phi and the
-last kept sample. The Euler loop then evaluates the field on precomputed
-inputs. Every grid value equals its per-step counterpart bit for bit, so the
-outputs do not depend on whether a grid was shared.
+last kept sample. The Euler loop then evaluates the kind's field, compiled
+once per system by dynamics.compile_field, on precomputed inputs. Every grid
+value equals its per-step counterpart bit for bit, so the outputs do not
+depend on whether a grid was shared.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .databuffer import DataAggregates, DataBuffer, data_aggregates, maybe_record
+from .databuffer import DataAggregates, DataBuffer, data_aggregates, record_steps
 from .dynamics import (
     BUFFER_KINDS,
     Gains,
     SystemKind,
     TunerState,
     _data_mu,
-    _rhs_arrays,
+    compile_field,
 )
 from .signals import RegressorSignal, row_dots
 
@@ -145,8 +146,10 @@ class SignalGrid:
 
     Rows k = 0..num_steps hold t_k = t_start + k h, phi(t_k), y*(t_k) and
     |phi(t_k)|^2, about n + 3 floats per step; each value equals the per-step
-    computation bit for bit. Recording schedules are built on first use and
-    cached per (capacity, epsilon), so every system of a scenario shares them.
+    computation bit for bit. The Euler loop reads y* and N_t from lists of
+    Python floats, which it indexes faster than arrays. Recording schedules
+    and N_t lists are built on first use and cached per (capacity, epsilon)
+    and per mu, so every system of a scenario shares them.
     """
 
     def __init__(self, signal: RegressorSignal, sim: SimConfig) -> None:
@@ -157,6 +160,8 @@ class SignalGrid:
         self.t = sim.t_start + np.arange(self.num_steps + 1) * sim.step_h
         self.phi, self.y_star = signal.eval_grid(self.t)
         self.phi_sq = row_dots(self.phi, self.phi)
+        self.y_star_list = self.y_star.tolist()
+        self._nt_lists: dict[float, list[float]] = {}
         self._schedules: dict[tuple[int, float], tuple[list[int], DataBuffer]] = {}
 
     def matches(self, signal: RegressorSignal, sim: SimConfig) -> bool:
@@ -167,6 +172,12 @@ class SignalGrid:
             and sim.num_steps == self.num_steps
         )
 
+    def nt_list(self, mu: float) -> list[float]:
+        """N_t = 1 + mu |phi(t_k)|^2 at every grid row, as Python floats."""
+        if mu not in self._nt_lists:
+            self._nt_lists[mu] = (1.0 + mu * self.phi_sq).tolist()
+        return self._nt_lists[mu]
+
     def schedule(self, capacity: int, epsilon: float) -> tuple[list[int], DataBuffer]:
         """Steps at which online recording keeps a sample, and the final buffer.
 
@@ -175,16 +186,11 @@ class SignalGrid:
         """
         key = (capacity, epsilon)
         if key not in self._schedules:
-            buffer = DataBuffer.empty(capacity=capacity, epsilon=epsilon)
-            steps = []
-            for k in range(self.num_steps):
-                if buffer.frozen:
-                    break
-                buffer, kept = maybe_record(
-                    buffer, self.t.item(k), self.phi[k], self.y_star.item(k)
-                )
-                if kept:
-                    steps.append(k)
+            steps = record_steps(self.phi[:self.num_steps], capacity, epsilon)
+            buffer = DataBuffer.from_samples(
+                self.phi[steps], self.y_star[steps], times=self.t[steps],
+                capacity=capacity, epsilon=epsilon,
+            )
             self._schedules[key] = (steps, buffer)
         return self._schedules[key]
 
@@ -205,7 +211,7 @@ class _Euler:
         """keeps are the steps that add a sample to the first_count samples
         held at the start; every sample is read from buffer."""
         self.kind = kind
-        self.gains = gains
+        self.field = compile_field(kind, gains)
         self.grid = grid
         self.every = sim.record_every
         self.keeps = keeps
@@ -213,7 +219,7 @@ class _Euler:
         self.first_count = first_count
         self.reads_data = kind in BUFFER_KINDS
         self.data_mu = _data_mu(kind, gains)
-        self.nt = 1.0 + gains.mu * grid.phi_sq
+        self.nt = grid.nt_list(gains.mu)
         n_rows = grid.num_steps // self.every + 1
         self.theta = np.empty((n_rows, grid.phi.shape[1]))
         self.vartheta = np.empty_like(self.theta)
@@ -230,10 +236,10 @@ class _Euler:
         With checked set, the state is tested after every step and the first
         non-finite one raises NumericalDivergence.
         """
-        kind, gains, grid, every, keeps = self.kind, self.gains, self.grid, self.every, self.keeps
+        field, grid, every, keeps = self.field, self.grid, self.every, self.keeps
         h = grid.step_h
         num_steps = grid.num_steps
-        phis, y_star, nt = grid.phi, grid.y_star, self.nt
+        phis, y_star, nt = grid.phi, grid.y_star_list, self.nt
         theta = self.theta[row].copy()
         vartheta = self.vartheta[row].copy()
         k0 = row * every
@@ -249,14 +255,13 @@ class _Euler:
                     kept += 1
                     data = self.data(self.first_count + kept)
                     next_keep = keeps[kept] if kept < len(keeps) else -1
-                dtheta, dvartheta = _rhs_arrays(
-                    kind, theta, vartheta, phis[k], y_star.item(k), nt.item(k), data, gains
-                )
+                dtheta, dvartheta = field(theta, vartheta, phis[k], y_star[k], nt[k], data)
                 theta = theta + h * dtheta
-                vartheta = vartheta + h * dvartheta
+                if dvartheta is not None:
+                    vartheta = vartheta + h * dvartheta
                 if checked and not (np.isfinite(theta).all() and np.isfinite(vartheta).all()):
                     raise NumericalDivergence(
-                        f"non-finite state for '{kind.value}' at "
+                        f"non-finite state for '{self.kind.value}' at "
                         f"t={grid.t.item(k) + h:.6g} (after step {k + 1})"
                     )
             k0 += every

@@ -306,6 +306,28 @@ def test_run_reports_divergence(tmp_path, capsys):
     assert "numerical divergence" in capsys.readouterr().err
 
 
+def test_large_step_warns_before_simulating(tmp_path, capsys):
+    data = json.loads(bundled_scenario_path("fig1").read_text())
+    data["sim"] = {**data["sim"], "step_h": 0.02, "t_end": 1.0}
+    path = write_scenario(tmp_path, data)
+    for command in ("run", "certify"):
+        main([command, path, "--out-dir", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        # M^2 = 1^2 + 4^2 + 4^2 = 33, so h (beta + 2 beta_r)(1 + mu M^2) = 0.02 * 9 * 7.6
+        assert "step h=0.02" in err and "= 1.368 >= 1" in err, err
+        assert "for ht, ht_cl, ht_cl_softreset" in err, err
+        assert "basic" not in err
+
+
+def test_bundled_step_stays_silent(tmp_path, capsys):
+    # fig1's product is 0.001 * 9 * 7.6 = 0.0684, far below 1.
+    for command in ("run", "certify"):
+        rc = main([command, str(bundled_scenario_path("fig1")), "--t-end", "1",
+                   "--out-dir", str(tmp_path / command)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
 def test_main_requires_a_command():
     with pytest.raises(SystemExit):
         main([])

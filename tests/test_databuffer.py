@@ -2,8 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hotuner import DataBuffer, DataSample, b_term, buffer_csv, maybe_record, p_matrix, richness
+from hotuner import (
+    DataBuffer,
+    DataSample,
+    b_term,
+    buffer_csv,
+    maybe_record,
+    p_matrix,
+    record_steps,
+    richness,
+)
+from hotuner.databuffer import _RECORD_CHUNK
 
 
 def rank_by_elimination(mat, tol=1e-10):
@@ -112,6 +124,58 @@ def test_maybe_record_time_and_shape_errors():
         maybe_record(buf, 1.0, [5.0, 0.0], 0.0)
     with pytest.raises(ValueError, match="dimension"):
         maybe_record(buf, 2.0, [5.0, 0.0, 1.0], 0.0)
+
+
+@st.composite
+def recording_cases(draw):
+    """Rows of a random walk that may rest for hundreds of rows, with zero,
+    near-zero and repeated rows mixed in, a capacity that freezes early or
+    never, and an epsilon."""
+    n = draw(st.integers(1, 10))
+    count = draw(st.integers(0, 1500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    moves = rng.random(count) < draw(st.sampled_from([0.002, 0.01, 0.1, 1.0]))
+    steps = rng.normal(scale=draw(st.floats(0.01, 2.0)), size=(count, n))
+    phis = np.cumsum(steps * moves[:, None], axis=0)
+    mark = rng.integers(0, 10, count)
+    phis[mark == 0] = 0.0
+    phis[mark == 1] *= 1e-14  # below ZERO_REGRESSOR_NORM
+    repeat = np.flatnonzero(mark[1:] == 2) + 1
+    phis[repeat] = phis[repeat - 1]
+    freezes = draw(st.booleans())
+    capacity = n + draw(st.integers(0, 6)) if freezes else count + n
+    return phis, capacity, draw(st.floats(1e-3, 5.0))
+
+
+# The rule keeps rows 0, 257 (the first row of record_steps' second chunk),
+# 557 (right after a zero row) and 1457, so keeps lie 257 to 900 rows apart;
+# capacity 3 freezes before row 1457.
+RESTING = np.repeat([[1.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.0, 5.0], [4.0, 4.0]],
+                    [1 + _RECORD_CHUNK, 299, 1, 900, 10], axis=0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(recording_cases())
+@example((RESTING, 3, 1.0))
+@example((RESTING, 10, 1.0))
+@example((np.array([[1.0, 0.0], [2.0, 0.0]]), 2, 0.5))  # |1|^2 / 2 == epsilon: kept
+def test_record_steps_replays_maybe_record(case):
+    """The vectorized schedule keeps exactly the rows the one-step rule keeps."""
+    phis, capacity, epsilon = case
+    buffer = DataBuffer.empty(capacity=capacity, epsilon=epsilon)
+    kept_rows = []
+    for k, phi in enumerate(phis):
+        if buffer.frozen:
+            break
+        buffer, kept = maybe_record(buffer, float(k), phi, k + 0.5)
+        if kept:
+            kept_rows.append(k)
+    steps = record_steps(phis, capacity, epsilon)
+    assert steps == kept_rows
+    rebuilt = DataBuffer.from_samples(phis[steps], np.array(steps) + 0.5,
+                                      times=steps, capacity=capacity, epsilon=epsilon)
+    assert buffer_csv(rebuilt) == buffer_csv(buffer)
+    assert rebuilt.frozen == buffer.frozen
 
 
 def test_p_matrix_hand_values():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotuner import (
     BASELINE_KINDS,
@@ -16,12 +18,14 @@ from hotuner import (
     SystemKind,
     TunerState,
     b_term,
+    compile_field,
     grad_L,
     make_constant,
     make_sinusoid_mix,
     normalization,
     rhs,
 )
+from hotuner.databuffer import data_aggregates
 
 PI = np.pi
 
@@ -239,3 +243,52 @@ def test_cl_correction_is_additive():
         assert np.array_equal(plain[0], with_cl[0])
         assert np.allclose(with_cl[1] - plain[1], -gains.gamma * nt * correction,
                            atol=1e-10)
+
+
+@st.composite
+def equilibrium_cases(draw):
+    """A sinusoid-mix signal, gains, a time and 1-6 samples consistent with theta*."""
+    n = draw(st.integers(1, 5))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    signal = make_sinusoid_mix(n, vec(-2, 2), vec(0, 3), vec(0, 5), vec(0, 2 * PI),
+                               vec(-3, 3))
+    gains = Gains(beta=draw(st.floats(0.1, 5.0)), gamma=draw(st.floats(0.01, 2.0)),
+                  mu=draw(st.floats(0.0, 2.0)), beta_r=draw(st.floats(0.0, 5.0)))
+    times = np.cumsum(draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6)))
+    phis, y_stars = signal.eval_grid(times)
+    buffer = DataBuffer.from_samples(phis, y_stars, times=times)
+    return signal, gains, buffer, draw(st.floats(0.0, 20.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(equilibrium_cases())
+def test_compiled_field_vanishes_at_equilibrium(case):
+    """theta = vartheta = theta* is an equilibrium of every kind.
+
+    Without data the zero is exact. The data term's matrix-vector products
+    round differently from the per-sample dots that made y*_k, so there the
+    field is zero up to 1e-12 of the size of its terms.
+    """
+    signal, gains, buffer, t = case
+    phi, y_star = signal.eval(t)
+    nt = normalization(phi, gains.mu)
+    star = signal.theta_star
+    for kind in SystemKind:
+        spec = KINDS[kind]
+        data = None
+        if kind in BUFFER_KINDS:
+            data = data_aggregates(buffer, gains.mu if spec.data_mu else 0.0)
+        d_theta, d_vartheta = compile_field(kind, gains)(star, star.copy(), phi, y_star,
+                                                         nt, data)
+        assert (d_vartheta is None) == (kind in BASELINE_KINDS)
+        derivative = np.concatenate((d_theta, [] if d_vartheta is None else d_vartheta))
+        if data is None:
+            assert not derivative.any(), kind
+        else:
+            phi_mat, _, weights = data
+            terms = (weights * (phi_mat**2).sum(axis=0)).sum() * np.abs(star).sum()
+            scale = max(1.0, gains.gamma) * nt * terms
+            assert np.abs(derivative).max() <= 1e-12 * scale, kind

@@ -3,7 +3,9 @@
 The reference below evaluates the signal, the recording rule and the public
 rhs once per step, the way the integrator did before it precomputed its
 inputs. The kernel must reproduce it bit for bit, and the CLI outputs for the
-bundled scenarios must keep their recorded sha256.
+bundled scenarios must keep their recorded sha256. rhs evaluates the same
+compiled field as the kernel, so only the golden hashes catch a change in how
+the field rounds.
 """
 
 import hashlib
@@ -133,3 +135,15 @@ def test_run_outputs_keep_golden_hashes(tmp_path):
     assert written == sorted(golden["files"])
     for filename, digest in golden["files"].items():
         assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest, filename
+
+
+def test_recording_outputs_keep_golden_hashes(tmp_path):
+    """ht_b and both soft-reset kinds on a buffer that keeps growing, every row written."""
+    golden = json.loads((FIXTURES / "golden_recording.json").read_text())
+    scenario = tmp_path / "recording.json"
+    scenario.write_text(json.dumps(golden["scenario"]))
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out-dir", str(out)] + golden["argv"]) == 0
+    assert sorted(path.name for path in out.iterdir()) == sorted(golden["files"])
+    for filename, digest in golden["files"].items():
+        assert hashlib.sha256((out / filename).read_bytes()).hexdigest() == digest, filename
