@@ -19,7 +19,6 @@ from .certificates import (
 )
 from .databuffer import (
     DataBuffer,
-    DataSample,
     RichnessReport,
     b_term,
     buffer_csv,
@@ -68,7 +67,6 @@ __all__ = [
     "BUFFER_KINDS",
     "CertificateReport",
     "DataBuffer",
-    "DataSample",
     "ErrorCoords",
     "Gains",
     "HIGH_ORDER_KINDS",

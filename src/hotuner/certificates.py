@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .databuffer import DataBuffer, p_matrix
+from .databuffer import DataBuffer, data_aggregates, p_matrix
 from .dynamics import (
     BASELINE_KINDS,
     BUFFER_KINDS,
@@ -195,6 +195,37 @@ def _decrease_bound(
     raise ValueError(f"no pointwise decrease bound for '{kind.value}'")
 
 
+def _margin_at(
+    kind: SystemKind,
+    signal: RegressorSignal,
+    gains: Gains,
+    buffer: DataBuffer | None,
+    m_bound: float,
+):
+    """The decrease inequality of one kind, resolved once for many points.
+
+    Returns margin(x, phi, y_star, nt) -> (lhs, rhs) of <grad V, f> <= bound
+    at the error state x = (theta_tilde, p) and the signal values phi(t),
+    y*(t), N_t. f is error_field evaluated with the compiled field.
+    """
+    n = signal.dimension
+    p_mu = _data_matrix(kind, buffer, gains)
+    q = energy_matrix(kind, gains, n, p_mu)
+    field = compile_field(kind, gains)
+    data = _data_for(kind, buffer, gains)
+    theta_star = signal.theta_star
+
+    def margin(x, phi, y_star, nt):
+        theta_tilde, p = x[:n], x[n:]
+        theta = theta_star + theta_tilde
+        d_theta, d_vartheta = field(theta, theta + p, phi, y_star, nt, data)
+        f = np.concatenate((d_theta, d_vartheta - d_theta))
+        lhs = 2.0 * float((q @ x) @ f)
+        return lhs, _decrease_bound(kind, theta_tilde, p, phi, gains, p_mu, m_bound)
+
+    return margin
+
+
 def decrease_margin(
     kind: SystemKind,
     err: ErrorCoords,
@@ -211,14 +242,10 @@ def decrease_margin(
     """
     if m_bound is None:
         m_bound = signal.norm_bound()
-    p_mu = _data_matrix(kind, buffer, gains)
+    margin = _margin_at(kind, signal, gains, buffer, m_bound)
+    phi, y_star = signal.eval(t)
     x = np.concatenate((err.theta_tilde, err.p))
-    q = energy_matrix(kind, gains, signal.dimension, p_mu)
-    f = np.concatenate(error_field(kind, err, t, signal, gains, buffer))
-    lhs = 2.0 * float((q @ x) @ f)
-    phi = signal.phi(t)
-    rhs = _decrease_bound(kind, err.theta_tilde, err.p, phi, gains, p_mu, m_bound)
-    return lhs, rhs
+    return margin(x, phi, y_star, normalization(phi, gains.mu))
 
 
 def _sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
@@ -257,31 +284,19 @@ def check_decrease_pointwise(
             f"beta >= 2 gamma / mu with mu > 0 "
             f"(got beta={gains.beta}, gamma={gains.gamma}, mu={gains.mu})"
         )
-    p_mu = _data_matrix(kind, buffer, gains)
-    data = _data_for(kind, buffer, gains)
-    field = compile_field(kind, gains)
-    n = signal.dimension
-    q = energy_matrix(kind, gains, n, p_mu)
-    theta_star = signal.theta_star
     t_grid = np.linspace(0.0, t_span, t_points)
     inputs = []
     for t in t_grid:
         phi, y_star = signal.eval(float(t))
         inputs.append((phi, y_star, normalization(phi, gains.mu)))
     m_bound = max(float(np.linalg.norm(phi)) for phi, _, _ in inputs)
+    margin_at = _margin_at(kind, signal, gains, buffer, m_bound)
     rng = np.random.default_rng(seed)
     violations = 0
     worst = -math.inf
     for i in range(sample_count):
-        phi, y_star, nt = inputs[i % t_points]
-        x = _sample_ball(rng, 2 * n, radius)
-        theta_tilde, p = x[:n], x[n:]
-        # error_field on the precomputed inputs
-        theta = theta_star + theta_tilde
-        d_theta, d_vartheta = field(theta, theta + p, phi, y_star, nt, data)
-        f = np.concatenate((d_theta, d_vartheta - d_theta))
-        lhs = 2.0 * float((q @ x) @ f)
-        rhs = _decrease_bound(kind, theta_tilde, p, phi, gains, p_mu, m_bound)
+        x = _sample_ball(rng, 2 * signal.dimension, radius)
+        lhs, rhs = margin_at(x, *inputs[i % t_points])
         margin = lhs - rhs
         if margin > tolerance:
             violations += 1
@@ -321,11 +336,12 @@ def lyapunov_along(
     counts = trajectory.n_samples
     if counts.max() > len(buffer):
         raise ValueError("trajectory refers to more samples than the buffer holds")
-    # Prefix data-sum matrices: prefix[m] covers the first m samples.
-    prefix = np.zeros((len(buffer) + 1, n, n))
-    for m, sample in enumerate(buffer.samples, start=1):
-        weight = 1.0 / (1.0 + gains.mu * float(sample.phi_k @ sample.phi_k))
-        prefix[m] = prefix[m - 1] + weight * np.outer(sample.phi_k, sample.phi_k)
+    # Prefix data-sum matrices: prefix[m] covers the first m samples, weighted
+    # as the field weighs them.
+    _, _, weights = data_aggregates(buffer, gains.mu)
+    phi = buffer.phi
+    terms = weights[:, None, None] * (phi[:, :, None] * phi[:, None, :])
+    prefix = np.concatenate((np.zeros((1, n, n)), np.cumsum(terms, axis=0)))
     q = energy_matrix(kind, gains, n, prefix)
     values = np.empty(trajectory.n_rows)
     for m in np.unique(counts):

@@ -108,10 +108,13 @@ def _check_keys(section: dict, allowed: dict[str, bool], where: str) -> None:
             raise ConfigError(f"missing key '{where}{key}'")
 
 
-def _number(section: dict, key: str, where: str) -> float:
+def _number(section: dict | list, key: str | int, where: str) -> float:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{where}{key}' must be a number")
+    # NaN fails every comparison; an integer beyond the float range fails this one.
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"'{where}{key}' must be a finite number")
     return float(value)
 
 
@@ -215,9 +218,10 @@ def load_scenario(
     if mode == "fixed":
         if "theta0" not in init_raw:
             raise ConfigError("missing key 'init.theta0' (required for fixed mode)")
-        theta0 = np.asarray(init_raw["theta0"], dtype=float)
-        if theta0.shape != (signal.dimension,):
+        entries = init_raw["theta0"]
+        if not isinstance(entries, list) or len(entries) != signal.dimension:
             raise ConfigError("'init.theta0' must match the signal dimension")
+        theta0 = np.array([_number(entries, i, "init.theta0.") for i in range(len(entries))])
     elif mode == "random":
         spread = _number(init_raw, "range", "init.") if "range" in init_raw else 5.0
         if spread <= 0.0:
@@ -227,7 +231,7 @@ def load_scenario(
     else:
         raise ConfigError("'init.mode' must be 'fixed' or 'random'")
 
-    pe_settings = _PESettings()
+    pe = _PESettings()
     if "pe" in raw:
         pe_raw = raw["pe"]
         _check_keys(
@@ -236,8 +240,15 @@ def load_scenario(
              "quadrature_step": False},
             "pe.",
         )
-        kwargs = {key: _number(pe_raw, key, "pe.") for key in pe_raw}
-        pe_settings = replace(pe_settings, **kwargs)
+        pe = replace(pe, **{key: _number(pe_raw, key, "pe.") for key in pe_raw})
+    if pe.window_T <= 0.0:
+        raise ConfigError("'pe.window_T' must be positive")
+    if pe.scan_horizon < pe.window_T:
+        raise ConfigError("'pe.scan_horizon' must be at least 'pe.window_T'")
+    if pe.scan_step is not None and pe.scan_step <= 0.0:
+        raise ConfigError("'pe.scan_step' must be positive")
+    if not 0.0 < pe.quadrature_step <= pe.window_T:
+        raise ConfigError("'pe.quadrature_step' must be positive and at most 'pe.window_T'")
 
     if systems:
         chosen = []
@@ -261,7 +272,7 @@ def load_scenario(
         cl_N_bar=cl_n_bar,
         cl_online=cl_online,
         init_theta0=theta0,
-        pe=pe_settings,
+        pe=pe,
     )
 
 
@@ -280,7 +291,6 @@ def _simulate_system(
         scenario.gains,
         scenario.sim,
         init,
-        cl_online=scenario.cl_online,
         epsilon=scenario.cl_epsilon,
         N_bar=scenario.cl_N_bar,
         grid=grid,

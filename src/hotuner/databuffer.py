@@ -18,7 +18,6 @@ from .signals import row_dots
 __all__ = [
     "DataAggregates",
     "DataBuffer",
-    "DataSample",
     "RichnessReport",
     "b_term",
     "buffer_csv",
@@ -41,34 +40,20 @@ _RECORD_CHUNK = 256
 DataAggregates = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
-class DataSample:
-    """One recorded pair: time, regressor vector, measured output."""
-
-    t_k: float
-    phi_k: np.ndarray
-    y_star_k: float
-
-    def __post_init__(self) -> None:
-        phi = np.asarray(self.phi_k, dtype=float).copy()
-        if phi.ndim != 1 or phi.shape[0] < 1:
-            raise ValueError("phi_k must be a nonempty 1-d vector")
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi_k", phi)
-        object.__setattr__(self, "t_k", float(self.t_k))
-        object.__setattr__(self, "y_star_k", float(self.y_star_k))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataBuffer:
-    """Immutable collection of samples with a fixed capacity and record threshold.
+    """Recorded samples as read-only arrays, with a capacity and a record threshold.
 
-    The buffer freezes permanently once capacity samples are held. Stacked
-    sample arrays are cached at construction, so the per-step aggregates cost
-    a few small matrix products.
+    Row k of t (N,), phi (N, n) and y_star (N,) is the k-th recorded pair
+    (t_k, phi_k, y*_k); times increase strictly. The buffer freezes once it
+    holds capacity samples; DataBuffer.empty has phi of shape (0, 0). The
+    regressors are also kept as contiguous columns (n, N), the layout that
+    data_term's rounding depends on.
     """
 
-    samples: tuple[DataSample, ...]
+    t: np.ndarray
+    phi: np.ndarray
+    y_star: np.ndarray
     capacity: int
     epsilon: float
 
@@ -77,74 +62,56 @@ class DataBuffer:
             raise ValueError("capacity must be a positive integer")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if len(self.samples) > self.capacity:
+        t = np.array(self.t, dtype=float)
+        phi = np.array(self.phi, dtype=float)
+        y_star = np.array(self.y_star, dtype=float)
+        if t.ndim != 1 or phi.ndim != 2 or phi.shape[0] != t.shape[0] or y_star.shape != t.shape:
+            raise ValueError("need t (N,), phi (N, n) and y_star (N,) of one length N")
+        count = t.shape[0]
+        if count > self.capacity:
             raise ValueError("more samples than capacity")
-        if self.samples:
-            n = self.samples[0].phi_k.shape[0]
-            if any(s.phi_k.shape[0] != n for s in self.samples):
-                raise ValueError("all samples must share one regressor dimension")
-            ts = [s.t_k for s in self.samples]
-            if any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ValueError("sample times must be strictly increasing")
-            if self.capacity < n:
-                raise ValueError("capacity must be at least the regressor dimension")
-            phi_mat = np.column_stack([s.phi_k for s in self.samples])
-            y_vec = np.array([s.y_star_k for s in self.samples])
-            phi_sq = (phi_mat**2).sum(axis=0)
-        else:
-            phi_mat = None
-            y_vec = None
-            phi_sq = None
-        object.__setattr__(self, "_phi_mat", phi_mat)
-        object.__setattr__(self, "_y_vec", y_vec)
-        object.__setattr__(self, "_phi_sq", phi_sq)
+        if count and not 1 <= phi.shape[1] <= self.capacity:
+            raise ValueError("regressor dimension must be at least 1 and at most capacity")
+        if np.any(t[1:] <= t[:-1]):
+            raise ValueError("sample times must be strictly increasing")
+        for name, values in (("t", t), ("phi", phi), ("y_star", y_star)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "_phi_mat", np.ascontiguousarray(phi.T) if count else None)
 
     @staticmethod
     def empty(capacity: int, epsilon: float) -> "DataBuffer":
-        return DataBuffer(samples=(), capacity=capacity, epsilon=epsilon)
+        return DataBuffer(np.empty(0), np.empty((0, 0)), np.empty(0), capacity, epsilon)
 
     @staticmethod
     def from_samples(phis, y_stars, times=None, capacity: int | None = None,
                      epsilon: float = 1.0) -> "DataBuffer":
-        """Prefill a buffer from stacked regressors (rows) and outputs."""
+        """A buffer of stacked regressors (rows) and outputs.
+
+        Times default to 0, 1, ..., and capacity to max(N, n).
+        """
         phis = np.asarray(phis, dtype=float)
-        y_stars = np.asarray(y_stars, dtype=float)
-        if phis.ndim != 2 or phis.shape[0] != y_stars.shape[0]:
+        if phis.ndim != 2:
             raise ValueError("phis must be (N, n) with matching y_stars")
         count, n = phis.shape
         if times is None:
             times = np.arange(count, dtype=float)
-        samples = tuple(
-            DataSample(t_k=float(t), phi_k=phi, y_star_k=float(y))
-            for t, phi, y in zip(times, phis, y_stars)
-        )
         if capacity is None:
             capacity = max(count, n)
-        return DataBuffer(samples=samples, capacity=capacity, epsilon=epsilon)
+        return DataBuffer(times, phis, y_stars, capacity, epsilon)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.t.shape[0]
 
     @property
     def frozen(self) -> bool:
-        return len(self.samples) == self.capacity
+        return len(self) == self.capacity
 
     @property
     def dimension(self) -> int:
-        if not self.samples:
+        if not len(self):
             raise ValueError("empty buffer has no dimension")
-        return self.samples[0].phi_k.shape[0]
-
-    @property
-    def last(self) -> DataSample:
-        if not self.samples:
-            raise ValueError("empty buffer has no last sample")
-        return self.samples[-1]
-
-    def _append(self, t: float, phi_t: np.ndarray, y_star_t: float) -> "DataBuffer":
-        sample = DataSample(t_k=t, phi_k=phi_t, y_star_k=y_star_t)
-        return DataBuffer(self.samples + (sample,), self.capacity, self.epsilon)
+        return self.phi.shape[1]
 
 
 @dataclass(frozen=True)
@@ -172,20 +139,22 @@ def maybe_record(buffer: DataBuffer, t: float, phi_t, y_star_t: float) -> tuple[
     if buffer.frozen:
         return buffer, False
     phi_t = np.asarray(phi_t, dtype=float)
-    if not buffer.samples:
-        return buffer._append(t, phi_t, y_star_t), True
-    last = buffer.last
-    if t <= last.t_k:
-        raise ValueError(f"time must increase between recordings (got {t} after {last.t_k})")
-    if phi_t.shape != last.phi_k.shape:
-        raise ValueError("regressor dimension changed between recordings")
-    norm = float(np.linalg.norm(phi_t))
-    if norm < ZERO_REGRESSOR_NORM:
-        return buffer, False
-    gap = float(np.sum((phi_t - last.phi_k) ** 2))
-    if gap / norm >= buffer.epsilon:
-        return buffer._append(t, phi_t, y_star_t), True
-    return buffer, False
+    if len(buffer):
+        last_t, last_phi = buffer.t[-1], buffer.phi[-1]
+        if t <= last_t:
+            raise ValueError(f"time must increase between recordings (got {t} after {last_t})")
+        if phi_t.shape != last_phi.shape:
+            raise ValueError("regressor dimension changed between recordings")
+        norm = float(np.linalg.norm(phi_t))
+        if norm < ZERO_REGRESSOR_NORM:
+            return buffer, False
+        gap = float(np.sum((phi_t - last_phi) ** 2))
+        if gap / norm < buffer.epsilon:
+            return buffer, False
+    phis = np.vstack((buffer.phi, phi_t)) if len(buffer) else phi_t[None]
+    grown = DataBuffer(np.append(buffer.t, t), phis, np.append(buffer.y_star, y_star_t),
+                       buffer.capacity, buffer.epsilon)
+    return grown, True
 
 
 def record_steps(phis, capacity: int, epsilon: float) -> list[int]:
@@ -247,13 +216,11 @@ def data_aggregates(buffer: DataBuffer, mu: float, count: int | None = None) -> 
     prefix is copied into the contiguous layout that a buffer holding only
     those samples has, so data_term rounds exactly as it would on that buffer.
     """
-    if count is None or count == len(buffer):
-        phi_mat, y_vec, phi_sq = buffer._phi_mat, buffer._y_vec, buffer._phi_sq
-    else:
-        phi_mat = np.ascontiguousarray(buffer._phi_mat[:, :count])
-        y_vec = buffer._y_vec[:count]
-        phi_sq = (phi_mat**2).sum(axis=0)
-    return phi_mat, y_vec, 1.0 / (1.0 + mu * phi_sq)
+    phi_mat = buffer._phi_mat
+    if count is not None and count != len(buffer):
+        phi_mat = np.ascontiguousarray(phi_mat[:, :count])
+    weights = 1.0 / (1.0 + mu * (phi_mat**2).sum(axis=0))
+    return phi_mat, buffer.y_star[:phi_mat.shape[1]], weights
 
 
 def data_term(aggregates: DataAggregates, theta: np.ndarray) -> np.ndarray:
@@ -295,9 +262,8 @@ def buffer_csv(buffer: DataBuffer) -> str:
     n = buffer.dimension if len(buffer) else 0
     header = ["k", "t_k"] + [f"phi_k_{i + 1}" for i in range(n)] + ["y_star_k"]
     lines = [",".join(header)]
-    for k, sample in enumerate(buffer.samples, start=1):
-        cells = [str(k), repr(sample.t_k)]
-        cells += [repr(float(v)) for v in sample.phi_k]
-        cells.append(repr(sample.y_star_k))
-        lines.append(",".join(cells))
+    # repr of a Python float is the cell text, as in Trajectory.to_csv.
+    rows = zip(buffer.t.tolist(), buffer.phi.tolist(), buffer.y_star.tolist())
+    for k, (t_k, phi_k, y_star_k) in enumerate(rows, start=1):
+        lines.append(",".join(map(repr, [k, t_k, *phi_k, y_star_k])))
     return "\n".join(lines) + "\n"

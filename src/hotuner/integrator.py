@@ -1,9 +1,9 @@
 """Fixed-step explicit Euler simulation of the tuner family.
 
-One step is: apply the online recording rule (for buffer-driven kinds running
-online), emit an output row if due, evaluate the field with the current
-buffer, update the state. Recording therefore takes effect from the very step
-at which a sample is kept.
+One step is: apply the online recording rule (for buffer-driven kinds that
+record their data), emit an output row if due, evaluate the field with the
+current buffer, update the state. Recording therefore takes effect from the
+very step at which a sample is kept.
 
 Nothing on that list but the field depends on the state, so a SignalGrid
 computes the rest once per scenario: phi(t_k), y*(t_k) and |phi(t_k)|^2 on the
@@ -83,8 +83,7 @@ class Trajectory:
 
     Row k holds time t[k], the two state vectors, the parameter error norm
     |theta - theta*|, the companion gap |vartheta - theta|, and the number of
-    recorded samples at that time. The optional column v carries a Lyapunov
-    value along the run when one has been attached.
+    recorded samples at that time.
     """
 
     kind: SystemKind
@@ -94,26 +93,10 @@ class Trajectory:
     err_norm: np.ndarray
     p_norm: np.ndarray
     n_samples: np.ndarray
-    v: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
         return self.t.shape[0]
-
-    def with_v(self, values: np.ndarray) -> "Trajectory":
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.t.shape:
-            raise ValueError("v must hold one value per trajectory row")
-        return Trajectory(
-            kind=self.kind,
-            t=self.t,
-            theta=self.theta,
-            vartheta=self.vartheta,
-            err_norm=self.err_norm,
-            p_norm=self.p_norm,
-            n_samples=self.n_samples,
-            v=values,
-        )
 
     def to_csv(self) -> str:
         """Render rows as CSV; floats use shortest round-trip formatting."""
@@ -129,9 +112,6 @@ class Trajectory:
         ]
         columns = [np.asarray(c, dtype=float) for c in columns]
         columns.append(np.asarray(self.n_samples).astype(int))
-        if self.v is not None:
-            header.append("V")
-            columns.append(np.asarray(self.v, dtype=float))
         lines = [",".join(header)]
         # repr of a Python float or int is the cell text; tolist() makes them
         # without boxing each cell through float() or int().
@@ -204,19 +184,18 @@ class _Euler:
         gains: Gains,
         sim: SimConfig,
         grid: SignalGrid,
-        keeps: list[int],
         buffer: DataBuffer,
-        first_count: int,
+        keeps: list[int],
     ) -> None:
-        """keeps are the steps that add a sample to the first_count samples
-        held at the start; every sample is read from buffer."""
+        """keeps are the steps that add the last len(keeps) samples of buffer;
+        the samples before them are held from the start."""
         self.kind = kind
         self.field = compile_field(kind, gains)
         self.grid = grid
         self.every = sim.record_every
         self.keeps = keeps
         self.buffer = buffer
-        self.first_count = first_count
+        self.first_count = len(buffer) - len(keeps)
         self.reads_data = kind in BUFFER_KINDS
         self.data_mu = _data_mu(kind, gains)
         self.nt = grid.nt_list(gains.mu)
@@ -300,31 +279,25 @@ def _run(
     grid: SignalGrid,
     init: TunerState,
     buffer: DataBuffer,
-    online: bool,
-) -> tuple[Trajectory, DataBuffer]:
-    n = grid.signal.dimension
-    if init.theta.shape != (n,):
+    keeps: list[int],
+) -> Trajectory:
+    """Run one system on buffer, whose last len(keeps) samples are kept at steps keeps."""
+    if init.theta.shape != (grid.signal.dimension,):
         raise ValueError("initial state dimension does not match the signal")
-    if online and kind in BUFFER_KINDS:
-        keeps, buffer = grid.schedule(buffer.capacity, buffer.epsilon)
-        first_count = 0
-    else:
-        keeps, first_count = [], len(buffer)
-    euler = _Euler(kind, gains, sim, grid, keeps, buffer, first_count)
+    euler = _Euler(kind, gains, sim, grid, buffer, keeps)
     euler.run(init)
     row_steps = np.arange(euler.theta.shape[0]) * sim.record_every
     theta_err = euler.theta - grid.signal.theta_star
     gap = euler.vartheta - euler.theta
-    trajectory = Trajectory(
+    return Trajectory(
         kind=kind,
         t=grid.t[row_steps],
         theta=euler.theta,
         vartheta=euler.vartheta,
         err_norm=np.sqrt(row_dots(theta_err, theta_err)),
         p_norm=np.sqrt(row_dots(gap, gap)),
-        n_samples=first_count + np.searchsorted(keeps, row_steps, side="right"),
+        n_samples=euler.first_count + np.searchsorted(keeps, row_steps, side="right"),
     )
-    return trajectory, buffer
 
 
 def _grid_for(signal: RegressorSignal, sim: SimConfig, grid: SignalGrid | None) -> SignalGrid:
@@ -341,31 +314,29 @@ def simulate(
     gains: Gains,
     sim: SimConfig,
     init: TunerState,
-    cl_online: bool = False,
     epsilon: float | None = None,
     N_bar: int | None = None,
     grid: SignalGrid | None = None,
 ) -> tuple[Trajectory, DataBuffer]:
-    """Simulate one system, recording samples online for buffer-driven kinds.
+    """Simulate one system; return its trajectory and the data it recorded.
 
-    Buffer-driven kinds need cl_online=True together with the recording
-    threshold epsilon and the sample budget N_bar; to run them against fixed
-    pre-recorded data use simulate_with_buffer instead. Pass the SignalGrid of
-    (signal, sim) to share it between systems; by default one is built.
+    Buffer-driven kinds record samples online with the threshold epsilon and
+    the sample budget N_bar; to run them on fixed pre-recorded data use
+    simulate_with_buffer instead. Other kinds ignore both and return an empty
+    buffer. Pass the SignalGrid of (signal, sim) to share it between systems;
+    by default one is built.
     """
-    if kind in BUFFER_KINDS:
-        if not cl_online:
-            raise ValueError(
-                f"'{kind.value}' needs recorded data: run with cl_online=True "
-                "or supply a buffer via simulate_with_buffer"
-            )
-        if epsilon is None or N_bar is None:
-            raise ValueError("cl_online runs need both epsilon and N_bar")
-        buffer = DataBuffer.empty(capacity=N_bar, epsilon=epsilon)
-    else:
-        buffer = DataBuffer.empty(capacity=max(N_bar or 1, 1), epsilon=epsilon or 1.0)
+    if kind in BUFFER_KINDS and (epsilon is None or N_bar is None):
+        raise ValueError(
+            f"'{kind.value}' records its data online and needs both epsilon and "
+            "N_bar; to run it on fixed pre-recorded data use simulate_with_buffer"
+        )
     grid = _grid_for(signal, sim, grid)
-    return _run(kind, gains, sim, grid, init, buffer, online=cl_online)
+    if kind in BUFFER_KINDS:
+        keeps, buffer = grid.schedule(N_bar, epsilon)
+    else:
+        keeps, buffer = [], DataBuffer.empty(max(N_bar or 1, 1), epsilon or 1.0)
+    return _run(kind, gains, sim, grid, init, buffer, keeps), buffer
 
 
 def simulate_with_buffer(
@@ -380,6 +351,4 @@ def simulate_with_buffer(
     """Simulate with a fixed pre-recorded buffer (no online recording)."""
     if kind in BUFFER_KINDS and len(buffer) == 0:
         raise ValueError(f"'{kind.value}' needs a nonempty buffer")
-    grid = _grid_for(signal, sim, grid)
-    trajectory, _ = _run(kind, gains, sim, grid, init, buffer, online=False)
-    return trajectory
+    return _run(kind, gains, sim, _grid_for(signal, sim, grid), init, buffer, [])

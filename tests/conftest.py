@@ -37,7 +37,6 @@ def run_all(scenario):
             scenario.gains,
             sim,
             TunerState.from_theta0(scenario.init_theta0),
-            cl_online=scenario.cl_online,
             epsilon=scenario.cl_epsilon,
             N_bar=scenario.cl_N_bar,
         )

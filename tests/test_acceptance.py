@@ -220,9 +220,9 @@ def test_criterion_08_soft_reset_reduces_at_zero_gain():
     sim = SimConfig(t_end=100.0, step_h=1e-3, record_every=1)
     init = TunerState.from_theta0([1.0, -2.0, 4.0])
     plain, buf_a = simulate(SystemKind.HT_CL, sig, gains, sim, init,
-                            cl_online=True, epsilon=1.0, N_bar=10)
+                            epsilon=1.0, N_bar=10)
     soft, buf_b = simulate(SystemKind.HT_CL_SOFTRESET, sig, gains, sim, init,
-                           cl_online=True, epsilon=1.0, N_bar=10)
+                           epsilon=1.0, N_bar=10)
     for name in ("t", "theta", "vartheta", "err_norm", "p_norm", "n_samples"):
         assert np.array_equal(getattr(plain, name), getattr(soft, name)), name
     from hotuner import buffer_csv
@@ -314,6 +314,6 @@ def test_criterion_12_online_recording_freezes(request, reference):
     report = richness(buffer, CERTIFIED_GAINS.mu)
     assert report.sufficient and report.rank_D == 3
     want = reference["fig1"]["ht_cl"]["freeze_t_k"]
-    assert abs(buffer.last.t_k - want) <= 2.0 * GRID_STEP + 1e-9
+    assert abs(buffer.t[-1] - want) <= 2.0 * GRID_STEP + 1e-9
     assert int(trajectory.n_samples[-1]) == 10
     finish(12, "online recording freezes the buffer", start, 10.0)

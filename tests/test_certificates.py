@@ -25,10 +25,12 @@ from hotuner import (
     make_constant,
     make_sinusoid_mix,
     matrosov_check,
+    maybe_record,
     p_matrix,
     simulate,
     simulate_with_buffer,
 )
+from hotuner.databuffer import data_aggregates
 
 PI = np.pi
 CERTIFIED_GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)
@@ -279,21 +281,53 @@ def test_lyapunov_along_uses_samples_recorded_so_far():
                  SystemKind.HT_CL_SOFTRESET, SystemKind.HT_NORMALIZED_CL_SOFTRESET):
         traj, buffer = simulate(kind, sig, gains, sim,
                                 TunerState.from_theta0([1.0, 1.0, 1.0]),
-                                cl_online=True, epsilon=1.0, N_bar=4)
+                                epsilon=1.0, N_bar=4)
         assert buffer.frozen
         values = lyapunov_along(kind, traj, sig, gains, buffer)
         for k in range(traj.n_rows):
             m = int(traj.n_samples[k])
-            prefix = DataBuffer.from_samples(
-                [s.phi_k for s in buffer.samples[:m]],
-                [s.y_star_k for s in buffer.samples[:m]],
-                times=[s.t_k for s in buffer.samples[:m]],
-                capacity=max(m, 3),
-            )
+            prefix = DataBuffer.from_samples(buffer.phi[:m], buffer.y_star[:m],
+                                             times=buffer.t[:m], capacity=max(m, 3))
             err = ErrorCoords(traj.theta[k] - sig.theta_star,
                               traj.vartheta[k] - traj.theta[k])
             want = energy(kind, err, gains, p_matrix(prefix, gains.mu))
             assert abs(values[k] - want) < 1e-10, kind
+
+
+def test_lyapunov_along_weighs_samples_as_the_field():
+    """Row r's energy is x' Q(P_m) x with P_m summed in sample order from the
+    data_aggregates weights, which the field and p_matrix use too, also where
+    |phi_k|^2 as a dot product rounds to another weight."""
+    rng = np.random.default_rng(2)
+    sig = mix3()
+    gains = Gains(beta=1.0, gamma=0.1, mu=0.7, beta_r=4.0)
+    buffer = DataBuffer.empty(capacity=16, epsilon=1e-6)
+    for k in range(16):
+        buffer, kept = maybe_record(buffer, float(k), rng.uniform(-3.0, 3.0, 3), float(k))
+        assert kept
+    dot_weights = [1.0 / (1.0 + gains.mu * float(phi @ phi)) for phi in buffer.phi]
+    assert np.any(data_aggregates(buffer, gains.mu)[2] != dot_weights)
+    # 20 rows at each fill level m = 1..16
+    counts = np.repeat(np.arange(1, len(buffer) + 1), 20)
+    rows = counts.shape[0]
+    theta = rng.uniform(-2.0, 2.0, (rows, 3))
+    vartheta = rng.uniform(-2.0, 2.0, (rows, 3))
+    traj = Trajectory(kind=SystemKind.HT_CL, t=np.arange(rows, dtype=float), theta=theta,
+                      vartheta=vartheta, err_norm=np.zeros(rows), p_norm=np.zeros(rows),
+                      n_samples=counts)
+    x = np.hstack((theta - sig.theta_star, vartheta - theta))
+    p_ms = {}
+    for m in range(1, len(buffer) + 1):
+        weights = data_aggregates(buffer, gains.mu, m)[2]
+        p_ms[m] = np.zeros((3, 3))
+        for k in range(m):
+            p_ms[m] = p_ms[m] + weights[k] * np.outer(buffer.phi[k], buffer.phi[k])
+    for kind in (SystemKind.HT_CL, SystemKind.HT_NORMALIZED_CL, SystemKind.HT_B,
+                 SystemKind.HT_CL_SOFTRESET):
+        values = lyapunov_along(kind, traj, sig, gains, buffer)
+        for r, m in enumerate(counts):
+            q = energy_matrix(kind, gains, 3, p_ms[m])
+            assert values[r] == np.einsum("ri,ij,rj->r", x[r:r + 1], q, x[r:r + 1])[0]
 
 
 def test_lyapunov_along_data_only_kind():
@@ -315,7 +349,7 @@ def test_lyapunov_along_guards():
     sim = SimConfig(t_end=1.0, record_every=100)
     traj, buffer = simulate(SystemKind.HT_CL, sig, CERTIFIED_GAINS, sim,
                             TunerState.from_theta0([1.0, 0.0, 0.0]),
-                            cl_online=True, epsilon=1.0, N_bar=4)
+                            epsilon=1.0, N_bar=4)
     with pytest.raises(ValueError, match="no certified energy"):
         lyapunov_along(SystemKind.BASIC, traj, sig, CERTIFIED_GAINS)
     with pytest.raises(ValueError, match="needs the buffer"):

@@ -1,12 +1,15 @@
 """Scenario loading, command dispatch, outputs, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hotuner
 from hotuner import SystemKind
 from hotuner.cli import (
     EXIT_CERTIFICATE,
@@ -116,6 +119,34 @@ def test_load_scenario_rejects_bad_config(tmp_path, mutate, message):
         load_scenario(path)
     # the same failure through the CLI maps to the config exit code
     assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("pe", "window_T", 0.0, "'pe.window_T' must be positive"),
+        ("pe", "scan_horizon", 1.0, "'pe.scan_horizon' must be at least 'pe.window_T'"),
+        ("pe", "quadrature_step", 7.0, "'pe.quadrature_step' must be positive and at most"),
+        ("pe", "scan_step", 0.0, "'pe.scan_step' must be positive"),
+        ("init", "theta0", ["a", 1.0], "'init.theta0.0' must be a number"),
+        ("init", "theta0", [1.0, float("nan")], "'init.theta0.1' must be a finite number"),
+        ("gains", "beta", float("inf"), "'gains.beta' must be a finite number"),
+        ("gains", "gamma", 10**400, "'gains.gamma' must be a finite number"),
+    ],
+    ids=["window_T", "scan_horizon", "quadrature_step", "scan_step", "theta0_text",
+         "theta0_nan", "beta_inf", "gamma_beyond_float"],
+)
+def test_every_command_rejects_bad_settings(tmp_path, capsys, section, key, value, message):
+    """Bad pe settings and non-finite numbers (JSON NaN, Infinity, an integer
+    beyond the float range) are config errors."""
+    data = scenario_dict()
+    data.setdefault(section, {})[key] = value
+    path = write_scenario(tmp_path, data)
+    with pytest.raises(ConfigError, match=message):
+        load_scenario(path)
+    for command in ("run", "certify", "pe-check"):
+        assert main([command, path, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 def test_load_scenario_rejects_fractional_horizon(tmp_path, capsys):
@@ -335,11 +366,15 @@ def test_main_requires_a_command():
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "out"
+    # The child interpreter imports the same hotuner as this one.
+    source = str(Path(hotuner.__file__).parents[1])
+    paths = [source, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "hotuner", "run", str(bundled_scenario_path("fig1")),
          "--t-end", "1", "--system", "basic", "--out-dir", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "fig1_basic.csv").exists()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hotuner import (
     DataBuffer,
-    DataSample,
     b_term,
     buffer_csv,
     maybe_record,
@@ -39,11 +38,26 @@ def rank_by_elimination(mat, tol=1e-10):
 
 
 def test_sample_validation():
-    s = DataSample(t_k=1, phi_k=[1, 2], y_star_k=3)
-    assert s.t_k == 1.0 and s.y_star_k == 3.0
-    assert s.phi_k.dtype == float
-    with pytest.raises(ValueError):
-        DataSample(t_k=0.0, phi_k=[[1.0]], y_star_k=0.0)
+    phis = np.array([[1, 2], [3, 4]])
+    buf = DataBuffer.from_samples(phis, [3, 5], times=[1, 2])
+    assert buf.t.tolist() == [1.0, 2.0] and buf.y_star.tolist() == [3.0, 5.0]
+    assert buf.phi.dtype == float and buf.phi.shape == (2, 2)
+    # The buffer holds its own read-only copies.
+    phis[0, 0] = 9
+    assert buf.phi[0, 0] == 1.0
+    for values in (buf.t, buf.phi, buf.y_star):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+    with pytest.raises(ValueError, match="one length"):
+        DataBuffer([0.0, 1.0], [[1.0], [2.0]], [0.0], capacity=2, epsilon=1.0)
+    with pytest.raises(ValueError, match="one length"):
+        DataBuffer([0.0], [[1.0], [2.0]], [0.0], capacity=2, epsilon=1.0)
+    with pytest.raises(ValueError, match="one length"):
+        DataBuffer([0.0], [1.0], [0.0], capacity=2, epsilon=1.0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DataBuffer([1.0, 0.5], [[1.0], [2.0]], [0.0, 0.0], capacity=2, epsilon=1.0)
+    with pytest.raises(ValueError, match="at least 1"):
+        DataBuffer([0.0], np.empty((1, 0)), [0.0], capacity=2, epsilon=1.0)
 
 
 def test_buffer_validation():
@@ -66,7 +80,7 @@ def test_from_samples_defaults():
     assert buf.capacity == 2
     assert buf.frozen
     assert buf.dimension == 2
-    assert buf.last.t_k == 1.0
+    assert buf.t[-1] == 1.0
     single = DataBuffer.from_samples([[1.0, 0.0]], [1.0])
     assert single.capacity == 2
     assert not single.frozen
@@ -78,8 +92,8 @@ def test_empty_buffer_accessors():
     assert not buf.frozen
     with pytest.raises(ValueError):
         buf.dimension
-    with pytest.raises(ValueError):
-        buf.last
+    assert buf.t.shape == (0,) and buf.phi.shape == (0, 0) and buf.y_star.shape == (0,)
+    assert buffer_csv(buf) == "k,t_k,y_star_k\n"
     with pytest.raises(ValueError):
         p_matrix(buf, 0.0)
     with pytest.raises(ValueError):
@@ -111,6 +125,9 @@ def test_maybe_record_walkthrough():
 
     buf, kept = maybe_record(buf, 4.0, [3.0, 0.0], 2.0)
     assert kept and buf.frozen
+    assert buf.t.tolist() == [0.0, 2.0, 4.0]
+    assert buf.phi.tolist() == [[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]]
+    assert buf.y_star.tolist() == [1.0, 0.5, 2.0]
 
     frozen_again, kept = maybe_record(buf, 5.0, [9.0, 9.0], 0.0)
     assert not kept

@@ -60,7 +60,7 @@ def test_equilibrium_stays_put():
     init = TunerState.from_theta0(sig.theta_star)
     for kind in (SystemKind.BASIC, SystemKind.HT, SystemKind.HT_CL_SOFTRESET):
         traj, _ = simulate(kind, sig, gains, sim, init,
-                           cl_online=True, epsilon=1.0, N_bar=5)
+                           epsilon=1.0, N_bar=5)
         assert np.abs(traj.theta - sig.theta_star).max() < 1e-9
         assert traj.err_norm.max() < 1e-9
         assert traj.p_norm.max() < 1e-9
@@ -72,9 +72,9 @@ def test_simulation_is_deterministic():
     sim = SimConfig(t_end=3.0, step_h=1e-3)
     init = TunerState.from_theta0([0.0, 1.0, -2.0])
     a, _ = simulate(SystemKind.HT_CL, sig, gains, sim, init,
-                    cl_online=True, epsilon=1.0, N_bar=10)
+                    epsilon=1.0, N_bar=10)
     b, _ = simulate(SystemKind.HT_CL, sig, gains, sim, init,
-                    cl_online=True, epsilon=1.0, N_bar=10)
+                    epsilon=1.0, N_bar=10)
     assert a.to_csv() == b.to_csv()
 
 
@@ -84,9 +84,9 @@ def test_soft_reset_with_zero_strength_is_identical():
     sim = SimConfig(t_end=5.0, step_h=1e-3)
     init = TunerState.from_theta0([1.0, -1.0, 2.0])
     a, _ = simulate(SystemKind.HT_CL, sig, gains, sim, init,
-                    cl_online=True, epsilon=1.0, N_bar=10)
+                    epsilon=1.0, N_bar=10)
     b, _ = simulate(SystemKind.HT_CL_SOFTRESET, sig, gains, sim, init,
-                    cl_online=True, epsilon=1.0, N_bar=10)
+                    epsilon=1.0, N_bar=10)
     assert np.array_equal(a.theta, b.theta)
     assert np.array_equal(a.vartheta, b.vartheta)
     assert a.to_csv() == b.to_csv()
@@ -182,10 +182,8 @@ def test_simulate_argument_guards():
     gains = Gains(beta=1.0, gamma=0.1, mu=0.2)
     sim = SimConfig(t_end=1.0)
     init = TunerState.from_theta0([0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="simulate_with_buffer"):
+    with pytest.raises(ValueError, match="epsilon and N_bar.*simulate_with_buffer"):
         simulate(SystemKind.HT_CL, sig, gains, sim, init)
-    with pytest.raises(ValueError, match="epsilon and N_bar"):
-        simulate(SystemKind.HT_CL, sig, gains, sim, init, cl_online=True)
     with pytest.raises(ValueError, match="nonempty"):
         simulate_with_buffer(SystemKind.HT_CL, sig, gains, sim, init,
                              DataBuffer.empty(capacity=3, epsilon=1.0))
@@ -199,7 +197,7 @@ def test_online_recording_freezes_at_capacity():
     sim = SimConfig(t_end=10.0, step_h=1e-3)
     init = TunerState.from_theta0([0.0, 0.0, 0.0])
     traj, buffer = simulate(SystemKind.HT_CL, sig, gains, sim, init,
-                            cl_online=True, epsilon=1.0, N_bar=4)
+                            epsilon=1.0, N_bar=4)
     assert buffer.frozen and len(buffer) == 4
     assert traj.n_samples[0] == 1  # unconditional first record at t_start
     assert traj.n_samples[-1] == 4
@@ -213,10 +211,10 @@ def test_record_every_decimates_only_output():
     init = TunerState.from_theta0([1.0, 1.0, 1.0])
     full, _ = simulate(SystemKind.HT_CL, sig, gains,
                        SimConfig(t_end=2.0, record_every=1), init,
-                       cl_online=True, epsilon=1.0, N_bar=10)
+                       epsilon=1.0, N_bar=10)
     thin, _ = simulate(SystemKind.HT_CL, sig, gains,
                        SimConfig(t_end=2.0, record_every=10), init,
-                       cl_online=True, epsilon=1.0, N_bar=10)
+                       epsilon=1.0, N_bar=10)
     assert thin.n_rows == full.n_rows // 10 + 1
     assert np.array_equal(thin.theta, full.theta[::10])
     assert np.array_equal(thin.n_samples, full.n_samples[::10])
@@ -251,22 +249,6 @@ def test_csv_round_trip():
         assert [float(c) for c in cells[1:4]] == list(traj.theta[k])
         assert float(cells[7]) == traj.err_norm[k]
         assert int(cells[9]) == traj.n_samples[k]
-
-
-def test_with_v_column():
-    sig = mix3()
-    gains = Gains(beta=1.0, gamma=0.1, mu=0.2)
-    traj, _ = simulate(SystemKind.HT, sig, gains,
-                       SimConfig(t_end=0.2, record_every=50),
-                       TunerState.from_theta0([1.0, 0.0, 0.0]))
-    values = np.arange(traj.n_rows, dtype=float)
-    tagged = traj.with_v(values)
-    assert tagged.v is not None and traj.v is None
-    lines = tagged.to_csv().strip().split("\n")
-    assert lines[0].endswith(",V")
-    assert float(lines[-1].split(",")[-1]) == values[-1]
-    with pytest.raises(ValueError):
-        traj.with_v(np.zeros(traj.n_rows + 1))
 
 
 def test_trajectory_time_grid():

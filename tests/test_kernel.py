@@ -88,7 +88,7 @@ def test_online_kernel_matches_reference_bitwise(kind, epsilon, n_bar, every):
     sim = SimConfig(t_end=1.5, record_every=every)
     init = TunerState.from_theta0(THETA0)
     trajectory, buffer = simulate(kind, signal, GAINS, sim, init,
-                                  cl_online=True, epsilon=epsilon, N_bar=n_bar)
+                                  epsilon=epsilon, N_bar=n_bar)
     columns, ref_buffer = reference_run(kind, signal, GAINS, sim, init,
                                         DataBuffer.empty(n_bar, epsilon), online=True)
     assert_same(trajectory, columns)
