@@ -34,7 +34,13 @@ from .dynamics import (
     rhs,
 )
 from .integrator import Trajectory
-from .signals import DEFAULT_QUADRATURE_STEP, RegressorSignal
+from .signals import (
+    DEFAULT_QUADRATURE_STEP,
+    RegressorSignal,
+    _moments,
+    _trapezoid,
+    _window_grams,
+)
 
 __all__ = [
     "CertificateReport",
@@ -404,8 +410,10 @@ def matrosov_check(
     Two parts, both on a time grid over [0, t_span]:
 
     (a) V1(x, t) = -theta_tilde' (integral_t^inf e^{t-s} phi phi' ds) theta_tilde,
-        computed by quadrature truncated at t + truncation, stays below
-        -e^{-T} delta |theta_tilde|^2 at sampled states.
+        computed by trapezoid quadrature with step quadrature_step in
+        (0, truncation], truncated at t + truncation, stays below
+        -e^{-T} delta |theta_tilde|^2 at sampled states. All t_points kernels
+        come from one moment matrix of the e^{-tau}-weighted nodes.
     (b) At constructed points with p = 0 and phi(t)' theta_tilde = 0, the
         derivative majorant -e^{-T} delta |theta_tilde|^2 + e_y^2
         + cross_coeff |theta_tilde| |p| is nonpositive.
@@ -417,22 +425,14 @@ def matrosov_check(
         raise ValueError(f"truncation must be at least {MIN_MATROSOV_TRUNCATION}")
     if delta < 0.0 or M < 0.0 or T <= 0.0:
         raise ValueError("need T > 0 and nonnegative delta, M")
+    offsets, weights = _trapezoid(truncation, quadrature_step, "truncation")
     if cross_coeff is None:
         cross_coeff = gains.beta * M**2 * (1.0 + gains.mu * M**2)
     n = signal.dimension
     decay = math.exp(-T) * delta
     t_grid = np.linspace(0.0, t_span, t_points)
-    m = max(1, int(round(truncation / quadrature_step)))
-    step = truncation / m
-    offsets = step * np.arange(m + 1)
-    weights = np.full(m + 1, step)
-    weights[0] = weights[-1] = 0.5 * step
-    weights = weights * np.exp(-offsets)
-    kernels = []
-    for t in t_grid:
-        phi_nodes = signal.phi_grid(t + offsets)
-        kernel = (phi_nodes * weights[:, None]).T @ phi_nodes
-        kernels.append(0.5 * (kernel + kernel.T))
+    moments = _moments(signal, offsets, weights * np.exp(-offsets))
+    kernels = _window_grams(signal, t_grid, moments)
     rng = np.random.default_rng(seed)
     violations = 0
     worst = -math.inf

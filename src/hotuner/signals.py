@@ -29,6 +29,9 @@ __all__ = [
 DEFAULT_QUADRATURE_STEP = 1e-3
 # Window Gram eigenvalues below this are treated as numerically zero.
 PE_TOLERANCE = 1e-10
+# Quadrature nodes per block of _moments and window starts per block of
+# check_pe's scan; bounds their scratch memory.
+_GRAM_BLOCK = 4096
 
 _DESCRIPTOR_KEYS = (
     "dimension",
@@ -178,6 +181,56 @@ def make_constant(values, theta_star) -> RegressorSignal:
     return make_sinusoid_mix(n, values, zeros, zeros, zeros, theta_star)
 
 
+def _trapezoid(
+    length: float, quadrature_step: float, name: str = "T"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite trapezoid offsets and weights on [0, length].
+
+    The step is snapped to divide the length exactly, so both endpoints carry
+    half weight. `name` is the length's argument name in the error messages.
+    """
+    if not length > 0.0:
+        raise ValueError(f"window length {name} must be positive, got {length!r}")
+    if not 0.0 < quadrature_step <= length:
+        raise ValueError(f"quadrature_step must lie in (0, {name}], got {quadrature_step!r}")
+    m = max(1, int(round(length / quadrature_step)))
+    step = length / m
+    weights = np.full(m + 1, step)
+    weights[0] = weights[-1] = 0.5 * step
+    return step * np.arange(m + 1), weights
+
+
+def _moments(signal: RegressorSignal, offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Moment matrix sum_i w_i u(tau_i) u(tau_i)' of u(tau) = (1, cos(w tau), sin(w tau))."""
+    size = 2 * signal.dimension + 1
+    moments = np.zeros((size, size))
+    for i in range(0, offsets.shape[0], _GRAM_BLOCK):
+        angles = np.outer(offsets[i:i + _GRAM_BLOCK], signal.frequencies)
+        u = np.hstack([np.ones((angles.shape[0], 1)), np.cos(angles), np.sin(angles)])
+        moments += (u * weights[i:i + _GRAM_BLOCK, None]).T @ u
+    return moments
+
+
+def _window_grams(signal: RegressorSignal, starts: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Grams sum_i w_i phi(t + tau_i) phi(t + tau_i)' for each start t, shape (K, n, n).
+
+    A sinusoid mix shifted by tau is phi(t + tau) = L(t) u(tau), with
+    L(t) = [o | diag(a sin(w t + p)) | diag(a cos(w t + p))]. So every Gram is
+    L(t) M L(t)' for the one moment matrix M = _moments(signal, tau, w): the
+    nodes are evaluated once, not once per window. Results are symmetrized.
+    """
+    starts = np.asarray(starts, dtype=float)
+    n = signal.dimension
+    angles = np.outer(starts, signal.frequencies) + signal.phases
+    diagonal = np.arange(n)
+    lift = np.zeros((starts.shape[0], n, 2 * n + 1))
+    lift[:, :, 0] = signal.offsets
+    lift[:, diagonal, 1 + diagonal] = signal.amplitudes * np.sin(angles)
+    lift[:, diagonal, 1 + n + diagonal] = signal.amplitudes * np.cos(angles)
+    grams = lift @ moments @ lift.transpose(0, 2, 1)
+    return 0.5 * (grams + grams.transpose(0, 2, 1))
+
+
 def pe_gram(
     signal: RegressorSignal,
     t: float,
@@ -187,20 +240,12 @@ def pe_gram(
     """Windowed excitation Gram matrix integral_t^{t+T} phi(s) phi(s)' ds.
 
     Composite trapezoid rule; the step is snapped to divide T exactly so the
-    endpoints always carry half weight. Result is symmetrized.
+    endpoints always carry half weight. The sum is taken through the moment
+    matrix of the window's nodes (see _window_grams), which agrees with summing
+    phi phi' node by node up to rounding. Result is symmetric.
     """
-    if T <= 0.0:
-        raise ValueError("window length T must be positive")
-    if quadrature_step <= 0.0 or quadrature_step > T:
-        raise ValueError("quadrature_step must lie in (0, T]")
-    m = max(1, int(round(T / quadrature_step)))
-    step = T / m
-    nodes = t + step * np.arange(m + 1)
-    phi = signal.phi_grid(nodes)
-    weights = np.full(m + 1, step)
-    weights[0] = weights[-1] = 0.5 * step
-    gram = (phi * weights[:, None]).T @ phi
-    return 0.5 * (gram + gram.T)
+    offsets, weights = _trapezoid(T, quadrature_step)
+    return _window_grams(signal, np.array([t]), _moments(signal, offsets, weights))[0]
 
 
 @dataclass(frozen=True)
@@ -212,6 +257,8 @@ class PEReport:
     M_hat: float
     scan_horizon: float
     quadrature_step: float
+    windows: int
+    worst_window_start: float
 
     def satisfied(self, tolerance: float = PE_TOLERANCE) -> bool:
         """True when every scanned window Gram was positive definite beyond tolerance."""
@@ -221,7 +268,8 @@ class PEReport:
         state = "satisfied" if self.satisfied() else "NOT satisfied"
         return (
             f"PE {state}: delta_hat={self.delta_hat:.6g}, M_hat={self.M_hat:.6g} "
-            f"(window T={self.window_T:g}, horizon {self.scan_horizon:g})"
+            f"(window T={self.window_T:g}, horizon {self.scan_horizon:g}, "
+            f"{self.windows} windows, worst at t={self.worst_window_start:g})"
         )
 
 
@@ -235,28 +283,39 @@ def check_pe(
     """Scan window starts on [0, scan_horizon - T] and report the excitation level.
 
     delta_hat is the smallest windowed-Gram eigenvalue seen over the scan,
-    clamped at zero; M_hat is the largest |phi| over the dense evaluation grid.
-    scan_step defaults to T / 8.
+    clamped at zero, and worst_window_start is the start of the window that
+    attains it (among windows with equal Grams, such as windows of whole
+    periods, rounding picks one); M_hat is the largest |phi| over the dense
+    evaluation grid. scan_step defaults to T / 8.
+
+    The window Grams come from one moment matrix of the trapezoid nodes (see
+    _window_grams), in blocks of _GRAM_BLOCK starts, so the nodes are evaluated
+    once and each window costs O(n^3).
     """
+    offsets, weights = _trapezoid(T, quadrature_step)
     if scan_horizon < T:
         raise ValueError("scan_horizon must be at least the window length T")
     if scan_step is None:
         scan_step = T / 8.0
-    if scan_step <= 0.0:
+    if not scan_step > 0.0:
         raise ValueError("scan_step must be positive")
     count = int(np.floor((scan_horizon - T) / scan_step + 1e-12))
     starts = scan_step * np.arange(count + 1)
-    delta = np.inf
-    for start in starts:
-        gram = pe_gram(signal, float(start), T, quadrature_step)
-        delta = min(delta, float(np.linalg.eigvalsh(gram)[0]))
+    moments = _moments(signal, offsets, weights)
+    blocks = (starts[i:i + _GRAM_BLOCK] for i in range(0, starts.shape[0], _GRAM_BLOCK))
+    smallest = np.concatenate([
+        np.linalg.eigvalsh(_window_grams(signal, block, moments))[:, 0] for block in blocks
+    ])
+    worst = int(np.argmin(smallest))
     grid = quadrature_step * np.arange(int(np.floor(scan_horizon / quadrature_step)) + 1)
     phi = signal.phi_grid(grid)
     m_hat = float(np.sqrt((phi**2).sum(axis=1).max()))
     return PEReport(
         window_T=float(T),
-        delta_hat=max(delta, 0.0),
+        delta_hat=max(float(smallest[worst]), 0.0),
         M_hat=m_hat,
         scan_horizon=float(scan_horizon),
         quadrature_step=float(quadrature_step),
+        windows=int(starts.shape[0]),
+        worst_window_start=float(starts[worst]),
     )

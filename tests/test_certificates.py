@@ -431,6 +431,19 @@ def test_matrosov_validation():
         matrosov_check(sig, CERTIFIED_GAINS, T=1.0, delta=-1.0, M=1.0)
 
 
+
+@pytest.mark.parametrize("step", [-1e-3, 0.0, 100.0, math.nan])
+def test_matrosov_rejects_a_bad_quadrature_step(step):
+    """A step outside (0, truncation] used to give a 2-node quadrature or divide by zero."""
+    with pytest.raises(ValueError, match="quadrature_step"):
+        matrosov_check(mix3(), CERTIFIED_GAINS, T=1.0, delta=1.0, M=1.0, quadrature_step=step)
+
+
+def test_matrosov_accepts_a_step_of_the_whole_truncation():
+    report = matrosov_check(make_constant([2.0], [1.0]), CERTIFIED_GAINS, T=1.0, delta=4.0,
+                            M=2.0, sample_count=8, t_points=2, quadrature_step=30.0)
+    assert report.checked_points == 10
+
 def test_decay_rate_exact_exponential():
     t = np.linspace(0.0, 20.0, 2001)
     traj = synthetic_trajectory(t, 3.0 * np.exp(-0.5 * t))

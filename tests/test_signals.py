@@ -196,3 +196,16 @@ def test_check_pe_validation():
         check_pe(sig, T=4.0, scan_horizon=2.0)
     with pytest.raises(ValueError):
         check_pe(sig, T=1.0, scan_horizon=2.0, scan_step=0.0)
+
+
+def test_check_pe_names_the_bad_argument():
+    """T and quadrature_step are checked before scan_step, which defaults to T / 8."""
+    sig = mix3()
+    with pytest.raises(ValueError, match="window length T must be positive"):
+        check_pe(sig, T=-1.0, scan_horizon=2.0)
+    with pytest.raises(ValueError, match="window length T must be positive"):
+        check_pe(sig, T=float("nan"), scan_horizon=2.0)
+    with pytest.raises(ValueError, match="quadrature_step"):
+        check_pe(sig, T=1.0, scan_horizon=2.0, scan_step=0.0, quadrature_step=2.0)
+    with pytest.raises(ValueError, match="quadrature_step"):
+        check_pe(sig, T=1.0, scan_horizon=2.0, quadrature_step=0.0)

@@ -1,0 +1,136 @@
+"""Window Grams from one moment matrix against the per-node trapezoid they replace."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hotuner import check_pe, make_sinusoid_mix, pe_gram, signals
+from hotuner.signals import _moments, _window_grams
+
+RELATIVE = 1e-10
+
+
+def oracle_nodes(length, quadrature_step, matrosov=False):
+    """Trapezoid offsets and weights on [0, length], built here independently."""
+    m = max(1, int(round(length / quadrature_step)))
+    step = length / m
+    offsets = step * np.arange(m + 1)
+    weights = np.full(m + 1, step)
+    weights[0] = weights[-1] = 0.5 * step
+    if matrosov:
+        weights = weights * np.exp(-offsets)
+    return offsets, weights
+
+
+def oracle_gram(signal, start, offsets, weights):
+    """sum_i w_i phi(start + tau_i) phi(start + tau_i)', one node evaluation at a time."""
+    phi = signal.phi_grid(start + offsets)
+    gram = (phi * weights[:, None]).T @ phi
+    return 0.5 * (gram + gram.T)
+
+
+def entry_scale(signal, weights):
+    """A priori bound on |Gram_ij|: sum |w| (|o_i| + |a_i|)(|o_j| + |a_j|)."""
+    bound = np.abs(signal.offsets) + np.abs(signal.amplitudes)
+    return np.abs(weights).sum() * np.outer(bound, bound)
+
+
+def floats(low, high):
+    return st.floats(low, high, allow_subnormal=False)
+
+
+@st.composite
+def mixes(draw):
+    n = draw(st.integers(1, 6))
+
+    def entries(values):
+        return st.lists(st.one_of(st.just(0.0), values), min_size=n, max_size=n)
+
+    offsets = draw(entries(floats(-3.0, 3.0)))
+    amplitudes = draw(entries(floats(0.0, 3.0)))
+    frequencies = draw(entries(floats(0.0, 5.0)))
+    phases = draw(st.lists(floats(-math.pi, math.pi), min_size=n, max_size=n))
+    return make_sinusoid_mix(n, offsets, amplitudes, frequencies, phases, np.zeros(n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    signal=mixes(),
+    length=floats(0.05, 40.0),
+    nodes=st.integers(1, 3000),
+    starts=st.lists(floats(0.0, 200.0), min_size=1, max_size=8),
+    matrosov=st.booleans(),
+)
+def test_window_grams_match_per_node_trapezoid(signal, length, nodes, starts, matrosov):
+    """Trapezoid weights (check_pe, pe_gram) or e^{-tau}-weighted ones (matrosov_check)."""
+    quadrature_step = length / nodes
+    offsets, weights = oracle_nodes(length, quadrature_step, matrosov)
+    grams = _window_grams(signal, np.array(starts), _moments(signal, offsets, weights))
+    assert grams.shape == (len(starts), signal.dimension, signal.dimension)
+    tolerance = RELATIVE * entry_scale(signal, weights)
+    for start, gram in zip(starts, grams):
+        assert np.array_equal(gram, gram.T)
+        assert (np.abs(gram - oracle_gram(signal, start, offsets, weights)) <= tolerance).all()
+    if not matrosov:
+        gram = pe_gram(signal, starts[0], length, quadrature_step)
+        assert (np.abs(gram - oracle_gram(signal, starts[0], offsets, weights)) <= tolerance).all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    signal=mixes(),
+    T=floats(0.05, 12.0),
+    nodes=st.integers(1, 2000),
+    scan_fraction=floats(0.05, 1.0),
+    extra_windows=st.integers(0, 40),
+)
+def test_check_pe_takes_the_smallest_oracle_eigenvalue(signal, T, nodes, scan_fraction,
+                                                        extra_windows):
+    quadrature_step = T / nodes
+    scan_step = scan_fraction * T
+    report = check_pe(signal, T, T + scan_step * (extra_windows + 0.5), scan_step,
+                      quadrature_step)
+    starts = scan_step * np.arange(extra_windows + 1)
+    offsets, weights = oracle_nodes(T, quadrature_step)
+    smallest = np.array([np.linalg.eigvalsh(oracle_gram(signal, s, offsets, weights))[0]
+                         for s in starts])
+    tolerance = RELATIVE * entry_scale(signal, weights).sum()
+    assert report.windows == starts.shape[0]
+    assert abs(report.delta_hat - max(smallest.min(), 0.0)) <= tolerance
+    (worst,) = np.flatnonzero(starts == report.worst_window_start)
+    assert smallest[worst] <= smallest.min() + tolerance
+
+
+def test_check_pe_reports_the_worst_window():
+    """sin^2 over a unit window is least where the window straddles a zero of sin."""
+    signal = make_sinusoid_mix(1, [0.0], [1.0], [1.0], [0.0], [1.0])
+    report = check_pe(signal, T=1.0, scan_horizon=5.0, scan_step=0.01)
+    starts = 0.01 * np.arange(401)
+    grams = [pe_gram(signal, float(s), 1.0)[0, 0] for s in starts]
+    assert report.windows == 401
+    assert report.worst_window_start == starts[int(np.argmin(grams))]
+    assert report.worst_window_start == pytest.approx(math.pi - 0.5, abs=0.005)
+    assert report.delta_hat == pytest.approx(min(grams), rel=1e-12)
+    summary = report.summary()
+    assert summary.startswith("PE satisfied")
+    assert "401 windows" in summary and "worst at t=2.64" in summary
+
+
+def test_blocks_do_not_change_the_scan(monkeypatch):
+    """Blocks of 3 starts and 3 nodes give the Grams and the report of one block of all."""
+    signal = make_sinusoid_mix(3, [1, 0, 2], [0, 3, 1], [0, 1, 0.7], [0, 0.3, 1], [1, 1, 1])
+    offsets, weights = oracle_nodes(2.0, 1e-2)
+    starts = 0.25 * np.arange(41)
+    whole = check_pe(signal, T=2.0, scan_horizon=12.0, scan_step=0.25, quadrature_step=1e-2)
+    grams = _window_grams(signal, starts, _moments(signal, offsets, weights))
+    monkeypatch.setattr(signals, "_GRAM_BLOCK", 3)
+    blocked = check_pe(signal, T=2.0, scan_horizon=12.0, scan_step=0.25, quadrature_step=1e-2)
+    assert whole.windows == 41
+    assert blocked.windows == 41 and blocked.worst_window_start == whole.worst_window_start
+    assert blocked.delta_hat == pytest.approx(whole.delta_hat, rel=1e-13)
+    regrouped = _window_grams(signal, starts, _moments(signal, offsets, weights))
+    tolerance = 1e-13 * entry_scale(signal, weights)
+    assert (np.abs(regrouped - grams) <= tolerance).all()
