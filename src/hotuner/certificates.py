@@ -13,7 +13,6 @@ envelope off a simulated trajectory.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,15 +216,17 @@ def _margin_at(
     n = signal.dimension
     p_mu = _data_matrix(kind, buffer, gains)
     q = energy_matrix(kind, gains, n, p_mu)
-    field = compile_field(kind, gains)
+    field = compile_field(kind, gains, n)
     data = _data_for(kind, buffer, gains)
     theta_star = signal.theta_star
 
     def margin(x, phi, y_star, nt):
         theta_tilde, p = x[:n], x[n:]
         theta = theta_star + theta_tilde
-        d_theta, d_vartheta = field(theta, theta + p, phi, y_star, nt, data)
-        f = np.concatenate((d_theta, d_vartheta - d_theta))
+        f = np.empty(2 * n)
+        d_theta, d_p = f[:n], f[n:]
+        field(theta, theta + p, phi, y_star, nt, data, d_theta, d_p)
+        np.subtract(d_p, d_theta, d_p)
         lhs = 2.0 * float((q @ x) @ f)
         return lhs, _decrease_bound(kind, theta_tilde, p, phi, gains, p_mu, m_bound)
 
@@ -284,6 +285,10 @@ def check_decrease_pointwise(
     """
     if kind not in POINTWISE_KINDS:
         raise ValueError(f"no pointwise decrease bound for '{kind.value}'")
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1 (got {sample_count})")
+    if t_points < 1:
+        raise ValueError(f"t_points must be at least 1 (got {t_points})")
     if kind in RATE_CONDITION_KINDS and not gains.rate_condition_ok:
         raise ValueError(
             f"decrease bound for '{kind.value}' is only certified when "
@@ -425,6 +430,8 @@ def matrosov_check(
         raise ValueError(f"truncation must be at least {MIN_MATROSOV_TRUNCATION}")
     if delta < 0.0 or M < 0.0 or T <= 0.0:
         raise ValueError("need T > 0 and nonnegative delta, M")
+    if t_points < 1:
+        raise ValueError(f"t_points must be at least 1 (got {t_points})")
     offsets, weights = _trapezoid(truncation, quadrature_step, "truncation")
     if cross_coeff is None:
         cross_coeff = gains.beta * M**2 * (1.0 + gains.mu * M**2)
@@ -472,20 +479,25 @@ def matrosov_check(
 
 
 def _upper_envelope(times: np.ndarray, values: np.ndarray, window: float) -> np.ndarray:
-    """Forward-looking running maximum of values over [t, t + window]."""
+    """Forward-looking running maximum of values over [t, t + window].
+
+    Row i covers rows i..right-1, right being the first row with time beyond
+    times[i] + window, found by the same comparisons as a forward scan. Each
+    maximum is read from a sparse table of np.maximum over spans of 2^k rows:
+    the two spans of the largest such length that fit cover the window. A
+    maximum is one of its operands, so the result is exact.
+    """
     count = times.shape[0]
+    lengths = np.searchsorted(times, times + window, side="right") - np.arange(count)
+    levels = np.frexp(lengths)[1] - 1  # floor(log2(length)), exact for integers
     envelope = np.empty(count)
-    indices: deque[int] = deque()
-    right = 0
-    for i in range(count):
-        while right < count and times[right] <= times[i] + window:
-            while indices and values[indices[-1]] <= values[right]:
-                indices.pop()
-            indices.append(right)
-            right += 1
-        while indices and indices[0] < i:
-            indices.popleft()
-        envelope[i] = values[indices[0]]
+    table = np.asarray(values, dtype=float)  # table[i] = max(values[i:i + span])
+    span = 1
+    for level in range(int(levels.max(initial=0)) + 1):
+        rows = np.flatnonzero(levels == level)
+        envelope[rows] = np.maximum(table[rows], table[rows + lengths[rows] - span])
+        table = np.maximum(table[:-span], table[span:])
+        span *= 2
     return envelope
 
 
@@ -503,6 +515,8 @@ def estimate_decay_rate(
     """
     if not 0.0 <= skip_fraction < 1.0:
         raise ValueError("skip_fraction must lie in [0, 1)")
+    if not envelope_window >= 0.0:
+        raise ValueError("envelope_window must be nonnegative")
     times = trajectory.t
     values = trajectory.err_norm
     start = int(skip_fraction * times.shape[0])

@@ -227,10 +227,15 @@ def data_term(aggregates: DataAggregates, theta: np.ndarray) -> np.ndarray:
     """sum_k phi_k (phi_k' theta - y*_k) weights[k] from data_aggregates output.
 
     ndarray.dot makes the same matrix-vector calls as `@`, bit for bit, with
-    less overhead per call.
+    less overhead per call. The residual is subtracted and weighted in place,
+    the same roundings as weights * (phi_mat' theta - y_vec) without two
+    temporaries.
     """
     phi_mat, y_vec, weights = aggregates
-    return phi_mat.dot(weights * (phi_mat.T.dot(theta) - y_vec))
+    residual = phi_mat.T.dot(theta)
+    np.subtract(residual, y_vec, residual)
+    np.multiply(residual, weights, residual)
+    return phi_mat.dot(residual)
 
 
 def richness(buffer: DataBuffer, mu: float) -> RichnessReport:

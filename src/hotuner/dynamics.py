@@ -185,20 +185,28 @@ def _data_for(
     return None
 
 
-# A compiled field: (theta, vartheta, phi, y_star, nt, data) -> (dtheta, dvartheta),
-# with dvartheta None for a baseline kind, whose vartheta stays constant.
+# A compiled field: (theta, vartheta, phi, y_star, nt, data, dtheta, dvartheta) -> None.
+# It writes the derivative into dtheta and dvartheta, which the caller owns;
+# a baseline kind, whose vartheta stays constant, leaves dvartheta untouched.
 Field = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, float, float, DataAggregates | None],
-    tuple[np.ndarray, np.ndarray | None],
+    [np.ndarray, np.ndarray, np.ndarray, float, float, DataAggregates | None,
+     np.ndarray, np.ndarray],
+    None,
 ]
 
 
-def compile_field(kind: SystemKind, gains: Gains) -> Field:
-    """The field of one kind with one gain set, resolved once for many calls.
+def compile_field(kind: SystemKind, gains: Gains, n: int) -> Field:
+    """The field of one kind with one gain set and dimension n, resolved once for many calls.
 
-    The closure takes the state, phi and y* at time t, N_t at phi, and the
-    buffer aggregates weighted for this kind (see _data_mu), or None for an
-    empty buffer. An absent term is skipped rather than added as zero, and a
+    The closure takes the state, phi and y* at time t, N_t at phi, the buffer
+    aggregates weighted for this kind (see _data_mu), or None for an empty
+    buffer, and the two output vectors, which must not overlap the inputs.
+    It works in place, through its own scratch for the loss gradient and the
+    gap theta - vartheta, and holds the constant gains as n-vectors. Each
+    operation is the IEEE operation of the allocating formula on the same
+    operands (multiplication commutes exactly, and an in-place ufunc rounds as
+    an allocating one), so the bits do not depend on where results are
+    written. An absent term is skipped rather than added as zero, and a
     soft-reset pull that is off (or has beta_r = 0) is not added either, which
     keeps the sign of every zero component. The 1-d ndarray.dot calls use the
     same dot kernel as a 1-d `@`.
@@ -209,40 +217,61 @@ def compile_field(kind: SystemKind, gains: Gains) -> Field:
     high_order = spec.high_order
     pulls = spec.reset and gains.beta_r > 0.0
     gamma = gains.gamma
-    neg_gain = -1.0 if spec.unit_gain else -gamma
+    neg_gain = np.full(n, -1.0 if spec.unit_gain else -gamma)
     neg_beta = -gains.beta
-    neg_pull = -(2.0 * gains.beta_r)
+    neg_beta_vec = np.full(n, neg_beta)
+    neg_pull = np.full(n, -(2.0 * gains.beta_r))
+    grad = np.empty(n)
+    gap = np.empty(n)
+    add, divide, multiply, subtract = np.add, np.divide, np.multiply, np.subtract
     missing_data = f"system '{kind.value}' requires a nonempty data buffer"
 
-    def field(theta, vartheta, phi, y_star, nt, data):
-        drive = None
+    def field(theta, vartheta, phi, y_star, nt, data, dtheta, dvartheta):
+        # The drive is built in the output it ends in; grad keeps the loss
+        # gradient undivided for the reset indicator.
+        drive = dvartheta if high_order else dtheta
+        source = None
         if grad_power is not None:
-            grad = phi * (phi.dot(theta) - y_star)
-            drive = grad / nt if grad_power < 0 else grad
+            multiply(phi, phi.dot(theta) - y_star, grad)
+            source = grad
+            if grad_power < 0:
+                divide(grad, nt, drive)
+                source = drive
         if data_power is not None:
             if data is None:
                 raise ValueError(missing_data)
             correction = data_term(data, theta)
             if data_power > 0:
-                correction = nt * correction
-            drive = correction if drive is None else drive + correction
-        drive = (-(gamma / nt) if gain_nt else neg_gain) * drive
+                multiply(correction, nt, correction)
+            if source is None:
+                source = correction
+            else:
+                add(source, correction, drive)
+                source = drive
+        if gain_nt:
+            multiply(source, -(gamma / nt), drive)
+        else:
+            multiply(source, neg_gain, drive)
         if not high_order:
-            return drive, None
-        gap = theta - vartheta
-        dtheta = (neg_beta * nt if theta_nt else neg_beta) * gap
+            return
+        subtract(theta, vartheta, gap)
+        if theta_nt:
+            multiply(gap, neg_beta * nt, dtheta)
+        else:
+            multiply(gap, neg_beta_vec, dtheta)
         if pulls:
             # The pull switches on when vartheta - theta leads uphill along the
             # loss gradient; at the switching surface (indicator 0) it is off.
-            indicator = (vartheta - theta).dot(grad)
+            # gap'grad is exactly -(vartheta - theta)'grad: rounding to nearest
+            # is symmetric in sign, so the test below is the same comparison.
+            indicator = gap.dot(grad)
             if not theta_nt:
                 indicator /= nt
-            if indicator > 0.0:
-                pull = neg_pull * gap
+            if indicator < 0.0:
+                multiply(gap, neg_pull, gap)
                 if theta_nt:
-                    pull = pull * nt
-                dtheta = dtheta + pull
-        return dtheta, drive
+                    multiply(gap, nt, gap)
+                add(dtheta, gap, dtheta)
 
     return field
 
@@ -261,8 +290,10 @@ def rhs(
     the unnormalized kind, while (vartheta - theta)' grad L > 0, else 0.
     """
     phi, y_star = signal.eval(t)
-    dtheta, dvartheta = compile_field(kind, gains)(
+    n = state.theta.shape[0]
+    dtheta, dvartheta = np.empty(n), np.zeros(n)
+    compile_field(kind, gains, n)(
         state.theta, state.vartheta, phi, y_star, normalization(phi, gains.mu),
-        _data_for(kind, buffer, gains),
+        _data_for(kind, buffer, gains), dtheta, dvartheta,
     )
-    return dtheta, np.zeros_like(state.theta) if dvartheta is None else dvartheta
+    return dtheta, dvartheta

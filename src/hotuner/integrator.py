@@ -23,6 +23,7 @@ import numpy as np
 from .databuffer import DataAggregates, DataBuffer, data_aggregates, record_steps
 from .dynamics import (
     BUFFER_KINDS,
+    KINDS,
     Gains,
     SystemKind,
     TunerState,
@@ -190,7 +191,9 @@ class _Euler:
         """keeps are the steps that add the last len(keeps) samples of buffer;
         the samples before them are held from the start."""
         self.kind = kind
-        self.field = compile_field(kind, gains)
+        self.n = grid.phi.shape[1]
+        self.field = compile_field(kind, gains, self.n)
+        self.high_order = KINDS[kind].high_order
         self.grid = grid
         self.every = sim.record_every
         self.keeps = keeps
@@ -200,7 +203,7 @@ class _Euler:
         self.data_mu = _data_mu(kind, gains)
         self.nt = grid.nt_list(gains.mu)
         n_rows = grid.num_steps // self.every + 1
-        self.theta = np.empty((n_rows, grid.phi.shape[1]))
+        self.theta = np.empty((n_rows, self.n))
         self.vartheta = np.empty_like(self.theta)
         self.row = 0
 
@@ -209,18 +212,26 @@ class _Euler:
             return None
         return data_aggregates(self.buffer, self.data_mu, count)
 
-    def advance(self, row: int, checked: bool) -> tuple[np.ndarray, np.ndarray]:
+    def advance(self, row: int, checked: bool) -> np.ndarray:
         """Run from the state stored at row to the end; return the final state.
 
+        theta and vartheta are the two halves of one state x, and their
+        derivatives the two halves of one dx, which the field writes in place;
+        a step is dx *= h, x += dx, the operations of x + h dx. A baseline
+        kind steps the theta halves only, so its vartheta stays untouched.
         With checked set, the state is tested after every step and the first
         non-finite one raises NumericalDivergence.
         """
-        field, grid, every, keeps = self.field, self.grid, self.every, self.keeps
+        field, grid, every, keeps, n = self.field, self.grid, self.every, self.keeps, self.n
         h = grid.step_h
         num_steps = grid.num_steps
         phis, y_star, nt = grid.phi, grid.y_star_list, self.nt
-        theta = self.theta[row].copy()
-        vartheta = self.vartheta[row].copy()
+        x = np.concatenate((self.theta[row], self.vartheta[row]))
+        dx = np.empty_like(x)
+        theta, vartheta, dtheta, dvartheta = x[:n], x[n:], dx[:n], dx[n:]
+        state, step = (x, dx) if self.high_order else (theta, dtheta)
+        h_vec = np.full(state.shape, h)
+        add, multiply, isfinite = np.add, np.multiply, np.isfinite
         k0 = row * every
         kept = int(np.searchsorted(keeps, k0))
         data = self.data(self.first_count + kept)
@@ -234,17 +245,16 @@ class _Euler:
                     kept += 1
                     data = self.data(self.first_count + kept)
                     next_keep = keeps[kept] if kept < len(keeps) else -1
-                dtheta, dvartheta = field(theta, vartheta, phis[k], y_star[k], nt[k], data)
-                theta = theta + h * dtheta
-                if dvartheta is not None:
-                    vartheta = vartheta + h * dvartheta
-                if checked and not (np.isfinite(theta).all() and np.isfinite(vartheta).all()):
+                field(theta, vartheta, phis[k], y_star[k], nt[k], data, dtheta, dvartheta)
+                multiply(step, h_vec, step)
+                add(state, step, state)
+                if checked and not isfinite(x).all():
                     raise NumericalDivergence(
                         f"non-finite state for '{self.kind.value}' at "
                         f"t={grid.t.item(k) + h:.6g} (after step {k + 1})"
                     )
             k0 += every
-        return theta, vartheta
+        return x
 
     def run(self, init: TunerState) -> None:
         """Fill every row; a diverging run raises as a step-by-step check would.
@@ -266,7 +276,7 @@ class _Euler:
         stored = slice(0, self.row + 1)
         finite = np.isfinite(self.theta[stored]).all(axis=1)
         finite &= np.isfinite(self.vartheta[stored]).all(axis=1)
-        if finite.all() and final is not None and all(np.isfinite(x).all() for x in final):
+        if finite.all() and final is not None and np.isfinite(final).all():
             return
         resume = self.row if finite.all() else max(int(np.argmin(finite)) - 1, 0)
         self.advance(resume, checked=True)

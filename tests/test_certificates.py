@@ -1,6 +1,7 @@
 """Energy functions, decrease bounds, the auxiliary check, and the rate fit."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hotuner import (
     simulate,
     simulate_with_buffer,
 )
+from hotuner.certificates import _upper_envelope
 from hotuner.databuffer import data_aggregates
 
 PI = np.pi
@@ -260,6 +262,15 @@ def test_decrease_pointwise_guards():
         check_decrease_pointwise(SystemKind.HT_CL, sig, None, CERTIFIED_GAINS)
 
 
+@pytest.mark.parametrize("argument,value", [("t_points", 0), ("t_points", -3),
+                                            ("sample_count", 0)])
+def test_decrease_pointwise_rejects_empty_samples(argument, value):
+    """Zero times used to fail inside max(), and zero states gave a check that could not fail."""
+    with pytest.raises(ValueError, match=argument):
+        check_decrease_pointwise(SystemKind.HT, mix3(), None, CERTIFIED_GAINS,
+                                 **{argument: value})
+
+
 def test_lyapunov_along_plain_kind_is_v0():
     sig = mix3()
     sim = SimConfig(t_end=3.0, step_h=1e-3, record_every=10)
@@ -439,6 +450,13 @@ def test_matrosov_rejects_a_bad_quadrature_step(step):
         matrosov_check(mix3(), CERTIFIED_GAINS, T=1.0, delta=1.0, M=1.0, quadrature_step=step)
 
 
+@pytest.mark.parametrize("t_points", [0, -3])
+def test_matrosov_rejects_an_empty_time_grid(t_points):
+    """t_points = 0 used to raise ZeroDivisionError from the sample loop."""
+    with pytest.raises(ValueError, match="t_points"):
+        matrosov_check(mix3(), CERTIFIED_GAINS, T=1.0, delta=1.0, M=1.0, t_points=t_points)
+
+
 def test_matrosov_accepts_a_step_of_the_whole_truncation():
     report = matrosov_check(make_constant([2.0], [1.0]), CERTIFIED_GAINS, T=1.0, delta=4.0,
                             M=2.0, sample_count=8, t_points=2, quadrature_step=30.0)
@@ -469,6 +487,56 @@ def test_decay_rate_guards():
     long = synthetic_trajectory(np.linspace(0, 10, 100), np.exp(-np.linspace(0, 10, 100)))
     with pytest.raises(ValueError, match="skip_fraction"):
         estimate_decay_rate(long, skip_fraction=1.0)
+    for window in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="envelope_window"):
+            estimate_decay_rate(long, envelope_window=window)
+
+
+def scan_envelope(times, values, window):
+    """Running maximum over [t, t + window] by a forward scan with a monotone deque."""
+    count = times.shape[0]
+    envelope = np.empty(count)
+    indices = deque()
+    right = 0
+    for i in range(count):
+        while right < count and times[right] <= times[i] + window:
+            while indices and values[indices[-1]] <= values[right]:
+                indices.pop()
+            indices.append(right)
+            right += 1
+        while indices and indices[0] < i:
+            indices.popleft()
+        envelope[i] = values[indices[0]]
+    return envelope
+
+
+@st.composite
+def envelope_cases(draw):
+    """Random or uniform time grids, nonzero values, windows from 0 to past the grid."""
+    count = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        step = draw(st.floats(1e-3, 2.0))
+        times = draw(st.floats(-10.0, 10.0)) + np.arange(count) * step
+    else:
+        gaps = draw(st.lists(st.floats(1e-6, 3.0), min_size=count, max_size=count))
+        times = np.cumsum(gaps)
+        step = min(gaps)
+    values = np.array(draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False),
+                                    min_size=count, max_size=count)))
+    values[values == 0.0] = 1.0  # the two zeros are equal but not the same bits
+    if draw(st.booleans()):
+        values = np.round(values)  # ties
+    window = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99 * step),
+                            st.floats(0.0, 2.0 * (times[-1] - times[0]) + 1.0)))
+    return times, values, window
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(envelope_cases())
+def test_upper_envelope_matches_the_scan_bitwise(case):
+    times, values, window = case
+    assert _upper_envelope(times, values, window).tobytes() == \
+        scan_envelope(times, values, window).tobytes()
 
 
 def test_certificate_report_csv():

@@ -26,6 +26,7 @@ from hotuner import (
     rhs,
 )
 from hotuner.databuffer import data_aggregates
+from hotuner.dynamics import _data_for
 
 PI = np.pi
 
@@ -276,13 +277,18 @@ def test_compiled_field_vanishes_at_equilibrium(case):
     phi, y_star = signal.eval(t)
     nt = normalization(phi, gains.mu)
     star = signal.theta_star
+    n = star.shape[0]
     for kind in SystemKind:
         spec = KINDS[kind]
         data = None
         if kind in BUFFER_KINDS:
             data = data_aggregates(buffer, gains.mu if spec.data_mu else 0.0)
-        d_theta, d_vartheta = compile_field(kind, gains)(star, star.copy(), phi, y_star,
-                                                         nt, data)
+        d_theta, d_vartheta = np.full(n, np.nan), np.full(n, np.nan)
+        compile_field(kind, gains, n)(star, star.copy(), phi, y_star, nt, data,
+                                      d_theta, d_vartheta)
+        # A baseline kind has no dvartheta: it leaves that output unwritten.
+        if np.isnan(d_vartheta).all():
+            d_vartheta = None
         assert (d_vartheta is None) == (kind in BASELINE_KINDS)
         derivative = np.concatenate((d_theta, [] if d_vartheta is None else d_vartheta))
         if data is None:
@@ -292,3 +298,85 @@ def test_compiled_field_vanishes_at_equilibrium(case):
             terms = (weights * (phi_mat**2).sum(axis=0)).sum() * np.abs(star).sum()
             scale = max(1.0, gains.gamma) * nt * terms
             assert np.abs(derivative).max() <= 1e-12 * scale, kind
+
+
+@st.composite
+def field_cases(draw):
+    """A sinusoid-mix signal, gains, a time, a state and an optional buffer of 1-6 samples."""
+    n = draw(st.integers(1, 5))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    signal = make_sinusoid_mix(n, vec(-2, 2), vec(0, 3), vec(0, 5), vec(0, 2 * PI),
+                               vec(-3, 3))
+    gains = Gains(beta=draw(st.floats(0.1, 5.0)), gamma=draw(st.floats(0.01, 2.0)),
+                  mu=draw(st.floats(0.0, 2.0)),
+                  beta_r=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))))
+    buffer = None
+    if draw(st.booleans()):
+        times = np.cumsum(draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6)))
+        phis, _ = signal.eval_grid(times)
+        y_stars = np.array(draw(st.lists(st.floats(-5, 5), min_size=len(times),
+                                         max_size=len(times))))
+        buffer = DataBuffer.from_samples(phis, y_stars, times=times)
+    state = TunerState(vec(-5, 5), vec(-5, 5))
+    return signal, gains, buffer, state, draw(st.floats(0.0, 20.0))
+
+
+def bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(field_cases())
+def test_compiled_field_writes_rhs_bits_in_place(case):
+    """The closure writes what rhs returns, bit for bit, and only into its outputs.
+
+    It leaves theta, vartheta, phi and the data aggregates as they were, and
+    a baseline kind leaves dvartheta unwritten. A second call into other
+    outputs leaves the first outputs alone and writes what a freshly compiled
+    field writes, so no scratch carries over between calls. rhs returns fresh
+    arrays on every call.
+    """
+    signal, gains, buffer, state, t = case
+    n = state.theta.shape[0]
+    phi, y_star = signal.eval(t)
+    nt = normalization(phi, gains.mu)
+    theta, vartheta = state.theta, state.vartheta
+    swapped = (vartheta, theta, phi, y_star, nt)
+    for kind in SystemKind:
+        field = compile_field(kind, gains, n)
+        data = _data_for(kind, buffer, gains)
+        out = np.full(n, np.nan), np.full(n, np.nan)
+        if kind in BUFFER_KINDS and data is None:
+            with pytest.raises(ValueError, match="nonempty data buffer"):
+                rhs(kind, state, t, signal, buffer, gains)
+            with pytest.raises(ValueError, match="nonempty data buffer"):
+                field(theta, vartheta, phi, y_star, nt, data, *out)
+            continue
+        inputs = (theta, vartheta, phi) + (() if data is None else data)
+        before = bits(*inputs)
+        field(theta, vartheta, phi, y_star, nt, data, *out)
+        assert bits(*inputs) == before, kind
+        want = rhs(kind, state, t, signal, buffer, gains)
+        assert bits(out[0]) == bits(want[0]), kind
+        if kind in BASELINE_KINDS:
+            assert np.isnan(out[1]).all() and not want[1].any(), kind
+        else:
+            assert bits(out[1]) == bits(want[1]), kind
+
+        first = bits(*out)
+        other = np.full(n, np.nan), np.full(n, np.nan)
+        field(*swapped, data, *other)
+        assert bits(*out) == first, kind
+        fresh = np.full(n, np.nan), np.full(n, np.nan)
+        compile_field(kind, gains, n)(*swapped, data, *fresh)
+        assert bits(*other) == bits(*fresh), kind
+
+        again = rhs(kind, state, t, signal, buffer, gains)
+        assert bits(*again) == bits(*want), kind
+        arrays = [*want, *again, theta, vartheta, phi]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b), kind

@@ -16,6 +16,7 @@ from hotuner import (
     simulate,
     simulate_with_buffer,
 )
+from test_kernel import reference_run
 
 PI = np.pi
 
@@ -164,6 +165,40 @@ def test_divergence_report_names_the_first_non_finite_step(every):
     with pytest.raises(NumericalDivergence) as caught:
         simulate(SystemKind.HT, sig, gains, sim, TunerState.from_theta0([1.0]))
     assert str(caught.value) == "non-finite state for 'ht' at t=0.062 (after step 62)"
+
+
+DIVERGING = {
+    # ht on the pinned case above: both halves of the state step together.
+    SystemKind.HT: (1.0, Gains(beta=1e8, gamma=1e8, mu=0.0)),
+    # basic steps the theta half only: theta <- theta (1 - h phi^2) blows up.
+    SystemKind.BASIC: (1e3, Gains(beta=1.0, gamma=1.0, mu=0.0)),
+    # ht_cl reads the data term of the sample recorded at step 0.
+    SystemKind.HT_CL: (1.0, Gains(beta=1e8, gamma=1e8, mu=0.0)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("every", [1, 100])
+@pytest.mark.parametrize("kind", list(DIVERGING), ids=lambda k: k.value)
+def test_divergence_report_matches_the_reference_stepper(kind, every):
+    """The report names the step at which the per-step reference first leaves the finite."""
+    phi, gains = DIVERGING[kind]
+    sig = make_constant([phi], [0.0])
+    init = TunerState.from_theta0([1.0])
+    epsilon, n_bar = 1.0, 4
+    reference = SimConfig(t_end=1.0)
+    (t, theta, vartheta, *_), _ = reference_run(
+        kind, sig, gains, reference, init, DataBuffer.empty(n_bar, epsilon), online=True
+    )
+    finite = np.isfinite(theta).all(axis=1) & np.isfinite(vartheta).all(axis=1)
+    assert not finite.all()
+    step = int(np.argmin(finite))
+    expected = (f"non-finite state for '{kind.value}' at "
+                f"t={t[step - 1] + reference.step_h:.6g} (after step {step})")
+    sim = SimConfig(t_end=1.0, record_every=every)
+    with pytest.raises(NumericalDivergence) as caught:
+        simulate(kind, sig, gains, sim, init, epsilon=epsilon, N_bar=n_bar)
+    assert str(caught.value) == expected
 
 
 def test_horizon_must_be_whole_number_of_steps():
