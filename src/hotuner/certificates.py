@@ -13,6 +13,7 @@ envelope off a simulated trajectory.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .signals import (
     _moments,
     _trapezoid,
     _window_grams,
+    row_dots,
 )
 
 __all__ = [
@@ -61,6 +63,11 @@ SLACK_COEFF = 10.0
 # Discarding the integral tail beyond this horizon changes the auxiliary
 # function by at most exp(-30) M^2 |theta_tilde|^2, far below tolerance.
 MIN_MATROSOV_TRUNCATION = 30.0
+# Sampled points per block of the certificate sweeps; bounds the (B, N)
+# scratch of the data term.
+_SWEEP_BLOCK = 256
+# Below this magnitude a float's square is finite.
+_SQUARE_LIMIT = math.sqrt(sys.float_info.max)
 
 
 @dataclass
@@ -170,6 +177,17 @@ def error_field(
     return d_theta, d_vartheta - d_theta
 
 
+def _squares(values: np.ndarray) -> np.ndarray:
+    """values ** 2 as Python floats square them.
+
+    A Python float ** 2 goes through libm pow, which differs from the correctly
+    rounded values * values in about one case in a thousand; the bounds square
+    with it, so that every row rounds as the per-point form of the bound.
+    Where the square overflows, ** raises and value * value gives inf.
+    """
+    return np.array([v**2 if abs(v) < _SQUARE_LIMIT else v * v for v in values.tolist()])
+
+
 def _decrease_bound(
     kind: SystemKind,
     theta_tilde: np.ndarray,
@@ -178,16 +196,21 @@ def _decrease_bound(
     gains: Gains,
     p_mu: np.ndarray | None,
     m_bound: float | None,
-) -> float:
-    """Certified upper bound on <grad V, f> at this error state and regressor."""
-    p_sq = float(p @ p)
-    e_y = float(phi @ theta_tilde)
-    if kind is SystemKind.HT:
-        return -(2.0 * gains.beta / gains.gamma) * p_sq - e_y**2
-    if kind is SystemKind.HT_NORMALIZED:
-        nt = 1.0 + gains.mu * float(phi @ phi)
-        return (-(2.0 * gains.beta / gains.gamma) * p_sq - e_y**2) / nt
-    quad = float(theta_tilde @ (p_mu @ theta_tilde))
+) -> np.ndarray:
+    """Certified upper bound on <grad V, f> at error states and regressors, row by row.
+
+    Row b of theta_tilde, p and phi (B, n) gives bound b; each dot product is
+    a stacked 1-d dot (signals.row_dots).
+    """
+    p_sq = row_dots(p, p)
+    if kind is SystemKind.HT or kind is SystemKind.HT_NORMALIZED:
+        bound = -(2.0 * gains.beta / gains.gamma) * p_sq - _squares(row_dots(phi, theta_tilde))
+        if kind is SystemKind.HT_NORMALIZED:
+            bound /= 1.0 + gains.mu * row_dots(phi, phi)
+        return bound
+    if kind not in POINTWISE_KINDS:
+        raise ValueError(f"no pointwise decrease bound for '{kind.value}'")
+    quad = row_dots(theta_tilde, np.matmul(p_mu, theta_tilde[:, :, None])[:, :, 0])
     if kind is SystemKind.HT_CL:
         return -2.0 * quad - (2.0 * gains.beta / gains.gamma) * p_sq
     if kind is SystemKind.HT_NORMALIZED_CL:
@@ -195,42 +218,46 @@ def _decrease_bound(
             raise ValueError("the normalized CL bound needs an upper bound on |phi|")
         cap = 1.0 + gains.mu * m_bound**2
         return -2.0 * quad - (2.0 * gains.beta / (gains.gamma * cap)) * p_sq
-    if kind is SystemKind.HT_B:
-        return -gains.gamma * quad - gains.beta * p_sq
-    raise ValueError(f"no pointwise decrease bound for '{kind.value}'")
+    return -gains.gamma * quad - gains.beta * p_sq  # HT_B
 
 
-def _margin_at(
+def _decrease_sides(
     kind: SystemKind,
+    x: np.ndarray,
+    phi: np.ndarray,
+    y_star: np.ndarray,
+    nt: np.ndarray,
     signal: RegressorSignal,
     gains: Gains,
     buffer: DataBuffer | None,
-    m_bound: float,
-):
-    """The decrease inequality of one kind, resolved once for many points.
+    m_bound: float | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of <grad V, f> <= bound at error states x = (theta_tilde, p), row by row.
 
-    Returns margin(x, phi, y_star, nt) -> (lhs, rhs) of <grad V, f> <= bound
-    at the error state x = (theta_tilde, p) and the signal values phi(t),
-    y*(t), N_t. f is error_field evaluated with the compiled field.
+    Row b of x (B, 2n) is taken with phi[b], y*[b] and N_t[b]. f is
+    error_field evaluated by the kind's batched field, and q @ x and every dot
+    product are stacked, so each row rounds as the same computation at one
+    point. Rows go through in blocks of _SWEEP_BLOCK.
     """
     n = signal.dimension
     p_mu = _data_matrix(kind, buffer, gains)
     q = energy_matrix(kind, gains, n, p_mu)
-    field = compile_field(kind, gains, n)
+    field = compile_field(kind, gains, n, batched=True)
     data = _data_for(kind, buffer, gains)
-    theta_star = signal.theta_star
-
-    def margin(x, phi, y_star, nt):
-        theta_tilde, p = x[:n], x[n:]
-        theta = theta_star + theta_tilde
-        f = np.empty(2 * n)
-        d_theta, d_p = f[:n], f[n:]
-        field(theta, theta + p, phi, y_star, nt, data, d_theta, d_p)
+    lhs, rhs = np.empty(x.shape[0]), np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _SWEEP_BLOCK):
+        rows = slice(start, start + _SWEEP_BLOCK)
+        block = x[rows]
+        theta_tilde, p = block[:, :n], block[:, n:]
+        theta = signal.theta_star + theta_tilde
+        f = np.empty_like(block)
+        d_theta, d_p = f[:, :n], f[:, n:]
+        field(theta, theta + p, phi[rows], y_star[rows, None], nt[rows, None], data,
+              d_theta, d_p)
         np.subtract(d_p, d_theta, d_p)
-        lhs = 2.0 * float((q @ x) @ f)
-        return lhs, _decrease_bound(kind, theta_tilde, p, phi, gains, p_mu, m_bound)
-
-    return margin
+        lhs[rows] = 2.0 * row_dots(np.matmul(q, block[:, :, None])[:, :, 0], f)
+        rhs[rows] = _decrease_bound(kind, theta_tilde, p, phi[rows], gains, p_mu, m_bound)
+    return lhs, rhs
 
 
 def decrease_margin(
@@ -249,19 +276,62 @@ def decrease_margin(
     """
     if m_bound is None:
         m_bound = signal.norm_bound()
-    margin = _margin_at(kind, signal, gains, buffer, m_bound)
     phi, y_star = signal.eval(t)
     x = np.concatenate((err.theta_tilde, err.p))
-    return margin(x, phi, y_star, normalization(phi, gains.mu))
+    lhs, rhs = _decrease_sides(
+        kind, x[None], phi[None], np.array([y_star]),
+        np.array([normalization(phi, gains.mu)]), signal, gains, buffer, m_bound,
+    )
+    return float(lhs[0]), float(rhs[0])
 
 
-def _sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    direction = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
-        return np.zeros(dim)
-    scale = radius * rng.uniform() ** (1.0 / dim)
-    return direction * (scale / norm)
+def _check_sweep(radius: float, t_span: float, tolerance: float) -> None:
+    """Refuse sweep settings under which a check could not fail."""
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be finite and positive (got {radius!r})")
+    if not (math.isfinite(t_span) and t_span >= 0.0):
+        raise ValueError(f"t_span must be finite and nonnegative (got {t_span!r})")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative (got {tolerance!r})")
+
+
+def _sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
+    """count points drawn uniformly from the radius ball in dim dimensions, (count, dim).
+
+    The draws are made point by point: a standard normal direction, written
+    straight into its row, then one uniform u unless the direction's squared
+    norm is zero, with u ** (1 / dim) taken as a Python float (np.power may
+    round it differently). u comes from rng.random(), which is rng.uniform()
+    bit for bit (0 + 1 * u) at a quarter of the cost. The point is
+    direction * (radius u^(1/dim) / |direction|), and a zero direction gives
+    the origin. Only the arithmetic after the draws runs on arrays.
+    """
+    points = np.empty((count, dim))
+    roots = []
+    exponent = 1.0 / dim
+    normal, uniform = rng.standard_normal, rng.random
+    for direction in points:
+        normal(out=direction)
+        roots.append(uniform() ** exponent if direction.dot(direction) != 0.0 else 0.0)
+    norms = np.sqrt(row_dots(points, points))
+    moved = norms != 0.0
+    points *= np.divide(radius * np.array(roots), norms, out=np.zeros(count), where=moved)[:, None]
+    points[~moved] = 0.0
+    return points
+
+
+def _sweep_report(margins: np.ndarray, tolerance: float) -> CertificateReport:
+    """Count margins beyond tolerance; a non-finite margin counts as a violation.
+
+    A NaN margin makes worst_margin NaN, so the report cannot look clean.
+    """
+    violations = np.count_nonzero((margins > tolerance) | ~np.isfinite(margins))
+    return CertificateReport(
+        checked_points=int(margins.shape[0]),
+        violations=int(violations),
+        worst_margin=float(margins.max()),
+        tolerance=tolerance,
+    )
 
 
 def check_decrease_pointwise(
@@ -281,7 +351,10 @@ def check_decrease_pointwise(
     States are drawn uniformly from the radius ball in error space, times
     cycle over a grid on [0, t_span]. The bound for the normalized
     concurrent-learning kind uses the largest |phi| seen on that grid, so the
-    certified inequality applies at every sampled point exactly.
+    certified inequality applies at every sampled point exactly. The states
+    are drawn one by one (see _sample_ball); then both sides are evaluated at
+    all of them as arrays, with each row rounding as at a single point. A
+    non-finite margin counts as a violation.
     """
     if kind not in POINTWISE_KINDS:
         raise ValueError(f"no pointwise decrease bound for '{kind.value}'")
@@ -289,36 +362,23 @@ def check_decrease_pointwise(
         raise ValueError(f"sample_count must be at least 1 (got {sample_count})")
     if t_points < 1:
         raise ValueError(f"t_points must be at least 1 (got {t_points})")
+    _check_sweep(radius, t_span, tolerance)
     if kind in RATE_CONDITION_KINDS and not gains.rate_condition_ok:
         raise ValueError(
             f"decrease bound for '{kind.value}' is only certified when "
             f"beta >= 2 gamma / mu with mu > 0 "
             f"(got beta={gains.beta}, gamma={gains.gamma}, mu={gains.mu})"
         )
-    t_grid = np.linspace(0.0, t_span, t_points)
-    inputs = []
-    for t in t_grid:
-        phi, y_star = signal.eval(float(t))
-        inputs.append((phi, y_star, normalization(phi, gains.mu)))
-    m_bound = max(float(np.linalg.norm(phi)) for phi, _, _ in inputs)
-    margin_at = _margin_at(kind, signal, gains, buffer, m_bound)
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = -math.inf
-    for i in range(sample_count):
-        x = _sample_ball(rng, 2 * signal.dimension, radius)
-        lhs, rhs = margin_at(x, *inputs[i % t_points])
-        margin = lhs - rhs
-        if margin > tolerance:
-            violations += 1
-        if margin > worst:
-            worst = margin
-    return CertificateReport(
-        checked_points=sample_count,
-        violations=violations,
-        worst_margin=worst,
-        tolerance=tolerance,
+    phis, y_stars = signal.eval_grid(np.linspace(0.0, t_span, t_points))
+    phi_sq = row_dots(phis, phis)
+    m_bound = float(np.sqrt(phi_sq).max())
+    x = _sample_ball(np.random.default_rng(seed), sample_count, 2 * signal.dimension, radius)
+    at = np.arange(sample_count) % t_points  # point i is taken at grid time i mod t_points
+    lhs, rhs = _decrease_sides(
+        kind, x, phis[at], y_stars[at], 1.0 + gains.mu * phi_sq[at],
+        signal, gains, buffer, m_bound,
     )
+    return _sweep_report(lhs - rhs, tolerance)
 
 
 def lyapunov_along(
@@ -424,7 +484,10 @@ def matrosov_check(
         + cross_coeff |theta_tilde| |p| is nonpositive.
 
     cross_coeff defaults to beta M^2 (1 + mu M^2); pass beta M^2 to check the
-    normalized variant's printed form instead.
+    normalized variant's printed form instead. The states of (a) are drawn one
+    by one (see _sample_ball); both parts are then evaluated as arrays, each
+    row rounding as at a single point. A non-finite margin counts as a
+    violation.
     """
     if truncation < MIN_MATROSOV_TRUNCATION:
         raise ValueError(f"truncation must be at least {MIN_MATROSOV_TRUNCATION}")
@@ -432,6 +495,7 @@ def matrosov_check(
         raise ValueError("need T > 0 and nonnegative delta, M")
     if t_points < 1:
         raise ValueError(f"t_points must be at least 1 (got {t_points})")
+    _check_sweep(radius, t_span, tolerance)
     offsets, weights = _trapezoid(truncation, quadrature_step, "truncation")
     if cross_coeff is None:
         cross_coeff = gains.beta * M**2 * (1.0 + gains.mu * M**2)
@@ -441,41 +505,25 @@ def matrosov_check(
     moments = _moments(signal, offsets, weights * np.exp(-offsets))
     kernels = _window_grams(signal, t_grid, moments)
     rng = np.random.default_rng(seed)
-    violations = 0
-    worst = -math.inf
-    checked = 0
-    for i in range(sample_count):
-        idx = i % t_points
-        x = _sample_ball(rng, 2 * n, radius)
-        theta_tilde = x[:n]
-        v1 = -float(theta_tilde @ (kernels[idx] @ theta_tilde))
-        margin = v1 - (-decay * float(theta_tilde @ theta_tilde))
-        checked += 1
-        if margin > tolerance:
-            violations += 1
-        worst = max(worst, margin)
-    for idx, t in enumerate(t_grid):
-        phi = signal.phi(float(t))
-        raw = rng.standard_normal(n)
-        phi_sq = float(phi @ phi)
-        if phi_sq > 0.0:
-            raw = raw - (float(phi @ raw) / phi_sq) * phi
-        norm = float(np.linalg.norm(raw))
-        # a residual at rounding level means phi spans the whole space here,
-        # so the only orthogonal choice is the origin
-        theta_tilde = raw * (radius / norm) if norm > 1e-9 else np.zeros(n)
-        e_y = float(phi @ theta_tilde)
-        majorant = -decay * float(theta_tilde @ theta_tilde) + e_y**2
-        checked += 1
-        if majorant > tolerance:
-            violations += 1
-        worst = max(worst, majorant)
-    return CertificateReport(
-        checked_points=checked,
-        violations=violations,
-        worst_margin=worst,
-        tolerance=tolerance,
-    )
+    theta_tilde = _sample_ball(rng, sample_count, 2 * n, radius)[:, :n]
+    kernel_rows = kernels[np.arange(sample_count) % t_points]
+    v1 = -row_dots(theta_tilde, np.matmul(kernel_rows, theta_tilde[:, :, None])[:, :, 0])
+    sampled = v1 - (-decay * row_dots(theta_tilde, theta_tilde))
+    # One (t_points, n) normal draw is the same stream as t_points draws of n.
+    phis = signal.phi_grid(t_grid)
+    raw = rng.standard_normal((t_points, n))
+    phi_sq = row_dots(phis, phis)
+    excited = phi_sq > 0.0
+    # Where phi_sq is 0, along is 0 and raw stays as drawn.
+    along = np.divide(row_dots(phis, raw), phi_sq, out=np.zeros(t_points), where=excited)
+    raw = raw - along[:, None] * phis
+    norms = np.sqrt(row_dots(raw, raw))
+    # a residual at rounding level means phi spans the whole space here,
+    # so the only orthogonal choice is the origin (a scale of 0)
+    spans = norms > 1e-9
+    theta_tilde = raw * np.divide(radius, norms, out=np.zeros(t_points), where=spans)[:, None]
+    majorant = -decay * row_dots(theta_tilde, theta_tilde) + _squares(row_dots(phis, theta_tilde))
+    return _sweep_report(np.concatenate((sampled, majorant)), tolerance)
 
 
 def _upper_envelope(times: np.ndarray, values: np.ndarray, window: float) -> np.ndarray:

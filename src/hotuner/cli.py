@@ -85,7 +85,6 @@ class Scenario:
     sim: SimConfig
     cl_epsilon: float
     cl_N_bar: int
-    cl_online: bool
     init_theta0: np.ndarray
     pe: _PESettings
 
@@ -201,12 +200,12 @@ def load_scenario(
         raise ConfigError(f"sim: {exc}")
 
     cl_raw = raw["cl"]
-    _check_keys(cl_raw, {"epsilon": True, "N_bar": True, "online": True}, "cl.")
+    _check_keys(cl_raw, {"epsilon": True, "N_bar": True, "online": False}, "cl.")
     cl_epsilon = _number(cl_raw, "epsilon", "cl.")
     cl_n_bar = _integer(cl_raw, "N_bar", "cl.")
-    if not isinstance(cl_raw["online"], bool):
+    cl_online = cl_raw.get("online", True)
+    if not isinstance(cl_online, bool):
         raise ConfigError("'cl.online' must be a boolean")
-    cl_online = cl_raw["online"]
     if cl_epsilon <= 0.0:
         raise ConfigError("'cl.epsilon' must be positive")
     if cl_n_bar < signal.dimension:
@@ -261,6 +260,14 @@ def load_scenario(
         if missing:
             raise ConfigError(f"--system names not in scenario: {', '.join(missing)}")
         kinds = [k for k in kinds if k in chosen]
+    # A scenario file cannot supply a prefilled buffer, so a buffer-driven
+    # kind can only record online.
+    offline = [k.value for k in kinds if k in BUFFER_KINDS and not cl_online]
+    if offline:
+        raise ConfigError(
+            f"system '{offline[0]}' needs cl.online=true (no prefilled buffer "
+            "can be supplied through a scenario file)"
+        )
 
     return Scenario(
         name=raw["name"],
@@ -270,7 +277,6 @@ def load_scenario(
         sim=sim,
         cl_epsilon=cl_epsilon,
         cl_N_bar=cl_n_bar,
-        cl_online=cl_online,
         init_theta0=theta0,
         pe=pe,
     )
@@ -280,11 +286,6 @@ def _simulate_system(
     scenario: Scenario, kind: SystemKind, grid: SignalGrid
 ) -> tuple[Trajectory, DataBuffer]:
     init = TunerState.from_theta0(scenario.init_theta0)
-    if kind in BUFFER_KINDS and not scenario.cl_online:
-        raise ConfigError(
-            f"system '{kind.value}' needs cl.online=true (no prefilled buffer "
-            "can be supplied through a scenario file)"
-        )
     return simulate(
         kind,
         scenario.signal,

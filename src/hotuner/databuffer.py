@@ -223,18 +223,26 @@ def data_aggregates(buffer: DataBuffer, mu: float, count: int | None = None) -> 
     return phi_mat, buffer.y_star[:phi_mat.shape[1]], weights
 
 
-def data_term(aggregates: DataAggregates, theta: np.ndarray) -> np.ndarray:
+def data_term(aggregates: DataAggregates, theta: np.ndarray, rows: bool = False) -> np.ndarray:
     """sum_k phi_k (phi_k' theta - y*_k) weights[k] from data_aggregates output.
 
     ndarray.dot makes the same matrix-vector calls as `@`, bit for bit, with
     less overhead per call. The residual is subtracted and weighted in place,
     the same roundings as weights * (phi_mat' theta - y_vec) without two
-    temporaries.
+    temporaries. With rows set, theta is (B, n) and row b of the (B, n) result
+    equals the term at theta[b] bit for bit: both products become stacked
+    matmuls, one matrix-vector call per row with the matrices of the 1-d form,
+    and the residual formula is shared.
     """
     phi_mat, y_vec, weights = aggregates
-    residual = phi_mat.T.dot(theta)
+    if rows:
+        residual = np.matmul(phi_mat.T[None], theta[:, :, None])[:, :, 0]
+    else:
+        residual = phi_mat.T.dot(theta)
     np.subtract(residual, y_vec, residual)
     np.multiply(residual, weights, residual)
+    if rows:
+        return np.matmul(phi_mat[None], residual[:, :, None])[:, :, 0]
     return phi_mat.dot(residual)
 
 

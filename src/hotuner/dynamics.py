@@ -188,14 +188,23 @@ def _data_for(
 # A compiled field: (theta, vartheta, phi, y_star, nt, data, dtheta, dvartheta) -> None.
 # It writes the derivative into dtheta and dvartheta, which the caller owns;
 # a baseline kind, whose vartheta stays constant, leaves dvartheta untouched.
+# A batched field takes (B, n) states and outputs (see compile_field).
 Field = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, float, float, DataAggregates | None,
-     np.ndarray, np.ndarray],
+    [np.ndarray, np.ndarray, np.ndarray, float | np.ndarray, float | np.ndarray,
+     DataAggregates | None, np.ndarray, np.ndarray],
     None,
 ]
 
 
-def compile_field(kind: SystemKind, gains: Gains, n: int) -> Field:
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products a[k] . b[k] of (B, n) rows as a (B, 1) column; a may be one (n,) row.
+
+    Each row goes through the 1-d dot kernel, as in signals.row_dots.
+    """
+    return np.matmul(a[..., None, :], b[:, :, None])[:, :, 0]
+
+
+def compile_field(kind: SystemKind, gains: Gains, n: int, batched: bool = False) -> Field:
     """The field of one kind with one gain set and dimension n, resolved once for many calls.
 
     The closure takes the state, phi and y* at time t, N_t at phi, the buffer
@@ -210,6 +219,14 @@ def compile_field(kind: SystemKind, gains: Gains, n: int) -> Field:
     soft-reset pull that is off (or has beta_r = 0) is not added either, which
     keeps the sign of every zero component. The 1-d ndarray.dot calls use the
     same dot kernel as a 1-d `@`.
+
+    With batched set the closure evaluates B states at once: theta, vartheta
+    and the outputs are (B, n), phi is (B, n) or one (n,) row shared by all
+    states, and y* and N_t are (B, 1) columns or scalars. Row b of the output
+    equals the unbatched closure at row b, bit for bit. The operations are the
+    same; only the dot products differ, being stacked 1-d dots (see
+    signals.row_dots), and the soft-reset pull is added through a boolean row
+    mask. Its scratch is allocated per call, since B may change.
     """
     spec = KINDS[kind]
     grad_power, data_power = spec.grad, spec.data
@@ -221,18 +238,20 @@ def compile_field(kind: SystemKind, gains: Gains, n: int) -> Field:
     neg_beta = -gains.beta
     neg_beta_vec = np.full(n, neg_beta)
     neg_pull = np.full(n, -(2.0 * gains.beta_r))
-    grad = np.empty(n)
-    gap = np.empty(n)
-    add, divide, multiply, subtract = np.add, np.divide, np.multiply, np.subtract
+    scratch = np.empty(n), np.empty(n)
+    dot = _row_dot if batched else np.ndarray.dot
+    add, divide, empty_like, multiply, subtract = (
+        np.add, np.divide, np.empty_like, np.multiply, np.subtract)
     missing_data = f"system '{kind.value}' requires a nonempty data buffer"
 
     def field(theta, vartheta, phi, y_star, nt, data, dtheta, dvartheta):
+        grad, gap = (empty_like(theta), empty_like(theta)) if batched else scratch
         # The drive is built in the output it ends in; grad keeps the loss
         # gradient undivided for the reset indicator.
         drive = dvartheta if high_order else dtheta
         source = None
         if grad_power is not None:
-            multiply(phi, phi.dot(theta) - y_star, grad)
+            multiply(phi, dot(phi, theta) - y_star, grad)
             source = grad
             if grad_power < 0:
                 divide(grad, nt, drive)
@@ -240,7 +259,7 @@ def compile_field(kind: SystemKind, gains: Gains, n: int) -> Field:
         if data_power is not None:
             if data is None:
                 raise ValueError(missing_data)
-            correction = data_term(data, theta)
+            correction = data_term(data, theta, batched)
             if data_power > 0:
                 multiply(correction, nt, correction)
             if source is None:
@@ -264,14 +283,18 @@ def compile_field(kind: SystemKind, gains: Gains, n: int) -> Field:
             # loss gradient; at the switching surface (indicator 0) it is off.
             # gap'grad is exactly -(vartheta - theta)'grad: rounding to nearest
             # is symmetric in sign, so the test below is the same comparison.
-            indicator = gap.dot(grad)
+            indicator = dot(gap, grad)
             if not theta_nt:
                 indicator /= nt
-            if indicator < 0.0:
+            if batched or indicator < 0.0:
                 multiply(gap, neg_pull, gap)
                 if theta_nt:
                     multiply(gap, nt, gap)
-                add(dtheta, gap, dtheta)
+                if batched:
+                    # Rows whose pull is off keep dtheta as written.
+                    add(dtheta, gap, dtheta, where=indicator < 0.0)
+                else:
+                    add(dtheta, gap, dtheta)
 
     return field
 

@@ -271,6 +271,52 @@ def test_decrease_pointwise_rejects_empty_samples(argument, value):
                                  **{argument: value})
 
 
+UNFAILABLE_SWEEPS = [
+    ("radius", 0.0), ("radius", -5.0), ("radius", math.nan), ("radius", math.inf),
+    ("t_span", -1.0), ("t_span", math.nan), ("t_span", math.inf),
+    ("tolerance", -1e-9), ("tolerance", math.nan), ("tolerance", math.inf),
+]
+
+
+@pytest.mark.parametrize("argument,value", UNFAILABLE_SWEEPS)
+def test_sweeps_refuse_settings_under_which_they_cannot_fail(argument, value):
+    """Each of these used to pass: a radius of 0 samples only the origin, a NaN or
+    infinite one only NaN margins, and NaN margins were never counted."""
+    sig = mix3()
+    with pytest.raises(ValueError, match=argument):
+        check_decrease_pointwise(SystemKind.HT, sig, None, CERTIFIED_GAINS, sample_count=20,
+                                 **{argument: value})
+    with pytest.raises(ValueError, match=argument):
+        matrosov_check(sig, CERTIFIED_GAINS, T=1.0, delta=1.0, M=1.0, sample_count=20,
+                       quadrature_step=1e-2, **{argument: value})
+
+
+def test_sweep_report_counts_non_finite_margins():
+    from hotuner.certificates import _sweep_report
+
+    margins = np.array([-1.0, math.nan, -math.inf, math.inf, 2e-9, 0.0])
+    report = _sweep_report(margins, 1e-9)
+    assert report.checked_points == 6 and report.violations == 4
+    assert math.isnan(report.worst_margin)
+    assert _sweep_report(np.array([-1.0, 1e-9]), 1e-9).to_csv_line() == "2,0,1e-09,1e-09"
+
+
+def test_sweeps_count_overflowing_points_as_violations():
+    """At radius 1e200 every margin overflows. NaN margins used to be skipped, and
+    the bound's Python square raised OverflowError."""
+    sig = mix3()
+    buffer = consistent_buffer(sig, (0.0, 1.0, 2.2))
+    with np.errstate(all="ignore"):
+        for kind, data in ((SystemKind.HT, None), (SystemKind.HT_CL, buffer)):
+            report = check_decrease_pointwise(kind, sig, data, CERTIFIED_GAINS,
+                                              sample_count=50, radius=1e200)
+            assert report.violations == 50, kind
+            assert math.isnan(report.worst_margin), kind
+        report = matrosov_check(sig, CERTIFIED_GAINS, T=1.0, delta=1.0, M=4.0,
+                                sample_count=50, radius=1e200, quadrature_step=1e-2)
+    assert report.checked_points == 66 and report.violations == 66
+
+
 def test_lyapunov_along_plain_kind_is_v0():
     sig = mix3()
     sim = SimConfig(t_end=3.0, step_h=1e-3, record_every=10)

@@ -63,7 +63,9 @@ def test_bundled_fig1_loads():
     assert scenario.gains.beta == 1.0 and scenario.gains.beta_r == 4.0
     assert scenario.gains.rate_condition_ok
     assert scenario.sim.t_end == 100.0 and scenario.sim.record_every == 100
-    assert scenario.cl_N_bar == 10 and scenario.cl_online
+    assert scenario.cl_N_bar == 10
+    # the bundled files leave cl.online out: recording online is the default
+    assert "online" not in json.loads(bundled_scenario_path("fig1").read_text())["cl"]
     # random init is reproducible from the sim seed
     want = np.random.default_rng(0).uniform(-5.0, 5.0, 3)
     assert np.array_equal(scenario.init_theta0, want)
@@ -98,7 +100,7 @@ def test_load_scenario_invalid_json(tmp_path):
         (lambda d: d["gains"].update(gama=1.0), "unknown key 'gains.gama'"),
         (lambda d: d["gains"].pop("beta"), "missing key 'gains.beta'"),
         (lambda d: d.pop("cl"), "missing key 'cl'"),
-        (lambda d: d["cl"].pop("online"), "missing key 'cl.online'"),
+        (lambda d: d["cl"].pop("epsilon"), "missing key 'cl.epsilon'"),
         (lambda d: d["systems"].append("hyperdrive"), "unknown system 'hyperdrive'"),
         (lambda d: d["init"].update(mode="guess"), "'init.mode'"),
         (lambda d: d["cl"].update(N_bar=1), "at least the signal dimension"),
@@ -119,6 +121,31 @@ def test_load_scenario_rejects_bad_config(tmp_path, mutate, message):
         load_scenario(path)
     # the same failure through the CLI maps to the config exit code
     assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+def test_cl_online_is_optional(tmp_path):
+    data = scenario_dict()
+    data["systems"] = ["ht", "ht_cl"]
+    del data["cl"]["online"]
+    scenario = load_scenario(write_scenario(tmp_path, data))
+    assert scenario.systems == [SystemKind.HT, SystemKind.HT_CL]
+
+
+def test_offline_buffer_kind_is_refused_before_anything_is_written(tmp_path):
+    """A buffer kind with cl.online false used to fail only when its turn came."""
+    data = scenario_dict()
+    data["systems"] = ["ht", "ht_cl"]
+    data["cl"]["online"] = False
+    path = write_scenario(tmp_path, data)
+    with pytest.raises(ConfigError, match="system 'ht_cl' needs cl.online=true"):
+        load_scenario(path)
+    out = tmp_path / "out"
+    for verb in ("run", "certify", "pe-check"):
+        assert main([verb, path, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    # without a buffer kind the setting has nothing to refuse
+    assert main(["run", path, "--out-dir", str(out), "--system", "ht"]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["tiny_ht.csv", "tiny_report.csv"]
 
 
 @pytest.mark.parametrize(

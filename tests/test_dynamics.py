@@ -27,6 +27,7 @@ from hotuner import (
 )
 from hotuner.databuffer import data_aggregates
 from hotuner.dynamics import _data_for
+from hotuner.signals import row_dots
 
 PI = np.pi
 
@@ -380,3 +381,75 @@ def test_compiled_field_writes_rhs_bits_in_place(case):
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b), kind
+
+
+@st.composite
+def batch_cases(draw):
+    """Gains, a signal, an optional buffer of up to 200 samples and B states around the switch.
+
+    phi is one shared row (with scalar y* and N_t) or one row per state (with
+    (B, 1) columns). Every other state is put on the side of the soft-reset
+    switch where the pull is on (vartheta - theta along the loss gradient),
+    the rest on the other side, with one state on the switching surface.
+    """
+    n = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signal = make_sinusoid_mix(n, rng.uniform(-2, 2, n), rng.uniform(0, 3, n),
+                               rng.uniform(0, 5, n), rng.uniform(0, 2 * PI, n),
+                               rng.uniform(-3, 3, n))
+    gains = Gains(beta=draw(st.floats(0.1, 5.0)), gamma=draw(st.floats(0.01, 2.0)),
+                  mu=draw(st.floats(0.0, 2.0)),
+                  beta_r=draw(st.one_of(st.just(0.0), st.floats(0.01, 5.0))))
+    buffer = None
+    count = draw(st.one_of(st.just(0), st.integers(1, 200)))
+    if count:
+        times = np.cumsum(rng.uniform(0.05, 1.0, count))
+        phis, _ = signal.eval_grid(times)
+        buffer = DataBuffer.from_samples(phis, rng.uniform(-5, 5, count), times=times,
+                                         capacity=max(count, n))
+    shared = draw(st.booleans())
+    times = np.full(rows, rng.uniform(0, 20)) if shared else rng.uniform(0, 20, rows)
+    phi, y_star = signal.eval_grid(times)
+    theta = rng.uniform(-5, 5, (rows, n))
+    grad = phi * (row_dots(phi, theta) - y_star)[:, None]
+    side = np.where(np.arange(rows) % 2 == 0, 1.0, -1.0) * rng.uniform(0.1, 2.0, rows)
+    vartheta = theta + side[:, None] * grad + rng.uniform(-1e-3, 1e-3, (rows, n))
+    vartheta[-1] = theta[-1]
+    nt = 1.0 + gains.mu * row_dots(phi, phi)
+    if shared:
+        return signal, gains, buffer, theta, vartheta, phi[0], y_star[0], nt[0]
+    return signal, gains, buffer, theta, vartheta, phi, y_star[:, None], nt[:, None]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(batch_cases())
+def test_batched_field_rows_equal_the_scalar_closure(case):
+    """Row b of the batched closure is the unbatched closure at row b, bit for bit.
+
+    Both leave their inputs as they were, and a baseline kind leaves
+    dvartheta unwritten in both.
+    """
+    signal, gains, buffer, theta, vartheta, phi, y_star, nt = case
+    rows, n = theta.shape
+    shared = phi.ndim == 1
+    for kind in SystemKind:
+        data = _data_for(kind, buffer, gains)
+        batched = compile_field(kind, gains, n, batched=True)
+        scalar = compile_field(kind, gains, n)
+        out = np.full((rows, n), np.nan), np.full((rows, n), np.nan)
+        if kind in BUFFER_KINDS and data is None:
+            with pytest.raises(ValueError, match="nonempty data buffer"):
+                batched(theta, vartheta, phi, y_star, nt, data, *out)
+            continue
+        inputs = (theta, vartheta, phi, y_star, nt) + (() if data is None else data)
+        before = bits(*inputs)
+        batched(theta, vartheta, phi, y_star, nt, data, *out)
+        assert bits(*inputs) == before, kind
+        for b in range(rows):
+            want = np.full(n, np.nan), np.full(n, np.nan)
+            row = (phi, float(y_star), float(nt)) if shared else (
+                phi[b], float(y_star[b, 0]), float(nt[b, 0]))
+            scalar(theta[b], vartheta[b], *row, data, *want)
+            assert bits(out[0][b], out[1][b]) == bits(*want), (kind, b)
+        assert bits(*inputs) == before, kind
