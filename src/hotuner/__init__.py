@@ -7,12 +7,10 @@ stability certificates that back them.
 
 from .certificates import (
     CertificateReport,
-    ErrorCoords,
     check_decrease_along,
     check_decrease_pointwise,
     decrease_margin,
     energy_matrix,
-    error_field,
     estimate_decay_rate,
     lyapunov_along,
     matrosov_check,
@@ -20,9 +18,7 @@ from .certificates import (
 from .databuffer import (
     DataBuffer,
     RichnessReport,
-    b_term,
     buffer_csv,
-    maybe_record,
     p_matrix,
     record_steps,
     richness,
@@ -39,7 +35,6 @@ from .dynamics import (
     SystemKind,
     TunerState,
     compile_field,
-    grad_L,
     normalization,
     rhs,
 )
@@ -67,7 +62,6 @@ __all__ = [
     "BUFFER_KINDS",
     "CertificateReport",
     "DataBuffer",
-    "ErrorCoords",
     "Gains",
     "HIGH_ORDER_KINDS",
     "KINDS",
@@ -83,7 +77,6 @@ __all__ = [
     "SystemKind",
     "Trajectory",
     "TunerState",
-    "b_term",
     "buffer_csv",
     "check_decrease_along",
     "check_decrease_pointwise",
@@ -91,14 +84,11 @@ __all__ = [
     "compile_field",
     "decrease_margin",
     "energy_matrix",
-    "error_field",
     "estimate_decay_rate",
-    "grad_L",
     "lyapunov_along",
     "make_constant",
     "make_sinusoid_mix",
     "matrosov_check",
-    "maybe_record",
     "normalization",
     "p_matrix",
     "pe_gram",

@@ -27,11 +27,9 @@ from .dynamics import (
     RATE_CONDITION_KINDS,
     Gains,
     SystemKind,
-    TunerState,
     _data_for,
     compile_field,
     normalization,
-    rhs,
 )
 from .integrator import Trajectory
 from .signals import (
@@ -45,13 +43,11 @@ from .signals import (
 
 __all__ = [
     "CertificateReport",
-    "ErrorCoords",
     "POINTWISE_TOLERANCE",
     "check_decrease_along",
     "check_decrease_pointwise",
     "decrease_margin",
     "energy_matrix",
-    "error_field",
     "estimate_decay_rate",
     "lyapunov_along",
     "matrosov_check",
@@ -68,33 +64,6 @@ MIN_MATROSOV_TRUNCATION = 30.0
 _SWEEP_BLOCK = 256
 # Below this magnitude a float's square is finite.
 _SQUARE_LIMIT = math.sqrt(sys.float_info.max)
-
-
-@dataclass
-class ErrorCoords:
-    """Error state (theta_tilde, p) = (theta - theta*, vartheta - theta)."""
-
-    theta_tilde: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.theta_tilde = np.asarray(self.theta_tilde, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-        if self.theta_tilde.shape != self.p.shape or self.theta_tilde.ndim != 1:
-            raise ValueError("theta_tilde and p must be 1-d vectors of equal length")
-
-    @staticmethod
-    def from_state(state: TunerState, theta_star) -> "ErrorCoords":
-        theta_star = np.asarray(theta_star, dtype=float)
-        return ErrorCoords(
-            theta_tilde=state.theta - theta_star,
-            p=state.vartheta - state.theta,
-        )
-
-    def to_state(self, theta_star) -> TunerState:
-        theta_star = np.asarray(theta_star, dtype=float)
-        theta = theta_star + self.theta_tilde
-        return TunerState(theta=theta, vartheta=theta + self.p)
 
 
 @dataclass(frozen=True)
@@ -157,26 +126,6 @@ def _data_matrix(
     return p_matrix(buffer, gains.mu)
 
 
-def error_field(
-    kind: SystemKind,
-    err: ErrorCoords,
-    t: float,
-    signal: RegressorSignal,
-    gains: Gains,
-    buffer: DataBuffer | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Field in error coordinates, (d theta_tilde/dt, d p/dt).
-
-    This is the state field of `rhs` at theta = theta* + theta_tilde and
-    vartheta = theta + p, seen through the change of variables:
-    (dtheta/dt, dvartheta/dt - dtheta/dt). The decrease bounds assume that
-    the buffer of a buffer-driven kind holds samples consistent with theta*.
-    """
-    state = err.to_state(signal.theta_star)
-    d_theta, d_vartheta = rhs(kind, state, t, signal, buffer, gains)
-    return d_theta, d_vartheta - d_theta
-
-
 def _squares(values: np.ndarray) -> np.ndarray:
     """values ** 2 as Python floats square them.
 
@@ -234,10 +183,12 @@ def _decrease_sides(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of <grad V, f> <= bound at error states x = (theta_tilde, p), row by row.
 
-    Row b of x (B, 2n) is taken with phi[b], y*[b] and N_t[b]. f is
-    error_field evaluated by the kind's batched field, and q @ x and every dot
-    product are stacked, so each row rounds as the same computation at one
-    point. Rows go through in blocks of _SWEEP_BLOCK.
+    Row b of x (B, 2n) is taken with phi[b], y*[b] and N_t[b]. f is the
+    kind's batched field at theta = theta* + theta_tilde and vartheta =
+    theta + p, seen through the change of variables: (dtheta, dvartheta -
+    dtheta). q @ x and every dot product are stacked, so each row rounds as
+    the same computation at one point. Rows go through in blocks of
+    _SWEEP_BLOCK.
     """
     n = signal.dimension
     p_mu = _data_matrix(kind, buffer, gains)
@@ -262,22 +213,27 @@ def _decrease_sides(
 
 def decrease_margin(
     kind: SystemKind,
-    err: ErrorCoords,
+    x: np.ndarray,
     t: float,
     signal: RegressorSignal,
     gains: Gains,
     buffer: DataBuffer | None = None,
     m_bound: float | None = None,
 ) -> tuple[float, float]:
-    """Return (lhs, rhs) of the decrease inequality <grad V, f> <= bound.
+    """Return (lhs, rhs) of the decrease inequality <grad V, f> <= bound at x, t.
 
-    m_bound defaults to the signal's certified amplitude bound, which only
-    matters for the normalized concurrent-learning kind.
+    x is the (2n,) error state (theta_tilde, p) = (theta - theta*,
+    vartheta - theta). The bounds assume that the buffer of a buffer-driven
+    kind holds samples consistent with theta*. m_bound defaults to the
+    signal's certified amplitude bound, which only matters for the normalized
+    concurrent-learning kind.
     """
     if m_bound is None:
         m_bound = signal.norm_bound()
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2 * signal.dimension,):
+        raise ValueError(f"x must be the ({2 * signal.dimension},) error state (theta_tilde, p)")
     phi, y_star = signal.eval(t)
-    x = np.concatenate((err.theta_tilde, err.p))
     lhs, rhs = _decrease_sides(
         kind, x[None], phi[None], np.array([y_star]),
         np.array([normalization(phi, gains.mu)]), signal, gains, buffer, m_bound,
@@ -456,14 +412,11 @@ def check_decrease_along(
 
 def matrosov_check(
     signal: RegressorSignal,
-    gains: Gains,
     T: float,
     delta: float,
-    M: float,
     truncation: float = MIN_MATROSOV_TRUNCATION,
     sample_count: int = 200,
     seed: int = 0,
-    cross_coeff: float | None = None,
     radius: float = 5.0,
     t_points: int = 16,
     t_span: float = 4.0 * math.pi,
@@ -480,25 +433,22 @@ def matrosov_check(
         -e^{-T} delta |theta_tilde|^2 at sampled states. All t_points kernels
         come from one moment matrix of the e^{-tau}-weighted nodes.
     (b) At constructed points with p = 0 and phi(t)' theta_tilde = 0, the
-        derivative majorant -e^{-T} delta |theta_tilde|^2 + e_y^2
-        + cross_coeff |theta_tilde| |p| is nonpositive.
+        derivative majorant -e^{-T} delta |theta_tilde|^2 + e_y^2 is
+        nonpositive. The majorant's cross term in |theta_tilde| |p| vanishes
+        at p = 0, so no gain enters it.
 
-    cross_coeff defaults to beta M^2 (1 + mu M^2); pass beta M^2 to check the
-    normalized variant's printed form instead. The states of (a) are drawn one
-    by one (see _sample_ball); both parts are then evaluated as arrays, each
-    row rounding as at a single point. A non-finite margin counts as a
-    violation.
+    The states of (a) are drawn one by one (see _sample_ball); both parts are
+    then evaluated as arrays, each row rounding as at a single point. A
+    non-finite margin counts as a violation.
     """
     if truncation < MIN_MATROSOV_TRUNCATION:
         raise ValueError(f"truncation must be at least {MIN_MATROSOV_TRUNCATION}")
-    if delta < 0.0 or M < 0.0 or T <= 0.0:
-        raise ValueError("need T > 0 and nonnegative delta, M")
+    if delta < 0.0 or T <= 0.0:
+        raise ValueError("need T > 0 and nonnegative delta")
     if t_points < 1:
         raise ValueError(f"t_points must be at least 1 (got {t_points})")
     _check_sweep(radius, t_span, tolerance)
     offsets, weights = _trapezoid(truncation, quadrature_step, "truncation")
-    if cross_coeff is None:
-        cross_coeff = gains.beta * M**2 * (1.0 + gains.mu * M**2)
     n = signal.dimension
     decay = math.exp(-T) * delta
     t_grid = np.linspace(0.0, t_span, t_points)

@@ -28,7 +28,6 @@ from .dynamics import (
     BASELINE_KINDS,
     BUFFER_KINDS,
     HIGH_ORDER_KINDS,
-    KINDS,
     POINTWISE_KINDS,
     RATE_CONDITION_KINDS,
     Gains,
@@ -405,16 +404,16 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> int:
     return EXIT_OK
 
 
+def _scan_pe(scenario: Scenario) -> signals.PEReport:
+    """check_pe on the scenario's regressor with its pe settings."""
+    pe = scenario.pe
+    return check_pe(scenario.signal, T=pe.window_T, scan_horizon=pe.scan_horizon,
+                    scan_step=pe.scan_step, quadrature_step=pe.quadrature_step)
+
+
 def run_pe_check(scenario: Scenario, out_dir: str | Path) -> int:
     """Scan the scenario's regressor for persistent excitation."""
-    pe = scenario.pe
-    report = check_pe(
-        scenario.signal,
-        T=pe.window_T,
-        scan_horizon=pe.scan_horizon,
-        scan_step=pe.scan_step,
-        quadrature_step=pe.quadrature_step,
-    )
+    report = _scan_pe(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -449,14 +448,7 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
     _warn_step(scenario, sys.stderr)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pe = scenario.pe
-    pe_report = check_pe(
-        scenario.signal,
-        T=pe.window_T,
-        scan_horizon=pe.scan_horizon,
-        scan_step=pe.scan_step,
-        quadrature_step=pe.quadrature_step,
-    )
+    pe_report = _scan_pe(scenario)
     print(pe_report.summary())
     skipped = [k.value for k in scenario.systems if k in BASELINE_KINDS]
     if skipped:
@@ -503,11 +495,8 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
         # Without recorded data the V derivative is only semidefinite.
         if kind not in BUFFER_KINDS:
             report = certificates.matrosov_check(
-                scenario.signal, scenario.gains, T=pe.window_T,
-                delta=pe_report.delta_hat, M=pe_report.M_hat,
+                scenario.signal, T=pe_report.window_T, delta=pe_report.delta_hat,
                 seed=scenario.sim.seed,
-                cross_coeff=(None if KINDS[kind].theta_nt
-                             else scenario.gains.beta * pe_report.M_hat**2),
             )
             note(kind, "auxiliary", report)
     (out / f"{scenario.name}_certificates.csv").write_text("\n".join(lines) + "\n")

@@ -1,10 +1,9 @@
 """Recorded-sample store for concurrent learning.
 
-Holds regressor/output pairs captured at discrete times, decides online when a
-new pair is informative enough to keep, and exposes the two aggregates the
-learning laws need: the normalized data-sum matrix P_mu and the data-driven
-correction term B. Buffers are immutable values; recording returns a new
-buffer.
+Holds regressor/output pairs captured at discrete times, decides which pairs
+of a regressor sequence are informative enough to keep, and exposes the two
+aggregates the learning laws need: the normalized data-sum matrix P_mu and the
+data-driven correction term B. Buffers are immutable values.
 """
 
 from __future__ import annotations
@@ -19,11 +18,9 @@ __all__ = [
     "DataAggregates",
     "DataBuffer",
     "RichnessReport",
-    "b_term",
     "buffer_csv",
     "data_aggregates",
     "data_term",
-    "maybe_record",
     "p_matrix",
     "record_steps",
     "richness",
@@ -125,48 +122,22 @@ class RichnessReport:
     sufficient: bool
 
 
-def maybe_record(buffer: DataBuffer, t: float, phi_t, y_star_t: float) -> tuple[DataBuffer, bool]:
-    """Apply the online recording rule at time t; returns (buffer, recorded).
-
-    A frozen buffer is returned unchanged. An empty buffer records
-    unconditionally. Otherwise the pair is kept when the regressor has moved
-    far enough from the last kept one:
-
-        |phi(t) - phi(t_last)|^2 / |phi(t)| >= epsilon,
-
-    skipping near-zero regressors, for which the criterion is undefined.
-    """
-    if buffer.frozen:
-        return buffer, False
-    phi_t = np.asarray(phi_t, dtype=float)
-    if len(buffer):
-        last_t, last_phi = buffer.t[-1], buffer.phi[-1]
-        if t <= last_t:
-            raise ValueError(f"time must increase between recordings (got {t} after {last_t})")
-        if phi_t.shape != last_phi.shape:
-            raise ValueError("regressor dimension changed between recordings")
-        norm = float(np.linalg.norm(phi_t))
-        if norm < ZERO_REGRESSOR_NORM:
-            return buffer, False
-        gap = float(np.sum((phi_t - last_phi) ** 2))
-        if gap / norm < buffer.epsilon:
-            return buffer, False
-    phis = np.vstack((buffer.phi, phi_t)) if len(buffer) else phi_t[None]
-    grown = DataBuffer(np.append(buffer.t, t), phis, np.append(buffer.y_star, y_star_t),
-                       buffer.capacity, buffer.epsilon)
-    return grown, True
-
-
 def record_steps(phis, capacity: int, epsilon: float) -> list[int]:
-    """Rows of phis that maybe_record keeps when fed them in order.
+    """Rows of phis that the online recording rule keeps when fed them in order.
 
     Row k stands for the regressor at the k-th of increasing times, starting
     from an empty buffer of the given capacity and epsilon; recording stops
-    when the buffer freezes. The result equals replaying maybe_record row by
-    row: each row's norm is the square root of its dot product, as in
-    np.linalg.norm, and its squared gap is summed along the row, as np.sum
-    sums a 1-d vector. From each kept row, the following rows are tested in
-    chunks for the first one far enough from it.
+    when the buffer freezes. The first row is kept unconditionally; after it a
+    row is kept when it has moved far enough from the last kept one,
+
+        |phi - phi_last|^2 / |phi| >= epsilon,
+
+    skipping near-zero rows, for which the criterion is undefined. Each row's
+    norm is the square root of its dot product, as np.linalg.norm computes
+    it, and its squared gap is summed along the row, as np.sum sums a 1-d
+    vector, so the rows are those the rule keeps when applied one sample at a
+    time. From each kept row, the following rows are tested in chunks for the
+    first one far enough from it.
     """
     phis = np.asarray(phis, dtype=float)
     count = phis.shape[0]
@@ -195,18 +166,6 @@ def p_matrix(buffer: DataBuffer, mu: float) -> np.ndarray:
     phi_mat, _, weights = data_aggregates(buffer, mu)
     p = (phi_mat * weights) @ phi_mat.T
     return 0.5 * (p + p.T)
-
-
-def b_term(buffer: DataBuffer, theta, mu: float) -> np.ndarray:
-    """Data-driven correction sum_k phi_k (phi_k' theta - y*_k) / (1 + mu |phi_k|^2)."""
-    if len(buffer) == 0:
-        raise ValueError("b_term needs a nonempty buffer")
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (buffer.dimension,):
-        raise ValueError("theta dimension does not match the buffer")
-    return data_term(data_aggregates(buffer, mu), theta)
 
 
 def data_aggregates(buffer: DataBuffer, mu: float, count: int | None = None) -> DataAggregates:

@@ -34,7 +34,6 @@ __all__ = [
     "SystemKind",
     "TunerState",
     "compile_field",
-    "grad_L",
     "normalization",
     "rhs",
 ]
@@ -163,12 +162,6 @@ def normalization(phi_t, mu: float) -> float:
     """Normalization signal N_t = 1 + mu |phi(t)|^2."""
     phi_t = np.asarray(phi_t, dtype=float)
     return 1.0 + mu * float(phi_t @ phi_t)
-
-def grad_L(phi_t, y_star_t: float, theta) -> np.ndarray:
-    """Gradient of the instantaneous squared prediction error, phi (phi' theta - y*)."""
-    phi_t = np.asarray(phi_t, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    return phi_t * (float(phi_t @ theta) - y_star_t)
 
 
 def _data_mu(kind: SystemKind, gains: Gains) -> float:

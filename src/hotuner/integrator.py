@@ -16,6 +16,7 @@ depend on whether a grid was shared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +61,17 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("step_h", "t_start", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite (got {getattr(self, name)!r})")
         if self.step_h <= 0.0:
             raise ValueError("step_h must be positive")
         if self.t_end < self.t_start:
             raise ValueError("t_end must not precede t_start")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative (got {self.seed})")
         steps = (self.t_end - self.t_start) / self.step_h
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hotuner import (
     DataBuffer,
-    ErrorCoords,
     Gains,
     SimConfig,
     SystemKind,
@@ -20,19 +19,19 @@ from hotuner import (
     check_decrease_pointwise,
     decrease_margin,
     energy_matrix,
-    error_field,
     estimate_decay_rate,
     lyapunov_along,
     make_constant,
     make_sinusoid_mix,
     matrosov_check,
-    maybe_record,
     p_matrix,
+    rhs,
     simulate,
     simulate_with_buffer,
 )
 from hotuner.certificates import _upper_envelope
 from hotuner.databuffer import data_aggregates
+from oracles import maybe_record
 
 PI = np.pi
 CERTIFIED_GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)
@@ -50,10 +49,23 @@ def consistent_buffer(sig, times):
                                    times=list(times))
 
 
-def energy(kind, err, gains, p_mu=None):
+def energy(kind, x, gains, p_mu=None):
     """V = x' Q x at x = (theta_tilde, p), Q the kind's energy matrix."""
-    x = np.concatenate((err.theta_tilde, err.p))
     return float(x @ energy_matrix(kind, gains, x.shape[0] // 2, p_mu) @ x)
+
+
+def error_state(theta, vartheta, theta_star):
+    """The error state x = (theta - theta*, vartheta - theta)."""
+    return np.concatenate((theta - theta_star, vartheta - theta))
+
+
+def error_field(kind, x, t, signal, gains, buffer=None):
+    """rhs at theta = theta* + theta_tilde and vartheta = theta + p, seen in error
+    coordinates: (dtheta, dvartheta - dtheta) as one (2n,) array."""
+    n = signal.dimension
+    theta = signal.theta_star + x[:n]
+    d_theta, d_vartheta = rhs(kind, TunerState(theta, theta + x[n:]), t, signal, buffer, gains)
+    return np.concatenate((d_theta, d_vartheta - d_theta))
 
 
 def synthetic_trajectory(t, err):
@@ -69,25 +81,13 @@ def synthetic_trajectory(t, err):
     )
 
 
-def test_error_coords_round_trip():
-    state = TunerState(theta=np.array([1.0, 2.0]), vartheta=np.array([0.5, 3.0]))
-    err = ErrorCoords.from_state(state, [1.0, 1.0])
-    assert np.array_equal(err.theta_tilde, [0.0, 1.0])
-    assert np.array_equal(err.p, [-0.5, 1.0])
-    back = err.to_state([1.0, 1.0])
-    assert np.allclose(back.theta, state.theta, atol=1e-15)
-    assert np.allclose(back.vartheta, state.vartheta, atol=1e-15)
-    with pytest.raises(ValueError):
-        ErrorCoords(theta_tilde=np.zeros(2), p=np.zeros(3))
-
-
 def test_energy_hand_values():
-    err = ErrorCoords(theta_tilde=np.array([1.0, 0.0]), p=np.array([0.0, 2.0]))
+    x = np.array([1.0, 0.0, 0.0, 2.0])  # theta_tilde (1, 0), p (0, 2)
     gains = Gains(beta=4.0, gamma=0.5, mu=0.2)
-    assert energy(SystemKind.HT, err, gains) == 18.0
+    assert energy(SystemKind.HT, x, gains) == 18.0
     p_mu = np.diag([2.0, 1.0])
-    assert energy(SystemKind.HT_CL, err, gains, p_mu) == 19.0
-    assert energy(SystemKind.HT_B, err, gains, p_mu) == 4.75
+    assert energy(SystemKind.HT_CL, x, gains, p_mu) == 19.0
+    assert energy(SystemKind.HT_B, x, gains, p_mu) == 4.75
     with pytest.raises(ValueError, match="no certified energy"):
         energy_matrix(SystemKind.BASIC, gains, 2)
     with pytest.raises(ValueError, match="needs the data matrix"):
@@ -159,8 +159,8 @@ def error_field_cases(draw):
                   mu=draw(st.floats(0.0, 2.0)), beta_r=draw(st.floats(0.0, 5.0)))
     gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6))
     buffer = consistent_buffer(sig, np.cumsum(gaps))
-    err = ErrorCoords(vec(-3, 3), vec(-3, 3))
-    return sig, gains, buffer, err, draw(st.floats(0.0, 20.0))
+    x = np.concatenate((vec(-3, 3), vec(-3, 3)))
+    return sig, gains, buffer, x, draw(st.floats(0.0, 20.0))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -168,13 +168,13 @@ def error_field_cases(draw):
 def test_error_field_matches_state_field(case):
     """The error field derived from rhs equals the closed forms in error coordinates,
     and each energy matrix equals its closed-form quadratic."""
-    sig, gains, buffer, err, t = case
+    sig, gains, buffer, x, t = case
     phi = sig.phi(t)
     p_mu = p_matrix(buffer, gains.mu)
-    theta_tilde, p = err.theta_tilde, err.p
+    theta_tilde, p = x[:sig.dimension], x[sig.dimension:]
     for kind in (SystemKind.HT, SystemKind.HT_NORMALIZED, SystemKind.HT_CL,
                  SystemKind.HT_NORMALIZED_CL, SystemKind.HT_B, *SOFT_BASE):
-        got = np.concatenate(error_field(kind, err, t, sig, gains, buffer))
+        got = error_field(kind, x, t, sig, gains, buffer)
         want = np.concatenate(closed_form_error_field(kind, theta_tilde, p, phi, gains,
                                                       p_mu))
         wants = [want]
@@ -193,17 +193,22 @@ def test_error_field_matches_state_field(case):
                                                 p_mu))
             continue
         want_v = closed_form_energy(kind, theta_tilde, p, gains, p_mu)
-        assert abs(energy(kind, err, gains, p_mu) - want_v) <= 1e-12 * (1.0 + abs(want_v))
+        assert abs(energy(kind, x, gains, p_mu) - want_v) <= 1e-12 * (1.0 + abs(want_v))
 
 
 def test_decrease_margin_zero_at_origin():
     sig = mix3()
     buffer = consistent_buffer(sig, (0.0, 1.0, 2.2))
-    err = ErrorCoords(theta_tilde=np.zeros(3), p=np.zeros(3))
     for kind, data in ((SystemKind.HT, None), (SystemKind.HT_CL, buffer),
                        (SystemKind.HT_B, buffer)):
-        lhs, rhs = decrease_margin(kind, err, 0.4, sig, CERTIFIED_GAINS, buffer=data)
-        assert lhs == 0.0 and rhs == 0.0
+        lhs, bound = decrease_margin(kind, np.zeros(6), 0.4, sig, CERTIFIED_GAINS, buffer=data)
+        assert lhs == 0.0 and bound == 0.0
+
+
+def test_decrease_margin_rejects_a_misshapen_state():
+    for x in (np.zeros(3), np.zeros(7), np.zeros((2, 6))):
+        with pytest.raises(ValueError, match=r"x must be the \(6,\) error state"):
+            decrease_margin(SystemKind.HT, x, 0.4, mix3(), CERTIFIED_GAINS)
 
 
 def test_decrease_margin_matches_directional_difference():
@@ -219,12 +224,12 @@ def test_decrease_margin_matches_directional_difference():
                               SystemKind.HT_B)
         data = buffer if needs_data else None
         for _ in range(25):
-            err = ErrorCoords(rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 3))
+            theta_tilde, p = rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 3)
+            x = np.concatenate((theta_tilde, p))
             t = float(rng.uniform(0, 12))
-            lhs, _ = decrease_margin(kind, err, t, sig, CERTIFIED_GAINS, buffer=data)
-            f_tilde, f_p = error_field(kind, err, t, sig, CERTIFIED_GAINS, data)
-            plus = ErrorCoords(err.theta_tilde + delta * f_tilde, err.p + delta * f_p)
-            minus = ErrorCoords(err.theta_tilde - delta * f_tilde, err.p - delta * f_p)
+            lhs, _ = decrease_margin(kind, x, t, sig, CERTIFIED_GAINS, buffer=data)
+            f = error_field(kind, x, t, sig, CERTIFIED_GAINS, data)
+            plus, minus = x + delta * f, x - delta * f
             fd = (energy(kind, plus, CERTIFIED_GAINS, p_mu)
                   - energy(kind, minus, CERTIFIED_GAINS, p_mu)) / (2.0 * delta)
             assert abs(fd - lhs) <= 1e-6 * max(1.0, abs(lhs))
@@ -287,8 +292,8 @@ def test_sweeps_refuse_settings_under_which_they_cannot_fail(argument, value):
         check_decrease_pointwise(SystemKind.HT, sig, None, CERTIFIED_GAINS, sample_count=20,
                                  **{argument: value})
     with pytest.raises(ValueError, match=argument):
-        matrosov_check(sig, CERTIFIED_GAINS, T=1.0, delta=1.0, M=1.0, sample_count=20,
-                       quadrature_step=1e-2, **{argument: value})
+        matrosov_check(sig, T=1.0, delta=1.0, sample_count=20, quadrature_step=1e-2,
+                       **{argument: value})
 
 
 def test_sweep_report_counts_non_finite_margins():
@@ -312,8 +317,8 @@ def test_sweeps_count_overflowing_points_as_violations():
                                               sample_count=50, radius=1e200)
             assert report.violations == 50, kind
             assert math.isnan(report.worst_margin), kind
-        report = matrosov_check(sig, CERTIFIED_GAINS, T=1.0, delta=1.0, M=4.0,
-                                sample_count=50, radius=1e200, quadrature_step=1e-2)
+        report = matrosov_check(sig, T=1.0, delta=1.0, sample_count=50, radius=1e200,
+                                quadrature_step=1e-2)
     assert report.checked_points == 66 and report.violations == 66
 
 
@@ -325,9 +330,8 @@ def test_lyapunov_along_plain_kind_is_v0():
                            TunerState.from_theta0([1.0, -2.0, 0.0]))
         values = lyapunov_along(kind, traj, sig, CERTIFIED_GAINS)
         for k in range(traj.n_rows):
-            err = ErrorCoords(traj.theta[k] - sig.theta_star,
-                              traj.vartheta[k] - traj.theta[k])
-            assert abs(values[k] - energy(kind, err, CERTIFIED_GAINS)) < 1e-12, kind
+            x = error_state(traj.theta[k], traj.vartheta[k], sig.theta_star)
+            assert abs(values[k] - energy(kind, x, CERTIFIED_GAINS)) < 1e-12, kind
 
 
 def test_lyapunov_along_uses_samples_recorded_so_far():
@@ -345,9 +349,8 @@ def test_lyapunov_along_uses_samples_recorded_so_far():
             m = int(traj.n_samples[k])
             prefix = DataBuffer.from_samples(buffer.phi[:m], buffer.y_star[:m],
                                              times=buffer.t[:m], capacity=max(m, 3))
-            err = ErrorCoords(traj.theta[k] - sig.theta_star,
-                              traj.vartheta[k] - traj.theta[k])
-            want = energy(kind, err, gains, p_matrix(prefix, gains.mu))
+            x = error_state(traj.theta[k], traj.vartheta[k], sig.theta_star)
+            want = energy(kind, x, gains, p_matrix(prefix, gains.mu))
             assert abs(values[k] - want) < 1e-10, kind
 
 
@@ -396,9 +399,8 @@ def test_lyapunov_along_data_only_kind():
     values = lyapunov_along(SystemKind.HT_B, traj, sig, CERTIFIED_GAINS, buffer)
     p_mu = p_matrix(buffer, CERTIFIED_GAINS.mu)
     for k in range(traj.n_rows):
-        err = ErrorCoords(traj.theta[k] - sig.theta_star,
-                          traj.vartheta[k] - traj.theta[k])
-        assert abs(values[k] - energy(SystemKind.HT_B, err, CERTIFIED_GAINS, p_mu)) < 1e-12
+        x = error_state(traj.theta[k], traj.vartheta[k], sig.theta_star)
+        assert abs(values[k] - energy(SystemKind.HT_B, x, CERTIFIED_GAINS, p_mu)) < 1e-12
 
 
 def test_lyapunov_along_guards():
@@ -453,10 +455,8 @@ def test_check_decrease_along_on_real_run():
 def test_matrosov_constant_signal_closed_form():
     """For constant phi the auxiliary integral collapses to |phi|^2 exactly."""
     sig = make_constant([2.0], [1.0])
-    gains = Gains(beta=1.0, gamma=0.1, mu=0.2)
     # window T = 1 gives excitation level |phi|^2 T = 4
-    report = matrosov_check(sig, gains, T=1.0, delta=4.0, M=2.0, sample_count=64,
-                            t_points=4)
+    report = matrosov_check(sig, T=1.0, delta=4.0, sample_count=64, t_points=4)
     assert report.passed
     assert report.worst_margin <= report.tolerance
 
@@ -466,26 +466,19 @@ def test_matrosov_periodic_signal():
     from hotuner import check_pe
 
     pe = check_pe(sig, T=2.0 * PI, scan_horizon=4.0 * PI, quadrature_step=1e-2)
-    report = matrosov_check(sig, CERTIFIED_GAINS, T=pe.window_T, delta=pe.delta_hat,
-                            M=pe.M_hat, sample_count=100, t_points=8,
-                            quadrature_step=1e-2)
-    assert report.passed
-    # the normalized variant quotes a smaller coupling coefficient
-    report = matrosov_check(sig, CERTIFIED_GAINS, T=pe.window_T, delta=pe.delta_hat,
-                            M=pe.M_hat, sample_count=100, t_points=8,
-                            quadrature_step=1e-2,
-                            cross_coeff=CERTIFIED_GAINS.beta * pe.M_hat**2)
+    report = matrosov_check(sig, T=pe.window_T, delta=pe.delta_hat, sample_count=100,
+                            t_points=8, quadrature_step=1e-2)
     assert report.passed
 
 
 def test_matrosov_validation():
     sig = mix3()
     with pytest.raises(ValueError, match="truncation"):
-        matrosov_check(sig, CERTIFIED_GAINS, T=1.0, delta=1.0, M=1.0, truncation=10.0)
+        matrosov_check(sig, T=1.0, delta=1.0, truncation=10.0)
     with pytest.raises(ValueError):
-        matrosov_check(sig, CERTIFIED_GAINS, T=0.0, delta=1.0, M=1.0)
+        matrosov_check(sig, T=0.0, delta=1.0)
     with pytest.raises(ValueError):
-        matrosov_check(sig, CERTIFIED_GAINS, T=1.0, delta=-1.0, M=1.0)
+        matrosov_check(sig, T=1.0, delta=-1.0)
 
 
 
@@ -493,19 +486,19 @@ def test_matrosov_validation():
 def test_matrosov_rejects_a_bad_quadrature_step(step):
     """A step outside (0, truncation] used to give a 2-node quadrature or divide by zero."""
     with pytest.raises(ValueError, match="quadrature_step"):
-        matrosov_check(mix3(), CERTIFIED_GAINS, T=1.0, delta=1.0, M=1.0, quadrature_step=step)
+        matrosov_check(mix3(), T=1.0, delta=1.0, quadrature_step=step)
 
 
 @pytest.mark.parametrize("t_points", [0, -3])
 def test_matrosov_rejects_an_empty_time_grid(t_points):
     """t_points = 0 used to raise ZeroDivisionError from the sample loop."""
     with pytest.raises(ValueError, match="t_points"):
-        matrosov_check(mix3(), CERTIFIED_GAINS, T=1.0, delta=1.0, M=1.0, t_points=t_points)
+        matrosov_check(mix3(), T=1.0, delta=1.0, t_points=t_points)
 
 
 def test_matrosov_accepts_a_step_of_the_whole_truncation():
-    report = matrosov_check(make_constant([2.0], [1.0]), CERTIFIED_GAINS, T=1.0, delta=4.0,
-                            M=2.0, sample_count=8, t_points=2, quadrature_step=30.0)
+    report = matrosov_check(make_constant([2.0], [1.0]), T=1.0, delta=4.0, sample_count=8,
+                            t_points=2, quadrature_step=30.0)
     assert report.checked_points == 10
 
 def test_decay_rate_exact_exponential():

@@ -159,9 +159,10 @@ def test_offline_buffer_kind_is_refused_before_anything_is_written(tmp_path):
         ("init", "theta0", [1.0, float("nan")], "'init.theta0.1' must be a finite number"),
         ("gains", "beta", float("inf"), "'gains.beta' must be a finite number"),
         ("gains", "gamma", 10**400, "'gains.gamma' must be a finite number"),
+        ("sim", "seed", -1, "sim: seed must be nonnegative"),
     ],
     ids=["window_T", "scan_horizon", "quadrature_step", "scan_step", "theta0_text",
-         "theta0_nan", "beta_inf", "gamma_beyond_float"],
+         "theta0_nan", "beta_inf", "gamma_beyond_float", "seed_negative"],
 )
 def test_every_command_rejects_bad_settings(tmp_path, capsys, section, key, value, message):
     """Bad pe settings and non-finite numbers (JSON NaN, Infinity, an integer
@@ -174,6 +175,28 @@ def test_every_command_rejects_bad_settings(tmp_path, capsys, section, key, valu
     for command in ("run", "certify", "pe-check"):
         assert main([command, path, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "certify", "pe-check"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--t-end", "inf", "sim: t_end must be finite (got inf)"),
+        ("--step", "inf", "sim: step_h must be finite (got inf)"),
+        ("--step", "nan", "sim: step_h must be finite (got nan)"),
+        ("--seed", "-1", "sim: seed must be nonnegative (got -1)"),
+    ],
+    ids=["t_end_inf", "step_inf", "step_nan", "seed_negative"],
+)
+def test_every_command_rejects_bad_overrides(tmp_path, capsys, command, flag, value, message):
+    """argparse reads inf and nan as floats and -1 as a seed. On fig1 these used to
+    end in an OverflowError or numpy ValueError traceback, a run of 0 steps, or a
+    message about converting NaN to an integer."""
+    out = tmp_path / "out"
+    argv = [command, str(bundled_scenario_path("fig1")), "--out-dir", str(out), flag, value]
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_scenario_rejects_fractional_horizon(tmp_path, capsys):

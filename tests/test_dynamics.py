@@ -17,17 +17,16 @@ from hotuner import (
     Gains,
     SystemKind,
     TunerState,
-    b_term,
     compile_field,
-    grad_L,
     make_constant,
     make_sinusoid_mix,
     normalization,
     rhs,
 )
-from hotuner.databuffer import data_aggregates
+from hotuner.databuffer import data_aggregates, data_term
 from hotuner.dynamics import _data_for
 from hotuner.signals import row_dots
+from oracles import grad_L
 
 PI = np.pi
 
@@ -241,7 +240,7 @@ def test_cl_correction_is_additive():
         plain = rhs(SystemKind.HT, state, t, sig, None, gains)
         with_cl = rhs(SystemKind.HT_CL, state, t, sig, buffer, gains)
         nt = normalization(sig.phi(t), gains.mu)
-        correction = b_term(buffer, state.theta, gains.mu)
+        correction = data_term(data_aggregates(buffer, gains.mu), state.theta)
         assert np.array_equal(plain[0], with_cl[0])
         assert np.allclose(with_cl[1] - plain[1], -gains.gamma * nt * correction,
                            atol=1e-10)

@@ -1,7 +1,7 @@
 """The grid-precomputed Euler kernel against a plain step-by-step reference.
 
-The reference below evaluates the signal, the recording rule and the public
-rhs once per step, the way the integrator did before it precomputed its
+The reference below evaluates the signal, the one-step recording rule of
+oracles.py and the public rhs once per step, the way the integrator did before it precomputed its
 inputs. The kernel must reproduce it bit for bit, and the CLI outputs for the
 bundled scenarios must keep their recorded sha256. rhs evaluates the same
 compiled field as the kernel, so only the golden hashes catch a change in how
@@ -25,12 +25,12 @@ from hotuner import (
     TunerState,
     buffer_csv,
     make_sinusoid_mix,
-    maybe_record,
     rhs,
     simulate,
     simulate_with_buffer,
 )
 from hotuner.cli import bundled_scenario_path, main
+from oracles import maybe_record
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2, beta_r=4.0)

@@ -104,7 +104,7 @@ def oracle_pointwise(kind, signal, buffer, gains, sample_count=2000, radius=5.0,
     return CertificateReport(sample_count, violations, worst, tolerance)
 
 
-def oracle_matrosov(signal, gains, T, delta, M, truncation=30.0, sample_count=200, seed=0,
+def oracle_matrosov(signal, T, delta, truncation=30.0, sample_count=200, seed=0,
                     radius=5.0, t_points=16, t_span=4.0 * math.pi, quadrature_step=1e-3,
                     tolerance=TOLERANCE):
     offsets, weights = _trapezoid(truncation, quadrature_step, "truncation")
@@ -247,9 +247,9 @@ def test_zero_direction_gives_the_origin_in_both(monkeypatch, kind):
                                                     sample_count=1).to_csv_line()
     assert origin.worst_margin == 0.0
     monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroDirectionRng(seed, 3))
-    settings = dict(T=0.1, delta=50.0, M=4.0, sample_count=30, t_points=4, quadrature_step=1e-2)
-    want = oracle_matrosov(signal, GAINS, **settings)
-    got = matrosov_check(signal, GAINS, **settings)
+    settings = dict(T=0.1, delta=50.0, sample_count=30, t_points=4, quadrature_step=1e-2)
+    want = oracle_matrosov(signal, **settings)
+    got = matrosov_check(signal, **settings)
     assert want.worst_margin > 0.0
     assert got.to_csv_line() == want.to_csv_line()
 
@@ -265,20 +265,20 @@ def test_matrosov_matches_the_per_point_loop(signal_of):
     pe = check_pe(signal, T=2.0 * PI, scan_horizon=4.0 * PI, quadrature_step=1e-2)
     for seed in (0, 1, 3, 7):
         for sample_count, t_points in [(200, 16), (37, 5), (10, 1), (0, 3)]:
-            settings = dict(T=pe.window_T, delta=pe.delta_hat, M=pe.M_hat, seed=seed,
+            settings = dict(T=pe.window_T, delta=pe.delta_hat, seed=seed,
                             sample_count=sample_count, t_points=t_points,
                             quadrature_step=1e-2)
-            want = oracle_matrosov(signal, GAINS, **settings)
-            got = matrosov_check(signal, GAINS, **settings)
+            want = oracle_matrosov(signal, **settings)
+            got = matrosov_check(signal, **settings)
             assert got.to_csv_line() == want.to_csv_line(), (seed, sample_count, t_points)
 
 
 def test_matrosov_fails_where_the_loop_fails():
     """An excitation level above the true one makes V1 exceed its claimed bound."""
     signal = mix3()
-    settings = dict(T=0.1, delta=50.0, M=4.0, sample_count=120, t_points=6,
+    settings = dict(T=0.1, delta=50.0, sample_count=120, t_points=6,
                     quadrature_step=1e-2)
-    want = oracle_matrosov(signal, GAINS, **settings)
-    got = matrosov_check(signal, GAINS, **settings)
+    want = oracle_matrosov(signal, **settings)
+    got = matrosov_check(signal, **settings)
     assert want.violations > 0
     assert got.to_csv_line() == want.to_csv_line()
