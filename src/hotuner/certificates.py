@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .databuffer import DataBuffer, data_aggregates, p_matrix
+from .databuffer import DataBuffer, p_matrix
 from .dynamics import (
     BASELINE_KINDS,
     BUFFER_KINDS,
@@ -54,11 +54,17 @@ __all__ = [
 ]
 
 POINTWISE_TOLERANCE = 1e-9
+# Both sweeps take their times on a grid over [0, SWEEP_SPAN].
+SWEEP_SPAN = 4.0 * math.pi
 # Allowed per-step V growth along a trajectory is SLACK_COEFF * h * (1 + V).
 SLACK_COEFF = 10.0
 # Discarding the integral tail beyond this horizon changes the auxiliary
 # function by at most exp(-30) M^2 |theta_tilde|^2, far below tolerance.
 MIN_MATROSOV_TRUNCATION = 30.0
+# The decay fit drops this leading fraction of the rows and takes the upper
+# envelope over windows of this length.
+DECAY_SKIP_FRACTION = 0.1
+ENVELOPE_WINDOW = 2.0 * math.pi
 # Sampled points per block of the certificate sweeps; bounds the (B, N)
 # scratch of the data term.
 _SWEEP_BLOCK = 256
@@ -144,12 +150,13 @@ def _decrease_bound(
     phi: np.ndarray,
     gains: Gains,
     p_mu: np.ndarray | None,
-    m_bound: float | None,
+    m_bound: float,
 ) -> np.ndarray:
     """Certified upper bound on <grad V, f> at error states and regressors, row by row.
 
     Row b of theta_tilde, p and phi (B, n) gives bound b; each dot product is
-    a stacked 1-d dot (signals.row_dots).
+    a stacked 1-d dot (signals.row_dots). m_bound bounds |phi| for the
+    normalized concurrent-learning kind.
     """
     p_sq = row_dots(p, p)
     if kind is SystemKind.HT or kind is SystemKind.HT_NORMALIZED:
@@ -163,8 +170,6 @@ def _decrease_bound(
     if kind is SystemKind.HT_CL:
         return -2.0 * quad - (2.0 * gains.beta / gains.gamma) * p_sq
     if kind is SystemKind.HT_NORMALIZED_CL:
-        if m_bound is None:
-            raise ValueError("the normalized CL bound needs an upper bound on |phi|")
         cap = 1.0 + gains.mu * m_bound**2
         return -2.0 * quad - (2.0 * gains.beta / (gains.gamma * cap)) * p_sq
     return -gains.gamma * quad - gains.beta * p_sq  # HT_B
@@ -179,7 +184,7 @@ def _decrease_sides(
     signal: RegressorSignal,
     gains: Gains,
     buffer: DataBuffer | None,
-    m_bound: float | None,
+    m_bound: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of <grad V, f> <= bound at error states x = (theta_tilde, p), row by row.
 
@@ -218,37 +223,31 @@ def decrease_margin(
     signal: RegressorSignal,
     gains: Gains,
     buffer: DataBuffer | None = None,
-    m_bound: float | None = None,
 ) -> tuple[float, float]:
     """Return (lhs, rhs) of the decrease inequality <grad V, f> <= bound at x, t.
 
     x is the (2n,) error state (theta_tilde, p) = (theta - theta*,
     vartheta - theta). The bounds assume that the buffer of a buffer-driven
-    kind holds samples consistent with theta*. m_bound defaults to the
-    signal's certified amplitude bound, which only matters for the normalized
-    concurrent-learning kind.
+    kind holds samples consistent with theta*. The normalized
+    concurrent-learning kind bounds |phi| by the signal's certified
+    amplitude bound, signal.norm_bound().
     """
-    if m_bound is None:
-        m_bound = signal.norm_bound()
     x = np.asarray(x, dtype=float)
     if x.shape != (2 * signal.dimension,):
         raise ValueError(f"x must be the ({2 * signal.dimension},) error state (theta_tilde, p)")
     phi, y_star = signal.eval(t)
     lhs, rhs = _decrease_sides(
         kind, x[None], phi[None], np.array([y_star]),
-        np.array([normalization(phi, gains.mu)]), signal, gains, buffer, m_bound,
+        np.array([normalization(phi, gains.mu)]), signal, gains, buffer,
+        signal.norm_bound(),
     )
     return float(lhs[0]), float(rhs[0])
 
 
-def _check_sweep(radius: float, t_span: float, tolerance: float) -> None:
-    """Refuse sweep settings under which a check could not fail."""
+def _check_sweep(radius: float) -> None:
+    """Refuse a radius under which a sweep could not fail."""
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive (got {radius!r})")
-    if not (math.isfinite(t_span) and t_span >= 0.0):
-        raise ValueError(f"t_span must be finite and nonnegative (got {t_span!r})")
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and nonnegative (got {tolerance!r})")
 
 
 def _sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
@@ -276,17 +275,17 @@ def _sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) 
     return points
 
 
-def _sweep_report(margins: np.ndarray, tolerance: float) -> CertificateReport:
-    """Count margins beyond tolerance; a non-finite margin counts as a violation.
+def _sweep_report(margins: np.ndarray) -> CertificateReport:
+    """Count margins beyond POINTWISE_TOLERANCE; a non-finite margin counts as a violation.
 
     A NaN margin makes worst_margin NaN, so the report cannot look clean.
     """
-    violations = np.count_nonzero((margins > tolerance) | ~np.isfinite(margins))
+    violations = np.count_nonzero((margins > POINTWISE_TOLERANCE) | ~np.isfinite(margins))
     return CertificateReport(
         checked_points=int(margins.shape[0]),
         violations=int(violations),
         worst_margin=float(margins.max()),
-        tolerance=tolerance,
+        tolerance=POINTWISE_TOLERANCE,
     )
 
 
@@ -298,14 +297,12 @@ def check_decrease_pointwise(
     sample_count: int = 2000,
     radius: float = 5.0,
     seed: int = 0,
-    t_span: float = 4.0 * math.pi,
     t_points: int = 64,
-    tolerance: float = POINTWISE_TOLERANCE,
 ) -> CertificateReport:
     """Sample error states and times and verify the analytic decrease bound.
 
     States are drawn uniformly from the radius ball in error space, times
-    cycle over a grid on [0, t_span]. The bound for the normalized
+    cycle over a grid on [0, SWEEP_SPAN]. The bound for the normalized
     concurrent-learning kind uses the largest |phi| seen on that grid, so the
     certified inequality applies at every sampled point exactly. The states
     are drawn one by one (see _sample_ball); then both sides are evaluated at
@@ -318,14 +315,14 @@ def check_decrease_pointwise(
         raise ValueError(f"sample_count must be at least 1 (got {sample_count})")
     if t_points < 1:
         raise ValueError(f"t_points must be at least 1 (got {t_points})")
-    _check_sweep(radius, t_span, tolerance)
+    _check_sweep(radius)
     if kind in RATE_CONDITION_KINDS and not gains.rate_condition_ok:
         raise ValueError(
             f"decrease bound for '{kind.value}' is only certified when "
             f"beta >= 2 gamma / mu with mu > 0 "
             f"(got beta={gains.beta}, gamma={gains.gamma}, mu={gains.mu})"
         )
-    phis, y_stars = signal.eval_grid(np.linspace(0.0, t_span, t_points))
+    phis, y_stars = signal.eval_grid(np.linspace(0.0, SWEEP_SPAN, t_points))
     phi_sq = row_dots(phis, phis)
     m_bound = float(np.sqrt(phi_sq).max())
     x = _sample_ball(np.random.default_rng(seed), sample_count, 2 * signal.dimension, radius)
@@ -334,7 +331,7 @@ def check_decrease_pointwise(
         kind, x, phis[at], y_stars[at], 1.0 + gains.mu * phi_sq[at],
         signal, gains, buffer, m_bound,
     )
-    return _sweep_report(lhs - rhs, tolerance)
+    return _sweep_report(lhs - rhs)
 
 
 def lyapunov_along(
@@ -365,7 +362,7 @@ def lyapunov_along(
         raise ValueError("trajectory refers to more samples than the buffer holds")
     # Prefix data-sum matrices: prefix[m] covers the first m samples, weighted
     # as the field weighs them.
-    _, _, weights = data_aggregates(buffer, gains.mu)
+    _, _, weights = _data_for(kind, buffer, gains)
     phi = buffer.phi
     terms = weights[:, None, None] * (phi[:, :, None] * phi[:, None, :])
     prefix = np.concatenate((np.zeros((1, n, n)), np.cumsum(terms, axis=0)))
@@ -381,11 +378,10 @@ def check_decrease_along(
     trajectory: Trajectory,
     v_values: np.ndarray,
     step_h: float,
-    slack_coeff: float = SLACK_COEFF,
 ) -> CertificateReport:
     """Flag rows where V grows faster than the discretization allowance.
 
-    The allowance per step is slack_coeff * step_h * (1 + V). Steps at which a
+    The allowance per step is SLACK_COEFF * step_h * (1 + V). Steps at which a
     new sample was recorded are exempt: the recorded-data term of V changes
     discontinuously there, outside the flow the certificate covers.
     """
@@ -395,7 +391,7 @@ def check_decrease_along(
     if trajectory.n_rows < 2:
         return CertificateReport(0, 0, -math.inf, 0.0)
     dv = v_values[1:] - v_values[:-1]
-    slack = slack_coeff * step_h * (1.0 + v_values[:-1])
+    slack = SLACK_COEFF * step_h * (1.0 + v_values[:-1])
     margin = dv - slack
     flow_steps = trajectory.n_samples[1:] == trajectory.n_samples[:-1]
     checked = int(flow_steps.sum())
@@ -414,22 +410,20 @@ def matrosov_check(
     signal: RegressorSignal,
     T: float,
     delta: float,
-    truncation: float = MIN_MATROSOV_TRUNCATION,
     sample_count: int = 200,
     seed: int = 0,
     radius: float = 5.0,
     t_points: int = 16,
-    t_span: float = 4.0 * math.pi,
     quadrature_step: float = DEFAULT_QUADRATURE_STEP,
-    tolerance: float = POINTWISE_TOLERANCE,
 ) -> CertificateReport:
     """Check the auxiliary excitation-weighted function used beyond semidefiniteness.
 
-    Two parts, both on a time grid over [0, t_span]:
+    Two parts, both on a time grid over [0, SWEEP_SPAN]:
 
     (a) V1(x, t) = -theta_tilde' (integral_t^inf e^{t-s} phi phi' ds) theta_tilde,
         computed by trapezoid quadrature with step quadrature_step in
-        (0, truncation], truncated at t + truncation, stays below
+        (0, truncation], truncated at t + truncation with truncation =
+        MIN_MATROSOV_TRUNCATION, stays below
         -e^{-T} delta |theta_tilde|^2 at sampled states. All t_points kernels
         come from one moment matrix of the e^{-tau}-weighted nodes.
     (b) At constructed points with p = 0 and phi(t)' theta_tilde = 0, the
@@ -441,17 +435,15 @@ def matrosov_check(
     then evaluated as arrays, each row rounding as at a single point. A
     non-finite margin counts as a violation.
     """
-    if truncation < MIN_MATROSOV_TRUNCATION:
-        raise ValueError(f"truncation must be at least {MIN_MATROSOV_TRUNCATION}")
     if delta < 0.0 or T <= 0.0:
         raise ValueError("need T > 0 and nonnegative delta")
     if t_points < 1:
         raise ValueError(f"t_points must be at least 1 (got {t_points})")
-    _check_sweep(radius, t_span, tolerance)
-    offsets, weights = _trapezoid(truncation, quadrature_step, "truncation")
+    _check_sweep(radius)
+    offsets, weights = _trapezoid(MIN_MATROSOV_TRUNCATION, quadrature_step, "truncation")
     n = signal.dimension
     decay = math.exp(-T) * delta
-    t_grid = np.linspace(0.0, t_span, t_points)
+    t_grid = np.linspace(0.0, SWEEP_SPAN, t_points)
     moments = _moments(signal, offsets, weights * np.exp(-offsets))
     kernels = _window_grams(signal, t_grid, moments)
     rng = np.random.default_rng(seed)
@@ -473,7 +465,7 @@ def matrosov_check(
     spans = norms > 1e-9
     theta_tilde = raw * np.divide(radius, norms, out=np.zeros(t_points), where=spans)[:, None]
     majorant = -decay * row_dots(theta_tilde, theta_tilde) + _squares(row_dots(phis, theta_tilde))
-    return _sweep_report(np.concatenate((sampled, majorant)), tolerance)
+    return _sweep_report(np.concatenate((sampled, majorant)))
 
 
 def _upper_envelope(times: np.ndarray, values: np.ndarray, window: float) -> np.ndarray:
@@ -499,37 +491,27 @@ def _upper_envelope(times: np.ndarray, values: np.ndarray, window: float) -> np.
     return envelope
 
 
-def estimate_decay_rate(
-    trajectory: Trajectory,
-    skip_fraction: float = 0.1,
-    envelope_window: float = 2.0 * math.pi,
-) -> tuple[float, float, float]:
+def estimate_decay_rate(trajectory: Trajectory) -> tuple[float, float, float]:
     """Fit err_norm(t) ~ c * exp(-alpha t) and return (alpha, c, fit quality).
 
     The fit is a least-squares line through log of the upper envelope (running
-    maximum over envelope_window, suppressing excitation-driven oscillation)
-    after dropping the initial skip_fraction of rows and any rows with
+    maximum over ENVELOPE_WINDOW, suppressing excitation-driven oscillation)
+    after dropping the initial DECAY_SKIP_FRACTION of rows and any rows with
     err_norm below 1e-13. Fit quality is the coefficient of determination.
     """
-    if not 0.0 <= skip_fraction < 1.0:
-        raise ValueError("skip_fraction must lie in [0, 1)")
-    if not envelope_window >= 0.0:
-        raise ValueError("envelope_window must be nonnegative")
     times = trajectory.t
     values = trajectory.err_norm
-    start = int(skip_fraction * times.shape[0])
+    start = int(DECAY_SKIP_FRACTION * times.shape[0])
     times, values = times[start:], values[start:]
     keep = values >= 1e-13
     times, values = times[keep], values[keep]
+    envelope = _upper_envelope(times, values, ENVELOPE_WINDOW)
     # Trailing rows whose window runs past the data would bias the envelope.
     if times.shape[0]:
-        full = times <= times[-1] - envelope_window
+        full = times <= times[-1] - ENVELOPE_WINDOW
         if full.sum() >= 10:
             cut = int(np.nonzero(full)[0][-1]) + 1
-            envelope = _upper_envelope(times, values, envelope_window)[:cut]
-            times = times[:cut]
-        else:
-            envelope = _upper_envelope(times, values, envelope_window)
+            times, envelope = times[:cut], envelope[:cut]
     if times.shape[0] < 10:
         raise ValueError("too few usable rows to fit a decay rate")
     log_env = np.log(envelope)

@@ -39,36 +39,28 @@ DataAggregates = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class DataBuffer:
-    """Recorded samples as read-only arrays, with a capacity and a record threshold.
+    """Recorded samples as read-only arrays.
 
     Row k of t (N,), phi (N, n) and y_star (N,) is the k-th recorded pair
-    (t_k, phi_k, y*_k); times increase strictly. The buffer freezes once it
-    holds capacity samples; DataBuffer.empty has phi of shape (0, 0). The
-    regressors are also kept as contiguous columns (n, N), the layout that
-    data_term's rounding depends on.
+    (t_k, phi_k, y*_k); times increase strictly. DataBuffer.empty has phi of
+    shape (0, 0). The regressors are also kept as contiguous columns (n, N),
+    the layout that data_term's rounding depends on. The recording policy
+    (sample budget and threshold) belongs to record_steps, not to the buffer.
     """
 
     t: np.ndarray
     phi: np.ndarray
     y_star: np.ndarray
-    capacity: int
-    epsilon: float
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be a positive integer")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
         t = np.array(self.t, dtype=float)
         phi = np.array(self.phi, dtype=float)
         y_star = np.array(self.y_star, dtype=float)
         if t.ndim != 1 or phi.ndim != 2 or phi.shape[0] != t.shape[0] or y_star.shape != t.shape:
             raise ValueError("need t (N,), phi (N, n) and y_star (N,) of one length N")
         count = t.shape[0]
-        if count > self.capacity:
-            raise ValueError("more samples than capacity")
-        if count and not 1 <= phi.shape[1] <= self.capacity:
-            raise ValueError("regressor dimension must be at least 1 and at most capacity")
+        if count and phi.shape[1] < 1:
+            raise ValueError("regressor dimension must be at least 1")
         if np.any(t[1:] <= t[:-1]):
             raise ValueError("sample times must be strictly increasing")
         for name, values in (("t", t), ("phi", phi), ("y_star", y_star)):
@@ -77,32 +69,21 @@ class DataBuffer:
         object.__setattr__(self, "_phi_mat", np.ascontiguousarray(phi.T) if count else None)
 
     @staticmethod
-    def empty(capacity: int, epsilon: float) -> "DataBuffer":
-        return DataBuffer(np.empty(0), np.empty((0, 0)), np.empty(0), capacity, epsilon)
+    def empty() -> "DataBuffer":
+        return DataBuffer(np.empty(0), np.empty((0, 0)), np.empty(0))
 
     @staticmethod
-    def from_samples(phis, y_stars, times=None, capacity: int | None = None,
-                     epsilon: float = 1.0) -> "DataBuffer":
-        """A buffer of stacked regressors (rows) and outputs.
-
-        Times default to 0, 1, ..., and capacity to max(N, n).
-        """
+    def from_samples(phis, y_stars, times=None) -> "DataBuffer":
+        """A buffer of stacked regressors (rows) and outputs; times default to 0, 1, ...."""
         phis = np.asarray(phis, dtype=float)
         if phis.ndim != 2:
             raise ValueError("phis must be (N, n) with matching y_stars")
-        count, n = phis.shape
         if times is None:
-            times = np.arange(count, dtype=float)
-        if capacity is None:
-            capacity = max(count, n)
-        return DataBuffer(times, phis, y_stars, capacity, epsilon)
+            times = np.arange(phis.shape[0], dtype=float)
+        return DataBuffer(times, phis, y_stars)
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    @property
-    def frozen(self) -> bool:
-        return len(self) == self.capacity
 
     @property
     def dimension(self) -> int:
@@ -126,9 +107,11 @@ def record_steps(phis, capacity: int, epsilon: float) -> list[int]:
     """Rows of phis that the online recording rule keeps when fed them in order.
 
     Row k stands for the regressor at the k-th of increasing times, starting
-    from an empty buffer of the given capacity and epsilon; recording stops
-    when the buffer freezes. The first row is kept unconditionally; after it a
-    row is kept when it has moved far enough from the last kept one,
+    from an empty buffer; recording stops (the buffer freezes) once capacity
+    rows are kept. capacity must be at least the regressor dimension n, below
+    which the data can never pin down theta, and epsilon must be positive.
+    The first row is kept unconditionally; after it a row is kept when it
+    has moved far enough from the last kept one,
 
         |phi - phi_last|^2 / |phi| >= epsilon,
 
@@ -140,7 +123,14 @@ def record_steps(phis, capacity: int, epsilon: float) -> list[int]:
     first one far enough from it.
     """
     phis = np.asarray(phis, dtype=float)
-    count = phis.shape[0]
+    count, n = phis.shape
+    if not capacity >= max(n, 1):
+        raise ValueError(
+            f"capacity must be at least 1 and at least the regressor dimension {n} "
+            f"(got {capacity!r})"
+        )
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive (got {epsilon!r})")
     steps = [0] if count else []
     start = 1
     while len(steps) < capacity and start < count:

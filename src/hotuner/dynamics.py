@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .databuffer import DataAggregates, DataBuffer, data_aggregates, data_term
-from .signals import RegressorSignal
+from .signals import RegressorSignal, row_dots
 
 __all__ = [
     "BASELINE_KINDS",
@@ -164,18 +164,19 @@ def normalization(phi_t, mu: float) -> float:
     return 1.0 + mu * float(phi_t @ phi_t)
 
 
-def _data_mu(kind: SystemKind, gains: Gains) -> float:
-    """mu in the data-term weights 1 / (1 + mu |phi_k|^2)."""
-    return gains.mu if KINDS[kind].data_mu else 0.0
-
-
 def _data_for(
-    kind: SystemKind, buffer: DataBuffer | None, gains: Gains
+    kind: SystemKind, buffer: DataBuffer | None, gains: Gains, count: int | None = None
 ) -> DataAggregates | None:
-    """Aggregates of the whole buffer as the kind reads them; None if it reads none."""
-    if kind in BUFFER_KINDS and buffer is not None and len(buffer):
-        return data_aggregates(buffer, _data_mu(kind, gains))
-    return None
+    """Aggregates of the buffer's first count samples (default: all) as the kind reads them.
+
+    The data-term weights are 1 / (1 + mu |phi_k|^2), with mu = 0 for a kind
+    whose spec has data_mu False. None if the kind reads no data or there is
+    none to read.
+    """
+    spec = KINDS[kind]
+    if spec.data is None or buffer is None or len(buffer) == 0 or count == 0:
+        return None
+    return data_aggregates(buffer, gains.mu if spec.data_mu else 0.0, count)
 
 
 # A compiled field: (theta, vartheta, phi, y_star, nt, data, dtheta, dvartheta) -> None.
@@ -189,19 +190,11 @@ Field = Callable[
 ]
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products a[k] . b[k] of (B, n) rows as a (B, 1) column; a may be one (n,) row.
-
-    Each row goes through the 1-d dot kernel, as in signals.row_dots.
-    """
-    return np.matmul(a[..., None, :], b[:, :, None])[:, :, 0]
-
-
 def compile_field(kind: SystemKind, gains: Gains, n: int, batched: bool = False) -> Field:
     """The field of one kind with one gain set and dimension n, resolved once for many calls.
 
     The closure takes the state, phi and y* at time t, N_t at phi, the buffer
-    aggregates weighted for this kind (see _data_mu), or None for an empty
+    aggregates weighted for this kind (see _data_for), or None for an empty
     buffer, and the two output vectors, which must not overlap the inputs.
     It works in place, through its own scratch for the loss gradient and the
     gap theta - vartheta, and holds the constant gains as n-vectors. Each
@@ -232,7 +225,11 @@ def compile_field(kind: SystemKind, gains: Gains, n: int, batched: bool = False)
     neg_beta_vec = np.full(n, neg_beta)
     neg_pull = np.full(n, -(2.0 * gains.beta_r))
     scratch = np.empty(n), np.empty(n)
-    dot = _row_dot if batched else np.ndarray.dot
+    if batched:
+        def dot(a, b):  # a[k] . b[k] as a (B, 1) column; a may be one (n,) row
+            return row_dots(b, a)[:, None]
+    else:
+        dot = np.ndarray.dot
     add, divide, empty_like, multiply, subtract = (
         np.add, np.divide, np.empty_like, np.multiply, np.subtract)
     missing_data = f"system '{kind.value}' requires a nonempty data buffer"

@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .databuffer import DataAggregates, DataBuffer, data_aggregates, record_steps
+from .databuffer import DataBuffer, record_steps
 from .dynamics import (
     BUFFER_KINDS,
     KINDS,
     Gains,
     SystemKind,
     TunerState,
-    _data_mu,
+    _data_for,
     compile_field,
 )
 from .signals import RegressorSignal, row_dots
@@ -73,6 +74,11 @@ class SimConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative (got {self.seed})")
         steps = (self.t_end - self.t_start) / self.step_h
+        if not steps <= np.iinfo(np.intp).max:
+            raise ValueError(
+                f"horizon t_end - t_start = {self.t_end - self.t_start!r} at step_h = "
+                f"{self.step_h!r} needs {steps!r} steps, more than can be run"
+            )
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(
                 f"horizon t_end - t_start = {self.t_end - self.t_start!r} is not a whole "
@@ -174,10 +180,8 @@ class SignalGrid:
         key = (capacity, epsilon)
         if key not in self._schedules:
             steps = record_steps(self.phi[:self.num_steps], capacity, epsilon)
-            buffer = DataBuffer.from_samples(
-                self.phi[steps], self.y_star[steps], times=self.t[steps],
-                capacity=capacity, epsilon=epsilon,
-            )
+            buffer = DataBuffer.from_samples(self.phi[steps], self.y_star[steps],
+                                             times=self.t[steps])
             self._schedules[key] = (steps, buffer)
         return self._schedules[key]
 
@@ -203,20 +207,14 @@ class _Euler:
         self.grid = grid
         self.every = sim.record_every
         self.keeps = keeps
-        self.buffer = buffer
         self.first_count = len(buffer) - len(keeps)
-        self.reads_data = kind in BUFFER_KINDS
-        self.data_mu = _data_mu(kind, gains)
+        # data(count) is what the field reads from the first count samples.
+        self.data = partial(_data_for, kind, buffer, gains)
         self.nt = grid.nt_list(gains.mu)
         n_rows = grid.num_steps // self.every + 1
         self.theta = np.empty((n_rows, self.n))
         self.vartheta = np.empty_like(self.theta)
         self.row = 0
-
-    def data(self, count: int) -> DataAggregates | None:
-        if not self.reads_data or count == 0:
-            return None
-        return data_aggregates(self.buffer, self.data_mu, count)
 
     def advance(self, row: int, checked: bool) -> np.ndarray:
         """Run from the state stored at row to the end; return the final state.
@@ -316,14 +314,6 @@ def _run(
     )
 
 
-def _grid_for(signal: RegressorSignal, sim: SimConfig, grid: SignalGrid | None) -> SignalGrid:
-    if grid is None:
-        return SignalGrid(signal, sim)
-    if not grid.matches(signal, sim):
-        raise ValueError("grid was built for another signal or time grid")
-    return grid
-
-
 def simulate(
     kind: SystemKind,
     signal: RegressorSignal,
@@ -347,11 +337,14 @@ def simulate(
             f"'{kind.value}' records its data online and needs both epsilon and "
             "N_bar; to run it on fixed pre-recorded data use simulate_with_buffer"
         )
-    grid = _grid_for(signal, sim, grid)
+    if grid is None:
+        grid = SignalGrid(signal, sim)
+    elif not grid.matches(signal, sim):
+        raise ValueError("grid was built for another signal or time grid")
     if kind in BUFFER_KINDS:
         keeps, buffer = grid.schedule(N_bar, epsilon)
     else:
-        keeps, buffer = [], DataBuffer.empty(max(N_bar or 1, 1), epsilon or 1.0)
+        keeps, buffer = [], DataBuffer.empty()
     return _run(kind, gains, sim, grid, init, buffer, keeps), buffer
 
 
@@ -362,9 +355,8 @@ def simulate_with_buffer(
     sim: SimConfig,
     init: TunerState,
     buffer: DataBuffer,
-    grid: SignalGrid | None = None,
 ) -> Trajectory:
     """Simulate with a fixed pre-recorded buffer (no online recording)."""
     if kind in BUFFER_KINDS and len(buffer) == 0:
         raise ValueError(f"'{kind.value}' needs a nonempty buffer")
-    return _run(kind, gains, sim, _grid_for(signal, sim, grid), init, buffer, [])
+    return _run(kind, gains, sim, SignalGrid(signal, sim), init, buffer, [])

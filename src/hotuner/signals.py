@@ -260,9 +260,9 @@ class PEReport:
     windows: int
     worst_window_start: float
 
-    def satisfied(self, tolerance: float = PE_TOLERANCE) -> bool:
-        """True when every scanned window Gram was positive definite beyond tolerance."""
-        return self.delta_hat > tolerance
+    def satisfied(self) -> bool:
+        """True when every scanned window Gram was positive definite beyond PE_TOLERANCE."""
+        return self.delta_hat > PE_TOLERANCE
 
     def summary(self) -> str:
         state = "satisfied" if self.satisfied() else "NOT satisfied"

@@ -11,18 +11,19 @@ import numpy as np
 from hotuner.databuffer import ZERO_REGRESSOR_NORM, DataBuffer
 
 
-def maybe_record(buffer: DataBuffer, t: float, phi_t, y_star_t: float) -> tuple[DataBuffer, bool]:
+def maybe_record(buffer: DataBuffer, t: float, phi_t, y_star_t: float, capacity: int,
+                 epsilon: float) -> tuple[DataBuffer, bool]:
     """Apply the online recording rule at time t; returns (buffer, recorded).
 
-    A frozen buffer is returned unchanged. An empty buffer records
-    unconditionally. Otherwise the pair is kept when the regressor has moved
-    far enough from the last kept one:
+    A buffer holding capacity samples is frozen and returned unchanged. An
+    empty buffer records unconditionally. Otherwise the pair is kept when the
+    regressor has moved far enough from the last kept one:
 
         |phi(t) - phi(t_last)|^2 / |phi(t)| >= epsilon,
 
     skipping near-zero regressors, for which the criterion is undefined.
     """
-    if buffer.frozen:
+    if len(buffer) >= capacity:
         return buffer, False
     phi_t = np.asarray(phi_t, dtype=float)
     if len(buffer):
@@ -35,11 +36,10 @@ def maybe_record(buffer: DataBuffer, t: float, phi_t, y_star_t: float) -> tuple[
         if norm < ZERO_REGRESSOR_NORM:
             return buffer, False
         gap = float(np.sum((phi_t - last_phi) ** 2))
-        if gap / norm < buffer.epsilon:
+        if gap / norm < epsilon:
             return buffer, False
     phis = np.vstack((buffer.phi, phi_t)) if len(buffer) else phi_t[None]
-    grown = DataBuffer(np.append(buffer.t, t), phis, np.append(buffer.y_star, y_star_t),
-                       buffer.capacity, buffer.epsilon)
+    grown = DataBuffer(np.append(buffer.t, t), phis, np.append(buffer.y_star, y_star_t))
     return grown, True
 
 

@@ -278,8 +278,6 @@ def test_decrease_pointwise_rejects_empty_samples(argument, value):
 
 UNFAILABLE_SWEEPS = [
     ("radius", 0.0), ("radius", -5.0), ("radius", math.nan), ("radius", math.inf),
-    ("t_span", -1.0), ("t_span", math.nan), ("t_span", math.inf),
-    ("tolerance", -1e-9), ("tolerance", math.nan), ("tolerance", math.inf),
 ]
 
 
@@ -300,10 +298,10 @@ def test_sweep_report_counts_non_finite_margins():
     from hotuner.certificates import _sweep_report
 
     margins = np.array([-1.0, math.nan, -math.inf, math.inf, 2e-9, 0.0])
-    report = _sweep_report(margins, 1e-9)
+    report = _sweep_report(margins)  # POINTWISE_TOLERANCE is 1e-9
     assert report.checked_points == 6 and report.violations == 4
     assert math.isnan(report.worst_margin)
-    assert _sweep_report(np.array([-1.0, 1e-9]), 1e-9).to_csv_line() == "2,0,1e-09,1e-09"
+    assert _sweep_report(np.array([-1.0, 1e-9])).to_csv_line() == "2,0,1e-09,1e-09"
 
 
 def test_sweeps_count_overflowing_points_as_violations():
@@ -343,12 +341,12 @@ def test_lyapunov_along_uses_samples_recorded_so_far():
         traj, buffer = simulate(kind, sig, gains, sim,
                                 TunerState.from_theta0([1.0, 1.0, 1.0]),
                                 epsilon=1.0, N_bar=4)
-        assert buffer.frozen
+        assert len(buffer) == 4
         values = lyapunov_along(kind, traj, sig, gains, buffer)
         for k in range(traj.n_rows):
             m = int(traj.n_samples[k])
             prefix = DataBuffer.from_samples(buffer.phi[:m], buffer.y_star[:m],
-                                             times=buffer.t[:m], capacity=max(m, 3))
+                                             times=buffer.t[:m])
             x = error_state(traj.theta[k], traj.vartheta[k], sig.theta_star)
             want = energy(kind, x, gains, p_matrix(prefix, gains.mu))
             assert abs(values[k] - want) < 1e-10, kind
@@ -361,9 +359,10 @@ def test_lyapunov_along_weighs_samples_as_the_field():
     rng = np.random.default_rng(2)
     sig = mix3()
     gains = Gains(beta=1.0, gamma=0.1, mu=0.7, beta_r=4.0)
-    buffer = DataBuffer.empty(capacity=16, epsilon=1e-6)
+    buffer = DataBuffer.empty()
     for k in range(16):
-        buffer, kept = maybe_record(buffer, float(k), rng.uniform(-3.0, 3.0, 3), float(k))
+        buffer, kept = maybe_record(buffer, float(k), rng.uniform(-3.0, 3.0, 3), float(k),
+                                    16, 1e-6)
         assert kept
     dot_weights = [1.0 / (1.0 + gains.mu * float(phi @ phi)) for phi in buffer.phi]
     assert np.any(data_aggregates(buffer, gains.mu)[2] != dot_weights)
@@ -473,8 +472,6 @@ def test_matrosov_periodic_signal():
 
 def test_matrosov_validation():
     sig = mix3()
-    with pytest.raises(ValueError, match="truncation"):
-        matrosov_check(sig, T=1.0, delta=1.0, truncation=10.0)
     with pytest.raises(ValueError):
         matrosov_check(sig, T=0.0, delta=1.0)
     with pytest.raises(ValueError):
@@ -523,12 +520,6 @@ def test_decay_rate_guards():
     traj = synthetic_trajectory(t, np.exp(-t))
     with pytest.raises(ValueError, match="too few"):
         estimate_decay_rate(traj)
-    long = synthetic_trajectory(np.linspace(0, 10, 100), np.exp(-np.linspace(0, 10, 100)))
-    with pytest.raises(ValueError, match="skip_fraction"):
-        estimate_decay_rate(long, skip_fraction=1.0)
-    for window in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="envelope_window"):
-            estimate_decay_rate(long, envelope_window=window)
 
 
 def scan_envelope(times, values, window):

@@ -185,13 +185,18 @@ def test_every_command_rejects_bad_settings(tmp_path, capsys, section, key, valu
         ("--step", "inf", "sim: step_h must be finite (got inf)"),
         ("--step", "nan", "sim: step_h must be finite (got nan)"),
         ("--seed", "-1", "sim: seed must be nonnegative (got -1)"),
+        ("--t-end", "1e300", "sim: horizon t_end - t_start = 1e+300 at step_h = 0.001 "
+                             "needs 1e+303 steps, more than can be run"),
+        ("--step", "1e-320", "sim: horizon t_end - t_start = 100.0 at step_h = 1e-320 "
+                             "needs inf steps, more than can be run"),
     ],
-    ids=["t_end_inf", "step_inf", "step_nan", "seed_negative"],
+    ids=["t_end_inf", "step_inf", "step_nan", "seed_negative", "t_end_huge", "step_underflow"],
 )
 def test_every_command_rejects_bad_overrides(tmp_path, capsys, command, flag, value, message):
     """argparse reads inf and nan as floats and -1 as a seed. On fig1 these used to
     end in an OverflowError or numpy ValueError traceback, a run of 0 steps, or a
-    message about converting NaN to an integer."""
+    message about converting NaN to an integer. A finite step count beyond any
+    array size used to fail in round() or in np.arange, after the out dir was made."""
     out = tmp_path / "out"
     argv = [command, str(bundled_scenario_path("fig1")), "--out-dir", str(out), flag, value]
     assert main(argv) == EXIT_CONFIG

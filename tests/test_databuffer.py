@@ -1,5 +1,7 @@
 """Recording rule, data aggregates, and the rank/definiteness equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -48,47 +50,51 @@ def test_sample_validation():
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0.0
     with pytest.raises(ValueError, match="one length"):
-        DataBuffer([0.0, 1.0], [[1.0], [2.0]], [0.0], capacity=2, epsilon=1.0)
+        DataBuffer([0.0, 1.0], [[1.0], [2.0]], [0.0])
     with pytest.raises(ValueError, match="one length"):
-        DataBuffer([0.0], [[1.0], [2.0]], [0.0], capacity=2, epsilon=1.0)
+        DataBuffer([0.0], [[1.0], [2.0]], [0.0])
     with pytest.raises(ValueError, match="one length"):
-        DataBuffer([0.0], [1.0], [0.0], capacity=2, epsilon=1.0)
+        DataBuffer([0.0], [1.0], [0.0])
     with pytest.raises(ValueError, match="strictly increasing"):
-        DataBuffer([1.0, 0.5], [[1.0], [2.0]], [0.0, 0.0], capacity=2, epsilon=1.0)
+        DataBuffer([1.0, 0.5], [[1.0], [2.0]], [0.0, 0.0])
     with pytest.raises(ValueError, match="at least 1"):
-        DataBuffer([0.0], np.empty((1, 0)), [0.0], capacity=2, epsilon=1.0)
+        DataBuffer([0.0], np.empty((1, 0)), [0.0])
 
 
 def test_buffer_validation():
-    with pytest.raises(ValueError, match="capacity"):
-        DataBuffer.empty(capacity=0, epsilon=1.0)
-    with pytest.raises(ValueError, match="epsilon"):
-        DataBuffer.empty(capacity=3, epsilon=0.0)
-    # capacity below the regressor dimension can never become sufficient
-    with pytest.raises(ValueError, match="capacity"):
-        DataBuffer.from_samples([[1.0, 0.0]], [0.0], capacity=1)
     with pytest.raises(ValueError, match="strictly increasing"):
         DataBuffer.from_samples([[1.0], [2.0]], [0.0, 0.0], times=[1.0, 1.0])
-    with pytest.raises(ValueError, match="more samples than capacity"):
-        DataBuffer.from_samples([[1.0], [2.0], [3.0]], [0.0, 0.0, 0.0], capacity=2)
+
+
+@pytest.mark.parametrize("capacity,epsilon,message", [
+    (0, 1.0, "capacity"),
+    (-1, 1.0, "capacity"),
+    # a capacity below the regressor dimension can never become sufficient
+    (1, 1.0, "capacity must be at least 1 and at least the regressor dimension 2"),
+    (3, 0.0, "epsilon"),
+    (3, -1.0, "epsilon"),
+    (3, math.nan, "epsilon must be positive"),
+    (math.nan, 1.0, "capacity"),
+], ids=["capacity_0", "capacity_negative", "capacity_below_dimension", "epsilon_0",
+        "epsilon_negative", "epsilon_nan", "capacity_nan"])
+def test_record_steps_refuses_a_bad_policy(capacity, epsilon, message):
+    """Each of these used to return a schedule: capacity 0 kept row 0, epsilon 0
+    or below kept every row, and a NaN epsilon kept only row 0."""
+    phis = [[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]]
+    with pytest.raises(ValueError, match=message):
+        record_steps(phis, capacity, epsilon)
 
 
 def test_from_samples_defaults():
     buf = DataBuffer.from_samples([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
     assert len(buf) == 2
-    assert buf.capacity == 2
-    assert buf.frozen
     assert buf.dimension == 2
     assert buf.t[-1] == 1.0
-    single = DataBuffer.from_samples([[1.0, 0.0]], [1.0])
-    assert single.capacity == 2
-    assert not single.frozen
 
 
 def test_empty_buffer_accessors():
-    buf = DataBuffer.empty(capacity=3, epsilon=1.0)
+    buf = DataBuffer.empty()
     assert len(buf) == 0
-    assert not buf.frozen
     with pytest.raises(ValueError):
         buf.dimension
     assert buf.t.shape == (0,) and buf.phi.shape == (0, 0) and buf.y_star.shape == (0,)
@@ -101,43 +107,43 @@ def test_empty_buffer_accessors():
 
 def test_maybe_record_walkthrough():
     """Step the recording rule through record/skip/zero/freeze by hand."""
-    buf = DataBuffer.empty(capacity=3, epsilon=1.0)
+    policy = 3, 1.0  # capacity, epsilon
+    buf = DataBuffer.empty()
 
-    buf, kept = maybe_record(buf, 0.0, [1.0, 0.0], 1.0)
+    buf, kept = maybe_record(buf, 0.0, [1.0, 0.0], 1.0, *policy)
     assert kept and len(buf) == 1  # first sample is unconditional
 
-    buf, kept = maybe_record(buf, 1.0, [1.0, 0.0], 1.0)
+    buf, kept = maybe_record(buf, 1.0, [1.0, 0.0], 1.0, *policy)
     assert not kept  # zero movement
 
     # |[-1, 2]|^2 / |[0, 2]| = 5 / 2 = 2.5 >= 1
-    buf, kept = maybe_record(buf, 2.0, [0.0, 2.0], 0.5)
+    buf, kept = maybe_record(buf, 2.0, [0.0, 2.0], 0.5, *policy)
     assert kept and len(buf) == 2
 
-    buf, kept = maybe_record(buf, 3.0, [0.0, 0.0], 0.0)
+    buf, kept = maybe_record(buf, 3.0, [0.0, 0.0], 0.0, *policy)
     assert not kept  # near-zero regressor is skipped
 
     # |[0, 0.4]|^2 / 2.4 = 0.0667 < 1
-    buf, kept = maybe_record(buf, 3.5, [0.0, 2.4], 0.5)
+    buf, kept = maybe_record(buf, 3.5, [0.0, 2.4], 0.5, *policy)
     assert not kept
 
-    buf, kept = maybe_record(buf, 4.0, [3.0, 0.0], 2.0)
-    assert kept and buf.frozen
+    buf, kept = maybe_record(buf, 4.0, [3.0, 0.0], 2.0, *policy)
+    assert kept and len(buf) == 3  # full: the buffer freezes
     assert buf.t.tolist() == [0.0, 2.0, 4.0]
     assert buf.phi.tolist() == [[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]]
     assert buf.y_star.tolist() == [1.0, 0.5, 2.0]
 
-    frozen_again, kept = maybe_record(buf, 5.0, [9.0, 9.0], 0.0)
+    frozen_again, kept = maybe_record(buf, 5.0, [9.0, 9.0], 0.0, *policy)
     assert not kept
     assert frozen_again is buf  # idempotent once frozen
 
 
 def test_maybe_record_time_and_shape_errors():
-    buf = DataBuffer.empty(capacity=3, epsilon=1.0)
-    buf, _ = maybe_record(buf, 1.0, [1.0, 0.0], 0.0)
+    buf, _ = maybe_record(DataBuffer.empty(), 1.0, [1.0, 0.0], 0.0, 3, 1.0)
     with pytest.raises(ValueError, match="time must increase"):
-        maybe_record(buf, 1.0, [5.0, 0.0], 0.0)
+        maybe_record(buf, 1.0, [5.0, 0.0], 0.0, 3, 1.0)
     with pytest.raises(ValueError, match="dimension"):
-        maybe_record(buf, 2.0, [5.0, 0.0, 1.0], 0.0)
+        maybe_record(buf, 2.0, [5.0, 0.0, 1.0], 0.0, 3, 1.0)
 
 
 @st.composite
@@ -176,20 +182,18 @@ RESTING = np.repeat([[1.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.0, 5.0], [4.0, 4.0]]
 def test_record_steps_replays_maybe_record(case):
     """The vectorized schedule keeps exactly the rows the one-step rule keeps."""
     phis, capacity, epsilon = case
-    buffer = DataBuffer.empty(capacity=capacity, epsilon=epsilon)
+    buffer = DataBuffer.empty()
     kept_rows = []
     for k, phi in enumerate(phis):
-        if buffer.frozen:
+        if len(buffer) == capacity:
             break
-        buffer, kept = maybe_record(buffer, float(k), phi, k + 0.5)
+        buffer, kept = maybe_record(buffer, float(k), phi, k + 0.5, capacity, epsilon)
         if kept:
             kept_rows.append(k)
     steps = record_steps(phis, capacity, epsilon)
     assert steps == kept_rows
-    rebuilt = DataBuffer.from_samples(phis[steps], np.array(steps) + 0.5,
-                                      times=steps, capacity=capacity, epsilon=epsilon)
+    rebuilt = DataBuffer.from_samples(phis[steps], np.array(steps) + 0.5, times=steps)
     assert buffer_csv(rebuilt) == buffer_csv(buffer)
-    assert rebuilt.frozen == buffer.frozen
 
 
 def test_p_matrix_hand_values():
@@ -269,7 +273,7 @@ def test_rank_eigenvalue_equivalence_fuzz():
     for _ in range(200):
         count = int(rng.integers(1, 7))
         phis = rng.uniform(-1, 1, (count, 3))
-        buf = DataBuffer.from_samples(phis, np.zeros(count), capacity=max(count, 3))
+        buf = DataBuffer.from_samples(phis, np.zeros(count))
         oracle = rank_by_elimination(phis)
         for mu in (0.0, 0.2, 1.0):
             report = richness(buf, mu)

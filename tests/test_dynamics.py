@@ -200,7 +200,7 @@ def test_dispatch_and_guards():
 def test_buffer_kinds_require_data():
     signal, _, gains = scalar_setup()
     state = TunerState.from_theta0([0.0])
-    empty = DataBuffer.empty(capacity=1, epsilon=1.0)
+    empty = DataBuffer.empty()
     for kind in (SystemKind.BASIC_CL, SystemKind.HT_CL, SystemKind.HT_B):
         with pytest.raises(ValueError, match="nonempty data buffer"):
             rhs(kind, state, 0.0, signal, None, gains)
@@ -405,8 +405,7 @@ def batch_cases(draw):
     if count:
         times = np.cumsum(rng.uniform(0.05, 1.0, count))
         phis, _ = signal.eval_grid(times)
-        buffer = DataBuffer.from_samples(phis, rng.uniform(-5, 5, count), times=times,
-                                         capacity=max(count, n))
+        buffer = DataBuffer.from_samples(phis, rng.uniform(-5, 5, count), times=times)
     shared = draw(st.booleans())
     times = np.full(rows, rng.uniform(0, 20)) if shared else rng.uniform(0, 20, rows)
     phi, y_star = signal.eval_grid(times)

@@ -1,5 +1,7 @@
 """Fixed-step integration: exact recursions, convergence order, output plumbing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -138,7 +140,7 @@ def test_shifted_signal_matches_shifted_start():
 def test_data_only_flow_leaves_null_directions_alone():
     """ht_b with rank-deficient data never moves the unexcited component."""
     sig = make_constant([1.0, 0.0], [0.0, 0.0])
-    buffer = DataBuffer.from_samples([[1.0, 0.0]], [0.0], capacity=2)
+    buffer = DataBuffer.from_samples([[1.0, 0.0]], [0.0])
     gains = Gains(beta=1.0, gamma=0.5, mu=0.2)
     init = TunerState.from_theta0([3.0, 4.0])
     traj = simulate_with_buffer(SystemKind.HT_B, sig, gains,
@@ -188,7 +190,7 @@ def test_divergence_report_matches_the_reference_stepper(kind, every):
     epsilon, n_bar = 1.0, 4
     reference = SimConfig(t_end=1.0)
     (t, theta, vartheta, *_), _ = reference_run(
-        kind, sig, gains, reference, init, DataBuffer.empty(n_bar, epsilon), online=True
+        kind, sig, gains, reference, init, DataBuffer.empty(), policy=(n_bar, epsilon)
     )
     finite = np.isfinite(theta).all(axis=1) & np.isfinite(vartheta).all(axis=1)
     assert not finite.all()
@@ -221,9 +223,12 @@ def test_simulate_argument_guards():
         simulate(SystemKind.HT_CL, sig, gains, sim, init)
     with pytest.raises(ValueError, match="nonempty"):
         simulate_with_buffer(SystemKind.HT_CL, sig, gains, sim, init,
-                             DataBuffer.empty(capacity=3, epsilon=1.0))
+                             DataBuffer.empty())
     with pytest.raises(ValueError, match="dimension"):
         simulate(SystemKind.HT, sig, gains, sim, TunerState.from_theta0([0.0]))
+    # A NaN threshold used to keep only the unconditional first sample.
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        simulate(SystemKind.HT_CL, sig, gains, sim, init, epsilon=math.nan, N_bar=5)
 
 
 def test_online_recording_freezes_at_capacity():
@@ -233,7 +238,7 @@ def test_online_recording_freezes_at_capacity():
     init = TunerState.from_theta0([0.0, 0.0, 0.0])
     traj, buffer = simulate(SystemKind.HT_CL, sig, gains, sim, init,
                             epsilon=1.0, N_bar=4)
-    assert buffer.frozen and len(buffer) == 4
+    assert len(buffer) == 4
     assert traj.n_samples[0] == 1  # unconditional first record at t_start
     assert traj.n_samples[-1] == 4
     diffs = np.diff(traj.n_samples)

@@ -44,17 +44,20 @@ def signal4():
     )
 
 
-def reference_run(kind, signal, gains, sim, init, buffer, online):
-    """Euler with per-step signal evaluation, recording and rhs calls."""
+def reference_run(kind, signal, gains, sim, init, buffer, policy=None):
+    """Euler with per-step signal evaluation, recording and rhs calls.
+
+    policy is the (capacity, epsilon) of online recording, None for a fixed buffer.
+    """
     h, num_steps = sim.step_h, sim.num_steps
     theta, vartheta = init.theta.copy(), init.vartheta.copy()
-    records = online and kind in BUFFER_KINDS
+    records = policy is not None and kind in BUFFER_KINDS
     rows = []
     for k in range(num_steps + 1):
         t = sim.t_start + k * h
-        if records and k < num_steps and not buffer.frozen:
+        if records and k < num_steps and len(buffer) < policy[0]:
             phi, y_star = signal.eval(t)
-            buffer, _ = maybe_record(buffer, t, phi, y_star)
+            buffer, _ = maybe_record(buffer, t, phi, y_star, *policy)
         if k % sim.record_every == 0:
             rows.append((
                 t, theta, vartheta,
@@ -90,13 +93,13 @@ def test_online_kernel_matches_reference_bitwise(kind, epsilon, n_bar, every):
     trajectory, buffer = simulate(kind, signal, GAINS, sim, init,
                                   epsilon=epsilon, N_bar=n_bar)
     columns, ref_buffer = reference_run(kind, signal, GAINS, sim, init,
-                                        DataBuffer.empty(n_bar, epsilon), online=True)
+                                        DataBuffer.empty(), policy=(n_bar, epsilon))
     assert_same(trajectory, columns)
     assert len(buffer) == len(ref_buffer)
     assert buffer_csv(buffer) == buffer_csv(ref_buffer)
     if kind in BUFFER_KINDS:
         # The cases cover a buffer that freezes mid-run and one that keeps growing.
-        assert buffer.frozen == (n_bar == 6)
+        assert (len(buffer) == n_bar) == (n_bar == 6)
         assert len(buffer) >= 6
 
 
@@ -110,7 +113,7 @@ def test_prefilled_kernel_matches_reference_bitwise(kind, every):
     sim = SimConfig(t_end=1.5, record_every=every)
     init = TunerState.from_theta0(THETA0)
     trajectory = simulate_with_buffer(kind, signal, GAINS, sim, init, buffer)
-    columns, _ = reference_run(kind, signal, GAINS, sim, init, buffer, online=False)
+    columns, _ = reference_run(kind, signal, GAINS, sim, init, buffer)
     assert_same(trajectory, columns)
 
 
