@@ -32,14 +32,7 @@ from .dynamics import (
     normalization,
 )
 from .integrator import Trajectory
-from .signals import (
-    DEFAULT_QUADRATURE_STEP,
-    RegressorSignal,
-    _moments,
-    _trapezoid,
-    _window_grams,
-    row_dots,
-)
+from .signals import RegressorSignal, _moments, _window_grams, row_dots
 
 __all__ = [
     "CertificateReport",
@@ -58,9 +51,6 @@ POINTWISE_TOLERANCE = 1e-9
 SWEEP_SPAN = 4.0 * math.pi
 # Allowed per-step V growth along a trajectory is SLACK_COEFF * h * (1 + V).
 SLACK_COEFF = 10.0
-# Discarding the integral tail beyond this horizon changes the auxiliary
-# function by at most exp(-30) M^2 |theta_tilde|^2, far below tolerance.
-MIN_MATROSOV_TRUNCATION = 30.0
 # The decay fit drops this leading fraction of the rows and takes the upper
 # envelope over windows of this length.
 DECAY_SKIP_FRACTION = 0.1
@@ -406,6 +396,11 @@ def check_decrease_along(
     )
 
 
+def _matrosov_moments(signal: RegressorSignal) -> np.ndarray:
+    """_moments of the weight e^{-tau} on [0, inf)."""
+    return _moments(signal, lambda nu: 1.0 / (1.0 + nu**2), lambda nu: nu / (1.0 + nu**2))
+
+
 def matrosov_check(
     signal: RegressorSignal,
     T: float,
@@ -414,18 +409,15 @@ def matrosov_check(
     seed: int = 0,
     radius: float = 5.0,
     t_points: int = 16,
-    quadrature_step: float = DEFAULT_QUADRATURE_STEP,
 ) -> CertificateReport:
     """Check the auxiliary excitation-weighted function used beyond semidefiniteness.
 
     Two parts, both on a time grid over [0, SWEEP_SPAN]:
 
-    (a) V1(x, t) = -theta_tilde' (integral_t^inf e^{t-s} phi phi' ds) theta_tilde,
-        computed by trapezoid quadrature with step quadrature_step in
-        (0, truncation], truncated at t + truncation with truncation =
-        MIN_MATROSOV_TRUNCATION, stays below
-        -e^{-T} delta |theta_tilde|^2 at sampled states. All t_points kernels
-        come from one moment matrix of the e^{-tau}-weighted nodes.
+    (a) V1(x, t) = -theta_tilde' (integral_t^inf e^{t-s} phi phi' ds) theta_tilde
+        stays below -e^{-T} delta |theta_tilde|^2 at sampled states. All
+        t_points kernels come from one moment matrix of the weight e^{-tau}
+        on [0, inf), which is exact (see _matrosov_moments).
     (b) At constructed points with p = 0 and phi(t)' theta_tilde = 0, the
         derivative majorant -e^{-T} delta |theta_tilde|^2 + e_y^2 is
         nonpositive. The majorant's cross term in |theta_tilde| |p| vanishes
@@ -440,12 +432,10 @@ def matrosov_check(
     if t_points < 1:
         raise ValueError(f"t_points must be at least 1 (got {t_points})")
     _check_sweep(radius)
-    offsets, weights = _trapezoid(MIN_MATROSOV_TRUNCATION, quadrature_step, "truncation")
     n = signal.dimension
     decay = math.exp(-T) * delta
     t_grid = np.linspace(0.0, SWEEP_SPAN, t_points)
-    moments = _moments(signal, offsets, weights * np.exp(-offsets))
-    kernels = _window_grams(signal, t_grid, moments)
+    kernels = _window_grams(signal, t_grid, _matrosov_moments(signal))
     rng = np.random.default_rng(seed)
     theta_tilde = _sample_ball(rng, sample_count, 2 * n, radius)[:, :n]
     kernel_rows = kernels[np.arange(sample_count) % t_points]

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certificates, signals
+from . import certificates
 from .databuffer import DataBuffer, buffer_csv, richness
 from .dynamics import (
     BASELINE_KINDS,
@@ -35,7 +35,7 @@ from .dynamics import (
     TunerState,
 )
 from .integrator import NumericalDivergence, SignalGrid, SimConfig, Trajectory, simulate
-from .signals import RegressorSignal, check_pe
+from .signals import PEReport, RegressorSignal, check_pe
 
 __all__ = [
     "ConfigError",
@@ -70,7 +70,6 @@ class _PESettings:
     window_T: float = 2.0 * math.pi
     scan_horizon: float = 4.0 * math.pi
     scan_step: float | None = None
-    quadrature_step: float = signals.DEFAULT_QUADRATURE_STEP
 
 
 @dataclass
@@ -222,8 +221,9 @@ def load_scenario(
         theta0 = np.array([_number(entries, i, "init.theta0.") for i in range(len(entries))])
     elif mode == "random":
         spread = _number(init_raw, "range", "init.") if "range" in init_raw else 5.0
-        if spread <= 0.0:
-            raise ConfigError("'init.range' must be positive")
+        # rng.uniform needs the width 2 * range to be finite.
+        if not 0.0 < spread <= sys.float_info.max / 2.0:
+            raise ConfigError("'init.range' must be positive and at most half the largest float")
         rng = np.random.default_rng(sim.seed)
         theta0 = rng.uniform(-spread, spread, signal.dimension)
     else:
@@ -234,8 +234,7 @@ def load_scenario(
         pe_raw = raw["pe"]
         _check_keys(
             pe_raw,
-            {"window_T": False, "scan_horizon": False, "scan_step": False,
-             "quadrature_step": False},
+            {"window_T": False, "scan_horizon": False, "scan_step": False},
             "pe.",
         )
         pe = replace(pe, **{key: _number(pe_raw, key, "pe.") for key in pe_raw})
@@ -245,8 +244,6 @@ def load_scenario(
         raise ConfigError("'pe.scan_horizon' must be at least 'pe.window_T'")
     if pe.scan_step is not None and pe.scan_step <= 0.0:
         raise ConfigError("'pe.scan_step' must be positive")
-    if not 0.0 < pe.quadrature_step <= pe.window_T:
-        raise ConfigError("'pe.quadrature_step' must be positive and at most 'pe.window_T'")
 
     if systems:
         chosen = []
@@ -338,7 +335,7 @@ def comparison_report(
             cells.append(repr(quality))
         except ValueError:
             cells += ["", ""]
-        fill = _fill_time(trajectory, scenario.cl_N_bar) if kind in BUFFER_KINDS else None
+        fill = _fill_time(trajectory, scenario.cl_N_bar)
         cells.append("" if fill is None else repr(fill))
         csv_lines.append(",".join(cells))
         table_rows.append([cell if cell else "-" for cell in cells])
@@ -381,19 +378,31 @@ def _warn_step(scenario: Scenario, stream) -> None:
         )
 
 
+def _signal_grid(scenario: Scenario) -> SignalGrid:
+    """The scenario's SignalGrid; a horizon too long to hold is a config error."""
+    try:
+        return SignalGrid(scenario.signal, scenario.sim)
+    except MemoryError:
+        sim = scenario.sim
+        raise ConfigError(
+            f"sim: horizon t_end - t_start = {sim.t_end - sim.t_start!r} at step_h = "
+            f"{sim.step_h!r} needs {sim.num_steps} steps, more than fit in memory"
+        )
+
+
 def run_scenario(scenario: Scenario, out_dir: str | Path) -> int:
     """Simulate every system in the scenario and write CSV outputs."""
+    grid = _signal_grid(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _warn_gains(scenario, sys.stderr)
     _warn_step(scenario, sys.stderr)
     results: dict[SystemKind, tuple[Trajectory, DataBuffer]] = {}
-    grid = SignalGrid(scenario.signal, scenario.sim)
     for kind in scenario.systems:
         trajectory, buffer = _simulate_system(scenario, kind, grid)
         results[kind] = (trajectory, buffer)
         (out / f"{scenario.name}_{kind.value}.csv").write_text(trajectory.to_csv())
-        if kind in BUFFER_KINDS and len(buffer):
+        if len(buffer):
             (out / f"{scenario.name}_{kind.value}_buffer.csv").write_text(
                 buffer_csv(buffer)
             )
@@ -404,11 +413,11 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> int:
     return EXIT_OK
 
 
-def _scan_pe(scenario: Scenario) -> signals.PEReport:
+def _scan_pe(scenario: Scenario) -> PEReport:
     """check_pe on the scenario's regressor with its pe settings."""
     pe = scenario.pe
     return check_pe(scenario.signal, T=pe.window_T, scan_horizon=pe.scan_horizon,
-                    scan_step=pe.scan_step, quadrature_step=pe.quadrature_step)
+                    scan_step=pe.scan_step)
 
 
 def run_pe_check(scenario: Scenario, out_dir: str | Path) -> int:
@@ -445,6 +454,13 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
             + f" (beta={scenario.gains.beta}, gamma={scenario.gains.gamma}, "
             f"mu={scenario.gains.mu})"
         )
+    recorders = [k.value for k in high_order if k in BUFFER_KINDS]
+    if recorders and scenario.sim.num_steps == 0:
+        raise ConfigError(
+            f"system '{recorders[0]}' records no data over a horizon of 0 steps "
+            f"(t_end = t_start = {scenario.sim.t_end!r}); certify needs t_end > t_start"
+        )
+    grid = _signal_grid(scenario)
     _warn_step(scenario, sys.stderr)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -466,12 +482,11 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
         lines.append(f"{kind.value},{check},{report.to_csv_line()}")
         failed = failed or not report.passed
 
-    grid = SignalGrid(scenario.signal, scenario.sim)
     for kind in scenario.systems:
         if kind in BASELINE_KINDS:
             continue
         trajectory, buffer = _simulate_system(scenario, kind, grid)
-        if kind in BUFFER_KINDS:
+        if len(buffer):
             rich = richness(buffer, scenario.gains.mu)
             if not rich.sufficient:
                 print(
@@ -481,13 +496,12 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
                 )
         if kind in POINTWISE_KINDS:
             report = certificates.check_decrease_pointwise(
-                kind, scenario.signal, buffer if kind in BUFFER_KINDS else None,
-                scenario.gains, sample_count=2000, seed=scenario.sim.seed,
+                kind, scenario.signal, buffer, scenario.gains, sample_count=2000,
+                seed=scenario.sim.seed,
             )
             note(kind, "pointwise", report)
         v_values = certificates.lyapunov_along(
-            kind, trajectory, scenario.signal, scenario.gains,
-            buffer if kind in BUFFER_KINDS else None,
+            kind, trajectory, scenario.signal, scenario.gains, buffer
         )
         step = scenario.sim.step_h * scenario.sim.record_every
         note(kind, "trajectory",

@@ -10,12 +10,13 @@ estimates that bound numerically on a finite horizon.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DEFAULT_QUADRATURE_STEP",
+    "M_HAT_GRID_STEP",
     "PE_TOLERANCE",
     "PEReport",
     "RegressorSignal",
@@ -26,11 +27,11 @@ __all__ = [
     "row_dots",
 ]
 
-DEFAULT_QUADRATURE_STEP = 1e-3
+# Step of the dense time grid over which check_pe takes M_hat.
+M_HAT_GRID_STEP = 1e-3
 # Window Gram eigenvalues below this are treated as numerically zero.
 PE_TOLERANCE = 1e-10
-# Quadrature nodes per block of _moments and window starts per block of
-# check_pe's scan; bounds their scratch memory.
+# Window starts per block of check_pe's scan; bounds its scratch memory.
 _GRAM_BLOCK = 4096
 
 _DESCRIPTOR_KEYS = (
@@ -181,43 +182,40 @@ def make_constant(values, theta_star) -> RegressorSignal:
     return make_sinusoid_mix(n, values, zeros, zeros, zeros, theta_star)
 
 
-def _trapezoid(
-    length: float, quadrature_step: float, name: str = "T"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite trapezoid offsets and weights on [0, length].
+def _moments(signal: RegressorSignal, cos_int: Callable, sin_int: Callable) -> np.ndarray:
+    """Moment matrix integral w(tau) u(tau) u(tau)' dtau of u(tau) = (1, cos(w tau), sin(w tau)).
 
-    The step is snapped to divide the length exactly, so both endpoints carry
-    half weight. `name` is the length's argument name in the error messages.
+    cos_int(nu) and sin_int(nu) are the weight's integrals against cos(nu tau)
+    and sin(nu tau). With frequencies f = (0, w), the constant is cos(0 tau),
+    and each product of two entries of u is a half-sum of these integrals at
+    f_i - f_j and f_i + f_j, so every entry is exact.
     """
-    if not length > 0.0:
-        raise ValueError(f"window length {name} must be positive, got {length!r}")
-    if not 0.0 < quadrature_step <= length:
-        raise ValueError(f"quadrature_step must lie in (0, {name}], got {quadrature_step!r}")
-    m = max(1, int(round(length / quadrature_step)))
-    step = length / m
-    weights = np.full(m + 1, step)
-    weights[0] = weights[-1] = 0.5 * step
-    return step * np.arange(m + 1), weights
+    f = np.concatenate(([0.0], signal.frequencies))
+    differences, sums = np.subtract.outer(f, f), np.add.outer(f, f)
+    cos_cos = 0.5 * (cos_int(differences) + cos_int(sums))
+    sin_sin = 0.5 * (cos_int(differences) - cos_int(sums))
+    cos_sin = 0.5 * (sin_int(sums) - sin_int(differences))[:, 1:]
+    return np.block([[cos_cos, cos_sin], [cos_sin.T, sin_sin[1:, 1:]]])
 
 
-def _moments(signal: RegressorSignal, offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Moment matrix sum_i w_i u(tau_i) u(tau_i)' of u(tau) = (1, cos(w tau), sin(w tau))."""
-    size = 2 * signal.dimension + 1
-    moments = np.zeros((size, size))
-    for i in range(0, offsets.shape[0], _GRAM_BLOCK):
-        angles = np.outer(offsets[i:i + _GRAM_BLOCK], signal.frequencies)
-        u = np.hstack([np.ones((angles.shape[0], 1)), np.cos(angles), np.sin(angles)])
-        moments += (u * weights[i:i + _GRAM_BLOCK, None]).T @ u
-    return moments
+def _window_moments(signal: RegressorSignal, T: float) -> np.ndarray:
+    """_moments of the unit weight on [0, T]."""
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"window length T must be positive and finite, got {T!r}")
+    return _moments(
+        signal,
+        lambda nu: T * np.sinc(nu * T / np.pi),
+        lambda nu: 0.5 * nu * T**2 * np.sinc(nu * T / (2.0 * np.pi)) ** 2,
+    )
 
 
 def _window_grams(signal: RegressorSignal, starts: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """Grams sum_i w_i phi(t + tau_i) phi(t + tau_i)' for each start t, shape (K, n, n).
+    """Grams integral w(tau) phi(t + tau) phi(t + tau)' dtau for each start t, shape (K, n, n).
 
     A sinusoid mix shifted by tau is phi(t + tau) = L(t) u(tau), with
     L(t) = [o | diag(a sin(w t + p)) | diag(a cos(w t + p))]. So every Gram is
-    L(t) M L(t)' for the one moment matrix M = _moments(signal, tau, w): the
-    nodes are evaluated once, not once per window. Results are symmetrized.
+    L(t) M L(t)' for the one moment matrix M of the weight w (see _moments).
+    Results are symmetrized.
     """
     starts = np.asarray(starts, dtype=float)
     n = signal.dimension
@@ -231,21 +229,13 @@ def _window_grams(signal: RegressorSignal, starts: np.ndarray, moments: np.ndarr
     return 0.5 * (grams + grams.transpose(0, 2, 1))
 
 
-def pe_gram(
-    signal: RegressorSignal,
-    t: float,
-    T: float,
-    quadrature_step: float = DEFAULT_QUADRATURE_STEP,
-) -> np.ndarray:
+def pe_gram(signal: RegressorSignal, t: float, T: float) -> np.ndarray:
     """Windowed excitation Gram matrix integral_t^{t+T} phi(s) phi(s)' ds.
 
-    Composite trapezoid rule; the step is snapped to divide T exactly so the
-    endpoints always carry half weight. The sum is taken through the moment
-    matrix of the window's nodes (see _window_grams), which agrees with summing
-    phi phi' node by node up to rounding. Result is symmetric.
+    Exact up to rounding: the integral is taken in closed form through the
+    window's moment matrix (see _window_grams). Result is symmetric.
     """
-    offsets, weights = _trapezoid(T, quadrature_step)
-    return _window_grams(signal, np.array([t]), _moments(signal, offsets, weights))[0]
+    return _window_grams(signal, np.array([t]), _window_moments(signal, T))[0]
 
 
 @dataclass(frozen=True)
@@ -256,7 +246,7 @@ class PEReport:
     delta_hat: float
     M_hat: float
     scan_horizon: float
-    quadrature_step: float
+    quadrature_step: float  # step of the M_hat grid, named as the _pe.csv column
     windows: int
     worst_window_start: float
 
@@ -278,7 +268,6 @@ def check_pe(
     T: float,
     scan_horizon: float,
     scan_step: float | None = None,
-    quadrature_step: float = DEFAULT_QUADRATURE_STEP,
 ) -> PEReport:
     """Scan window starts on [0, scan_horizon - T] and report the excitation level.
 
@@ -286,13 +275,12 @@ def check_pe(
     clamped at zero, and worst_window_start is the start of the window that
     attains it (among windows with equal Grams, such as windows of whole
     periods, rounding picks one); M_hat is the largest |phi| over the dense
-    evaluation grid. scan_step defaults to T / 8.
+    evaluation grid of step M_HAT_GRID_STEP. scan_step defaults to T / 8.
 
-    The window Grams come from one moment matrix of the trapezoid nodes (see
-    _window_grams), in blocks of _GRAM_BLOCK starts, so the nodes are evaluated
-    once and each window costs O(n^3).
+    The window Grams are exact and come from one moment matrix (see
+    _window_grams), in blocks of _GRAM_BLOCK starts, so each window costs O(n^3).
     """
-    offsets, weights = _trapezoid(T, quadrature_step)
+    moments = _window_moments(signal, T)
     if scan_horizon < T:
         raise ValueError("scan_horizon must be at least the window length T")
     if scan_step is None:
@@ -301,13 +289,12 @@ def check_pe(
         raise ValueError("scan_step must be positive")
     count = int(np.floor((scan_horizon - T) / scan_step + 1e-12))
     starts = scan_step * np.arange(count + 1)
-    moments = _moments(signal, offsets, weights)
     blocks = (starts[i:i + _GRAM_BLOCK] for i in range(0, starts.shape[0], _GRAM_BLOCK))
     smallest = np.concatenate([
         np.linalg.eigvalsh(_window_grams(signal, block, moments))[:, 0] for block in blocks
     ])
     worst = int(np.argmin(smallest))
-    grid = quadrature_step * np.arange(int(np.floor(scan_horizon / quadrature_step)) + 1)
+    grid = M_HAT_GRID_STEP * np.arange(int(np.floor(scan_horizon / M_HAT_GRID_STEP)) + 1)
     phi = signal.phi_grid(grid)
     m_hat = float(np.sqrt((phi**2).sum(axis=1).max()))
     return PEReport(
@@ -315,7 +302,7 @@ def check_pe(
         delta_hat=max(float(smallest[worst]), 0.0),
         M_hat=m_hat,
         scan_horizon=float(scan_horizon),
-        quadrature_step=float(quadrature_step),
+        quadrature_step=M_HAT_GRID_STEP,
         windows=int(starts.shape[0]),
         worst_window_start=float(starts[worst]),
     )

@@ -290,8 +290,7 @@ def test_sweeps_refuse_settings_under_which_they_cannot_fail(argument, value):
         check_decrease_pointwise(SystemKind.HT, sig, None, CERTIFIED_GAINS, sample_count=20,
                                  **{argument: value})
     with pytest.raises(ValueError, match=argument):
-        matrosov_check(sig, T=1.0, delta=1.0, sample_count=20, quadrature_step=1e-2,
-                       **{argument: value})
+        matrosov_check(sig, T=1.0, delta=1.0, sample_count=20, **{argument: value})
 
 
 def test_sweep_report_counts_non_finite_margins():
@@ -315,8 +314,7 @@ def test_sweeps_count_overflowing_points_as_violations():
                                               sample_count=50, radius=1e200)
             assert report.violations == 50, kind
             assert math.isnan(report.worst_margin), kind
-        report = matrosov_check(sig, T=1.0, delta=1.0, sample_count=50, radius=1e200,
-                                quadrature_step=1e-2)
+        report = matrosov_check(sig, T=1.0, delta=1.0, sample_count=50, radius=1e200)
     assert report.checked_points == 66 and report.violations == 66
 
 
@@ -464,9 +462,9 @@ def test_matrosov_periodic_signal():
     sig = mix3()
     from hotuner import check_pe
 
-    pe = check_pe(sig, T=2.0 * PI, scan_horizon=4.0 * PI, quadrature_step=1e-2)
+    pe = check_pe(sig, T=2.0 * PI, scan_horizon=4.0 * PI)
     report = matrosov_check(sig, T=pe.window_T, delta=pe.delta_hat, sample_count=100,
-                            t_points=8, quadrature_step=1e-2)
+                            t_points=8)
     assert report.passed
 
 
@@ -478,25 +476,12 @@ def test_matrosov_validation():
         matrosov_check(sig, T=1.0, delta=-1.0)
 
 
-
-@pytest.mark.parametrize("step", [-1e-3, 0.0, 100.0, math.nan])
-def test_matrosov_rejects_a_bad_quadrature_step(step):
-    """A step outside (0, truncation] used to give a 2-node quadrature or divide by zero."""
-    with pytest.raises(ValueError, match="quadrature_step"):
-        matrosov_check(mix3(), T=1.0, delta=1.0, quadrature_step=step)
-
-
 @pytest.mark.parametrize("t_points", [0, -3])
 def test_matrosov_rejects_an_empty_time_grid(t_points):
     """t_points = 0 used to raise ZeroDivisionError from the sample loop."""
     with pytest.raises(ValueError, match="t_points"):
         matrosov_check(mix3(), T=1.0, delta=1.0, t_points=t_points)
 
-
-def test_matrosov_accepts_a_step_of_the_whole_truncation():
-    report = matrosov_check(make_constant([2.0], [1.0]), T=1.0, delta=4.0, sample_count=8,
-                            t_points=2, quadrature_step=30.0)
-    assert report.checked_points == 10
 
 def test_decay_rate_exact_exponential():
     t = np.linspace(0.0, 20.0, 2001)

@@ -149,32 +149,37 @@ def test_offline_buffer_kind_is_refused_before_anything_is_written(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "section, key, value, message",
+    "section, edits, message",
     [
-        ("pe", "window_T", 0.0, "'pe.window_T' must be positive"),
-        ("pe", "scan_horizon", 1.0, "'pe.scan_horizon' must be at least 'pe.window_T'"),
-        ("pe", "quadrature_step", 7.0, "'pe.quadrature_step' must be positive and at most"),
-        ("pe", "scan_step", 0.0, "'pe.scan_step' must be positive"),
-        ("init", "theta0", ["a", 1.0], "'init.theta0.0' must be a number"),
-        ("init", "theta0", [1.0, float("nan")], "'init.theta0.1' must be a finite number"),
-        ("gains", "beta", float("inf"), "'gains.beta' must be a finite number"),
-        ("gains", "gamma", 10**400, "'gains.gamma' must be a finite number"),
-        ("sim", "seed", -1, "sim: seed must be nonnegative"),
+        ("pe", {"window_T": 0.0}, "'pe.window_T' must be positive"),
+        ("pe", {"scan_horizon": 1.0}, "'pe.scan_horizon' must be at least 'pe.window_T'"),
+        ("pe", {"quadrature_step": 7.0}, "unknown key 'pe.quadrature_step'"),
+        ("pe", {"scan_step": 0.0}, "'pe.scan_step' must be positive"),
+        ("init", {"theta0": ["a", 1.0]}, "'init.theta0.0' must be a number"),
+        ("init", {"theta0": [1.0, float("nan")]}, "'init.theta0.1' must be a finite number"),
+        ("init", {"mode": "random", "range": 1e308},
+         "'init.range' must be positive and at most half the largest float"),
+        ("gains", {"beta": float("inf")}, "'gains.beta' must be a finite number"),
+        ("gains", {"gamma": 10**400}, "'gains.gamma' must be a finite number"),
+        ("sim", {"seed": -1}, "sim: seed must be nonnegative"),
     ],
     ids=["window_T", "scan_horizon", "quadrature_step", "scan_step", "theta0_text",
-         "theta0_nan", "beta_inf", "gamma_beyond_float", "seed_negative"],
+         "theta0_nan", "range_overflow", "beta_inf", "gamma_beyond_float", "seed_negative"],
 )
-def test_every_command_rejects_bad_settings(tmp_path, capsys, section, key, value, message):
+def test_every_command_rejects_bad_settings(tmp_path, capsys, section, edits, message):
     """Bad pe settings and non-finite numbers (JSON NaN, Infinity, an integer
-    beyond the float range) are config errors."""
+    beyond the float range) are config errors. The retired pe.quadrature_step is
+    an unknown key. An init.range whose width 2 * range overflows used to end in
+    rng.uniform's OverflowError traceback."""
     data = scenario_dict()
-    data.setdefault(section, {})[key] = value
+    data.setdefault(section, {}).update(edits)
     path = write_scenario(tmp_path, data)
     with pytest.raises(ConfigError, match=message):
         load_scenario(path)
     for command in ("run", "certify", "pe-check"):
         assert main([command, path, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "certify", "pe-check"])
@@ -202,6 +207,39 @@ def test_every_command_rejects_bad_overrides(tmp_path, capsys, command, flag, va
     assert main(argv) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "certify"])
+def test_horizon_beyond_memory_is_refused_before_anything_is_written(tmp_path, capsys,
+                                                                     command):
+    """1e16 steps fit an array index but no address space, so the grid's allocation
+    fails at once. It used to end in a MemoryError traceback after the out dir was
+    made (and, for certify, after the PE summary was printed)."""
+    out = tmp_path / "out"
+    argv = [command, str(bundled_scenario_path("fig1")), "--out-dir", str(out),
+            "--t-end", "1e13"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("sim: horizon t_end - t_start = 10000000000000.0 at step_h = 0.001 needs "
+            "10000000000000000 steps, more than fit in memory") in captured.err
+    assert not out.exists()
+
+
+def test_certify_refuses_a_buffer_kind_over_zero_steps(tmp_path, capsys):
+    """With no step the online rule records nothing. certify used to print the PE
+    summary, make the out dir and fail in richness() with a ValueError traceback."""
+    out = tmp_path / "out"
+    argv = ["certify", str(bundled_scenario_path("fig1")), "--out-dir", str(out),
+            "--t-end", "0"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("system 'ht_cl' records no data over a horizon of 0 steps "
+            "(t_end = t_start = 0.0)") in captured.err
+    assert not out.exists()
+    # kinds without recorded data still certify over an empty horizon
+    assert main(argv + ["--system", "ht"]) == EXIT_OK
 
 
 def test_load_scenario_rejects_fractional_horizon(tmp_path, capsys):

@@ -4,7 +4,8 @@ tests/fixtures/golden_certify.json holds what both commands reported on fig1 and
 fig2 at t_end 15 (seeds 0 and 3) and on fig1 with the bench `recording` edits at
 a short horizon. Exit codes, the M_hat cell and each row's (system, check,
 checked_points, violations) must match exactly; worst_margin and delta_hat may
-move by rounding only (1e-12 relative), since the quadrature may reorder sums.
+move by rounding only (1e-12 relative), since the moment matrices may round
+differently.
 
 To re-record after a deliberate change of the certificates:
 

@@ -1,5 +1,7 @@
 """Sinusoid-mix regressors and the windowed excitation scan."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -135,8 +137,7 @@ def test_pe_gram_symmetric_psd():
             rng.uniform(-PI, PI, n),
             np.zeros(n),
         )
-        gram = pe_gram(sig, float(rng.uniform(0, 5)), float(rng.uniform(0.5, 4)),
-                       quadrature_step=1e-2)
+        gram = pe_gram(sig, float(rng.uniform(0, 5)), float(rng.uniform(0.5, 4)))
         assert np.array_equal(gram, gram.T)
         assert float(np.linalg.eigvalsh(gram)[0]) > -1e-12
 
@@ -148,12 +149,11 @@ def test_pe_gram_periodic_window_invariance():
     assert np.abs(a - b).max() < 1e-9
 
 
-def test_pe_gram_step_refinement():
-    sig = mix3()
-    coarse = pe_gram(sig, 0.3, 5.0, quadrature_step=1e-2)
-    fine = pe_gram(sig, 0.3, 5.0, quadrature_step=1e-3)
-    # trapezoid error scales with the square of the step
-    assert np.abs(coarse - fine).max() < 1e-3
+def test_pe_gram_hand_value():
+    """integral_0^1 sin^2 = 1/2 - sin(2)/4; the trapezoid at step 1e-3 was off by 2.8e-7."""
+    sig = make_sinusoid_mix(1, [0.0], [1.0], [1.0], [0.0], [1.0])
+    exact = 0.5 - math.sin(2.0) / 4.0
+    assert abs(pe_gram(sig, 0.0, 1.0)[0, 0] - exact) <= 1e-14 * exact
 
 
 def test_pe_gram_validation():
@@ -161,9 +161,7 @@ def test_pe_gram_validation():
     with pytest.raises(ValueError):
         pe_gram(sig, 0.0, 0.0)
     with pytest.raises(ValueError):
-        pe_gram(sig, 0.0, 1.0, quadrature_step=2.0)
-    with pytest.raises(ValueError):
-        pe_gram(sig, 0.0, 1.0, quadrature_step=-1e-3)
+        pe_gram(sig, 0.0, math.inf)
 
 
 def test_check_pe_reference_values(reference):
@@ -184,7 +182,7 @@ def test_check_pe_reference_values(reference):
 def test_check_pe_rank_deficient():
     # two identical components can never excite the difference direction
     sig = make_sinusoid_mix(2, [0, 0], [1, 1], [1, 1], [0, 0], [1.0, 1.0])
-    report = check_pe(sig, T=2.0 * PI, scan_horizon=4.0 * PI, quadrature_step=1e-2)
+    report = check_pe(sig, T=2.0 * PI, scan_horizon=4.0 * PI)
     assert report.delta_hat == 0.0
     assert not report.satisfied()
     assert "NOT satisfied" in report.summary()
@@ -199,13 +197,11 @@ def test_check_pe_validation():
 
 
 def test_check_pe_names_the_bad_argument():
-    """T and quadrature_step are checked before scan_step, which defaults to T / 8."""
+    """T is checked before scan_step, which defaults to T / 8."""
     sig = mix3()
     with pytest.raises(ValueError, match="window length T must be positive"):
         check_pe(sig, T=-1.0, scan_horizon=2.0)
     with pytest.raises(ValueError, match="window length T must be positive"):
         check_pe(sig, T=float("nan"), scan_horizon=2.0)
-    with pytest.raises(ValueError, match="quadrature_step"):
-        check_pe(sig, T=1.0, scan_horizon=2.0, scan_step=0.0, quadrature_step=2.0)
-    with pytest.raises(ValueError, match="quadrature_step"):
-        check_pe(sig, T=1.0, scan_horizon=2.0, quadrature_step=0.0)
+    with pytest.raises(ValueError, match="window length T must be positive and finite"):
+        check_pe(sig, T=math.inf, scan_horizon=math.inf, scan_step=0.0)

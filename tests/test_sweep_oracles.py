@@ -27,9 +27,9 @@ from hotuner import (
     normalization,
     p_matrix,
 )
-from hotuner.certificates import CertificateReport, _decrease_sides
+from hotuner.certificates import CertificateReport, _decrease_sides, _matrosov_moments
 from hotuner.dynamics import BUFFER_KINDS, _data_for
-from hotuner.signals import _moments, _trapezoid, _window_grams
+from hotuner.signals import _window_grams
 
 GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)
 TOLERANCE = 1e-9
@@ -104,14 +104,13 @@ def oracle_pointwise(kind, signal, buffer, gains, sample_count=2000, radius=5.0,
     return CertificateReport(sample_count, violations, worst, tolerance)
 
 
-def oracle_matrosov(signal, T, delta, truncation=30.0, sample_count=200, seed=0,
-                    radius=5.0, t_points=16, t_span=4.0 * math.pi, quadrature_step=1e-3,
-                    tolerance=TOLERANCE):
-    offsets, weights = _trapezoid(truncation, quadrature_step, "truncation")
+def oracle_matrosov(signal, T, delta, sample_count=200, seed=0, radius=5.0, t_points=16,
+                    t_span=4.0 * math.pi, tolerance=TOLERANCE):
+    """The per-point loop; its kernels come from the exact moments, as matrosov_check's do."""
     n = signal.dimension
     decay = math.exp(-T) * delta
     t_grid = np.linspace(0.0, t_span, t_points)
-    kernels = _window_grams(signal, t_grid, _moments(signal, offsets, weights * np.exp(-offsets)))
+    kernels = _window_grams(signal, t_grid, _matrosov_moments(signal))
     rng = np.random.default_rng(seed)
     violations, worst, checked = 0, -math.inf, 0
     for i in range(sample_count):
@@ -247,7 +246,7 @@ def test_zero_direction_gives_the_origin_in_both(monkeypatch, kind):
                                                     sample_count=1).to_csv_line()
     assert origin.worst_margin == 0.0
     monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroDirectionRng(seed, 3))
-    settings = dict(T=0.1, delta=50.0, sample_count=30, t_points=4, quadrature_step=1e-2)
+    settings = dict(T=0.1, delta=50.0, sample_count=30, t_points=4)
     want = oracle_matrosov(signal, **settings)
     got = matrosov_check(signal, **settings)
     assert want.worst_margin > 0.0
@@ -262,12 +261,11 @@ def sin1():
 def test_matrosov_matches_the_per_point_loop(signal_of):
     """n = 1 signals take the origin branch (norm <= 1e-9) at every constructed point."""
     signal = signal_of()
-    pe = check_pe(signal, T=2.0 * PI, scan_horizon=4.0 * PI, quadrature_step=1e-2)
+    pe = check_pe(signal, T=2.0 * PI, scan_horizon=4.0 * PI)
     for seed in (0, 1, 3, 7):
         for sample_count, t_points in [(200, 16), (37, 5), (10, 1), (0, 3)]:
             settings = dict(T=pe.window_T, delta=pe.delta_hat, seed=seed,
-                            sample_count=sample_count, t_points=t_points,
-                            quadrature_step=1e-2)
+                            sample_count=sample_count, t_points=t_points)
             want = oracle_matrosov(signal, **settings)
             got = matrosov_check(signal, **settings)
             assert got.to_csv_line() == want.to_csv_line(), (seed, sample_count, t_points)
@@ -276,8 +274,7 @@ def test_matrosov_matches_the_per_point_loop(signal_of):
 def test_matrosov_fails_where_the_loop_fails():
     """An excitation level above the true one makes V1 exceed its claimed bound."""
     signal = mix3()
-    settings = dict(T=0.1, delta=50.0, sample_count=120, t_points=6,
-                    quadrature_step=1e-2)
+    settings = dict(T=0.1, delta=50.0, sample_count=120, t_points=6)
     want = oracle_matrosov(signal, **settings)
     got = matrosov_check(signal, **settings)
     assert want.violations > 0

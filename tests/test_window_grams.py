@@ -1,4 +1,4 @@
-"""Window Grams from one moment matrix against the per-node trapezoid they replace."""
+"""Window Grams and their exact moment matrices against per-node trapezoid oracles."""
 
 import math
 
@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hotuner import check_pe, make_sinusoid_mix, pe_gram, signals
-from hotuner.signals import _moments, _window_grams
+from hotuner.certificates import _matrosov_moments
+from hotuner.signals import _window_grams, _window_moments
 
 RELATIVE = 1e-10
+# e^{-30} is below RELATIVE, so the e^{-tau} integrals may stop there.
+MATROSOV_TRUNCATION = 30.0
 
 
 def oracle_nodes(length, quadrature_step, matrosov=False):
@@ -32,10 +35,28 @@ def oracle_gram(signal, start, offsets, weights):
     return 0.5 * (gram + gram.T)
 
 
-def entry_scale(signal, weights):
-    """A priori bound on |Gram_ij|: sum |w| (|o_i| + |a_i|)(|o_j| + |a_j|)."""
+def node_moments(signal, offsets, weights):
+    """sum_i w_i u(tau_i) u(tau_i)' of u(tau) = (1, cos(w tau), sin(w tau))."""
+    angles = np.outer(offsets, signal.frequencies)
+    u = np.hstack([np.ones((offsets.shape[0], 1)), np.cos(angles), np.sin(angles)])
+    return (u * weights[:, None]).T @ u
+
+
+def richardson(integral, length, matrosov=False):
+    """(4 I(h/2) - I(h)) / 3 for the trapezoid sum I(h) = integral(offsets, weights).
+
+    h is 1e-3 snapped to divide length. The h^2 error terms cancel, leaving
+    O(h^4 nu^3) for an integrand of frequency nu.
+    """
+    m = max(1, int(round(length / 1e-3)))
+    coarse, fine = (integral(*oracle_nodes(length, length / k, matrosov)) for k in (m, 2 * m))
+    return (4.0 * fine - coarse) / 3.0
+
+
+def entry_scale(signal, total_weight):
+    """A priori bound on |Gram_ij|: integral of |w| times (|o_i| + |a_i|)(|o_j| + |a_j|)."""
     bound = np.abs(signal.offsets) + np.abs(signal.amplitudes)
-    return np.abs(weights).sum() * np.outer(bound, bound)
+    return total_weight * np.outer(bound, bound)
 
 
 def floats(low, high):
@@ -43,7 +64,7 @@ def floats(low, high):
 
 
 @st.composite
-def mixes(draw):
+def mixes(draw, near_pairs=False):
     n = draw(st.integers(1, 6))
 
     def entries(values):
@@ -52,6 +73,9 @@ def mixes(draw):
     offsets = draw(entries(floats(-3.0, 3.0)))
     amplitudes = draw(entries(floats(0.0, 3.0)))
     frequencies = draw(entries(floats(0.0, 5.0)))
+    if near_pairs and n > 1 and draw(st.booleans()):
+        # a near-equal pair: its difference frequency is close to 0
+        frequencies[1] = frequencies[0] + draw(floats(0.0, 1e-3))
     phases = draw(st.lists(floats(-math.pi, math.pi), min_size=n, max_size=n))
     return make_sinusoid_mix(n, offsets, amplitudes, frequencies, phases, np.zeros(n))
 
@@ -65,43 +89,52 @@ def mixes(draw):
     matrosov=st.booleans(),
 )
 def test_window_grams_match_per_node_trapezoid(signal, length, nodes, starts, matrosov):
-    """Trapezoid weights (check_pe, pe_gram) or e^{-tau}-weighted ones (matrosov_check)."""
-    quadrature_step = length / nodes
-    offsets, weights = oracle_nodes(length, quadrature_step, matrosov)
-    grams = _window_grams(signal, np.array(starts), _moments(signal, offsets, weights))
+    """L(t) M L(t)' equals the per-node sum for M summed from the same nodes, with
+    trapezoid weights or e^{-tau}-weighted ones."""
+    offsets, weights = oracle_nodes(length, length / nodes, matrosov)
+    grams = _window_grams(signal, np.array(starts), node_moments(signal, offsets, weights))
     assert grams.shape == (len(starts), signal.dimension, signal.dimension)
-    tolerance = RELATIVE * entry_scale(signal, weights)
+    tolerance = RELATIVE * entry_scale(signal, weights.sum())
     for start, gram in zip(starts, grams):
         assert np.array_equal(gram, gram.T)
         assert (np.abs(gram - oracle_gram(signal, start, offsets, weights)) <= tolerance).all()
-    if not matrosov:
-        gram = pe_gram(signal, starts[0], length, quadrature_step)
-        assert (np.abs(gram - oracle_gram(signal, starts[0], offsets, weights)) <= tolerance).all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(signal=mixes(near_pairs=True), length=floats(0.05, 40.0))
+def test_exact_moments_match_the_extrapolated_trapezoid(signal, length):
+    """The closed-form moments of the window [0, T] and of e^{-tau} on [0, inf)
+    agree with a Richardson-extrapolated trapezoid within 1e-10 of |M_ij| <= integral w."""
+    integral = lambda offsets, weights: node_moments(signal, offsets, weights)  # noqa: E731
+    window = _window_moments(signal, length)
+    assert np.abs(window - richardson(integral, length)).max() <= RELATIVE * length
+    decay = _matrosov_moments(signal)
+    oracle = richardson(integral, MATROSOV_TRUNCATION, matrosov=True)
+    assert np.abs(decay - oracle).max() <= RELATIVE
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     signal=mixes(),
     T=floats(0.05, 12.0),
-    nodes=st.integers(1, 2000),
     scan_fraction=floats(0.05, 1.0),
     extra_windows=st.integers(0, 40),
 )
-def test_check_pe_takes_the_smallest_oracle_eigenvalue(signal, T, nodes, scan_fraction,
+def test_check_pe_takes_the_smallest_oracle_eigenvalue(signal, T, scan_fraction,
                                                         extra_windows):
-    quadrature_step = T / nodes
     scan_step = scan_fraction * T
-    report = check_pe(signal, T, T + scan_step * (extra_windows + 0.5), scan_step,
-                      quadrature_step)
+    report = check_pe(signal, T, T + scan_step * (extra_windows + 0.5), scan_step)
     starts = scan_step * np.arange(extra_windows + 1)
-    offsets, weights = oracle_nodes(T, quadrature_step)
-    smallest = np.array([np.linalg.eigvalsh(oracle_gram(signal, s, offsets, weights))[0]
-                         for s in starts])
-    tolerance = RELATIVE * entry_scale(signal, weights).sum()
+    smallest = np.array([np.linalg.eigvalsh(pe_gram(signal, s, T))[0] for s in starts])
+    tolerance = RELATIVE * entry_scale(signal, T).sum()
     assert report.windows == starts.shape[0]
     assert abs(report.delta_hat - max(smallest.min(), 0.0)) <= tolerance
     (worst,) = np.flatnonzero(starts == report.worst_window_start)
     assert smallest[worst] <= smallest.min() + tolerance
+    # the last window's Gram against the extrapolated trapezoid, node by node
+    oracle = richardson(lambda o, w: oracle_gram(signal, starts[-1], o, w), T)
+    gram = pe_gram(signal, starts[-1], T)
+    assert (np.abs(gram - oracle) <= RELATIVE * entry_scale(signal, T)).all()
 
 
 def test_check_pe_reports_the_worst_window():
@@ -120,17 +153,11 @@ def test_check_pe_reports_the_worst_window():
 
 
 def test_blocks_do_not_change_the_scan(monkeypatch):
-    """Blocks of 3 starts and 3 nodes give the Grams and the report of one block of all."""
+    """Blocks of 3 starts give the report of one block of all."""
     signal = make_sinusoid_mix(3, [1, 0, 2], [0, 3, 1], [0, 1, 0.7], [0, 0.3, 1], [1, 1, 1])
-    offsets, weights = oracle_nodes(2.0, 1e-2)
-    starts = 0.25 * np.arange(41)
-    whole = check_pe(signal, T=2.0, scan_horizon=12.0, scan_step=0.25, quadrature_step=1e-2)
-    grams = _window_grams(signal, starts, _moments(signal, offsets, weights))
+    whole = check_pe(signal, T=2.0, scan_horizon=12.0, scan_step=0.25)
     monkeypatch.setattr(signals, "_GRAM_BLOCK", 3)
-    blocked = check_pe(signal, T=2.0, scan_horizon=12.0, scan_step=0.25, quadrature_step=1e-2)
+    blocked = check_pe(signal, T=2.0, scan_horizon=12.0, scan_step=0.25)
     assert whole.windows == 41
     assert blocked.windows == 41 and blocked.worst_window_start == whole.worst_window_start
     assert blocked.delta_hat == pytest.approx(whole.delta_hat, rel=1e-13)
-    regrouped = _window_grams(signal, starts, _moments(signal, offsets, weights))
-    tolerance = 1e-13 * entry_scale(signal, weights)
-    assert (np.abs(regrouped - grams) <= tolerance).all()
