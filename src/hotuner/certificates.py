@@ -357,10 +357,12 @@ def lyapunov_along(
     terms = weights[:, None, None] * (phi[:, :, None] * phi[:, None, :])
     prefix = np.concatenate((np.zeros((1, n, n)), np.cumsum(terms, axis=0)))
     q = energy_matrix(kind, gains, n, prefix)
+    # One pass per run of rows with equal counts: counts never decrease, so
+    # the runs are the buffer's fill levels.
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(counts)) + 1, [trajectory.n_rows]))
     values = np.empty(trajectory.n_rows)
-    for m in np.unique(counts):
-        rows = counts == m
-        values[rows] = np.einsum("ri,ij,rj->r", x[rows], q[m], x[rows])
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        values[a:b] = np.einsum("ri,ij,rj->r", x[a:b], q[counts[a]], x[a:b])
     return values
 
 

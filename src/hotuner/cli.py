@@ -1,6 +1,7 @@
 """Command-line front end: scenario runs, certificate checks, excitation scans.
 
-Scenarios are JSON files validated strictly (unknown keys are errors). The
+Scenarios are JSON files read through one key table, _SECTIONS, that refuses
+unknown keys, missing ones and values of the wrong type. The
 `run` command simulates every listed system, writes one trajectory CSV per
 system plus a comparison report; `certify` evaluates the stability
 certificates for the high-order systems; `pe-check` scans the scenario's
@@ -15,8 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from .dynamics import (
     TunerState,
 )
 from .integrator import NumericalDivergence, SignalGrid, SimConfig, Trajectory, simulate
-from .signals import PEReport, RegressorSignal, check_pe
+from .signals import PEReport, RegressorSignal, check_pe, make_sinusoid_mix
 
 __all__ = [
     "ConfigError",
@@ -65,13 +67,6 @@ class ConfigError(ValueError):
     """Scenario file failed validation."""
 
 
-@dataclass(frozen=True)
-class _PESettings:
-    window_T: float = 2.0 * math.pi
-    scan_horizon: float = 4.0 * math.pi
-    scan_step: float | None = None
-
-
 @dataclass
 class Scenario:
     """Validated scenario: systems to run plus everything they share."""
@@ -84,7 +79,7 @@ class Scenario:
     cl_epsilon: float
     cl_N_bar: int
     init_theta0: np.ndarray
-    pe: _PESettings
+    pe: dict[str, float | None]  # window_T, scan_horizon, scan_step (None: T / 8)
 
 
 def bundled_scenario_path(name: str) -> Path:
@@ -96,30 +91,123 @@ def bundled_scenario_path(name: str) -> Path:
         return path
 
 
-def _check_keys(section: dict, allowed: dict[str, bool], where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{where}{key}'")
-    for key, required in allowed.items():
-        if required and key not in section:
-            raise ConfigError(f"missing key '{where}{key}'")
+_REQUIRED = object()
 
+# Readers take a value and its dotted key, and return the value read or raise.
 
-def _number(section: dict | list, key: str | int, where: str) -> float:
-    value = section[key]
+def _number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{where}{key}' must be a number")
+        raise ConfigError(f"'{key}' must be a number")
     # NaN fails every comparison; an integer beyond the float range fails this one.
     if not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"'{where}{key}' must be a finite number")
+        raise ConfigError(f"'{key}' must be a finite number")
     return float(value)
 
 
-def _integer(section: dict, key: str, where: str) -> int:
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{where}{key}' must be an integer")
-    return value
+def _exact(kind: type, noun: str):
+    """Reader of one JSON type, refusing the empty string.
+
+    JSON values have exact types, so a bool is no int here.
+    """
+    def read(value, key: str):
+        if type(value) is not kind or value == "":
+            raise ConfigError(f"'{key}' must be {noun}")
+        return value
+    return read
+
+
+_integer = _exact(int, "an integer")
+_boolean = _exact(bool, "a boolean")
+_text = _exact(str, "a nonempty string")
+
+
+def _numbers(value, key: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigError(f"'{key}' must be a list of numbers")
+    return [_number(entry, f"{key}.{i}") for i, entry in enumerate(value)]
+
+
+def _systems(value, key: str) -> list[SystemKind]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"'{key}' must be a nonempty list")
+    kinds = []
+    for entry in value:
+        try:
+            kinds.append(SystemKind(entry))
+        except ValueError:
+            valid = ", ".join(k.value for k in SystemKind)
+            raise ConfigError(f"unknown system '{entry}' in '{key}' (valid: {valid})")
+    return kinds
+
+
+def _section(raw, name: str) -> dict:
+    """Read one section of a scenario file ("" is the top level) through _SECTIONS.
+
+    Refuses a non-object, unknown keys and missing required ones; reads every
+    key present and fills in the defaults of the absent ones. A default is read
+    like a given value, so an absent section is the section of its defaults;
+    a None default stays None.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"'{name}' must be an object" if name else
+                          "scenario must be a JSON object")
+    keys = _SECTIONS[name]
+    prefix = f"{name}." if name else ""
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"unknown key '{prefix}{key}'")
+    read = {}
+    for key, (reader, default) in keys.items():
+        if key in raw:
+            read[key] = reader(raw[key], prefix + key)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing key '{prefix}{key}'")
+        else:
+            read[key] = None if default is None else reader(default, prefix + key)
+    return read
+
+
+# Every key of a scenario file: section -> key -> (reader, default or _REQUIRED).
+# README.md's key table lists the same keys.
+_SECTIONS: dict[str, dict[str, tuple]] = {
+    "": {
+        "name": (_text, _REQUIRED),
+        "systems": (_systems, _REQUIRED),
+        **dict.fromkeys(("signal", "gains", "sim", "cl", "init"), (_section, _REQUIRED)),
+        "pe": (_section, {}),
+    },
+    "signal": {
+        "dimension": (_integer, _REQUIRED),
+        **dict.fromkeys(("offsets", "amplitudes", "frequencies", "phases", "theta_star"),
+                        (_numbers, _REQUIRED)),
+    },
+    "gains": {
+        **dict.fromkeys(("beta", "gamma", "mu"), (_number, _REQUIRED)),
+        "beta_r": (_number, 0.0),
+    },
+    "sim": {
+        "step_h": (_number, _REQUIRED),
+        "t_start": (_number, 0.0),
+        "t_end": (_number, _REQUIRED),
+        "record_every": (_integer, 1),
+        "seed": (_integer, 0),
+    },
+    "cl": {
+        "epsilon": (_number, _REQUIRED),
+        "N_bar": (_integer, _REQUIRED),
+        "online": (_boolean, True),
+    },
+    "init": {
+        "mode": (_text, _REQUIRED),
+        "theta0": (_numbers, None),
+        "range": (_number, 5.0),
+    },
+    "pe": {
+        "window_T": (_number, 2.0 * math.pi),
+        "scan_horizon": (_number, 4.0 * math.pi),
+        "scan_step": (_number, None),
+    },
+}
 
 
 def load_scenario(
@@ -137,128 +225,68 @@ def load_scenario(
         raise ConfigError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario must be a JSON object")
-    _check_keys(
-        raw,
-        {"name": True, "systems": True, "signal": True, "gains": True,
-         "sim": True, "cl": True, "init": True, "pe": False},
-        "",
-    )
-    if not isinstance(raw["name"], str) or not raw["name"]:
-        raise ConfigError("'name' must be a nonempty string")
+    top = _section(raw, "")
+    name, kinds = top["name"], top["systems"]
+    cl, init, pe = top["cl"], top["init"], top["pe"]
+    # Output files are named <name>_<kind>.csv inside the out dir.
+    if any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        raise ConfigError(f"'name' must not contain a path separator (got {name!r})")
 
-    if not isinstance(raw["systems"], list) or not raw["systems"]:
-        raise ConfigError("'systems' must be a nonempty list")
-    kinds = []
-    for entry in raw["systems"]:
-        try:
-            kinds.append(SystemKind(entry))
-        except ValueError:
-            valid = ", ".join(k.value for k in SystemKind)
-            raise ConfigError(f"unknown system '{entry}' in 'systems' (valid: {valid})")
-
-    sig_raw = dict(raw["signal"])
     try:
-        signal = RegressorSignal.from_descriptor(sig_raw)
+        signal = make_sinusoid_mix(**top["signal"])
     except ValueError as exc:
         raise ConfigError(f"signal: {exc}")
-
-    gains_raw = raw["gains"]
-    _check_keys(gains_raw, {"beta": True, "gamma": True, "mu": True, "beta_r": False},
-                "gains.")
     try:
-        gains = Gains(
-            beta=_number(gains_raw, "beta", "gains."),
-            gamma=_number(gains_raw, "gamma", "gains."),
-            mu=_number(gains_raw, "mu", "gains."),
-            beta_r=_number(gains_raw, "beta_r", "gains.") if "beta_r" in gains_raw else 0.0,
-        )
+        gains = Gains(**top["gains"])
     except ValueError as exc:
         raise ConfigError(f"gains: {exc}")
-
-    sim_raw = raw["sim"]
-    _check_keys(
-        sim_raw,
-        {"step_h": True, "t_start": False, "t_end": True, "record_every": False,
-         "seed": False},
-        "sim.",
-    )
+    overrides = {"seed": seed, "step_h": step_h, "t_end": t_end}
     try:
-        sim = SimConfig(
-            step_h=step_h if step_h is not None else _number(sim_raw, "step_h", "sim."),
-            t_start=_number(sim_raw, "t_start", "sim.") if "t_start" in sim_raw else 0.0,
-            t_end=t_end if t_end is not None else _number(sim_raw, "t_end", "sim."),
-            record_every=_integer(sim_raw, "record_every", "sim.")
-            if "record_every" in sim_raw else 1,
-            seed=seed if seed is not None else (
-                _integer(sim_raw, "seed", "sim.") if "seed" in sim_raw else 0),
-        )
+        sim = SimConfig(**top["sim"] | {k: v for k, v in overrides.items() if v is not None})
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}")
 
-    cl_raw = raw["cl"]
-    _check_keys(cl_raw, {"epsilon": True, "N_bar": True, "online": False}, "cl.")
-    cl_epsilon = _number(cl_raw, "epsilon", "cl.")
-    cl_n_bar = _integer(cl_raw, "N_bar", "cl.")
-    cl_online = cl_raw.get("online", True)
-    if not isinstance(cl_online, bool):
-        raise ConfigError("'cl.online' must be a boolean")
-    if cl_epsilon <= 0.0:
+    if cl["epsilon"] <= 0.0:
         raise ConfigError("'cl.epsilon' must be positive")
-    if cl_n_bar < signal.dimension:
+    if cl["N_bar"] < signal.dimension:
         raise ConfigError("'cl.N_bar' must be at least the signal dimension")
 
-    init_raw = raw["init"]
-    _check_keys(init_raw, {"mode": True, "theta0": False, "range": False}, "init.")
-    mode = init_raw["mode"]
-    if mode == "fixed":
-        if "theta0" not in init_raw:
+    if init["theta0"] is not None and len(init["theta0"]) != signal.dimension:
+        raise ConfigError("'init.theta0' must match the signal dimension")
+    # rng.uniform needs the width 2 * range to be finite.
+    if not 0.0 < init["range"] <= sys.float_info.max / 2.0:
+        raise ConfigError("'init.range' must be positive and at most half the largest float")
+    if init["mode"] == "fixed":
+        if init["theta0"] is None:
             raise ConfigError("missing key 'init.theta0' (required for fixed mode)")
-        entries = init_raw["theta0"]
-        if not isinstance(entries, list) or len(entries) != signal.dimension:
-            raise ConfigError("'init.theta0' must match the signal dimension")
-        theta0 = np.array([_number(entries, i, "init.theta0.") for i in range(len(entries))])
-    elif mode == "random":
-        spread = _number(init_raw, "range", "init.") if "range" in init_raw else 5.0
-        # rng.uniform needs the width 2 * range to be finite.
-        if not 0.0 < spread <= sys.float_info.max / 2.0:
-            raise ConfigError("'init.range' must be positive and at most half the largest float")
+        theta0 = np.array(init["theta0"])
+    elif init["mode"] == "random":
         rng = np.random.default_rng(sim.seed)
-        theta0 = rng.uniform(-spread, spread, signal.dimension)
+        theta0 = rng.uniform(-init["range"], init["range"], signal.dimension)
     else:
         raise ConfigError("'init.mode' must be 'fixed' or 'random'")
 
-    pe = _PESettings()
-    if "pe" in raw:
-        pe_raw = raw["pe"]
-        _check_keys(
-            pe_raw,
-            {"window_T": False, "scan_horizon": False, "scan_step": False},
-            "pe.",
-        )
-        pe = replace(pe, **{key: _number(pe_raw, key, "pe.") for key in pe_raw})
-    if pe.window_T <= 0.0:
+    if pe["window_T"] <= 0.0:
         raise ConfigError("'pe.window_T' must be positive")
-    if pe.scan_horizon < pe.window_T:
+    if pe["scan_horizon"] < pe["window_T"]:
         raise ConfigError("'pe.scan_horizon' must be at least 'pe.window_T'")
-    if pe.scan_step is not None and pe.scan_step <= 0.0:
+    if pe["scan_step"] is not None and pe["scan_step"] <= 0.0:
         raise ConfigError("'pe.scan_step' must be positive")
 
     if systems:
         chosen = []
-        for name in systems:
+        for entry in systems:
             try:
-                chosen.append(SystemKind(name))
+                chosen.append(SystemKind(entry))
             except ValueError:
-                raise ConfigError(f"unknown system '{name}' in --system filter")
+                raise ConfigError(f"unknown system '{entry}' in --system filter")
         missing = [k.value for k in chosen if k not in kinds]
         if missing:
             raise ConfigError(f"--system names not in scenario: {', '.join(missing)}")
         kinds = [k for k in kinds if k in chosen]
     # A scenario file cannot supply a prefilled buffer, so a buffer-driven
     # kind can only record online.
-    offline = [k.value for k in kinds if k in BUFFER_KINDS and not cl_online]
+    offline = [k.value for k in kinds if k in BUFFER_KINDS and not cl["online"]]
     if offline:
         raise ConfigError(
             f"system '{offline[0]}' needs cl.online=true (no prefilled buffer "
@@ -266,13 +294,13 @@ def load_scenario(
         )
 
     return Scenario(
-        name=raw["name"],
+        name=name,
         systems=kinds,
         signal=signal,
         gains=gains,
         sim=sim,
-        cl_epsilon=cl_epsilon,
-        cl_N_bar=cl_n_bar,
+        cl_epsilon=cl["epsilon"],
+        cl_N_bar=cl["N_bar"],
         init_theta0=theta0,
         pe=pe,
     )
@@ -416,8 +444,8 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> int:
 def _scan_pe(scenario: Scenario) -> PEReport:
     """check_pe on the scenario's regressor with its pe settings."""
     pe = scenario.pe
-    return check_pe(scenario.signal, T=pe.window_T, scan_horizon=pe.scan_horizon,
-                    scan_step=pe.scan_step)
+    return check_pe(scenario.signal, T=pe["window_T"], scan_horizon=pe["scan_horizon"],
+                    scan_step=pe["scan_step"])
 
 
 def run_pe_check(scenario: Scenario, out_dir: str | Path) -> int:

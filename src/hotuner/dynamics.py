@@ -11,6 +11,7 @@ disagree about the descent direction.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -124,6 +125,9 @@ class Gains:
     beta_r: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("beta", "gamma", "mu", "beta_r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite (got {getattr(self, name)!r})")
         if self.beta <= 0.0:
             raise ValueError("beta must be positive")
         if self.gamma <= 0.0:

@@ -34,15 +34,6 @@ PE_TOLERANCE = 1e-10
 # Window starts per block of check_pe's scan; bounds its scratch memory.
 _GRAM_BLOCK = 4096
 
-_DESCRIPTOR_KEYS = (
-    "dimension",
-    "offsets",
-    "amplitudes",
-    "frequencies",
-    "phases",
-    "theta_star",
-)
-
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products a[k] @ b[k] (b may be a single vector).
@@ -129,49 +120,22 @@ class RegressorSignal:
             theta_star=self.theta_star,
         )
 
-    def to_descriptor(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "offsets": self.offsets.tolist(),
-            "amplitudes": self.amplitudes.tolist(),
-            "frequencies": self.frequencies.tolist(),
-            "phases": self.phases.tolist(),
-            "theta_star": self.theta_star.tolist(),
-        }
 
-    @staticmethod
-    def from_descriptor(descriptor: dict) -> "RegressorSignal":
-        unknown = set(descriptor) - set(_DESCRIPTOR_KEYS)
-        if unknown:
-            raise ValueError(f"unknown signal descriptor key '{sorted(unknown)[0]}'")
-        missing = set(_DESCRIPTOR_KEYS) - set(descriptor)
-        if missing:
-            raise ValueError(f"missing signal descriptor key '{sorted(missing)[0]}'")
-        n = descriptor["dimension"]
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("signal dimension must be a positive integer")
-        return make_sinusoid_mix(
-            n,
-            descriptor["offsets"],
-            descriptor["amplitudes"],
-            descriptor["frequencies"],
-            descriptor["phases"],
-            descriptor["theta_star"],
-        )
+def make_sinusoid_mix(
+    dimension, offsets, amplitudes, frequencies, phases, theta_star
+) -> RegressorSignal:
+    """Build a sinusoid-mix regressor; all vectors must have length dimension.
 
-
-def make_sinusoid_mix(n, offsets, amplitudes, frequencies, phases, theta_star) -> RegressorSignal:
-    """Build an n-dimensional sinusoid-mix regressor; all vectors must have length n."""
-    if n < 1:
+    RegressorSignal validates every vector against the length of offsets, so
+    only that length is checked here.
+    """
+    if dimension < 1:
         raise ValueError("dimension must be at least 1")
-    signal = RegressorSignal(
-        offsets=_as_vector(offsets, n, "offsets"),
-        amplitudes=_as_vector(amplitudes, n, "amplitudes"),
-        frequencies=_as_vector(frequencies, n, "frequencies"),
-        phases=_as_vector(phases, n, "phases"),
-        theta_star=_as_vector(theta_star, n, "theta_star"),
-    )
-    return signal
+    if np.shape(offsets) != (dimension,):
+        raise ValueError(
+            f"offsets must be a length-{dimension} vector, got shape {np.shape(offsets)}"
+        )
+    return RegressorSignal(offsets, amplitudes, frequencies, phases, theta_star)
 
 
 def make_constant(values, theta_star) -> RegressorSignal:

@@ -12,6 +12,7 @@ import pytest
 import hotuner
 from hotuner import SystemKind
 from hotuner.cli import (
+    _SECTIONS,
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -106,8 +107,7 @@ def test_load_scenario_invalid_json(tmp_path):
         (lambda d: d["cl"].update(N_bar=1), "at least the signal dimension"),
         (lambda d: d["cl"].update(epsilon=0.0), "'cl.epsilon' must be positive"),
         (lambda d: d["cl"].update(online=1), "'cl.online' must be a boolean"),
-        (lambda d: d["signal"].update(wavelength=2.0),
-         "signal: unknown signal descriptor key 'wavelength'"),
+        (lambda d: d["signal"].update(wavelength=2.0), "unknown key 'signal.wavelength'"),
         (lambda d: d["sim"].update(step_h="fast"), "'sim.step_h' must be a number"),
         (lambda d: d["init"].update(mode="fixed", theta0=[1.0]),
          "match the signal dimension"),
@@ -121,6 +121,99 @@ def test_load_scenario_rejects_bad_config(tmp_path, mutate, message):
         load_scenario(path)
     # the same failure through the CLI maps to the config exit code
     assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.update(gains=5), "'gains' must be an object"),
+        (lambda d: d.update(signal=5), "'signal' must be an object"),
+        (lambda d: d.update(sim=None), "'sim' must be an object"),
+        (lambda d: d.update(cl=3), "'cl' must be an object"),
+        (lambda d: d.update(pe=[]), "'pe' must be an object"),
+        (lambda d: d.update(pe=None), "'pe' must be an object"),
+        (lambda d: d.update(init="fixed"), "'init' must be an object"),
+        (lambda d: d["signal"].update(offsets=["1", "1"]), "'signal.offsets.0' must be a number"),
+        (lambda d: d["signal"].update(phases=0.0), "'signal.phases' must be a list of numbers"),
+        (lambda d: d["signal"].pop("phases"), "missing key 'signal.phases'"),
+        (lambda d: d["signal"].update(dimension=True), "'signal.dimension' must be an integer"),
+        (lambda d: d["signal"].update(dimension=2.0), "'signal.dimension' must be an integer"),
+        (lambda d: d["signal"].update(dimension=0), "signal: dimension must be at least 1"),
+        (lambda d: d["signal"].update(dimension=-2), "signal: dimension must be at least 1"),
+        (lambda d: d["signal"].update(dimension=3),
+         "signal: offsets must be a length-3 vector, got shape (2,)"),
+        (lambda d: d["init"].update(range=-1),
+         "'init.range' must be positive and at most half the largest float"),
+        (lambda d: d["init"].update(mode="random", theta0=[1.0]),
+         "'init.theta0' must match the signal dimension"),
+    ],
+    ids=["gains_number", "signal_number", "sim_null", "cl_number", "pe_list", "pe_null",
+         "init_string", "offsets_strings", "phases_scalar", "signal_missing_key",
+         "dimension_bool", "dimension_float", "dimension_zero", "dimension_negative",
+         "dimension_mismatch", "range_in_fixed_mode", "theta0_in_random_mode"],
+)
+def test_every_command_refuses_a_malformed_section(tmp_path, capsys, mutate, message):
+    """Sections that are not objects used to end in a TypeError traceback (an
+    init string in 'unknown key init.f'), pe: [] loaded, the signal vectors took
+    strings and booleans, and keys the init mode does not use went unread."""
+    data = scenario_dict()
+    mutate(data)
+    path = write_scenario(tmp_path, data)
+    with pytest.raises(ConfigError) as caught:
+        load_scenario(path)
+    assert str(caught.value) == message
+    out = tmp_path / "out"
+    for command in ("run", "certify", "pe-check"):
+        assert main([command, path, "--out-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["sub/dir", "../x", "a\\b"])
+def test_name_with_a_path_separator_is_refused_before_anything_is_written(
+        tmp_path, capsys, monkeypatch, name):
+    """Outputs are named <name>_<kind>.csv in the out dir, so 'sub/dir' used to fail
+    with a FileNotFoundError traceback after the out dir was made, and '../x' wrote
+    beside it. The backslash is os.altsep on Windows; here it stands in for one."""
+    monkeypatch.setattr(os, "altsep", "\\")
+    data = scenario_dict()
+    data["name"] = name
+    work = tmp_path / "work"
+    work.mkdir()
+    path = write_scenario(work, data)
+    out = work / "out"
+    for command in ("run", "certify", "pe-check"):
+        assert main([command, path, "--out-dir", str(out)]) == EXIT_CONFIG
+        assert (f"'name' must not contain a path separator (got {name!r})"
+                in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json", "work"]
+
+
+def test_overridden_keys_are_still_read(tmp_path):
+    """--seed, --step and --t-end replace sim values after the file is read, so a
+    malformed value is refused even where an override would replace it."""
+    data = scenario_dict()
+    data["sim"]["seed"] = "zero"
+    path = write_scenario(tmp_path, data)
+    with pytest.raises(ConfigError, match="'sim.seed' must be an integer"):
+        load_scenario(path, seed=3)
+    data["sim"]["seed"] = 0
+    data["sim"]["step_h"] = None
+    path = write_scenario(tmp_path, data)
+    with pytest.raises(ConfigError, match="'sim.step_h' must be a number"):
+        load_scenario(path, step_h=1e-3)
+
+
+def test_readme_key_table_matches_the_reader():
+    """README.md's scenario key table lists exactly the keys that load_scenario reads."""
+    readme = Path(__file__).parents[1] / "README.md"
+    section = readme.read_text().split("### Scenario keys", 1)[1].split("\n#", 1)[0]
+    documented = [line.split("`")[1] for line in section.splitlines()
+                  if line.startswith("| `")]
+    read = [f"{section}.{key}" if section else key
+            for section, keys in _SECTIONS.items() for key in keys]
+    assert sorted(documented) == sorted(read)
+    assert len(documented) == len(set(documented))
 
 
 def test_cl_online_is_optional(tmp_path):

@@ -1,5 +1,7 @@
 """Right-hand sides: hand values per kind, switching logic, structural relations."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,15 @@ def test_gains_validation():
     assert Gains(beta=1.0, gamma=0.1, mu=0.2).rate_condition_ok  # equality case
     assert not Gains(beta=1.0, gamma=0.3, mu=0.2).rate_condition_ok
     assert not Gains(beta=1.0, gamma=0.1, mu=0.0).rate_condition_ok
+
+
+@pytest.mark.parametrize("field", ["beta", "gamma", "mu", "beta_r"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_gains_refuse_non_finite_values(field, value):
+    """NaN passes every sign check, and inf passes beta > 0: both used to construct."""
+    values = {"beta": 1.0, "gamma": 0.1, "mu": 0.2, "beta_r": 4.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite \\(got {value!r}\\)$"):
+        Gains(**values)
 
 
 def test_tuner_state():

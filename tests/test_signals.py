@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hotuner import RegressorSignal, check_pe, make_constant, make_sinusoid_mix, pe_gram
+from hotuner import check_pe, make_constant, make_sinusoid_mix, pe_gram
 
 PI = np.pi
 
@@ -66,30 +66,6 @@ def test_shifted_matches_time_offset():
     shifted = sig.shifted(2.5)
     for t in np.linspace(0.0, 12.0, 25):
         assert np.allclose(shifted.phi(t), sig.phi(t + 2.5), atol=1e-12)
-
-
-def test_descriptor_round_trip():
-    sig = mix3()
-    again = RegressorSignal.from_descriptor(sig.to_descriptor())
-    assert np.array_equal(again.offsets, sig.offsets)
-    assert np.array_equal(again.phases, sig.phases)
-    assert np.array_equal(again.theta_star, sig.theta_star)
-
-
-def test_descriptor_validation():
-    good = mix3().to_descriptor()
-    bad = dict(good)
-    bad["extra"] = 1
-    with pytest.raises(ValueError, match="unknown signal descriptor key 'extra'"):
-        RegressorSignal.from_descriptor(bad)
-    bad = dict(good)
-    del bad["phases"]
-    with pytest.raises(ValueError, match="missing signal descriptor key 'phases'"):
-        RegressorSignal.from_descriptor(bad)
-    bad = dict(good)
-    bad["dimension"] = 0
-    with pytest.raises(ValueError, match="positive integer"):
-        RegressorSignal.from_descriptor(bad)
 
 
 def test_construction_validation():

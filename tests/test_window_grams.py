@@ -94,7 +94,13 @@ def test_window_grams_match_per_node_trapezoid(signal, length, nodes, starts, ma
     offsets, weights = oracle_nodes(length, length / nodes, matrosov)
     grams = _window_grams(signal, np.array(starts), node_moments(signal, offsets, weights))
     assert grams.shape == (len(starts), signal.dimension, signal.dimension)
-    tolerance = RELATIVE * entry_scale(signal, weights.sum())
+    # Where bound_i bound_j is subnormal the relative bound underflows to 0, but
+    # each product that underflows still rounds by up to half a subnormal ulp:
+    # one per node on the oracle's side, one per column of L M on the other, and
+    # one more for each side's symmetrization. Subnormal sums are exact.
+    terms = offsets.shape[0] + 2 * signal.dimension + 1
+    tolerance = (RELATIVE * entry_scale(signal, weights.sum())
+                 + (terms + 1) * np.finfo(float).smallest_subnormal)
     for start, gram in zip(starts, grams):
         assert np.array_equal(gram, gram.T)
         assert (np.abs(gram - oracle_gram(signal, start, offsets, weights)) <= tolerance).all()
