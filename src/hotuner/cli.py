@@ -137,6 +137,8 @@ def _systems(value, key: str) -> list[SystemKind]:
         except ValueError:
             valid = ", ".join(k.value for k in SystemKind)
             raise ConfigError(f"unknown system '{entry}' in '{key}' (valid: {valid})")
+        if kinds.count(kinds[-1]) > 1:
+            raise ConfigError(f"duplicate system '{entry}' in '{key}'")
     return kinds
 
 
@@ -231,6 +233,8 @@ def load_scenario(
     # Output files are named <name>_<kind>.csv inside the out dir.
     if any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
         raise ConfigError(f"'name' must not contain a path separator (got {name!r})")
+    if "\0" in name:
+        raise ConfigError(f"'name' must not contain a NUL character (got {name!r})")
 
     try:
         signal = make_sinusoid_mix(**top["signal"])

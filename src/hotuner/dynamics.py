@@ -11,7 +11,9 @@ disagree about the descent direction.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -194,103 +196,249 @@ Field = Callable[
 ]
 
 
+# The arguments of every generated make(...), which _field_arguments supplies.
+_ARGUMENTS = ("gamma", "neg_gain", "neg_beta", "neg_pull", "pulls", "missing")
+
+
+def _field_arguments(kind: SystemKind, gains: Gains) -> dict:
+    """The values a generated field of kind takes as arguments (see _field_statements)."""
+    spec = KINDS[kind]
+    return {
+        "gamma": gains.gamma,
+        "neg_gain": -1.0 if spec.unit_gain else -gains.gamma,
+        "neg_beta": -gains.beta,
+        "neg_pull": -(2.0 * gains.beta_r),
+        "pulls": spec.reset and gains.beta_r > 0.0,
+        "missing": f"system '{kind.value}' requires a nonempty data buffer",
+    }
+
+
+def _field_statements(spec: KindSpec, n: int) -> list[tuple]:
+    """The field of one kind as straight-line statements on its n components.
+
+    Component i of a vector x is the local x{i}: theta t, vartheta v, phi p,
+    the loss gradient g, the data term c, the gap q = theta - vartheta, the
+    drive's partial sums a and the outputs dt and dv; y is y*, nt is N_t and
+    the gains are the arguments of _field_arguments. A statement is
+
+        ("each", template)            template.format(i=i) for every component
+        ("line", text)                one line
+        ("dot", name, a, b)           name = a . b, the ndarray.dot of the vectors
+        ("data", name)                name{i} = component i of the data term at theta
+        ("if", flag, body)            the statements of body when flag is true
+        ("if_negative", name, body)   the "each" lines of body where name < 0.0
+
+    and _render_field writes them as Python for one point or a batch of rows.
+    Each arithmetic operation is one IEEE operation, on the same operands, of
+    the vector formula it unrolls (multiplication commutes exactly), so the
+    bits match a computation on whole vectors. The drive is -gain (grad +
+    data), built in the output it ends in; g keeps the loss gradient
+    undivided for the reset indicator. An absent term is skipped rather than
+    added as zero, and a soft-reset pull that is off (or has beta_r = 0,
+    pulls false) is not added either, which keeps the sign of every zero
+    component.
+    """
+    statements: list[tuple] = []
+    source = None
+    if spec.grad is not None:
+        statements += [("dot", "r", "p", "t"), ("line", "r = r - y"),
+                       ("each", "g{i} = p{i} * r")]
+        source = "g"
+        if spec.grad < 0:
+            statements.append(("each", "a{i} = g{i} / nt"))
+            source = "a"
+    if spec.data is not None:
+        statements.append(("data", "c"))
+        if spec.data > 0:
+            statements.append(("each", "c{i} = c{i} * nt"))
+        if source is None:
+            source = "c"
+        else:
+            statements.append(("each", f"a{{i}} = {source}{{i}} + c{{i}}"))
+            source = "a"
+    drive = "dv" if spec.high_order else "dt"
+    if spec.gain_nt:
+        statements += [("line", "ng = -(gamma / nt)"),
+                       ("each", f"{drive}{{i}} = {source}{{i}} * ng")]
+    else:
+        statements.append(("each", f"{drive}{{i}} = {source}{{i}} * neg_gain"))
+    if not spec.high_order:
+        return statements
+    statements.append(("each", "q{i} = t{i} - v{i}"))
+    if spec.theta_nt:
+        statements += [("line", "nb = neg_beta * nt"), ("each", "dt{i} = q{i} * nb")]
+    else:
+        statements.append(("each", "dt{i} = q{i} * neg_beta"))
+    if spec.reset:
+        # The pull switches on when vartheta - theta leads uphill along the
+        # loss gradient; at the switching surface (indicator 0) it is off.
+        # q'g is exactly -(vartheta - theta)'g: rounding to nearest is
+        # symmetric in sign, so the test is the same comparison.
+        pull = "q{i} * neg_pull * nt" if spec.theta_nt else "q{i} * neg_pull"
+        body = [("dot", "ind", "q", "g")]
+        if not spec.theta_nt:
+            body.append(("line", "ind = ind / nt"))
+        body.append(("if_negative", "ind", [("each", f"dt{{i}} = dt{{i}} + {pull}")]))
+        statements.append(("if", "pulls", body))
+    return statements
+
+
+def _names(prefix: str, n: int) -> str:
+    """The components prefix0, ..., prefix{n-1} as a tuple target or display."""
+    return ", ".join(f"{prefix}{i}" for i in range(n)) + ("," if n == 1 else "")
+
+
+def _render_field(statements: list[tuple], n: int, rows: bool, pad: str) -> list[str]:
+    """Python lines of statements (see _field_statements), indented by pad.
+
+    The point form (rows false) works on Python floats. Its dot products and
+    the data term's products go through numpy, whose rounding they must
+    reproduce: a dot packs its two vectors into the contiguous halves _lo and
+    _hi of a 2n scratch array (through the memoryview _m), and the data term
+    reads theta from _hi. The rows form works on (B,) columns of a batch:
+    phi . theta is signals.row_dots of the (B, n) inputs, and every other dot
+    stacks its vectors into (B, n) arrays first.
+    """
+    lines: list[str] = []
+    in_hi = None  # the vector _hi holds in the point form
+
+    def pack(half: str, prefix: str) -> None:
+        offset = 0 if half == "lo" else n
+        lines.extend(f"{pad}_m[{offset + i}] = {prefix}{i}" for i in range(n))
+
+    for statement in statements:
+        op = statement[0]
+        if op == "each":
+            lines.extend(pad + statement[1].format(i=i) for i in range(n))
+        elif op == "line":
+            lines.append(pad + statement[1])
+        elif op == "dot":
+            _, name, a, b = statement
+            if rows and (a, b) == ("p", "t"):
+                lines.append(f"{pad}{name} = _row_dots(theta, phi)")
+            elif rows:
+                lines.append(f"{pad}{name} = _row_dots(_stack(({_names(b, n)}), 1), "
+                             f"_stack(({_names(a, n)}), 1))")
+            else:
+                pack("lo", a)
+                pack("hi", b)
+                in_hi = b
+                lines.append(f"{pad}{name} = float(_dot(_lo, _hi))")
+        elif op == "data":
+            name = statement[1]
+            lines += [f"{pad}if data is None:", f"{pad}    raise ValueError(missing)"]
+            if rows:
+                lines.append(f"{pad}{_names(name, n)} = _data_term(data, theta, True).T")
+            else:
+                if in_hi != "t":
+                    pack("hi", "t")
+                    in_hi = "t"
+                lines.append(f"{pad}{_names(name, n)} = _data_term(data, _hi).tolist()")
+        elif op == "if":
+            lines.append(f"{pad}if {statement[1]}:")
+            lines += _render_field(statement[2], n, rows, pad + "    ")
+            in_hi = None  # the body may have packed other vectors
+        elif op == "if_negative":
+            _, name, body = statement
+            if rows:
+                # Rows where the test fails keep the value they had.
+                lines.append(f"{pad}_on = {name} < 0.0")
+                for _, template in body:
+                    for i in range(n):
+                        target, value = template.format(i=i).split(" = ")
+                        lines.append(f"{pad}{target} = _where(_on, {value}, {target})")
+            else:
+                lines.append(f"{pad}if {name} < 0.0:")
+                lines += _render_field(body, n, rows, pad + "    ")
+                in_hi = None
+        else:
+            raise ValueError(f"unknown statement {op!r}")
+    return lines
+
+
+# What generated code may refer to besides its arguments.
+_GENERATED_NAMES = {
+    "_data_term": data_term,
+    "_dot": np.ndarray.dot,
+    "_empty": np.empty,
+    "_ravel": np.ravel,
+    "_row_dots": row_dots,
+    "_stack": np.stack,
+    "_where": np.where,
+}
+
+
+def _make_header(n: int, scratch: bool) -> list[str]:
+    """The first lines of generated source: make(...) and, with scratch set,
+    the point form's dot scratch _lo and _hi and its memoryview _m."""
+    lines = [f"def make({', '.join(_ARGUMENTS)}):"]
+    if scratch:
+        lines += [f"    _s = _empty({2 * n})", "    _m = memoryview(_s)",
+                  f"    _lo, _hi = _s[:{n}], _s[{n}:]"]
+    return lines + [""]
+
+
+def _generate(source: str, label: str, names: dict | None = None) -> Callable:
+    """Compile generated source that defines make(...) and return make.
+
+    Only structure and the dimension n are written into source; every value
+    of a scenario reaches the generated code as an argument of make.
+    """
+    namespace = {**_GENERATED_NAMES, **(names or {})}
+    exec(compile(source, f"<hotuner {label}>", "exec"), namespace)
+    return namespace["make"]
+
+
+@functools.cache
+def _field_maker(kind: SystemKind, n: int, rows: bool) -> Callable:
+    spec = KINDS[kind]
+    read = "{}.T" if rows else "{}.tolist()"
+    lines = _make_header(n, scratch=not rows) + [
+        "    def field(theta, vartheta, phi, y, nt, data, dtheta, dvartheta):",
+        f"        {_names('t', n)} = {read.format('theta')}",
+    ]
+    if spec.high_order:
+        lines.append(f"        {_names('v', n)} = {read.format('vartheta')}")
+    lines.append(f"        {_names('p', n)} = {read.format('phi')}")
+    if rows:
+        lines.append("        y, nt = _ravel(y), _ravel(nt)")
+    lines += _render_field(_field_statements(spec, n), n, rows, " " * 8)
+    outputs = [("dtheta", "dt")] + ([("dvartheta", "dv")] if spec.high_order else [])
+    for array, prefix in outputs:
+        if rows:
+            lines.append(f"        _stack(({_names(prefix, n)}), 1, out={array})")
+        else:
+            lines.append(f"        {array}[:] = ({_names(prefix, n)})")
+    lines += ["", "    return field"]
+    form = "rows" if rows else "point"
+    return _generate("\n".join(lines) + "\n", f"{form} field {kind.value} n={n}")
+
+
 def compile_field(kind: SystemKind, gains: Gains, n: int, batched: bool = False) -> Field:
     """The field of one kind with one gain set and dimension n, resolved once for many calls.
 
-    The closure takes the state, phi and y* at time t, N_t at phi, the buffer
-    aggregates weighted for this kind (see _data_for), or None for an empty
-    buffer, and the two output vectors, which must not overlap the inputs.
-    It works in place, through its own scratch for the loss gradient and the
-    gap theta - vartheta, and holds the constant gains as n-vectors. Each
-    operation is the IEEE operation of the allocating formula on the same
-    operands (multiplication commutes exactly, and an in-place ufunc rounds as
-    an allocating one), so the bits do not depend on where results are
-    written. An absent term is skipped rather than added as zero, and a
-    soft-reset pull that is off (or has beta_r = 0) is not added either, which
-    keeps the sign of every zero component. The 1-d ndarray.dot calls use the
-    same dot kernel as a 1-d `@`.
+    The closure takes the state, phi and y* at time t, N_t at phi (at least
+    1), the buffer aggregates weighted for this kind (see _data_for), or None
+    for an empty buffer, and the two output vectors. It reads its inputs
+    before it writes its outputs, and a baseline kind, whose vartheta stays
+    constant, leaves dvartheta untouched. Its code is generated from the
+    kind's statements (see _field_statements) once per (kind, n) and form;
+    the gains are arguments of that code, and the closure holds its own
+    scratch for the dot products. The 1-d ndarray.dot calls use the same dot
+    kernel as a 1-d `@`.
 
     With batched set the closure evaluates B states at once: theta, vartheta
     and the outputs are (B, n), phi is (B, n) or one (n,) row shared by all
     states, and y* and N_t are (B, 1) columns or scalars. Row b of the output
     equals the unbatched closure at row b, bit for bit. The operations are the
-    same; only the dot products differ, being stacked 1-d dots (see
-    signals.row_dots), and the soft-reset pull is added through a boolean row
-    mask. Its scratch is allocated per call, since B may change.
+    same, on (B,) columns; only the dot products differ, being stacked 1-d
+    dots (see signals.row_dots), and the soft-reset pull is added through a
+    row mask.
     """
-    spec = KINDS[kind]
-    grad_power, data_power = spec.grad, spec.data
-    gain_nt, theta_nt = spec.gain_nt, spec.theta_nt
-    high_order = spec.high_order
-    pulls = spec.reset and gains.beta_r > 0.0
-    gamma = gains.gamma
-    neg_gain = np.full(n, -1.0 if spec.unit_gain else -gamma)
-    neg_beta = -gains.beta
-    neg_beta_vec = np.full(n, neg_beta)
-    neg_pull = np.full(n, -(2.0 * gains.beta_r))
-    scratch = np.empty(n), np.empty(n)
-    if batched:
-        def dot(a, b):  # a[k] . b[k] as a (B, 1) column; a may be one (n,) row
-            return row_dots(b, a)[:, None]
-    else:
-        dot = np.ndarray.dot
-    add, divide, empty_like, multiply, subtract = (
-        np.add, np.divide, np.empty_like, np.multiply, np.subtract)
-    missing_data = f"system '{kind.value}' requires a nonempty data buffer"
-
-    def field(theta, vartheta, phi, y_star, nt, data, dtheta, dvartheta):
-        grad, gap = (empty_like(theta), empty_like(theta)) if batched else scratch
-        # The drive is built in the output it ends in; grad keeps the loss
-        # gradient undivided for the reset indicator.
-        drive = dvartheta if high_order else dtheta
-        source = None
-        if grad_power is not None:
-            multiply(phi, dot(phi, theta) - y_star, grad)
-            source = grad
-            if grad_power < 0:
-                divide(grad, nt, drive)
-                source = drive
-        if data_power is not None:
-            if data is None:
-                raise ValueError(missing_data)
-            correction = data_term(data, theta, batched)
-            if data_power > 0:
-                multiply(correction, nt, correction)
-            if source is None:
-                source = correction
-            else:
-                add(source, correction, drive)
-                source = drive
-        if gain_nt:
-            multiply(source, -(gamma / nt), drive)
-        else:
-            multiply(source, neg_gain, drive)
-        if not high_order:
-            return
-        subtract(theta, vartheta, gap)
-        if theta_nt:
-            multiply(gap, neg_beta * nt, dtheta)
-        else:
-            multiply(gap, neg_beta_vec, dtheta)
-        if pulls:
-            # The pull switches on when vartheta - theta leads uphill along the
-            # loss gradient; at the switching surface (indicator 0) it is off.
-            # gap'grad is exactly -(vartheta - theta)'grad: rounding to nearest
-            # is symmetric in sign, so the test below is the same comparison.
-            indicator = dot(gap, grad)
-            if not theta_nt:
-                indicator /= nt
-            if batched or indicator < 0.0:
-                multiply(gap, neg_pull, gap)
-                if theta_nt:
-                    multiply(gap, nt, gap)
-                if batched:
-                    # Rows whose pull is off keep dtheta as written.
-                    add(dtheta, gap, dtheta, where=indicator < 0.0)
-                else:
-                    add(dtheta, gap, dtheta)
-
-    return field
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"dimension must be at least 1 (got {n})")
+    return _field_maker(kind, n, batched)(**_field_arguments(kind, gains))
 
 
 def rhs(

@@ -8,17 +8,19 @@ very step at which a sample is kept.
 Nothing on that list but the field depends on the state, so a SignalGrid
 computes the rest once per scenario: phi(t_k), y*(t_k) and |phi(t_k)|^2 on the
 whole time grid, and the recording schedule, which reads only t, phi and the
-last kept sample. The Euler loop then evaluates the kind's field, compiled
-once per system by dynamics.compile_field, on precomputed inputs. Every grid
-value equals its per-step counterpart bit for bit, so the outputs do not
-depend on whether a grid was shared.
+last kept sample. The Euler loop of each kind is generated once per
+dimension, with the kind's field (dynamics._field_statements) written into
+its body, and runs on precomputed inputs. Every grid value equals its
+per-step counterpart bit for bit, so the outputs do not depend on whether a
+grid was shared.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -30,7 +32,12 @@ from .dynamics import (
     SystemKind,
     TunerState,
     _data_for,
-    compile_field,
+    _field_arguments,
+    _field_statements,
+    _generate,
+    _make_header,
+    _names,
+    _render_field,
 )
 from .signals import RegressorSignal, row_dots
 
@@ -45,6 +52,8 @@ __all__ = [
 
 # Rows rendered per block by Trajectory.to_csv, which bounds its scratch memory.
 _CSV_BLOCK_ROWS = 4096
+# Grid rows of phi that the Euler loop holds as Python floats at a time.
+_PHI_BLOCK = 256
 
 
 class NumericalDivergence(RuntimeError):
@@ -186,6 +195,78 @@ class SignalGrid:
         return self._schedules[key]
 
 
+def _diverged(euler: "_Euler", k: int) -> NumericalDivergence:
+    grid = euler.grid
+    return NumericalDivergence(
+        f"non-finite state for '{euler.kind.value}' at "
+        f"t={grid.t.item(k) + grid.step_h:.6g} (after step {k + 1})"
+    )
+
+
+@cache
+def _loop_maker(kind: SystemKind, n: int):
+    """Generate the Euler loop of kind in dimension n; see _Euler.advance.
+
+    The kind's field (dynamics._field_statements, in the point form) is
+    written into the loop body, so theta, vartheta, phi and every derivative
+    component are Python-float locals. A step is x{i} = x{i} + dx{i} * h, the
+    operations of x + h dx; a baseline kind steps theta only.
+    """
+    spec = KINDS[kind]
+    state = ["t"] + (["v"] if spec.high_order else [])
+    t, v, p = _names("t", n), _names("v", n), _names("p", n)
+    finite = " and ".join(f"_isfinite({x}{i})" for x in "tv" for i in range(n))
+    lines = _make_header(n, scratch=True) + [
+        "    def advance(euler, row, checked):",
+        "        grid = euler.grid",
+        "        h, num_steps, phis, ys = grid.step_h, grid.num_steps, grid.phi, grid.y_star_list",
+        "        nts, every, keeps = euler.nt, euler.every, euler.keeps",
+        "        cells_t, cells_v = euler.theta_cells, euler.vartheta_cells",
+        f"        {t} = euler.theta[row].tolist()",
+        f"        {v} = euler.vartheta[row].tolist()",
+        "        next_row = end = row * every",
+    ]
+    # The data that the field reads at step k: the samples kept at steps up to k.
+    load = ["data = euler.data(euler.first_count + kept)",
+            "next_keep = keeps[kept] if kept < len(keeps) else -1"]
+    if spec.data is not None:
+        lines += ["        kept = _bisect_left(keeps, next_row)",
+                  *("        " + line for line in load)]
+    store = [
+        "            euler.row = row",
+        f"            j = row * {n}",
+        *(f"            cells_{x}[j{f' + {i}' if i else ''}] = {x}{i}"
+          for x in "tv" for i in range(n)),
+    ]
+    lines += ["        for k in range(next_row, num_steps):",
+              "            if k == next_row:",
+              *("    " + line for line in store),
+              "                row += 1",
+              "                next_row += every",
+              "            if k == end:",
+              "                block = phis[k:k + _PHI_BLOCK].tolist()",
+              "                base, end = k, k + _PHI_BLOCK"]
+    if spec.data is not None:
+        lines += ["            if k == next_keep:",
+                  "                kept += 1",
+                  *("                " + line for line in load)]
+    lines += [f"            {p} = block[k - base]",
+              "            y = ys[k]",
+              "            nt = nts[k]"]
+    lines += _render_field(_field_statements(spec, n), n, False, " " * 12)
+    lines += [f"            {x}{i} = {x}{i} + d{x}{i} * h" for x in state for i in range(n)]
+    lines += [f"            if checked and not ({finite}):",
+              "                raise _diverged(euler, k)",
+              "        if next_row == num_steps:",
+              *store,
+              f"        return ({', '.join(f'{x}{i}' for x in 'tv' for i in range(n))})",
+              "",
+              "    return advance"]
+    return _generate("\n".join(lines) + "\n", f"euler loop {kind.value} n={n}",
+                    {"_PHI_BLOCK": _PHI_BLOCK, "_bisect_left": bisect.bisect_left,
+                     "_diverged": _diverged, "_isfinite": math.isfinite})
+
+
 class _Euler:
     """The Euler loop of one system on a SignalGrid, writing output rows."""
 
@@ -201,9 +282,8 @@ class _Euler:
         """keeps are the steps that add the last len(keeps) samples of buffer;
         the samples before them are held from the start."""
         self.kind = kind
-        self.n = grid.phi.shape[1]
-        self.field = compile_field(kind, gains, self.n)
-        self.high_order = KINDS[kind].high_order
+        n = grid.phi.shape[1]
+        self.loop = _loop_maker(kind, n)(**_field_arguments(kind, gains))
         self.grid = grid
         self.every = sim.record_every
         self.keeps = keeps
@@ -212,53 +292,23 @@ class _Euler:
         self.data = partial(_data_for, kind, buffer, gains)
         self.nt = grid.nt_list(gains.mu)
         n_rows = grid.num_steps // self.every + 1
-        self.theta = np.empty((n_rows, self.n))
+        self.theta = np.empty((n_rows, n))
         self.vartheta = np.empty_like(self.theta)
+        # The rows as flat memoryviews, which take Python floats fastest.
+        self.theta_cells = memoryview(self.theta.reshape(-1))
+        self.vartheta_cells = memoryview(self.vartheta.reshape(-1))
         self.row = 0
 
-    def advance(self, row: int, checked: bool) -> np.ndarray:
+    def advance(self, row: int, checked: bool) -> tuple[float, ...]:
         """Run from the state stored at row to the end; return the final state.
 
-        theta and vartheta are the two halves of one state x, and their
-        derivatives the two halves of one dx, which the field writes in place;
-        a step is dx *= h, x += dx, the operations of x + h dx. A baseline
-        kind steps the theta halves only, so its vartheta stays untouched.
-        With checked set, the state is tested after every step and the first
-        non-finite one raises NumericalDivergence.
+        The generated loop (see _loop_maker) stores row r at step r
+        record_every, switches the data it reads at each step of keeps, and
+        reads phi in blocks of _PHI_BLOCK grid rows. self.row is the last row
+        it stored. With checked set, the state is tested after every step and
+        the first non-finite one raises NumericalDivergence.
         """
-        field, grid, every, keeps, n = self.field, self.grid, self.every, self.keeps, self.n
-        h = grid.step_h
-        num_steps = grid.num_steps
-        phis, y_star, nt = grid.phi, grid.y_star_list, self.nt
-        x = np.concatenate((self.theta[row], self.vartheta[row]))
-        dx = np.empty_like(x)
-        theta, vartheta, dtheta, dvartheta = x[:n], x[n:], dx[:n], dx[n:]
-        state, step = (x, dx) if self.high_order else (theta, dtheta)
-        h_vec = np.full(state.shape, h)
-        add, multiply, isfinite = np.add, np.multiply, np.isfinite
-        k0 = row * every
-        kept = int(np.searchsorted(keeps, k0))
-        data = self.data(self.first_count + kept)
-        next_keep = keeps[kept] if kept < len(keeps) else -1
-        for row in range(row, self.theta.shape[0]):
-            self.row = row
-            self.theta[row] = theta
-            self.vartheta[row] = vartheta
-            for k in range(k0, min(k0 + every, num_steps)):
-                if k == next_keep:
-                    kept += 1
-                    data = self.data(self.first_count + kept)
-                    next_keep = keeps[kept] if kept < len(keeps) else -1
-                field(theta, vartheta, phis[k], y_star[k], nt[k], data, dtheta, dvartheta)
-                multiply(step, h_vec, step)
-                add(state, step, state)
-                if checked and not isfinite(x).all():
-                    raise NumericalDivergence(
-                        f"non-finite state for '{self.kind.value}' at "
-                        f"t={grid.t.item(k) + h:.6g} (after step {k + 1})"
-                    )
-            k0 += every
-        return x
+        return self.loop(self, row, checked)
 
     def run(self, init: TunerState) -> None:
         """Fill every row; a diverging run raises as a step-by-step check would.
@@ -266,9 +316,8 @@ class _Euler:
         The fast pass checks nothing per step. A non-finite state stays
         non-finite under Euler updates, so it shows in a later row or the
         final state, and the pass stops early on any floating-point overflow
-        or invalid operation. Either way the run is repeated with the check
-        after every step from the last row known to be finite, which also
-        reproduces the warnings numpy gives for the steps it repeats.
+        or invalid operation in numpy. Either way the run is repeated with the
+        check after every step from the last row known to be finite.
         """
         self.theta[0] = init.theta
         self.vartheta[0] = init.vartheta
@@ -280,7 +329,7 @@ class _Euler:
         stored = slice(0, self.row + 1)
         finite = np.isfinite(self.theta[stored]).all(axis=1)
         finite &= np.isfinite(self.vartheta[stored]).all(axis=1)
-        if finite.all() and final is not None and np.isfinite(final).all():
+        if finite.all() and final is not None and all(map(math.isfinite, final)):
             return
         resume = self.row if finite.all() else max(int(np.argmin(finite)) - 1, 0)
         self.advance(resume, checked=True)

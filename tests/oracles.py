@@ -3,12 +3,18 @@
 maybe_record is the online recording rule applied one step at a time; the
 package runs it over a whole grid at once (databuffer.record_steps). grad_L is
 the loss gradient written out on its own; the package's fields compute it
-inline (dynamics.compile_field).
+inline (dynamics.compile_field). reference_field is each kind's field written
+as numpy operations on whole vectors, for one point or a batch of rows; the
+package generates straight-line code for the same operations
+(dynamics._field_statements). reference_rows is the Euler loop that calls it
+once per step.
 """
 
 import numpy as np
 
-from hotuner.databuffer import ZERO_REGRESSOR_NORM, DataBuffer
+from hotuner.databuffer import ZERO_REGRESSOR_NORM, DataBuffer, data_term
+from hotuner.dynamics import KINDS, Gains, SystemKind, _data_for
+from hotuner.signals import row_dots
 
 
 def maybe_record(buffer: DataBuffer, t: float, phi_t, y_star_t: float, capacity: int,
@@ -48,3 +54,134 @@ def grad_L(phi_t, y_star_t: float, theta) -> np.ndarray:
     phi_t = np.asarray(phi_t, dtype=float)
     theta = np.asarray(theta, dtype=float)
     return phi_t * (float(phi_t @ theta) - y_star_t)
+
+
+def reference_field(kind: SystemKind, gains: Gains, n: int, batched: bool = False):
+    """The field of one kind with one gain set and dimension n, resolved once for many calls.
+
+    The closure takes the state, phi and y* at time t, N_t at phi, the buffer
+    aggregates weighted for this kind (see _data_for), or None for an empty
+    buffer, and the two output vectors, which must not overlap the inputs.
+    It works in place, through its own scratch for the loss gradient and the
+    gap theta - vartheta, and holds the constant gains as n-vectors. Each
+    operation is the IEEE operation of the allocating formula on the same
+    operands (multiplication commutes exactly, and an in-place ufunc rounds as
+    an allocating one), so the bits do not depend on where results are
+    written. An absent term is skipped rather than added as zero, and a
+    soft-reset pull that is off (or has beta_r = 0) is not added either, which
+    keeps the sign of every zero component. The 1-d ndarray.dot calls use the
+    same dot kernel as a 1-d `@`.
+
+    With batched set the closure evaluates B states at once: theta, vartheta
+    and the outputs are (B, n), phi is (B, n) or one (n,) row shared by all
+    states, and y* and N_t are (B, 1) columns or scalars. Row b of the output
+    equals the unbatched closure at row b, bit for bit. The operations are the
+    same; only the dot products differ, being stacked 1-d dots (see
+    signals.row_dots), and the soft-reset pull is added through a boolean row
+    mask. Its scratch is allocated per call, since B may change.
+    """
+    spec = KINDS[kind]
+    grad_power, data_power = spec.grad, spec.data
+    gain_nt, theta_nt = spec.gain_nt, spec.theta_nt
+    high_order = spec.high_order
+    pulls = spec.reset and gains.beta_r > 0.0
+    gamma = gains.gamma
+    neg_gain = np.full(n, -1.0 if spec.unit_gain else -gamma)
+    neg_beta = -gains.beta
+    neg_beta_vec = np.full(n, neg_beta)
+    neg_pull = np.full(n, -(2.0 * gains.beta_r))
+    scratch = np.empty(n), np.empty(n)
+    if batched:
+        def dot(a, b):  # a[k] . b[k] as a (B, 1) column; a may be one (n,) row
+            return row_dots(b, a)[:, None]
+    else:
+        dot = np.ndarray.dot
+    add, divide, empty_like, multiply, subtract = (
+        np.add, np.divide, np.empty_like, np.multiply, np.subtract)
+    missing_data = f"system '{kind.value}' requires a nonempty data buffer"
+
+    def field(theta, vartheta, phi, y_star, nt, data, dtheta, dvartheta):
+        grad, gap = (empty_like(theta), empty_like(theta)) if batched else scratch
+        # The drive is built in the output it ends in; grad keeps the loss
+        # gradient undivided for the reset indicator.
+        drive = dvartheta if high_order else dtheta
+        source = None
+        if grad_power is not None:
+            multiply(phi, dot(phi, theta) - y_star, grad)
+            source = grad
+            if grad_power < 0:
+                divide(grad, nt, drive)
+                source = drive
+        if data_power is not None:
+            if data is None:
+                raise ValueError(missing_data)
+            correction = data_term(data, theta, batched)
+            if data_power > 0:
+                multiply(correction, nt, correction)
+            if source is None:
+                source = correction
+            else:
+                add(source, correction, drive)
+                source = drive
+        if gain_nt:
+            multiply(source, -(gamma / nt), drive)
+        else:
+            multiply(source, neg_gain, drive)
+        if not high_order:
+            return
+        subtract(theta, vartheta, gap)
+        if theta_nt:
+            multiply(gap, neg_beta * nt, dtheta)
+        else:
+            multiply(gap, neg_beta_vec, dtheta)
+        if pulls:
+            # The pull switches on when vartheta - theta leads uphill along the
+            # loss gradient; at the switching surface (indicator 0) it is off.
+            # gap'grad is exactly -(vartheta - theta)'grad: rounding to nearest
+            # is symmetric in sign, so the test below is the same comparison.
+            indicator = dot(gap, grad)
+            if not theta_nt:
+                indicator /= nt
+            if batched or indicator < 0.0:
+                multiply(gap, neg_pull, gap)
+                if theta_nt:
+                    multiply(gap, nt, gap)
+                if batched:
+                    # Rows whose pull is off keep dtheta as written.
+                    add(dtheta, gap, dtheta, where=indicator < 0.0)
+                else:
+                    add(dtheta, gap, dtheta)
+
+    return field
+
+
+def reference_rows(kind: SystemKind, gains: Gains, grid, record_every: int, init,
+                   buffer: DataBuffer, keeps: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """theta and vartheta rows of the Euler loop on grid (an integrator.SignalGrid).
+
+    Row r is the state at step r record_every. keeps are the steps that add
+    the last len(keeps) samples of buffer, the samples before them being held
+    from the start. A step is dx *= h, x += dx on x = (theta, vartheta); a
+    baseline kind steps theta only.
+    """
+    n = grid.phi.shape[1]
+    field = reference_field(kind, gains, n)
+    high_order = KINDS[kind].high_order
+    x = np.concatenate((init.theta, init.vartheta))
+    dx = np.empty_like(x)
+    theta, vartheta, dtheta, dvartheta = x[:n], x[n:], dx[:n], dx[n:]
+    state, step = (x, dx) if high_order else (theta, dtheta)
+    nt = (1.0 + gains.mu * grid.phi_sq).tolist()
+    first = len(buffer) - len(keeps)
+    thetas, varthetas = [], []
+    for k in range(grid.num_steps + 1):
+        if k % record_every == 0:
+            thetas.append(theta.copy())
+            varthetas.append(vartheta.copy())
+        if k == grid.num_steps:
+            break
+        data = _data_for(kind, buffer, gains, first + int(np.searchsorted(keeps, k, "right")))
+        field(theta, vartheta, grid.phi[k], grid.y_star_list[k], nt[k], data, dtheta, dvartheta)
+        np.multiply(step, grid.step_h, step)
+        np.add(state, step, state)
+    return np.array(thetas), np.array(varthetas)

@@ -111,6 +111,9 @@ def test_load_scenario_invalid_json(tmp_path):
         (lambda d: d["sim"].update(step_h="fast"), "'sim.step_h' must be a number"),
         (lambda d: d["init"].update(mode="fixed", theta0=[1.0]),
          "match the signal dimension"),
+        (lambda d: d.update(systems=["ht", "basic", "ht"]),
+         "duplicate system 'ht' in 'systems'"),
+        (lambda d: d.update(name="a\0b"), "'name' must not contain a NUL character"),
     ],
 )
 def test_load_scenario_rejects_bad_config(tmp_path, mutate, message):
@@ -119,8 +122,10 @@ def test_load_scenario_rejects_bad_config(tmp_path, mutate, message):
     path = write_scenario(tmp_path, data)
     with pytest.raises(ConfigError, match=message.replace("(", "\\(")):
         load_scenario(path)
-    # the same failure through the CLI maps to the config exit code
+    # the same failure through the CLI maps to the config exit code, before
+    # anything is written
     assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -176,6 +176,12 @@ DIVERGING = {
     SystemKind.BASIC: (1e3, Gains(beta=1.0, gamma=1.0, mu=0.0)),
     # ht_cl reads the data term of the sample recorded at step 0.
     SystemKind.HT_CL: (1.0, Gains(beta=1e8, gamma=1e8, mu=0.0)),
+    # basic_normalized_cl divides the gradient by N_t = 2.
+    SystemKind.BASIC_NORMALIZED_CL: (1.0, Gains(beta=1.0, gamma=1e8, mu=1.0)),
+    # the soft-reset pull is on before the state leaves the finite: without it
+    # (beta_r = 0) the first non-finite step is 62, with it 61.
+    SystemKind.HT_NORMALIZED_CL_SOFTRESET: (
+        1.0, Gains(beta=1e8, gamma=1e8, mu=1.0, beta_r=1e8)),
 }
 
 

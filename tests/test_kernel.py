@@ -3,9 +3,10 @@
 The reference below evaluates the signal, the one-step recording rule of
 oracles.py and the public rhs once per step, the way the integrator did before it precomputed its
 inputs. The kernel must reproduce it bit for bit, and the CLI outputs for the
-bundled scenarios must keep their recorded sha256. rhs evaluates the same
-compiled field as the kernel, so only the golden hashes catch a change in how
-the field rounds.
+bundled scenarios must keep their recorded sha256. rhs's field is generated
+from the same statements as the kernel's loop, so here only the golden hashes
+catch a change in how the field rounds; test_codegen.py checks both against
+the numpy closure of oracles.py.
 """
 
 import hashlib
