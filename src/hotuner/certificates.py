@@ -139,20 +139,21 @@ def _decrease_bound(
     p: np.ndarray,
     phi: np.ndarray,
     gains: Gains,
+    nt: np.ndarray,
     p_mu: np.ndarray | None,
     m_bound: float,
 ) -> np.ndarray:
     """Certified upper bound on <grad V, f> at error states and regressors, row by row.
 
-    Row b of theta_tilde, p and phi (B, n) gives bound b; each dot product is
-    a stacked 1-d dot (signals.row_dots). m_bound bounds |phi| for the
-    normalized concurrent-learning kind.
+    Row b of theta_tilde, p and phi (B, n) gives bound b, with N_t at phi[b]
+    in nt[b]; each dot product is a stacked 1-d dot (signals.row_dots).
+    m_bound bounds |phi| for the normalized concurrent-learning kind.
     """
     p_sq = row_dots(p, p)
     if kind is SystemKind.HT or kind is SystemKind.HT_NORMALIZED:
         bound = -(2.0 * gains.beta / gains.gamma) * p_sq - _squares(row_dots(phi, theta_tilde))
         if kind is SystemKind.HT_NORMALIZED:
-            bound /= 1.0 + gains.mu * row_dots(phi, phi)
+            bound /= nt
         return bound
     if kind not in POINTWISE_KINDS:
         raise ValueError(f"no pointwise decrease bound for '{kind.value}'")
@@ -188,7 +189,7 @@ def _decrease_sides(
     n = signal.dimension
     p_mu = _data_matrix(kind, buffer, gains)
     q = energy_matrix(kind, gains, n, p_mu)
-    field = compile_field(kind, gains, n, batched=True)
+    field = compile_field(kind, gains, n)
     data = _data_for(kind, buffer, gains)
     lhs, rhs = np.empty(x.shape[0]), np.empty(x.shape[0])
     for start in range(0, x.shape[0], _SWEEP_BLOCK):
@@ -202,7 +203,8 @@ def _decrease_sides(
               d_theta, d_p)
         np.subtract(d_p, d_theta, d_p)
         lhs[rows] = 2.0 * row_dots(np.matmul(q, block[:, :, None])[:, :, 0], f)
-        rhs[rows] = _decrease_bound(kind, theta_tilde, p, phi[rows], gains, p_mu, m_bound)
+        rhs[rows] = _decrease_bound(kind, theta_tilde, p, phi[rows], gains, nt[rows], p_mu,
+                                    m_bound)
     return lhs, rhs
 
 

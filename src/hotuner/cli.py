@@ -37,7 +37,7 @@ from .dynamics import (
     TunerState,
 )
 from .integrator import NumericalDivergence, SignalGrid, SimConfig, Trajectory, simulate
-from .signals import PEReport, RegressorSignal, check_pe, make_sinusoid_mix
+from .signals import M_HAT_GRID_STEP, PEReport, RegressorSignal, check_pe, make_sinusoid_mix
 
 __all__ = [
     "ConfigError",
@@ -446,10 +446,22 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> int:
 
 
 def _scan_pe(scenario: Scenario) -> PEReport:
-    """check_pe on the scenario's regressor with its pe settings."""
+    """check_pe on the scenario's regressor with its pe settings; a scan too large
+    to hold is a config error."""
     pe = scenario.pe
-    return check_pe(scenario.signal, T=pe["window_T"], scan_horizon=pe["scan_horizon"],
-                    scan_step=pe["scan_step"])
+    T, horizon = pe["window_T"], pe["scan_horizon"]
+    step = T / 8.0 if pe["scan_step"] is None else pe["scan_step"]
+    windows, points = (horizon - T) / step + 1.0, horizon / M_HAT_GRID_STEP + 1.0
+    if max(windows, points) <= np.iinfo(np.intp).max:
+        try:
+            return check_pe(scenario.signal, T=T, scan_horizon=horizon, scan_step=step)
+        except MemoryError:
+            pass
+    raise ConfigError(
+        f"pe: scan_horizon = {horizon!r} with window_T = {T!r} and scan_step = {step!r} "
+        f"needs {windows:.4g} windows and {points:.4g} M_hat grid points, more than fit "
+        "in memory"
+    )
 
 
 def run_pe_check(scenario: Scenario, out_dir: str | Path) -> int:
@@ -493,10 +505,10 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
             f"(t_end = t_start = {scenario.sim.t_end!r}); certify needs t_end > t_start"
         )
     grid = _signal_grid(scenario)
+    pe_report = _scan_pe(scenario)
     _warn_step(scenario, sys.stderr)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pe_report = _scan_pe(scenario)
     print(pe_report.summary())
     skipped = [k.value for k in scenario.systems if k in BASELINE_KINDS]
     if skipped:
@@ -528,8 +540,7 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
                 )
         if kind in POINTWISE_KINDS:
             report = certificates.check_decrease_pointwise(
-                kind, scenario.signal, buffer, scenario.gains, sample_count=2000,
-                seed=scenario.sim.seed,
+                kind, scenario.signal, buffer, scenario.gains, seed=scenario.sim.seed
             )
             note(kind, "pointwise", report)
         v_values = certificates.lyapunov_along(

@@ -181,15 +181,23 @@ def data_term(aggregates: DataAggregates, theta: np.ndarray, rows: bool = False)
     temporaries. With rows set, theta is (B, n) and row b of the (B, n) result
     equals the term at theta[b] bit for bit: both products become stacked
     matmuls, one matrix-vector call per row with the matrices of the 1-d form,
-    and the residual formula is shared.
+    and the residual formula is shared. One sample in one dimension is the
+    exception: there the 1-d form's products are single multiplications,
+    which keep the sign of a zero, and matmul adds them to +0, so the rows
+    form multiplies too.
     """
     phi_mat, y_vec, weights = aggregates
-    if rows:
+    scalar = rows and phi_mat.size == 1
+    if scalar:
+        residual = theta * phi_mat[0]
+    elif rows:
         residual = np.matmul(phi_mat.T[None], theta[:, :, None])[:, :, 0]
     else:
         residual = phi_mat.T.dot(theta)
     np.subtract(residual, y_vec, residual)
     np.multiply(residual, weights, residual)
+    if scalar:
+        return residual * phi_mat[0]
     if rows:
         return np.matmul(phi_mat[None], residual[:, :, None])[:, :, 0]
     return phi_mat.dot(residual)

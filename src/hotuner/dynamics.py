@@ -185,10 +185,10 @@ def _data_for(
     return data_aggregates(buffer, gains.mu if spec.data_mu else 0.0, count)
 
 
-# A compiled field: (theta, vartheta, phi, y_star, nt, data, dtheta, dvartheta) -> None.
-# It writes the derivative into dtheta and dvartheta, which the caller owns;
-# a baseline kind, whose vartheta stays constant, leaves dvartheta untouched.
-# A batched field takes (B, n) states and outputs (see compile_field).
+# A compiled field: (theta, vartheta, phi, y_star, nt, data, dtheta, dvartheta) -> None
+# on B states at once (see compile_field). It writes the derivative into the
+# (B, n) arrays dtheta and dvartheta, which the caller owns; a baseline kind,
+# whose vartheta stays constant, leaves dvartheta untouched.
 Field = Callable[
     [np.ndarray, np.ndarray, np.ndarray, float | np.ndarray, float | np.ndarray,
      DataAggregates | None, np.ndarray, np.ndarray],
@@ -291,13 +291,16 @@ def _names(prefix: str, n: int) -> str:
 def _render_field(statements: list[tuple], n: int, rows: bool, pad: str) -> list[str]:
     """Python lines of statements (see _field_statements), indented by pad.
 
-    The point form (rows false) works on Python floats. Its dot products and
-    the data term's products go through numpy, whose rounding they must
-    reproduce: a dot packs its two vectors into the contiguous halves _lo and
-    _hi of a 2n scratch array (through the memoryview _m), and the data term
-    reads theta from _hi. The rows form works on (B,) columns of a batch:
-    phi . theta is signals.row_dots of the (B, n) inputs, and every other dot
-    stacks its vectors into (B, n) arrays first.
+    The point form (rows false), in which the Euler loop is written, works on
+    Python floats. Its dot products and the data term's products go through
+    numpy, whose rounding they must reproduce: a dot packs its two vectors
+    into the contiguous halves _lo and _hi of the loop's 2n scratch array
+    (through the memoryview _m), and the data term reads theta from _hi. The
+    rows form, in which compile_field is written, works on (B,) columns of a
+    batch: phi . theta is signals.row_dots of the (B, n) inputs, and every
+    other dot stacks its vectors into (B, n) arrays first. In one dimension a
+    dot is a product in both forms: ndarray.dot of length 1 is one
+    multiplication, which keeps the sign of a zero, and row_dots adds it to +0.
     """
     lines: list[str] = []
     in_hi = None  # the vector _hi holds in the point form
@@ -314,7 +317,9 @@ def _render_field(statements: list[tuple], n: int, rows: bool, pad: str) -> list
             lines.append(pad + statement[1])
         elif op == "dot":
             _, name, a, b = statement
-            if rows and (a, b) == ("p", "t"):
+            if rows and n == 1:
+                lines.append(f"{pad}{name} = {a}0 * {b}0")
+            elif rows and (a, b) == ("p", "t"):
                 lines.append(f"{pad}{name} = _row_dots(theta, phi)")
             elif rows:
                 lines.append(f"{pad}{name} = _row_dots(_stack(({_names(b, n)}), 1), "
@@ -360,7 +365,6 @@ def _render_field(statements: list[tuple], n: int, rows: bool, pad: str) -> list
 _GENERATED_NAMES = {
     "_data_term": data_term,
     "_dot": np.ndarray.dot,
-    "_empty": np.empty,
     "_ravel": np.ravel,
     "_row_dots": row_dots,
     "_stack": np.stack,
@@ -368,77 +372,59 @@ _GENERATED_NAMES = {
 }
 
 
-def _make_header(n: int, scratch: bool) -> list[str]:
-    """The first lines of generated source: make(...) and, with scratch set,
-    the point form's dot scratch _lo and _hi and its memoryview _m."""
-    lines = [f"def make({', '.join(_ARGUMENTS)}):"]
-    if scratch:
-        lines += [f"    _s = _empty({2 * n})", "    _m = memoryview(_s)",
-                  f"    _lo, _hi = _s[:{n}], _s[{n}:]"]
-    return lines + [""]
+def _generate(body: list[str], label: str, names: dict | None = None) -> Callable:
+    """Compile make(...), whose body is the lines body, and return make.
 
-
-def _generate(source: str, label: str, names: dict | None = None) -> Callable:
-    """Compile generated source that defines make(...) and return make.
-
-    Only structure and the dimension n are written into source; every value
-    of a scenario reaches the generated code as an argument of make.
+    Only structure and the dimension n are written into body; every value of
+    a scenario reaches the generated code as an argument of make (see
+    _field_arguments).
     """
+    source = "\n".join([f"def make({', '.join(_ARGUMENTS)}):", *body]) + "\n"
     namespace = {**_GENERATED_NAMES, **(names or {})}
     exec(compile(source, f"<hotuner {label}>", "exec"), namespace)
     return namespace["make"]
 
 
 @functools.cache
-def _field_maker(kind: SystemKind, n: int, rows: bool) -> Callable:
+def _field_maker(kind: SystemKind, n: int) -> Callable:
     spec = KINDS[kind]
-    read = "{}.T" if rows else "{}.tolist()"
-    lines = _make_header(n, scratch=not rows) + [
+    lines = [
         "    def field(theta, vartheta, phi, y, nt, data, dtheta, dvartheta):",
-        f"        {_names('t', n)} = {read.format('theta')}",
+        f"        {_names('t', n)} = theta.T",
     ]
     if spec.high_order:
-        lines.append(f"        {_names('v', n)} = {read.format('vartheta')}")
-    lines.append(f"        {_names('p', n)} = {read.format('phi')}")
-    if rows:
-        lines.append("        y, nt = _ravel(y), _ravel(nt)")
-    lines += _render_field(_field_statements(spec, n), n, rows, " " * 8)
+        lines.append(f"        {_names('v', n)} = vartheta.T")
+    lines += [f"        {_names('p', n)} = phi.T", "        y, nt = _ravel(y), _ravel(nt)"]
+    lines += _render_field(_field_statements(spec, n), n, True, " " * 8)
     outputs = [("dtheta", "dt")] + ([("dvartheta", "dv")] if spec.high_order else [])
-    for array, prefix in outputs:
-        if rows:
-            lines.append(f"        _stack(({_names(prefix, n)}), 1, out={array})")
-        else:
-            lines.append(f"        {array}[:] = ({_names(prefix, n)})")
+    lines += [f"        _stack(({_names(prefix, n)}), 1, out={array})"
+              for array, prefix in outputs]
     lines += ["", "    return field"]
-    form = "rows" if rows else "point"
-    return _generate("\n".join(lines) + "\n", f"{form} field {kind.value} n={n}")
+    return _generate(lines, f"field {kind.value} n={n}")
 
 
-def compile_field(kind: SystemKind, gains: Gains, n: int, batched: bool = False) -> Field:
+def compile_field(kind: SystemKind, gains: Gains, n: int) -> Field:
     """The field of one kind with one gain set and dimension n, resolved once for many calls.
 
-    The closure takes the state, phi and y* at time t, N_t at phi (at least
-    1), the buffer aggregates weighted for this kind (see _data_for), or None
-    for an empty buffer, and the two output vectors. It reads its inputs
-    before it writes its outputs, and a baseline kind, whose vartheta stays
-    constant, leaves dvartheta untouched. Its code is generated from the
-    kind's statements (see _field_statements) once per (kind, n) and form;
-    the gains are arguments of that code, and the closure holds its own
-    scratch for the dot products. The 1-d ndarray.dot calls use the same dot
-    kernel as a 1-d `@`.
+    The closure evaluates B states at once. It takes theta and vartheta as
+    (B, n) arrays, phi as (B, n) or one (n,) row shared by all states, y* and
+    N_t (at least 1) as (B, 1) columns or scalars, the buffer aggregates
+    weighted for this kind (see _data_for), or None for an empty buffer, and
+    the two (B, n) output arrays. It reads its inputs before it writes its
+    outputs, and a baseline kind, whose vartheta stays constant, leaves
+    dvartheta untouched. One point is a one-row batch (see rhs).
 
-    With batched set the closure evaluates B states at once: theta, vartheta
-    and the outputs are (B, n), phi is (B, n) or one (n,) row shared by all
-    states, and y* and N_t are (B, 1) columns or scalars. Row b of the output
-    equals the unbatched closure at row b, bit for bit. The operations are the
-    same, on (B,) columns; only the dot products differ, being stacked 1-d
-    dots (see signals.row_dots), and the soft-reset pull is added through a
-    row mask.
+    Its code is generated from the kind's statements (see _field_statements)
+    once per (kind, n); the gains are arguments of that code. Row b of the
+    output is bit for bit the Euler loop's field at row b: the operations are
+    the same, on (B,) columns; only the dot products differ, being stacked
+    1-d dots (see signals.row_dots) or, in one dimension, products, and the
+    soft-reset pull is added through a row mask.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"dimension must be at least 1 (got {n})")
-    return _field_maker(kind, n, batched)(**_field_arguments(kind, gains))
+    return _field_maker(kind, n)(**_field_arguments(kind, gains))
 
 
 def rhs(
@@ -458,7 +444,7 @@ def rhs(
     n = state.theta.shape[0]
     dtheta, dvartheta = np.empty(n), np.zeros(n)
     compile_field(kind, gains, n)(
-        state.theta, state.vartheta, phi, y_star, normalization(phi, gains.mu),
-        _data_for(kind, buffer, gains), dtheta, dvartheta,
+        state.theta[None], state.vartheta[None], phi, y_star, normalization(phi, gains.mu),
+        _data_for(kind, buffer, gains), dtheta[None], dvartheta[None],
     )
     return dtheta, dvartheta

@@ -10,7 +10,9 @@ computes the rest once per scenario: phi(t_k), y*(t_k) and |phi(t_k)|^2 on the
 whole time grid, and the recording schedule, which reads only t, phi and the
 last kept sample. The Euler loop of each kind is generated once per
 dimension, with the kind's field (dynamics._field_statements) written into
-its body, and runs on precomputed inputs. Every grid value equals its
+its body, and runs on precomputed inputs. It is one of the two forms of that
+field; the other is dynamics.compile_field, one closure on a batch of states,
+which rhs and the certificate sweeps call. Every grid value equals its
 per-step counterpart bit for bit, so the outputs do not depend on whether a
 grid was shared.
 """
@@ -35,7 +37,6 @@ from .dynamics import (
     _field_arguments,
     _field_statements,
     _generate,
-    _make_header,
     _names,
     _render_field,
 )
@@ -195,17 +196,26 @@ class SignalGrid:
         return self._schedules[key]
 
 
-def _diverged(euler: "_Euler", k: int) -> NumericalDivergence:
-    grid = euler.grid
+def _divergence(kind: SystemKind, grid: SignalGrid, k: int) -> NumericalDivergence:
+    """The error for a state of kind that stops being finite in step k of grid."""
     return NumericalDivergence(
-        f"non-finite state for '{euler.kind.value}' at "
+        f"non-finite state for '{kind.value}' at "
         f"t={grid.t.item(k) + grid.step_h:.6g} (after step {k + 1})"
     )
 
 
 @cache
 def _loop_maker(kind: SystemKind, n: int):
-    """Generate the Euler loop of kind in dimension n; see _Euler.advance.
+    """Generate the Euler loop of kind in dimension n.
+
+    The loop advance(grid, nts, every, keeps, data_at, first_count, theta,
+    vartheta, row, checked) runs on grid from the state stored at row `row`
+    of the (rows, n) arrays theta and vartheta to the end, and returns the
+    final state. It stores row r at step r every, reads N_t from the list
+    nts, reads phi in blocks of _PHI_BLOCK grid rows, and at each step of
+    keeps switches the data it reads to data_at(first_count + samples kept so
+    far). With checked set, the state is tested after every step and the
+    first non-finite one raises NumericalDivergence.
 
     The kind's field (dynamics._field_statements, in the point form) is
     written into the loop body, so theta, vartheta, phi and every derivative
@@ -216,24 +226,27 @@ def _loop_maker(kind: SystemKind, n: int):
     state = ["t"] + (["v"] if spec.high_order else [])
     t, v, p = _names("t", n), _names("v", n), _names("p", n)
     finite = " and ".join(f"_isfinite({x}{i})" for x in "tv" for i in range(n))
-    lines = _make_header(n, scratch=True) + [
-        "    def advance(euler, row, checked):",
-        "        grid = euler.grid",
+    lines = [
+        "    def advance(grid, nts, every, keeps, data_at, first_count, theta, vartheta, row,",
+        "                checked):",
+        f"        _s = _empty({2 * n})",
+        "        _m = memoryview(_s)",
+        f"        _lo, _hi = _s[:{n}], _s[{n}:]",
         "        h, num_steps, phis, ys = grid.step_h, grid.num_steps, grid.phi, grid.y_star_list",
-        "        nts, every, keeps = euler.nt, euler.every, euler.keeps",
-        "        cells_t, cells_v = euler.theta_cells, euler.vartheta_cells",
-        f"        {t} = euler.theta[row].tolist()",
-        f"        {v} = euler.vartheta[row].tolist()",
+        # The rows as flat memoryviews, which take Python floats fastest.
+        "        cells_t = memoryview(theta.reshape(-1))",
+        "        cells_v = memoryview(vartheta.reshape(-1))",
+        f"        {t} = theta[row].tolist()",
+        f"        {v} = vartheta[row].tolist()",
         "        next_row = end = row * every",
     ]
     # The data that the field reads at step k: the samples kept at steps up to k.
-    load = ["data = euler.data(euler.first_count + kept)",
+    load = ["data = data_at(first_count + kept)",
             "next_keep = keeps[kept] if kept < len(keeps) else -1"]
     if spec.data is not None:
         lines += ["        kept = _bisect_left(keeps, next_row)",
                   *("        " + line for line in load)]
     store = [
-        "            euler.row = row",
         f"            j = row * {n}",
         *(f"            cells_{x}[j{f' + {i}' if i else ''}] = {x}{i}"
           for x in "tv" for i in range(n)),
@@ -256,83 +269,16 @@ def _loop_maker(kind: SystemKind, n: int):
     lines += _render_field(_field_statements(spec, n), n, False, " " * 12)
     lines += [f"            {x}{i} = {x}{i} + d{x}{i} * h" for x in state for i in range(n)]
     lines += [f"            if checked and not ({finite}):",
-              "                raise _diverged(euler, k)",
+              "                raise _divergence(_kind, grid, k)",
               "        if next_row == num_steps:",
               *store,
               f"        return ({', '.join(f'{x}{i}' for x in 'tv' for i in range(n))})",
               "",
               "    return advance"]
-    return _generate("\n".join(lines) + "\n", f"euler loop {kind.value} n={n}",
-                    {"_PHI_BLOCK": _PHI_BLOCK, "_bisect_left": bisect.bisect_left,
-                     "_diverged": _diverged, "_isfinite": math.isfinite})
-
-
-class _Euler:
-    """The Euler loop of one system on a SignalGrid, writing output rows."""
-
-    def __init__(
-        self,
-        kind: SystemKind,
-        gains: Gains,
-        sim: SimConfig,
-        grid: SignalGrid,
-        buffer: DataBuffer,
-        keeps: list[int],
-    ) -> None:
-        """keeps are the steps that add the last len(keeps) samples of buffer;
-        the samples before them are held from the start."""
-        self.kind = kind
-        n = grid.phi.shape[1]
-        self.loop = _loop_maker(kind, n)(**_field_arguments(kind, gains))
-        self.grid = grid
-        self.every = sim.record_every
-        self.keeps = keeps
-        self.first_count = len(buffer) - len(keeps)
-        # data(count) is what the field reads from the first count samples.
-        self.data = partial(_data_for, kind, buffer, gains)
-        self.nt = grid.nt_list(gains.mu)
-        n_rows = grid.num_steps // self.every + 1
-        self.theta = np.empty((n_rows, n))
-        self.vartheta = np.empty_like(self.theta)
-        # The rows as flat memoryviews, which take Python floats fastest.
-        self.theta_cells = memoryview(self.theta.reshape(-1))
-        self.vartheta_cells = memoryview(self.vartheta.reshape(-1))
-        self.row = 0
-
-    def advance(self, row: int, checked: bool) -> tuple[float, ...]:
-        """Run from the state stored at row to the end; return the final state.
-
-        The generated loop (see _loop_maker) stores row r at step r
-        record_every, switches the data it reads at each step of keeps, and
-        reads phi in blocks of _PHI_BLOCK grid rows. self.row is the last row
-        it stored. With checked set, the state is tested after every step and
-        the first non-finite one raises NumericalDivergence.
-        """
-        return self.loop(self, row, checked)
-
-    def run(self, init: TunerState) -> None:
-        """Fill every row; a diverging run raises as a step-by-step check would.
-
-        The fast pass checks nothing per step. A non-finite state stays
-        non-finite under Euler updates, so it shows in a later row or the
-        final state, and the pass stops early on any floating-point overflow
-        or invalid operation in numpy. Either way the run is repeated with the
-        check after every step from the last row known to be finite.
-        """
-        self.theta[0] = init.theta
-        self.vartheta[0] = init.vartheta
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                final = self.advance(0, checked=False)
-        except FloatingPointError:
-            final = None
-        stored = slice(0, self.row + 1)
-        finite = np.isfinite(self.theta[stored]).all(axis=1)
-        finite &= np.isfinite(self.vartheta[stored]).all(axis=1)
-        if finite.all() and final is not None and all(map(math.isfinite, final)):
-            return
-        resume = self.row if finite.all() else max(int(np.argmin(finite)) - 1, 0)
-        self.advance(resume, checked=True)
+    return _generate(lines, f"euler loop {kind.value} n={n}",
+                     {"_PHI_BLOCK": _PHI_BLOCK, "_bisect_left": bisect.bisect_left,
+                      "_divergence": _divergence, "_empty": np.empty,
+                      "_isfinite": math.isfinite, "_kind": kind})
 
 
 def _run(
@@ -344,22 +290,48 @@ def _run(
     buffer: DataBuffer,
     keeps: list[int],
 ) -> Trajectory:
-    """Run one system on buffer, whose last len(keeps) samples are kept at steps keeps."""
-    if init.theta.shape != (grid.signal.dimension,):
+    """Run one system on buffer, whose last len(keeps) samples are kept at steps keeps.
+
+    Every row is filled, and a diverging run raises as a step-by-step check
+    would. The rows start as NaN, and the fast pass checks nothing per step.
+    A non-finite state stays non-finite under Euler updates, so it shows in a
+    later row or the final state, and the pass stops early on any
+    floating-point overflow or invalid operation in numpy. So the first row
+    that is not finite either diverged or was never reached, and the run is
+    repeated with the check after every step from the row before it, or from
+    the last row if only the final state is not finite.
+    """
+    n = grid.signal.dimension
+    if init.theta.shape != (n,):
         raise ValueError("initial state dimension does not match the signal")
-    euler = _Euler(kind, gains, sim, grid, buffer, keeps)
-    euler.run(init)
-    row_steps = np.arange(euler.theta.shape[0]) * sim.record_every
-    theta_err = euler.theta - grid.signal.theta_star
-    gap = euler.vartheta - euler.theta
+    advance = _loop_maker(kind, n)(**_field_arguments(kind, gains))
+    theta = np.full((grid.num_steps // sim.record_every + 1, n), np.nan)
+    vartheta = np.full_like(theta, np.nan)
+    theta[0], vartheta[0] = init.theta, init.vartheta
+    first_count = len(buffer) - len(keeps)
+    inputs = (grid, grid.nt_list(gains.mu), sim.record_every, keeps,
+              partial(_data_for, kind, buffer, gains), first_count, theta, vartheta)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            final = advance(*inputs, 0, False)
+    except FloatingPointError:
+        final = None
+    finite = np.isfinite(theta).all(axis=1) & np.isfinite(vartheta).all(axis=1)
+    if not finite.all():
+        advance(*inputs, max(int(np.argmin(finite)) - 1, 0), True)
+    elif final is None or not all(map(math.isfinite, final)):
+        advance(*inputs, theta.shape[0] - 1, True)
+    row_steps = np.arange(theta.shape[0]) * sim.record_every
+    theta_err = theta - grid.signal.theta_star
+    gap = vartheta - theta
     return Trajectory(
         kind=kind,
         t=grid.t[row_steps],
-        theta=euler.theta,
-        vartheta=euler.vartheta,
+        theta=theta,
+        vartheta=vartheta,
         err_norm=np.sqrt(row_dots(theta_err, theta_err)),
         p_norm=np.sqrt(row_dots(gap, gap)),
-        n_samples=euler.first_count + np.searchsorted(keeps, row_steps, side="right"),
+        n_samples=first_count + np.searchsorted(keeps, row_steps, side="right"),
     )
 
 

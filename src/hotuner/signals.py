@@ -33,6 +33,10 @@ M_HAT_GRID_STEP = 1e-3
 PE_TOLERANCE = 1e-10
 # Window starts per block of check_pe's scan; bounds its scratch memory.
 _GRAM_BLOCK = 4096
+# Windows whose smallest Gram eigenvalue is within this relative distance of
+# the least one tie with it; rounding spreads equal Grams by up to 4e-15
+# relative (fig1's Grams over a scan of 32 pi).
+_WORST_TIE = 1e-12
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,10 +240,11 @@ def check_pe(
     """Scan window starts on [0, scan_horizon - T] and report the excitation level.
 
     delta_hat is the smallest windowed-Gram eigenvalue seen over the scan,
-    clamped at zero, and worst_window_start is the start of the window that
-    attains it (among windows with equal Grams, such as windows of whole
-    periods, rounding picks one); M_hat is the largest |phi| over the dense
-    evaluation grid of step M_HAT_GRID_STEP. scan_step defaults to T / 8.
+    clamped at zero, and worst_window_start is the earliest start of a window
+    that attains it within the relative tie _WORST_TIE (windows of whole
+    periods have equal Grams, which rounding tells apart); M_hat is the
+    largest |phi| over the dense evaluation grid of step M_HAT_GRID_STEP.
+    scan_step defaults to T / 8.
 
     The window Grams are exact and come from one moment matrix (see
     _window_grams), in blocks of _GRAM_BLOCK starts, so each window costs O(n^3).
@@ -257,13 +262,14 @@ def check_pe(
     smallest = np.concatenate([
         np.linalg.eigvalsh(_window_grams(signal, block, moments))[:, 0] for block in blocks
     ])
-    worst = int(np.argmin(smallest))
+    least = float(smallest.min())
+    worst = int(np.argmax(smallest <= least + _WORST_TIE * abs(least)))
     grid = M_HAT_GRID_STEP * np.arange(int(np.floor(scan_horizon / M_HAT_GRID_STEP)) + 1)
     phi = signal.phi_grid(grid)
     m_hat = float(np.sqrt((phi**2).sum(axis=1).max()))
     return PEReport(
         window_T=float(T),
-        delta_hat=max(float(smallest[worst]), 0.0),
+        delta_hat=max(least, 0.0),
         M_hat=m_hat,
         scan_horizon=float(scan_horizon),
         quadrature_step=M_HAT_GRID_STEP,

@@ -77,8 +77,9 @@ def reference_field(kind: SystemKind, gains: Gains, n: int, batched: bool = Fals
     states, and y* and N_t are (B, 1) columns or scalars. Row b of the output
     equals the unbatched closure at row b, bit for bit. The operations are the
     same; only the dot products differ, being stacked 1-d dots (see
-    signals.row_dots), and the soft-reset pull is added through a boolean row
-    mask. Its scratch is allocated per call, since B may change.
+    signals.row_dots) or, in one dimension, products, and the soft-reset pull
+    is added through a boolean row mask. Its scratch is allocated per call,
+    since B may change.
     """
     spec = KINDS[kind]
     grad_power, data_power = spec.grad, spec.data
@@ -93,7 +94,9 @@ def reference_field(kind: SystemKind, gains: Gains, n: int, batched: bool = Fals
     scratch = np.empty(n), np.empty(n)
     if batched:
         def dot(a, b):  # a[k] . b[k] as a (B, 1) column; a may be one (n,) row
-            return row_dots(b, a)[:, None]
+            # A 1-d dot of length 1 is one multiplication, which keeps the sign
+            # of a zero; a stacked one adds it to +0.
+            return a * b if n == 1 else row_dots(b, a)[:, None]
     else:
         dot = np.ndarray.dot
     add, divide, empty_like, multiply, subtract = (

@@ -324,6 +324,31 @@ def test_horizon_beyond_memory_is_refused_before_anything_is_written(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize(("key", "value", "needs"), [
+    pytest.param("scan_step", 1e-14, "scan_horizon = 12.566370614359172 with window_T = "
+                 "6.283185307179586 and scan_step = 1e-14 needs 6.283e+14 windows and "
+                 "1.257e+04 M_hat grid points", id="scan_step"),
+    pytest.param("scan_horizon", 1e15, "scan_horizon = 1000000000000000.0 with window_T = "
+                 "6.283185307179586 and scan_step = 0.7853981633974483 needs 1.273e+15 "
+                 "windows and 1e+18 M_hat grid points", id="scan_horizon"),
+])
+@pytest.mark.parametrize("command", ["pe-check", "certify"])
+def test_pe_scan_beyond_memory_is_refused_before_anything_is_written(tmp_path, capsys,
+                                                                     command, key, value,
+                                                                     needs):
+    """Petabytes of window starts fail to allocate at once. It used to end in a
+    MemoryError traceback, for certify after the out dir was made."""
+    raw = json.loads(Path(bundled_scenario_path("fig1")).read_text())
+    raw["pe"] = {key: value}
+    out = tmp_path / "out"
+    argv = [command, write_scenario(tmp_path, raw), "--out-dir", str(out), "--t-end", "1"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"pe: {needs}, more than fit in memory" in captured.err
+    assert not out.exists()
+
+
 def test_certify_refuses_a_buffer_kind_over_zero_steps(tmp_path, capsys):
     """With no step the online rule records nothing. certify used to print the PE
     summary, make the out dir and fail in richness() with a ValueError traceback."""

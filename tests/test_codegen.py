@@ -2,9 +2,9 @@
 
 oracles.reference_field is each kind's field as numpy operations on whole
 vectors. The package generates straight-line Python for the same operations
-(dynamics._field_statements); its Euler loop, its single-point field and its
-batched field must reproduce the reference bit for bit, signs of zeros
-included, on every kind, dimension, output decimation and buffer mode.
+(dynamics._field_statements); its Euler loop and its batched field must
+reproduce the reference bit for bit, signs of zeros included, on every kind,
+dimension, output decimation and buffer mode.
 """
 
 import builtins
@@ -127,26 +127,28 @@ def point_cases(draw):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(point_cases())
 def test_generated_fields_equal_the_reference_closure(case):
-    """The single-point field at each row and the batched field on all rows
-    (with one phi per row and with one shared phi) write the reference bits."""
+    """The field on each row as a one-row batch writes the bits of the reference's
+    single point, and on all rows (with one phi per row and with one shared phi)
+    those of the batched reference."""
     gains, buffer, theta, vartheta, phi, y_star, nt = case
     rows, n = theta.shape
     for kind in SystemKind:
         data = _data_for(kind, buffer, gains)
+        batched, point = compile_field(kind, gains, n), reference_field(kind, gains, n)
         if kind in BUFFER_KINDS and data is None:
-            for field in (compile_field(kind, gains, n), reference_field(kind, gains, n)):
-                with pytest.raises(ValueError, match="nonempty data buffer"):
-                    field(theta[0], vartheta[0], phi[0], y_star[0], nt[0], data,
-                          np.empty(n), np.empty(n))
+            with pytest.raises(ValueError, match="nonempty data buffer"):
+                batched(theta[:1], vartheta[:1], phi[0], y_star[0], nt[0], data,
+                        np.empty((1, n)), np.empty((1, n)))
+            with pytest.raises(ValueError, match="nonempty data buffer"):
+                point(theta[0], vartheta[0], phi[0], y_star[0], nt[0], data,
+                      np.empty(n), np.empty(n))
             continue
-        point, reference = compile_field(kind, gains, n), reference_field(kind, gains, n)
         for b in range(rows):
-            got, want = np.full((2, n), np.nan), np.full((2, n), np.nan)
-            inputs = (theta[b], vartheta[b], phi[b], float(y_star[b]), float(nt[b]), data)
-            point(*inputs, *got)
-            reference(*inputs, *want)
+            got, want = np.full((2, 1, n), np.nan), np.full((2, n), np.nan)
+            inputs = (phi[b], float(y_star[b]), float(nt[b]), data)
+            batched(theta[b:b + 1], vartheta[b:b + 1], *inputs, *got)
+            point(theta[b], vartheta[b], *inputs, *want)
             assert bits(got) == bits(want), (kind, b)
-        batched = compile_field(kind, gains, n, batched=True)
         reference = reference_field(kind, gains, n, batched=True)
         for shared in (False, True):
             args = ((phi[0], float(y_star[0]), float(nt[0])) if shared
@@ -182,10 +184,9 @@ def test_generated_source_is_the_same_for_any_gains(monkeypatch):
             for kind in SystemKind:
                 simulate(kind, signal, gains, sim, init, epsilon=0.5, N_bar=4)
                 compile_field(kind, gains, 2)
-                compile_field(kind, gains, 2, batched=True)
         return seen
 
     first = sources(Gains(beta=1.0, gamma=0.1, mu=0.2, beta_r=4.0))
     second = sources(Gains(beta=3.5, gamma=0.7, mu=0.0, beta_r=0.0))
-    assert len(first) == 3 * len(SystemKind)
+    assert len(first) == 2 * len(SystemKind)
     assert first == second

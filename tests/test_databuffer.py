@@ -225,6 +225,21 @@ def test_b_term_hand_values():
     assert np.allclose(b_term(buf, theta, 1.0), [0.5, 1.6], atol=1e-15)
 
 
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_data_term_rows_equal_the_one_dimensional_form(n, count):
+    """Row b of the rows form is the term at theta[b], bit for bit, signs of zeros
+    included; one sample in one dimension is where matmul used to differ."""
+    rng = np.random.default_rng(7 * n + count)
+    for _ in range(50):
+        phis, y_stars, theta = (rng.choice([-1.5, -0.0, 0.0, 2.0], shape)
+                                for shape in ((count, n), count, (6, n)))
+        data = data_aggregates(DataBuffer.from_samples(phis, y_stars), float(rng.uniform(0, 2)))
+        rows = data_term(data, theta, True)
+        for b in range(theta.shape[0]):
+            assert rows[b].tobytes() == data_term(data, theta[b]).tobytes(), (theta[b], data)
+
+
 def test_b_term_is_p_matrix_times_error():
     """With consistent outputs the correction factors through P_mu exactly."""
     rng = np.random.default_rng(3)

@@ -28,7 +28,7 @@ from hotuner import (
 from hotuner.databuffer import data_aggregates, data_term
 from hotuner.dynamics import _data_for
 from hotuner.signals import row_dots
-from oracles import grad_L
+from oracles import grad_L, reference_field
 
 PI = np.pi
 
@@ -295,8 +295,8 @@ def test_compiled_field_vanishes_at_equilibrium(case):
         if kind in BUFFER_KINDS:
             data = data_aggregates(buffer, gains.mu if spec.data_mu else 0.0)
         d_theta, d_vartheta = np.full(n, np.nan), np.full(n, np.nan)
-        compile_field(kind, gains, n)(star, star.copy(), phi, y_star, nt, data,
-                                      d_theta, d_vartheta)
+        compile_field(kind, gains, n)(star[None], star[None].copy(), phi, y_star, nt, data,
+                                      d_theta[None], d_vartheta[None])
         # A baseline kind has no dvartheta: it leaves that output unwritten.
         if np.isnan(d_vartheta).all():
             d_vartheta = None
@@ -342,7 +342,8 @@ def bits(*arrays):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(field_cases())
 def test_compiled_field_writes_rhs_bits_in_place(case):
-    """The closure writes what rhs returns, bit for bit, and only into its outputs.
+    """The closure on a one-row batch writes what rhs returns, bit for bit, and only
+    into its outputs.
 
     It leaves theta, vartheta, phi and the data aggregates as they were, and
     a baseline kind leaves dvartheta unwritten. A second call into other
@@ -354,12 +355,12 @@ def test_compiled_field_writes_rhs_bits_in_place(case):
     n = state.theta.shape[0]
     phi, y_star = signal.eval(t)
     nt = normalization(phi, gains.mu)
-    theta, vartheta = state.theta, state.vartheta
+    theta, vartheta = state.theta[None], state.vartheta[None]
     swapped = (vartheta, theta, phi, y_star, nt)
     for kind in SystemKind:
         field = compile_field(kind, gains, n)
         data = _data_for(kind, buffer, gains)
-        out = np.full(n, np.nan), np.full(n, np.nan)
+        out = np.full((1, n), np.nan), np.full((1, n), np.nan)
         if kind in BUFFER_KINDS and data is None:
             with pytest.raises(ValueError, match="nonempty data buffer"):
                 rhs(kind, state, t, signal, buffer, gains)
@@ -371,17 +372,17 @@ def test_compiled_field_writes_rhs_bits_in_place(case):
         field(theta, vartheta, phi, y_star, nt, data, *out)
         assert bits(*inputs) == before, kind
         want = rhs(kind, state, t, signal, buffer, gains)
-        assert bits(out[0]) == bits(want[0]), kind
+        assert bits(out[0][0]) == bits(want[0]), kind
         if kind in BASELINE_KINDS:
             assert np.isnan(out[1]).all() and not want[1].any(), kind
         else:
-            assert bits(out[1]) == bits(want[1]), kind
+            assert bits(out[1][0]) == bits(want[1]), kind
 
         first = bits(*out)
-        other = np.full(n, np.nan), np.full(n, np.nan)
+        other = np.full((1, n), np.nan), np.full((1, n), np.nan)
         field(*swapped, data, *other)
         assert bits(*out) == first, kind
-        fresh = np.full(n, np.nan), np.full(n, np.nan)
+        fresh = np.full((1, n), np.nan), np.full((1, n), np.nan)
         compile_field(kind, gains, n)(*swapped, data, *fresh)
         assert bits(*other) == bits(*fresh), kind
 
@@ -434,7 +435,7 @@ def batch_cases(draw):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(batch_cases())
 def test_batched_field_rows_equal_the_scalar_closure(case):
-    """Row b of the batched closure is the unbatched closure at row b, bit for bit.
+    """Row b of the batched closure is the scalar reference closure at row b, bit for bit.
 
     Both leave their inputs as they were, and a baseline kind leaves
     dvartheta unwritten in both.
@@ -444,8 +445,8 @@ def test_batched_field_rows_equal_the_scalar_closure(case):
     shared = phi.ndim == 1
     for kind in SystemKind:
         data = _data_for(kind, buffer, gains)
-        batched = compile_field(kind, gains, n, batched=True)
-        scalar = compile_field(kind, gains, n)
+        batched = compile_field(kind, gains, n)
+        scalar = reference_field(kind, gains, n)
         out = np.full((rows, n), np.nan), np.full((rows, n), np.nan)
         if kind in BUFFER_KINDS and data is None:
             with pytest.raises(ValueError, match="nonempty data buffer"):

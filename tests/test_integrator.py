@@ -186,24 +186,36 @@ DIVERGING = {
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-@pytest.mark.parametrize("every", [1, 100])
+@pytest.mark.parametrize(("every", "t_end"), [
+    pytest.param(1, 1.0, id="1"),
+    pytest.param(100, 1.0, id="100"),
+    # The steps after the last stored row: no row (0.07) or the row of step 50
+    # (0.065) is stored after the state leaves the finite, which basic does
+    # only at step 102.
+    pytest.param(100, 0.07, id="100-t0.07"),
+    pytest.param(50, 0.065, id="50-t0.065"),
+])
 @pytest.mark.parametrize("kind", list(DIVERGING), ids=lambda k: k.value)
-def test_divergence_report_matches_the_reference_stepper(kind, every):
-    """The report names the step at which the per-step reference first leaves the finite."""
+def test_divergence_report_matches_the_reference_stepper(kind, every, t_end):
+    """The report names the step at which the per-step reference first leaves the
+    finite, and a run that the reference keeps finite raises nothing."""
     phi, gains = DIVERGING[kind]
     sig = make_constant([phi], [0.0])
     init = TunerState.from_theta0([1.0])
     epsilon, n_bar = 1.0, 4
-    reference = SimConfig(t_end=1.0)
+    reference = SimConfig(t_end=t_end)
     (t, theta, vartheta, *_), _ = reference_run(
         kind, sig, gains, reference, init, DataBuffer.empty(), policy=(n_bar, epsilon)
     )
     finite = np.isfinite(theta).all(axis=1) & np.isfinite(vartheta).all(axis=1)
-    assert not finite.all()
+    sim = SimConfig(t_end=t_end, record_every=every)
+    if finite.all():
+        assert kind is SystemKind.BASIC and t_end < 0.1
+        simulate(kind, sig, gains, sim, init, epsilon=epsilon, N_bar=n_bar)
+        return
     step = int(np.argmin(finite))
     expected = (f"non-finite state for '{kind.value}' at "
                 f"t={t[step - 1] + reference.step_h:.6g} (after step {step})")
-    sim = SimConfig(t_end=1.0, record_every=every)
     with pytest.raises(NumericalDivergence) as caught:
         simulate(kind, sig, gains, sim, init, epsilon=epsilon, N_bar=n_bar)
     assert str(caught.value) == expected

@@ -19,7 +19,6 @@ from hotuner import (
     SystemKind,
     check_decrease_pointwise,
     check_pe,
-    compile_field,
     energy_matrix,
     make_constant,
     make_sinusoid_mix,
@@ -30,6 +29,7 @@ from hotuner import (
 from hotuner.certificates import CertificateReport, _decrease_sides, _matrosov_moments
 from hotuner.dynamics import BUFFER_KINDS, _data_for
 from hotuner.signals import _window_grams
+from oracles import reference_field
 
 GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)
 TOLERANCE = 1e-9
@@ -67,7 +67,7 @@ def oracle_margin_at(kind, signal, gains, buffer, m_bound):
     n = signal.dimension
     p_mu = p_matrix(buffer, gains.mu) if kind in BUFFER_KINDS else None
     q = energy_matrix(kind, gains, n, p_mu)
-    field = compile_field(kind, gains, n)
+    field = reference_field(kind, gains, n)
     data = _data_for(kind, buffer, gains)
 
     def margin(x, phi, y_star, nt):
