@@ -9,7 +9,6 @@ from .certificates import (
     CertificateReport,
     check_decrease_along,
     check_decrease_pointwise,
-    decrease_margin,
     energy_matrix,
     estimate_decay_rate,
     lyapunov_along,
@@ -35,8 +34,6 @@ from .dynamics import (
     SystemKind,
     TunerState,
     compile_field,
-    normalization,
-    rhs,
 )
 from .integrator import (
     NumericalDivergence,
@@ -50,7 +47,6 @@ from .signals import (
     PEReport,
     RegressorSignal,
     check_pe,
-    make_constant,
     make_sinusoid_mix,
     pe_gram,
 )
@@ -82,18 +78,14 @@ __all__ = [
     "check_decrease_pointwise",
     "check_pe",
     "compile_field",
-    "decrease_margin",
     "energy_matrix",
     "estimate_decay_rate",
     "lyapunov_along",
-    "make_constant",
     "make_sinusoid_mix",
     "matrosov_check",
-    "normalization",
     "p_matrix",
     "pe_gram",
     "record_steps",
-    "rhs",
     "richness",
     "simulate",
     "simulate_with_buffer",

@@ -29,7 +29,6 @@ from .dynamics import (
     SystemKind,
     _data_for,
     compile_field,
-    normalization,
 )
 from .integrator import Trajectory
 from .signals import RegressorSignal, _moments, _window_grams, row_dots
@@ -39,7 +38,6 @@ __all__ = [
     "POINTWISE_TOLERANCE",
     "check_decrease_along",
     "check_decrease_pointwise",
-    "decrease_margin",
     "energy_matrix",
     "estimate_decay_rate",
     "lyapunov_along",
@@ -208,34 +206,6 @@ def _decrease_sides(
     return lhs, rhs
 
 
-def decrease_margin(
-    kind: SystemKind,
-    x: np.ndarray,
-    t: float,
-    signal: RegressorSignal,
-    gains: Gains,
-    buffer: DataBuffer | None = None,
-) -> tuple[float, float]:
-    """Return (lhs, rhs) of the decrease inequality <grad V, f> <= bound at x, t.
-
-    x is the (2n,) error state (theta_tilde, p) = (theta - theta*,
-    vartheta - theta). The bounds assume that the buffer of a buffer-driven
-    kind holds samples consistent with theta*. The normalized
-    concurrent-learning kind bounds |phi| by the signal's certified
-    amplitude bound, signal.norm_bound().
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2 * signal.dimension,):
-        raise ValueError(f"x must be the ({2 * signal.dimension},) error state (theta_tilde, p)")
-    phi, y_star = signal.eval(t)
-    lhs, rhs = _decrease_sides(
-        kind, x[None], phi[None], np.array([y_star]),
-        np.array([normalization(phi, gains.mu)]), signal, gains, buffer,
-        signal.norm_bound(),
-    )
-    return float(lhs[0]), float(rhs[0])
-
-
 def _check_sweep(radius: float) -> None:
     """Refuse a radius under which a sweep could not fail."""
     if not (math.isfinite(radius) and radius > 0.0):
@@ -267,17 +237,19 @@ def _sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) 
     return points
 
 
-def _sweep_report(margins: np.ndarray) -> CertificateReport:
-    """Count margins beyond POINTWISE_TOLERANCE; a non-finite margin counts as a violation.
+def _sweep_report(
+    margins: np.ndarray, tolerance: float = POINTWISE_TOLERANCE
+) -> CertificateReport:
+    """Count margins beyond tolerance; a non-finite margin counts as a violation.
 
     A NaN margin makes worst_margin NaN, so the report cannot look clean.
     """
-    violations = np.count_nonzero((margins > POINTWISE_TOLERANCE) | ~np.isfinite(margins))
+    violations = np.count_nonzero((margins > tolerance) | ~np.isfinite(margins))
     return CertificateReport(
         checked_points=int(margins.shape[0]),
         violations=int(violations),
         worst_margin=float(margins.max()),
-        tolerance=POINTWISE_TOLERANCE,
+        tolerance=tolerance,
     )
 
 
@@ -377,7 +349,8 @@ def check_decrease_along(
 
     The allowance per step is SLACK_COEFF * step_h * (1 + V). Steps at which a
     new sample was recorded are exempt: the recorded-data term of V changes
-    discontinuously there, outside the flow the certificate covers.
+    discontinuously there, outside the flow the certificate covers. A
+    non-finite margin (V overflowed) counts as a violation.
     """
     v_values = np.asarray(v_values, dtype=float)
     if v_values.shape != trajectory.t.shape:
@@ -388,16 +361,9 @@ def check_decrease_along(
     slack = SLACK_COEFF * step_h * (1.0 + v_values[:-1])
     margin = dv - slack
     flow_steps = trajectory.n_samples[1:] == trajectory.n_samples[:-1]
-    checked = int(flow_steps.sum())
-    if checked == 0:
+    if not flow_steps.any():
         return CertificateReport(0, 0, -math.inf, 0.0)
-    margin = margin[flow_steps]
-    return CertificateReport(
-        checked_points=checked,
-        violations=int((margin > 0.0).sum()),
-        worst_margin=float(margin.max()),
-        tolerance=0.0,
-    )
+    return _sweep_report(margin[flow_steps], 0.0)
 
 
 def _matrosov_moments(signal: RegressorSignal) -> np.ndarray:

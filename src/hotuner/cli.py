@@ -328,8 +328,6 @@ def _simulate_system(
 
 def _time_to_fraction(trajectory: Trajectory, fraction: float) -> float | None:
     """First row time at which err_norm falls to fraction of its initial value."""
-    if trajectory.n_rows == 0:
-        return None
     target = fraction * trajectory.err_norm[0]
     hits = np.nonzero(trajectory.err_norm <= target)[0]
     if hits.shape[0] == 0:
@@ -356,8 +354,7 @@ def comparison_report(
     for kind in scenario.systems:
         trajectory, buffer = results[kind]
         cells: list[str] = [kind.value]
-        final = float(trajectory.err_norm[-1]) if trajectory.n_rows else math.nan
-        cells.append(repr(final))
+        cells.append(repr(float(trajectory.err_norm[-1])))
         for fraction in THRESHOLD_FRACTIONS:
             reach = _time_to_fraction(trajectory, fraction)
             cells.append("" if reach is None else repr(reach))
@@ -422,11 +419,35 @@ def _signal_grid(scenario: Scenario) -> SignalGrid:
         )
 
 
+def _out_path(out_dir: str | Path) -> Path:
+    """out_dir as a Path; one that cannot be a directory is a config error.
+
+    Called before any work, so that a file in the way is refused before the
+    simulations or the PE scan rather than after them. os.path.exists reads an
+    unreadable path as absent (Path.exists raises), so the nearest ancestor
+    that can be seen is tested and mkdir reports the rest.
+    """
+    out = Path(out_dir)
+    existing = next(path for path in (out, *out.parents) if os.path.exists(path))
+    if not os.path.isdir(existing):
+        raise ConfigError(f"--out-dir {str(out)!r} cannot be made: {str(existing)!r} exists "
+                          "and is not a directory")
+    return out
+
+
+def _make_out_dir(out: Path) -> None:
+    """Create out and its parents; an OSError is a config error that names the path."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out-dir {str(out)!r}: {exc.strerror or exc}")
+
+
 def run_scenario(scenario: Scenario, out_dir: str | Path) -> int:
     """Simulate every system in the scenario and write CSV outputs."""
+    out = _out_path(out_dir)
     grid = _signal_grid(scenario)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     _warn_gains(scenario, sys.stderr)
     _warn_step(scenario, sys.stderr)
     results: dict[SystemKind, tuple[Trajectory, DataBuffer]] = {}
@@ -466,9 +487,9 @@ def _scan_pe(scenario: Scenario) -> PEReport:
 
 def run_pe_check(scenario: Scenario, out_dir: str | Path) -> int:
     """Scan the scenario's regressor for persistent excitation."""
+    out = _out_path(out_dir)
     report = _scan_pe(scenario)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     lines = [
         "window_T,delta_hat,M_hat,scan_horizon,quadrature_step",
         f"{repr(report.window_T)},{repr(report.delta_hat)},{repr(report.M_hat)},"
@@ -504,11 +525,11 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
             f"system '{recorders[0]}' records no data over a horizon of 0 steps "
             f"(t_end = t_start = {scenario.sim.t_end!r}); certify needs t_end > t_start"
         )
+    out = _out_path(out_dir)
     grid = _signal_grid(scenario)
     pe_report = _scan_pe(scenario)
     _warn_step(scenario, sys.stderr)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     print(pe_report.summary())
     skipped = [k.value for k in scenario.systems if k in BASELINE_KINDS]
     if skipped:

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .databuffer import DataAggregates, DataBuffer, data_aggregates, data_term
-from .signals import RegressorSignal, row_dots
+from .signals import row_dots
 
 __all__ = [
     "BASELINE_KINDS",
@@ -37,8 +37,6 @@ __all__ = [
     "SystemKind",
     "TunerState",
     "compile_field",
-    "normalization",
-    "rhs",
 ]
 
 
@@ -162,12 +160,6 @@ class TunerState:
         """Standard initialization: vartheta starts equal to theta."""
         theta0 = np.asarray(theta0, dtype=float)
         return TunerState(theta=theta0.copy(), vartheta=theta0.copy())
-
-
-def normalization(phi_t, mu: float) -> float:
-    """Normalization signal N_t = 1 + mu |phi(t)|^2."""
-    phi_t = np.asarray(phi_t, dtype=float)
-    return 1.0 + mu * float(phi_t @ phi_t)
 
 
 def _data_for(
@@ -412,7 +404,7 @@ def compile_field(kind: SystemKind, gains: Gains, n: int) -> Field:
     weighted for this kind (see _data_for), or None for an empty buffer, and
     the two (B, n) output arrays. It reads its inputs before it writes its
     outputs, and a baseline kind, whose vartheta stays constant, leaves
-    dvartheta untouched. One point is a one-row batch (see rhs).
+    dvartheta untouched. One point is a one-row batch.
 
     Its code is generated from the kind's statements (see _field_statements)
     once per (kind, n); the gains are arguments of that code. Row b of the
@@ -426,25 +418,3 @@ def compile_field(kind: SystemKind, gains: Gains, n: int) -> Field:
         raise ValueError(f"dimension must be at least 1 (got {n})")
     return _field_maker(kind, n)(**_field_arguments(kind, gains))
 
-
-def rhs(
-    kind: SystemKind,
-    state: TunerState,
-    t: float,
-    signal: RegressorSignal,
-    buffer: DataBuffer | None,
-    gains: Gains,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative (dtheta/dt, dvartheta/dt) of the kind at state and time t.
-
-    The soft-reset pull on theta is 2 beta_r (vartheta - theta), times N_t for
-    the unnormalized kind, while (vartheta - theta)' grad L > 0, else 0.
-    """
-    phi, y_star = signal.eval(t)
-    n = state.theta.shape[0]
-    dtheta, dvartheta = np.empty(n), np.zeros(n)
-    compile_field(kind, gains, n)(
-        state.theta[None], state.vartheta[None], phi, y_star, normalization(phi, gains.mu),
-        _data_for(kind, buffer, gains), dtheta[None], dvartheta[None],
-    )
-    return dtheta, dvartheta

@@ -12,7 +12,7 @@ last kept sample. The Euler loop of each kind is generated once per
 dimension, with the kind's field (dynamics._field_statements) written into
 its body, and runs on precomputed inputs. It is one of the two forms of that
 field; the other is dynamics.compile_field, one closure on a batch of states,
-which rhs and the certificate sweeps call. Every grid value equals its
+which the certificate sweeps call. Every grid value equals its
 per-step counterpart bit for bit, so the outputs do not depend on whether a
 grid was shared.
 """

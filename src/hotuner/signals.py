@@ -21,7 +21,6 @@ __all__ = [
     "PEReport",
     "RegressorSignal",
     "check_pe",
-    "make_constant",
     "make_sinusoid_mix",
     "pe_gram",
     "row_dots",
@@ -114,16 +113,6 @@ class RegressorSignal:
         """Certified upper bound on sup_t |phi(t)| from the component ranges."""
         return float(np.sqrt(np.sum((np.abs(self.offsets) + np.abs(self.amplitudes)) ** 2)))
 
-    def shifted(self, tau: float) -> "RegressorSignal":
-        """Signal t -> phi(t + tau), which stays inside the sinusoid-mix family."""
-        return RegressorSignal(
-            offsets=self.offsets,
-            amplitudes=self.amplitudes,
-            frequencies=self.frequencies,
-            phases=self.phases + self.frequencies * tau,
-            theta_star=self.theta_star,
-        )
-
 
 def make_sinusoid_mix(
     dimension, offsets, amplitudes, frequencies, phases, theta_star
@@ -140,14 +129,6 @@ def make_sinusoid_mix(
             f"offsets must be a length-{dimension} vector, got shape {np.shape(offsets)}"
         )
     return RegressorSignal(offsets, amplitudes, frequencies, phases, theta_star)
-
-
-def make_constant(values, theta_star) -> RegressorSignal:
-    """Constant regressor phi(t) = values."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    zeros = np.zeros(n)
-    return make_sinusoid_mix(n, values, zeros, zeros, zeros, theta_star)
 
 
 def _moments(signal: RegressorSignal, cos_int: Callable, sin_int: Callable) -> np.ndarray:

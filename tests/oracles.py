@@ -8,13 +8,71 @@ as numpy operations on whole vectors, for one point or a batch of rows; the
 package generates straight-line code for the same operations
 (dynamics._field_statements). reference_rows is the Euler loop that calls it
 once per step.
+
+The one-point forms of the package's batched primitives live here too, for
+the tests that check a field or a certificate at a single state: rhs is
+compile_field on a one-row batch, with normalization giving its N_t, and
+decrease_margin is certificates._decrease_sides on one row. make_constant is
+the zero-amplitude sinusoid mix.
 """
 
 import numpy as np
 
+from hotuner.certificates import _decrease_sides
 from hotuner.databuffer import ZERO_REGRESSOR_NORM, DataBuffer, data_term
-from hotuner.dynamics import KINDS, Gains, SystemKind, _data_for
-from hotuner.signals import row_dots
+from hotuner.dynamics import KINDS, Gains, SystemKind, TunerState, _data_for, compile_field
+from hotuner.signals import RegressorSignal, make_sinusoid_mix, row_dots
+
+
+def normalization(phi_t, mu: float) -> float:
+    """Normalization signal N_t = 1 + mu |phi(t)|^2."""
+    phi_t = np.asarray(phi_t, dtype=float)
+    return 1.0 + mu * float(phi_t @ phi_t)
+
+
+def make_constant(values, theta_star) -> RegressorSignal:
+    """Constant regressor phi(t) = values."""
+    values = np.asarray(values, dtype=float)
+    zeros = np.zeros(values.shape[0])
+    return make_sinusoid_mix(values.shape[0], values, zeros, zeros, zeros, theta_star)
+
+
+def rhs(kind: SystemKind, state: TunerState, t: float, signal: RegressorSignal,
+        buffer: DataBuffer | None, gains: Gains) -> tuple[np.ndarray, np.ndarray]:
+    """Derivative (dtheta/dt, dvartheta/dt) of the kind at state and time t.
+
+    The compiled field on a one-row batch, into fresh (n,) arrays; a baseline
+    kind's dvartheta is zero.
+    """
+    phi, y_star = signal.eval(t)
+    n = state.theta.shape[0]
+    dtheta, dvartheta = np.empty(n), np.zeros(n)
+    compile_field(kind, gains, n)(
+        state.theta[None], state.vartheta[None], phi, y_star, normalization(phi, gains.mu),
+        _data_for(kind, buffer, gains), dtheta[None], dvartheta[None],
+    )
+    return dtheta, dvartheta
+
+
+def decrease_margin(kind: SystemKind, x, t: float, signal: RegressorSignal, gains: Gains,
+                    buffer: DataBuffer | None = None) -> tuple[float, float]:
+    """(lhs, rhs) of the decrease inequality <grad V, f> <= bound at x, t.
+
+    x is the (2n,) error state (theta_tilde, p) = (theta - theta*,
+    vartheta - theta). The bounds assume that the buffer of a buffer-driven
+    kind holds samples consistent with theta*. The normalized
+    concurrent-learning kind bounds |phi| by signal.norm_bound().
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2 * signal.dimension,):
+        raise ValueError(f"x must be the ({2 * signal.dimension},) error state (theta_tilde, p)")
+    phi, y_star = signal.eval(t)
+    lhs, rhs = _decrease_sides(
+        kind, x[None], phi[None], np.array([y_star]),
+        np.array([normalization(phi, gains.mu)]), signal, gains, buffer,
+        signal.norm_bound(),
+    )
+    return float(lhs[0]), float(rhs[0])
 
 
 def maybe_record(buffer: DataBuffer, t: float, phi_t, y_star_t: float, capacity: int,

@@ -23,15 +23,14 @@ from hotuner import (
     check_decrease_pointwise,
     estimate_decay_rate,
     lyapunov_along,
-    make_constant,
     make_sinusoid_mix,
     p_matrix,
     richness,
-    rhs,
     simulate,
 )
 from hotuner.certificates import POINTWISE_TOLERANCE, SLACK_COEFF
 from hotuner.databuffer import data_aggregates, data_term
+from oracles import make_constant, rhs
 
 PI = np.pi
 CERTIFIED_GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)

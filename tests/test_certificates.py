@@ -17,21 +17,18 @@ from hotuner import (
     TunerState,
     check_decrease_along,
     check_decrease_pointwise,
-    decrease_margin,
     energy_matrix,
     estimate_decay_rate,
     lyapunov_along,
-    make_constant,
     make_sinusoid_mix,
     matrosov_check,
     p_matrix,
-    rhs,
     simulate,
     simulate_with_buffer,
 )
 from hotuner.certificates import _upper_envelope
 from hotuner.databuffer import data_aggregates
-from oracles import maybe_record
+from oracles import decrease_margin, make_constant, maybe_record, rhs
 
 PI = np.pi
 CERTIFIED_GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)

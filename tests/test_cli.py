@@ -534,6 +534,55 @@ def test_certify_reports_violations(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_certify_fails_an_energy_that_overflows(tmp_path, capsys):
+    """At theta0 = 1e200 the state stays finite but V overflows, so every margin
+    along the trajectory is NaN. certify used to count no violation and pass."""
+    raw = json.loads(Path(bundled_scenario_path("fig1")).read_text())
+    raw["systems"] = ["ht", "ht_cl"]
+    raw["init"] = {"mode": "fixed", "theta0": [1e200, 0, 0]}
+    out = tmp_path / "out"
+    argv = ["certify", write_scenario(tmp_path, raw), "--out-dir", str(out), "--t-end", "0.5"]
+    assert main(argv) == EXIT_CERTIFICATE
+    assert "certificate violations found" in capsys.readouterr().out
+    lines = (out / "fig1_certificates.csv").read_text().splitlines()
+    assert "ht,trajectory,5,5,nan,0.0" in lines
+    assert "ht_cl,trajectory,5,5,nan,0.0" in lines
+
+
+@pytest.mark.parametrize("command", ["run", "certify", "pe-check"])
+def test_out_dir_that_cannot_be_made_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                       command):
+    """An --out-dir naming a file used to end in a FileExistsError traceback, after
+    the simulations or the PE scan. It is refused before either; any other OSError
+    from creating the directory is a config error too."""
+    from hotuner import cli
+
+    def no_work(*args, **kwargs):
+        pytest.fail("simulated or scanned before refusing the out dir")
+
+    monkeypatch.setattr(cli, "simulate", no_work)
+    monkeypatch.setattr(cli, "check_pe", no_work)
+    scenario = str(bundled_scenario_path("fig1"))
+    blocker = tmp_path / "f"
+    blocker.touch()
+    for out in (blocker, blocker / "sub"):
+        assert main([command, scenario, "--out-dir", str(out), "--t-end", "1"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: --out-dir {str(out)!r} cannot be made: "
+                                f"{str(blocker)!r} exists and is not a directory\n")
+    monkeypatch.undo()
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    out = tmp_path / "locked"
+    assert main([command, scenario, "--out-dir", str(out), "--t-end", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --out-dir {str(out)!r}: Permission denied\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_run_reports_divergence(tmp_path, capsys):
     data = scenario_dict()
     data["signal"] = {

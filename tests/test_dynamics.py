@@ -20,15 +20,12 @@ from hotuner import (
     SystemKind,
     TunerState,
     compile_field,
-    make_constant,
     make_sinusoid_mix,
-    normalization,
-    rhs,
 )
 from hotuner.databuffer import data_aggregates, data_term
 from hotuner.dynamics import _data_for
 from hotuner.signals import row_dots
-from oracles import grad_L, reference_field
+from oracles import grad_L, make_constant, normalization, reference_field, rhs
 
 PI = np.pi
 

@@ -13,11 +13,11 @@ from hotuner import (
     SystemKind,
     Trajectory,
     TunerState,
-    make_constant,
     make_sinusoid_mix,
     simulate,
     simulate_with_buffer,
 )
+from oracles import make_constant
 from test_kernel import reference_run
 
 PI = np.pi
@@ -126,12 +126,15 @@ def test_constant_signal_start_time_is_irrelevant():
 
 
 def test_shifted_signal_matches_shifted_start():
+    """phi(t + 5) is the sinusoid mix with phases advanced by 5 frequencies."""
     sig = mix3()
+    shifted = make_sinusoid_mix(3, sig.offsets, sig.amplitudes, sig.frequencies,
+                                sig.phases + 5.0 * sig.frequencies, sig.theta_star)
     gains = Gains(beta=1.0, gamma=0.1, mu=0.2)
     init = TunerState.from_theta0([1.0, 0.0, -1.0])
     a, _ = simulate(SystemKind.HT, sig, gains,
                     SimConfig(t_start=5.0, t_end=7.0), init)
-    b, _ = simulate(SystemKind.HT, sig.shifted(5.0), gains,
+    b, _ = simulate(SystemKind.HT, shifted, gains,
                     SimConfig(t_end=2.0), init)
     assert np.abs(a.theta - b.theta).max() < 1e-9
     assert np.abs(a.vartheta - b.vartheta).max() < 1e-9

@@ -1,10 +1,11 @@
 """The grid-precomputed Euler kernel against a plain step-by-step reference.
 
-The reference below evaluates the signal, the one-step recording rule of
-oracles.py and the public rhs once per step, the way the integrator did before it precomputed its
-inputs. The kernel must reproduce it bit for bit, and the CLI outputs for the
-bundled scenarios must keep their recorded sha256. rhs's field is generated
-from the same statements as the kernel's loop, so here only the golden hashes
+The reference below evaluates the signal, and the one-step recording rule and
+rhs of oracles.py, once per step, the way the integrator did before it
+precomputed its inputs. The kernel must reproduce it bit for bit, and the CLI
+outputs for the bundled scenarios must keep their recorded sha256. rhs is the
+batched field on one row, generated from the same statements as the kernel's
+loop, so here only the golden hashes
 catch a change in how the field rounds; test_codegen.py checks both against
 the numpy closure of oracles.py.
 """
@@ -26,12 +27,11 @@ from hotuner import (
     TunerState,
     buffer_csv,
     make_sinusoid_mix,
-    rhs,
     simulate,
     simulate_with_buffer,
 )
 from hotuner.cli import bundled_scenario_path, main
-from oracles import maybe_record
+from oracles import maybe_record, rhs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2, beta_r=4.0)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hotuner import check_pe, make_constant, make_sinusoid_mix, pe_gram
+from hotuner import check_pe, make_sinusoid_mix, pe_gram
+from oracles import make_constant
 
 PI = np.pi
 
@@ -59,13 +60,6 @@ def test_norm_bound_dominates_samples():
         ts = rng.uniform(0.0, 50.0, 200)
         phis, _ = sig.eval_grid(ts)
         assert np.sqrt((phis**2).sum(axis=1)).max() <= bound + 1e-9
-
-
-def test_shifted_matches_time_offset():
-    sig = mix3()
-    shifted = sig.shifted(2.5)
-    for t in np.linspace(0.0, 12.0, 25):
-        assert np.allclose(shifted.phi(t), sig.phi(t + 2.5), atol=1e-12)
 
 
 def test_construction_validation():

@@ -1,9 +1,18 @@
-"""The public surface: every name a module lists in __all__ exists."""
+"""The public surface: every name a module lists in __all__ exists, and the
+README's examples run against it."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
+
+import pytest
 
 import hotuner
+
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (Path(__file__).parents[1] / "README.md").read_text(),
+                           re.MULTILINE | re.DOTALL)
 
 
 def test_every_listed_name_resolves():
@@ -17,3 +26,14 @@ def test_every_listed_name_resolves():
         assert len(set(listed)) == len(listed), f"{module.__name__}.__all__ repeats a name"
         missing = [name for name in listed if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ lists missing names {missing}"
+
+
+@pytest.mark.parametrize("index", range(len(README_BLOCKS)))
+def test_readme_python_block_runs(index):
+    """Each python block of README.md runs on its own, in a fresh namespace."""
+    source = compile(README_BLOCKS[index], f"README.md python block {index}", "exec")
+    exec(source, {"__name__": "readme_example"})
+
+
+def test_readme_has_python_blocks():
+    assert README_BLOCKS, "README.md has no python block"

@@ -20,16 +20,14 @@ from hotuner import (
     check_decrease_pointwise,
     check_pe,
     energy_matrix,
-    make_constant,
     make_sinusoid_mix,
     matrosov_check,
-    normalization,
     p_matrix,
 )
 from hotuner.certificates import CertificateReport, _decrease_sides, _matrosov_moments
 from hotuner.dynamics import BUFFER_KINDS, _data_for
 from hotuner.signals import _window_grams
-from oracles import reference_field
+from oracles import make_constant, normalization, reference_field
 
 GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)
 TOLERANCE = 1e-9
