@@ -37,7 +37,7 @@ from .dynamics import (
     TunerState,
 )
 from .integrator import NumericalDivergence, SignalGrid, SimConfig, Trajectory, simulate
-from .signals import M_HAT_GRID_STEP, PEReport, RegressorSignal, check_pe, make_sinusoid_mix
+from .signals import PEReport, RegressorSignal, check_pe, make_sinusoid_mix
 
 __all__ = [
     "ConfigError",
@@ -326,20 +326,10 @@ def _simulate_system(
     )
 
 
-def _time_to_fraction(trajectory: Trajectory, fraction: float) -> float | None:
-    """First row time at which err_norm falls to fraction of its initial value."""
-    target = fraction * trajectory.err_norm[0]
-    hits = np.nonzero(trajectory.err_norm <= target)[0]
-    if hits.shape[0] == 0:
-        return None
-    return float(trajectory.t[hits[0]])
-
-
-def _fill_time(trajectory: Trajectory, n_bar: int) -> float | None:
-    hits = np.nonzero(trajectory.n_samples >= n_bar)[0]
-    if hits.shape[0] == 0:
-        return None
-    return float(trajectory.t[hits[0]])
+def _first_time(trajectory: Trajectory, mask: np.ndarray) -> str:
+    """The report cell of the first row time at which mask holds: "" if at none."""
+    hits = np.flatnonzero(mask)
+    return repr(float(trajectory.t[hits[0]])) if hits.shape[0] else ""
 
 
 def comparison_report(
@@ -353,19 +343,19 @@ def comparison_report(
     table_rows = [header]
     for kind in scenario.systems:
         trajectory, buffer = results[kind]
-        cells: list[str] = [kind.value]
-        cells.append(repr(float(trajectory.err_norm[-1])))
-        for fraction in THRESHOLD_FRACTIONS:
-            reach = _time_to_fraction(trajectory, fraction)
-            cells.append("" if reach is None else repr(reach))
+        errors = trajectory.err_norm
+        cells: list[str] = [kind.value, repr(float(errors[-1]))]
+        # A start that is not finite has no fraction to fall to.
+        reachable = math.isfinite(errors[0])
+        cells += [_first_time(trajectory, reachable & (errors <= fraction * errors[0]))
+                  for fraction in THRESHOLD_FRACTIONS]
         try:
             alpha, _, quality = certificates.estimate_decay_rate(trajectory)
             cells.append(repr(alpha))
             cells.append(repr(quality))
         except ValueError:
             cells += ["", ""]
-        fill = _fill_time(trajectory, scenario.cl_N_bar)
-        cells.append("" if fill is None else repr(fill))
+        cells.append(_first_time(trajectory, trajectory.n_samples >= scenario.cl_N_bar))
         csv_lines.append(",".join(cells))
         table_rows.append([cell if cell else "-" for cell in cells])
     widths = [max(len(row[i]) for row in table_rows) for i in range(len(header))]
@@ -467,22 +457,14 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> int:
 
 
 def _scan_pe(scenario: Scenario) -> PEReport:
-    """check_pe on the scenario's regressor with its pe settings; a scan too large
-    to hold is a config error."""
+    """check_pe on the scenario's regressor with its pe settings; a scan that
+    check_pe refuses, such as one too large to hold, is a config error."""
     pe = scenario.pe
-    T, horizon = pe["window_T"], pe["scan_horizon"]
-    step = T / 8.0 if pe["scan_step"] is None else pe["scan_step"]
-    windows, points = (horizon - T) / step + 1.0, horizon / M_HAT_GRID_STEP + 1.0
-    if max(windows, points) <= np.iinfo(np.intp).max:
-        try:
-            return check_pe(scenario.signal, T=T, scan_horizon=horizon, scan_step=step)
-        except MemoryError:
-            pass
-    raise ConfigError(
-        f"pe: scan_horizon = {horizon!r} with window_T = {T!r} and scan_step = {step!r} "
-        f"needs {windows:.4g} windows and {points:.4g} M_hat grid points, more than fit "
-        "in memory"
-    )
+    try:
+        return check_pe(scenario.signal, T=pe["window_T"], scan_horizon=pe["scan_horizon"],
+                        scan_step=pe["scan_step"])
+    except ValueError as exc:
+        raise ConfigError(f"pe: {exc}")
 
 
 def run_pe_check(scenario: Scenario, out_dir: str | Path) -> int:

@@ -193,7 +193,7 @@ _ARGUMENTS = ("gamma", "neg_gain", "neg_beta", "neg_pull", "pulls", "missing")
 
 
 def _field_arguments(kind: SystemKind, gains: Gains) -> dict:
-    """The values a generated field of kind takes as arguments (see _field_statements)."""
+    """The values a generated field of kind takes as arguments (see _field_lines)."""
     spec = KINDS[kind]
     return {
         "gamma": gains.gamma,
@@ -205,151 +205,108 @@ def _field_arguments(kind: SystemKind, gains: Gains) -> dict:
     }
 
 
-def _field_statements(spec: KindSpec, n: int) -> list[tuple]:
-    """The field of one kind as straight-line statements on its n components.
-
-    Component i of a vector x is the local x{i}: theta t, vartheta v, phi p,
-    the loss gradient g, the data term c, the gap q = theta - vartheta, the
-    drive's partial sums a and the outputs dt and dv; y is y*, nt is N_t and
-    the gains are the arguments of _field_arguments. A statement is
-
-        ("each", template)            template.format(i=i) for every component
-        ("line", text)                one line
-        ("dot", name, a, b)           name = a . b, the ndarray.dot of the vectors
-        ("data", name)                name{i} = component i of the data term at theta
-        ("if", flag, body)            the statements of body when flag is true
-        ("if_negative", name, body)   the "each" lines of body where name < 0.0
-
-    and _render_field writes them as Python for one point or a batch of rows.
-    Each arithmetic operation is one IEEE operation, on the same operands, of
-    the vector formula it unrolls (multiplication commutes exactly), so the
-    bits match a computation on whole vectors. The drive is -gain (grad +
-    data), built in the output it ends in; g keeps the loss gradient
-    undivided for the reset indicator. An absent term is skipped rather than
-    added as zero, and a soft-reset pull that is off (or has beta_r = 0,
-    pulls false) is not added either, which keeps the sign of every zero
-    component.
-    """
-    statements: list[tuple] = []
-    source = None
-    if spec.grad is not None:
-        statements += [("dot", "r", "p", "t"), ("line", "r = r - y"),
-                       ("each", "g{i} = p{i} * r")]
-        source = "g"
-        if spec.grad < 0:
-            statements.append(("each", "a{i} = g{i} / nt"))
-            source = "a"
-    if spec.data is not None:
-        statements.append(("data", "c"))
-        if spec.data > 0:
-            statements.append(("each", "c{i} = c{i} * nt"))
-        if source is None:
-            source = "c"
-        else:
-            statements.append(("each", f"a{{i}} = {source}{{i}} + c{{i}}"))
-            source = "a"
-    drive = "dv" if spec.high_order else "dt"
-    if spec.gain_nt:
-        statements += [("line", "ng = -(gamma / nt)"),
-                       ("each", f"{drive}{{i}} = {source}{{i}} * ng")]
-    else:
-        statements.append(("each", f"{drive}{{i}} = {source}{{i}} * neg_gain"))
-    if not spec.high_order:
-        return statements
-    statements.append(("each", "q{i} = t{i} - v{i}"))
-    if spec.theta_nt:
-        statements += [("line", "nb = neg_beta * nt"), ("each", "dt{i} = q{i} * nb")]
-    else:
-        statements.append(("each", "dt{i} = q{i} * neg_beta"))
-    if spec.reset:
-        # The pull switches on when vartheta - theta leads uphill along the
-        # loss gradient; at the switching surface (indicator 0) it is off.
-        # q'g is exactly -(vartheta - theta)'g: rounding to nearest is
-        # symmetric in sign, so the test is the same comparison.
-        pull = "q{i} * neg_pull * nt" if spec.theta_nt else "q{i} * neg_pull"
-        body = [("dot", "ind", "q", "g")]
-        if not spec.theta_nt:
-            body.append(("line", "ind = ind / nt"))
-        body.append(("if_negative", "ind", [("each", f"dt{{i}} = dt{{i}} + {pull}")]))
-        statements.append(("if", "pulls", body))
-    return statements
-
-
 def _names(prefix: str, n: int) -> str:
     """The components prefix0, ..., prefix{n-1} as a tuple target or display."""
     return ", ".join(f"{prefix}{i}" for i in range(n)) + ("," if n == 1 else "")
 
 
-def _render_field(statements: list[tuple], n: int, rows: bool, pad: str) -> list[str]:
-    """Python lines of statements (see _field_statements), indented by pad.
+def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
+    """The field of one kind as straight-line Python on its n components.
 
-    The point form (rows false), in which the Euler loop is written, works on
-    Python floats. Its dot products and the data term's products go through
-    numpy, whose rounding they must reproduce: a dot packs its two vectors
-    into the contiguous halves _lo and _hi of the loop's 2n scratch array
-    (through the memoryview _m), and the data term reads theta from _hi. The
-    rows form, in which compile_field is written, works on (B,) columns of a
-    batch: phi . theta is signals.row_dots of the (B, n) inputs, and every
-    other dot stacks its vectors into (B, n) arrays first. In one dimension a
-    dot is a product in both forms: ndarray.dot of length 1 is one
-    multiplication, which keeps the sign of a zero, and row_dots adds it to +0.
+    Component i of a vector x is the local x{i}: theta t, vartheta v, phi p,
+    the loss gradient g, the data term c, the gap q = theta - vartheta, the
+    drive's partial sums a and the outputs dt and dv; y is y*, nt is N_t and
+    the gains are the arguments of _field_arguments. Each arithmetic operation
+    is one IEEE operation, on the same operands, of the vector formula it
+    unrolls (multiplication commutes exactly), so the bits match a computation
+    on whole vectors. The drive is -gain (grad + data), built in the output it
+    ends in; g keeps the loss gradient undivided for the reset indicator. An
+    absent term is skipped rather than added as zero, and a soft-reset pull
+    that is off (or has beta_r = 0, pulls false) is not added either, which
+    keeps the sign of every zero component.
+
+    Three things differ between the two forms. The point form (rows false),
+    in which the Euler loop is written, works on Python floats; its dot
+    products and the data term's products go through numpy, whose rounding
+    they must reproduce: a dot packs its two vectors into the contiguous
+    halves _lo and _hi of the loop's 2n scratch array (through the memoryview
+    _m), and the data term reads theta from _hi, where phi . theta left it if
+    the kind has a loss gradient. The rows form, in which compile_field is
+    written, works on (B,) columns of a batch: phi . theta is
+    signals.row_dots of the (B, n) inputs, every other dot stacks its vectors
+    into (B, n) arrays first, and the soft-reset pull is added through a row
+    mask. In one dimension a dot is a product in both forms: ndarray.dot of
+    length 1 is one multiplication, which keeps the sign of a zero, and
+    row_dots adds it to +0.
     """
+    def each(template: str) -> list[str]:
+        return [template.format(i=i) for i in range(n)]
+
+    # The three points where the forms differ: dots, the data term, the switch.
+    if rows:
+        def dot(name: str, a: str, b: str) -> list[str]:
+            if n == 1:
+                return [f"{name} = {a}0 * {b}0"]
+            if (a, b) == ("p", "t"):
+                return [f"{name} = _row_dots(theta, phi)"]
+            return [f"{name} = _row_dots(_stack(({_names(b, n)}), 1), "
+                    f"_stack(({_names(a, n)}), 1))"]
+
+        data = [f"{_names('c', n)} = _data_term(data, theta, True).T"]
+
+        def switch(pull: str) -> list[str]:
+            # Rows whose indicator is not negative keep the value they had.
+            return ["_on = ind < 0.0", *each(f"dt{{i}} = _where(_on, dt{{i}} + {pull}, dt{{i}})")]
+    else:
+        def pack(prefix: str, offset: int) -> list[str]:
+            return [f"_m[{offset + i}] = {prefix}{i}" for i in range(n)]
+
+        def dot(name: str, a: str, b: str) -> list[str]:
+            return [*pack(a, 0), *pack(b, n), f"{name} = float(_dot(_lo, _hi))"]
+
+        data = [*([] if spec.grad is not None else pack("t", n)),
+                f"{_names('c', n)} = _data_term(data, _hi).tolist()"]
+
+        def switch(pull: str) -> list[str]:
+            return ["if ind < 0.0:", *each(f"    dt{{i}} = dt{{i}} + {pull}")]
+
     lines: list[str] = []
-    in_hi = None  # the vector _hi holds in the point form
-
-    def pack(half: str, prefix: str) -> None:
-        offset = 0 if half == "lo" else n
-        lines.extend(f"{pad}_m[{offset + i}] = {prefix}{i}" for i in range(n))
-
-    for statement in statements:
-        op = statement[0]
-        if op == "each":
-            lines.extend(pad + statement[1].format(i=i) for i in range(n))
-        elif op == "line":
-            lines.append(pad + statement[1])
-        elif op == "dot":
-            _, name, a, b = statement
-            if rows and n == 1:
-                lines.append(f"{pad}{name} = {a}0 * {b}0")
-            elif rows and (a, b) == ("p", "t"):
-                lines.append(f"{pad}{name} = _row_dots(theta, phi)")
-            elif rows:
-                lines.append(f"{pad}{name} = _row_dots(_stack(({_names(b, n)}), 1), "
-                             f"_stack(({_names(a, n)}), 1))")
-            else:
-                pack("lo", a)
-                pack("hi", b)
-                in_hi = b
-                lines.append(f"{pad}{name} = float(_dot(_lo, _hi))")
-        elif op == "data":
-            name = statement[1]
-            lines += [f"{pad}if data is None:", f"{pad}    raise ValueError(missing)"]
-            if rows:
-                lines.append(f"{pad}{_names(name, n)} = _data_term(data, theta, True).T")
-            else:
-                if in_hi != "t":
-                    pack("hi", "t")
-                    in_hi = "t"
-                lines.append(f"{pad}{_names(name, n)} = _data_term(data, _hi).tolist()")
-        elif op == "if":
-            lines.append(f"{pad}if {statement[1]}:")
-            lines += _render_field(statement[2], n, rows, pad + "    ")
-            in_hi = None  # the body may have packed other vectors
-        elif op == "if_negative":
-            _, name, body = statement
-            if rows:
-                # Rows where the test fails keep the value they had.
-                lines.append(f"{pad}_on = {name} < 0.0")
-                for _, template in body:
-                    for i in range(n):
-                        target, value = template.format(i=i).split(" = ")
-                        lines.append(f"{pad}{target} = _where(_on, {value}, {target})")
-            else:
-                lines.append(f"{pad}if {name} < 0.0:")
-                lines += _render_field(body, n, rows, pad + "    ")
-                in_hi = None
-        else:
-            raise ValueError(f"unknown statement {op!r}")
+    source = None
+    if spec.grad is not None:
+        lines += [*dot("r", "p", "t"), "r = r - y", *each("g{i} = p{i} * r")]
+        source = "g"
+        if spec.grad < 0:
+            lines += each("a{i} = g{i} / nt")
+            source = "a"
+    if spec.data is not None:
+        lines += ["if data is None:", "    raise ValueError(missing)", *data]
+        if spec.data > 0:
+            lines += each("c{i} = c{i} * nt")
+        if source is not None:
+            lines += each(f"a{{i}} = {source}{{i}} + c{{i}}")
+        source = "c" if source is None else "a"
+    drive = "dv" if spec.high_order else "dt"
+    if spec.gain_nt:
+        lines += ["ng = -(gamma / nt)", *each(f"{drive}{{i}} = {source}{{i}} * ng")]
+    else:
+        lines += each(f"{drive}{{i}} = {source}{{i}} * neg_gain")
+    if not spec.high_order:
+        return lines
+    lines += each("q{i} = t{i} - v{i}")
+    if spec.theta_nt:
+        lines += ["nb = neg_beta * nt", *each("dt{i} = q{i} * nb")]
+    else:
+        lines += each("dt{i} = q{i} * neg_beta")
+    if spec.reset:
+        # The pull switches on when vartheta - theta leads uphill along the
+        # loss gradient; at the switching surface (indicator 0) it is off.
+        # q'g is exactly -(vartheta - theta)'g: rounding to nearest is
+        # symmetric in sign, so the test is the same comparison.
+        body = dot("ind", "q", "g")
+        if not spec.theta_nt:
+            body.append("ind = ind / nt")
+        body += switch("q{i} * neg_pull * nt" if spec.theta_nt else "q{i} * neg_pull")
+        lines += ["if pulls:", *("    " + line for line in body)]
     return lines
 
 
@@ -387,7 +344,7 @@ def _field_maker(kind: SystemKind, n: int) -> Callable:
     if spec.high_order:
         lines.append(f"        {_names('v', n)} = vartheta.T")
     lines += [f"        {_names('p', n)} = phi.T", "        y, nt = _ravel(y), _ravel(nt)"]
-    lines += _render_field(_field_statements(spec, n), n, True, " " * 8)
+    lines += ["        " + line for line in _field_lines(spec, n, True)]
     outputs = [("dtheta", "dt")] + ([("dvartheta", "dv")] if spec.high_order else [])
     lines += [f"        _stack(({_names(prefix, n)}), 1, out={array})"
               for array, prefix in outputs]
@@ -406,8 +363,8 @@ def compile_field(kind: SystemKind, gains: Gains, n: int) -> Field:
     outputs, and a baseline kind, whose vartheta stays constant, leaves
     dvartheta untouched. One point is a one-row batch.
 
-    Its code is generated from the kind's statements (see _field_statements)
-    once per (kind, n); the gains are arguments of that code. Row b of the
+    Its code is generated from the kind's row (see _field_lines) once per
+    (kind, n); the gains are arguments of that code. Row b of the
     output is bit for bit the Euler loop's field at row b: the operations are
     the same, on (B,) columns; only the dot products differ, being stacked
     1-d dots (see signals.row_dots) or, in one dimension, products, and the

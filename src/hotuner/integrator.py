@@ -9,8 +9,8 @@ Nothing on that list but the field depends on the state, so a SignalGrid
 computes the rest once per scenario: phi(t_k), y*(t_k) and |phi(t_k)|^2 on the
 whole time grid, and the recording schedule, which reads only t, phi and the
 last kept sample. The Euler loop of each kind is generated once per
-dimension, with the kind's field (dynamics._field_statements) written into
-its body, and runs on precomputed inputs. It is one of the two forms of that
+dimension, with the kind's field (dynamics._field_lines) written into its
+body, and runs on precomputed inputs. It is one of the two forms of that
 field; the other is dynamics.compile_field, one closure on a batch of states,
 which the certificate sweeps call. Every grid value equals its
 per-step counterpart bit for bit, so the outputs do not depend on whether a
@@ -19,10 +19,9 @@ grid was shared.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -35,10 +34,9 @@ from .dynamics import (
     TunerState,
     _data_for,
     _field_arguments,
-    _field_statements,
+    _field_lines,
     _generate,
     _names,
-    _render_field,
 )
 from .signals import RegressorSignal, row_dots
 
@@ -208,16 +206,16 @@ def _divergence(kind: SystemKind, grid: SignalGrid, k: int) -> NumericalDivergen
 def _loop_maker(kind: SystemKind, n: int):
     """Generate the Euler loop of kind in dimension n.
 
-    The loop advance(grid, nts, every, keeps, data_at, first_count, theta,
-    vartheta, row, checked) runs on grid from the state stored at row `row`
-    of the (rows, n) arrays theta and vartheta to the end, and returns the
-    final state. It stores row r at step r every, reads N_t from the list
-    nts, reads phi in blocks of _PHI_BLOCK grid rows, and at each step of
-    keeps switches the data it reads to data_at(first_count + samples kept so
-    far). With checked set, the state is tested after every step and the
-    first non-finite one raises NumericalDivergence.
+    The loop advance(grid, nts, every, keeps, data_at, theta, vartheta,
+    checked) runs on grid from the state stored at row 0 of the (rows, n)
+    arrays theta and vartheta to the end, and returns the final state. It
+    stores row r at step r every, reads N_t from the list nts, reads phi in
+    blocks of _PHI_BLOCK grid rows, and at each step of keeps switches the
+    data it reads to data_at(samples kept so far). With checked set, the
+    state is tested after every step and the first non-finite one raises
+    NumericalDivergence.
 
-    The kind's field (dynamics._field_statements, in the point form) is
+    The kind's field (dynamics._field_lines, in the point form) is
     written into the loop body, so theta, vartheta, phi and every derivative
     component are Python-float locals. A step is x{i} = x{i} + dx{i} * h, the
     operations of x + h dx; a baseline kind steps theta only.
@@ -227,8 +225,7 @@ def _loop_maker(kind: SystemKind, n: int):
     t, v, p = _names("t", n), _names("v", n), _names("p", n)
     finite = " and ".join(f"_isfinite({x}{i})" for x in "tv" for i in range(n))
     lines = [
-        "    def advance(grid, nts, every, keeps, data_at, first_count, theta, vartheta, row,",
-        "                checked):",
+        "    def advance(grid, nts, every, keeps, data_at, theta, vartheta, checked):",
         f"        _s = _empty({2 * n})",
         "        _m = memoryview(_s)",
         f"        _lo, _hi = _s[:{n}], _s[{n}:]",
@@ -236,22 +233,21 @@ def _loop_maker(kind: SystemKind, n: int):
         # The rows as flat memoryviews, which take Python floats fastest.
         "        cells_t = memoryview(theta.reshape(-1))",
         "        cells_v = memoryview(vartheta.reshape(-1))",
-        f"        {t} = theta[row].tolist()",
-        f"        {v} = vartheta[row].tolist()",
-        "        next_row = end = row * every",
+        f"        {t} = theta[0].tolist()",
+        f"        {v} = vartheta[0].tolist()",
+        "        row = next_row = end = 0",
     ]
     # The data that the field reads at step k: the samples kept at steps up to k.
-    load = ["data = data_at(first_count + kept)",
+    load = ["data = data_at(kept)",
             "next_keep = keeps[kept] if kept < len(keeps) else -1"]
     if spec.data is not None:
-        lines += ["        kept = _bisect_left(keeps, next_row)",
-                  *("        " + line for line in load)]
+        lines += ["        kept = 0", *("        " + line for line in load)]
     store = [
         f"            j = row * {n}",
         *(f"            cells_{x}[j{f' + {i}' if i else ''}] = {x}{i}"
           for x in "tv" for i in range(n)),
     ]
-    lines += ["        for k in range(next_row, num_steps):",
+    lines += ["        for k in range(num_steps):",
               "            if k == next_row:",
               *("    " + line for line in store),
               "                row += 1",
@@ -266,7 +262,7 @@ def _loop_maker(kind: SystemKind, n: int):
     lines += [f"            {p} = block[k - base]",
               "            y = ys[k]",
               "            nt = nts[k]"]
-    lines += _render_field(_field_statements(spec, n), n, False, " " * 12)
+    lines += ["            " + line for line in _field_lines(spec, n, False)]
     lines += [f"            {x}{i} = {x}{i} + d{x}{i} * h" for x in state for i in range(n)]
     lines += [f"            if checked and not ({finite}):",
               "                raise _divergence(_kind, grid, k)",
@@ -276,9 +272,22 @@ def _loop_maker(kind: SystemKind, n: int):
               "",
               "    return advance"]
     return _generate(lines, f"euler loop {kind.value} n={n}",
-                     {"_PHI_BLOCK": _PHI_BLOCK, "_bisect_left": bisect.bisect_left,
-                      "_divergence": _divergence, "_empty": np.empty,
+                     {"_PHI_BLOCK": _PHI_BLOCK, "_divergence": _divergence, "_empty": np.empty,
                       "_isfinite": math.isfinite, "_kind": kind})
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a[k] - b[k]| for every row k (b may be one vector).
+
+    A row whose sum of squares overflows though its difference is finite is
+    taken again with math.hypot, which scales instead of overflowing.
+    """
+    with np.errstate(over="ignore"):
+        gaps = a - b
+        norms = np.sqrt(row_dots(gaps, gaps))
+    again = np.flatnonzero(np.isinf(norms) & np.isfinite(gaps).all(axis=1))
+    norms[again] = [math.hypot(*gap) for gap in gaps[again].tolist()]
+    return norms
 
 
 def _run(
@@ -293,44 +302,40 @@ def _run(
     """Run one system on buffer, whose last len(keeps) samples are kept at steps keeps.
 
     Every row is filled, and a diverging run raises as a step-by-step check
-    would. The rows start as NaN, and the fast pass checks nothing per step.
-    A non-finite state stays non-finite under Euler updates, so it shows in a
-    later row or the final state, and the pass stops early on any
-    floating-point overflow or invalid operation in numpy. So the first row
-    that is not finite either diverged or was never reached, and the run is
-    repeated with the check after every step from the row before it, or from
-    the last row if only the final state is not finite.
+    would. The fast pass checks nothing per step, and stops early on any
+    floating-point overflow or invalid operation in numpy. A non-finite state
+    stays non-finite under Euler updates, so a pass that ends on a finite
+    state never left it. Otherwise the run is repeated from row 0 with the
+    check after every step, so the divergence report names the step of a
+    per-step check; numpy's floating-point warnings are off there, since an
+    overflow that leaves the state finite is no fault of the run.
     """
     n = grid.signal.dimension
     if init.theta.shape != (n,):
         raise ValueError("initial state dimension does not match the signal")
     advance = _loop_maker(kind, n)(**_field_arguments(kind, gains))
-    theta = np.full((grid.num_steps // sim.record_every + 1, n), np.nan)
-    vartheta = np.full_like(theta, np.nan)
+    theta = np.empty((grid.num_steps // sim.record_every + 1, n))
+    vartheta = np.empty_like(theta)
     theta[0], vartheta[0] = init.theta, init.vartheta
     first_count = len(buffer) - len(keeps)
     inputs = (grid, grid.nt_list(gains.mu), sim.record_every, keeps,
-              partial(_data_for, kind, buffer, gains), first_count, theta, vartheta)
+              lambda kept: _data_for(kind, buffer, gains, first_count + kept), theta, vartheta)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            final = advance(*inputs, 0, False)
+            finite = all(map(math.isfinite, advance(*inputs, False)))
     except FloatingPointError:
-        final = None
-    finite = np.isfinite(theta).all(axis=1) & np.isfinite(vartheta).all(axis=1)
-    if not finite.all():
-        advance(*inputs, max(int(np.argmin(finite)) - 1, 0), True)
-    elif final is None or not all(map(math.isfinite, final)):
-        advance(*inputs, theta.shape[0] - 1, True)
+        finite = False
+    if not finite:
+        with np.errstate(all="ignore"):
+            advance(*inputs, True)
     row_steps = np.arange(theta.shape[0]) * sim.record_every
-    theta_err = theta - grid.signal.theta_star
-    gap = vartheta - theta
     return Trajectory(
         kind=kind,
         t=grid.t[row_steps],
         theta=theta,
         vartheta=vartheta,
-        err_norm=np.sqrt(row_dots(theta_err, theta_err)),
-        p_norm=np.sqrt(row_dots(gap, gap)),
+        err_norm=_distances(theta, grid.signal.theta_star),
+        p_norm=_distances(vartheta, theta),
         n_samples=first_count + np.searchsorted(keeps, row_steps, side="right"),
     )
 

@@ -225,7 +225,8 @@ def check_pe(
     that attains it within the relative tie _WORST_TIE (windows of whole
     periods have equal Grams, which rounding tells apart); M_hat is the
     largest |phi| over the dense evaluation grid of step M_HAT_GRID_STEP.
-    scan_step defaults to T / 8.
+    scan_step defaults to T / 8. A scan with more windows or grid points than
+    fit in memory is refused with a ValueError.
 
     The window Grams are exact and come from one moment matrix (see
     _window_grams), in blocks of _GRAM_BLOCK starts, so each window costs O(n^3).
@@ -237,6 +238,22 @@ def check_pe(
         scan_step = T / 8.0
     if not scan_step > 0.0:
         raise ValueError("scan_step must be positive")
+    windows, points = (scan_horizon - T) / scan_step + 1.0, scan_horizon / M_HAT_GRID_STEP + 1.0
+    if max(windows, points) <= np.iinfo(np.intp).max:
+        try:
+            return _scan(signal, moments, T, scan_horizon, scan_step)
+        except MemoryError:
+            pass
+    raise ValueError(
+        f"scan_horizon = {scan_horizon!r} with window_T = {T!r} and scan_step = {scan_step!r} "
+        f"needs {windows:.4g} windows and {points:.4g} M_hat grid points, more than fit "
+        "in memory"
+    )
+
+
+def _scan(signal: RegressorSignal, moments: np.ndarray, T: float, scan_horizon: float,
+          scan_step: float) -> PEReport:
+    """The scan of check_pe, whose arguments it has checked."""
     count = int(np.floor((scan_horizon - T) / scan_step + 1e-12))
     starts = scan_step * np.arange(count + 1)
     blocks = (starts[i:i + _GRAM_BLOCK] for i in range(0, starts.shape[0], _GRAM_BLOCK))

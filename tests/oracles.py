@@ -5,8 +5,8 @@ package runs it over a whole grid at once (databuffer.record_steps). grad_L is
 the loss gradient written out on its own; the package's fields compute it
 inline (dynamics.compile_field). reference_field is each kind's field written
 as numpy operations on whole vectors, for one point or a batch of rows; the
-package generates straight-line code for the same operations
-(dynamics._field_statements). reference_rows is the Euler loop that calls it
+package emits straight-line code for the same operations
+(dynamics._field_lines). reference_rows is the Euler loop that calls it
 once per step.
 
 The one-point forms of the package's batched primitives live here too, for

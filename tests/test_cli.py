@@ -1,9 +1,11 @@
 """Scenario loading, command dispatch, outputs, and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -547,6 +549,45 @@ def test_certify_fails_an_energy_that_overflows(tmp_path, capsys):
     lines = (out / "fig1_certificates.csv").read_text().splitlines()
     assert "ht,trajectory,5,5,nan,0.0" in lines
     assert "ht_cl,trajectory,5,5,nan,0.0" in lines
+
+
+def test_norms_of_a_finite_state_that_overflow_when_squared(tmp_path, capsys):
+    """At theta0 = 1e200 the state stays finite (about 9.7e199 after 0.5 s), but its
+    sum of squares overflows. err_norm and p_norm used to read inf, with a numpy
+    RuntimeWarning, and the report claimed every threshold time as 0.0. A start
+    whose norm itself exceeds the float range reports no time either."""
+    raw = json.loads(Path(bundled_scenario_path("fig1")).read_text())
+    raw["systems"] = ["basic", "ht", "ht_cl"]
+    raw["init"] = {"mode": "fixed", "theta0": [1e200, 0, 0]}
+    path = write_scenario(tmp_path, raw)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", path, "--out-dir", str(out), "--t-end", "0.5"]) == EXIT_OK
+        # V overflows, so certify still fails the trajectory check.
+        assert main(["certify", path, "--out-dir", str(out), "--t-end", "0.5"]) \
+            == EXIT_CERTIFICATE
+    assert capsys.readouterr().err == ""
+    theta_star = raw["signal"]["theta_star"]
+    for kind in raw["systems"]:
+        lines = (out / f"fig1_{kind}.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, map(float, line.split(","))))
+            theta = [row[f"theta_{i + 1}"] for i in range(3)]
+            vartheta = [row[f"vartheta_{i + 1}"] for i in range(3)]
+            assert row["err_norm"] == math.hypot(*(a - b for a, b in zip(theta, theta_star)))
+            assert row["p_norm"] == math.hypot(*(a - b for a, b in zip(vartheta, theta)))
+    report = (out / "fig1_report.csv").read_text().splitlines()
+    for line in report[1:]:
+        cells = line.split(",")
+        assert 9e199 < float(cells[1]) < 1e200
+        assert cells[2:5] == ["", "", ""]
+    raw["init"]["theta0"] = [1.7e308, 1.7e308, 0]
+    path = write_scenario(tmp_path, raw)
+    assert main(["run", path, "--out-dir", str(out), "--t-end", "0"]) == EXIT_OK
+    for line in (out / "fig1_report.csv").read_text().splitlines()[1:]:
+        assert line.split(",")[1:5] == ["inf", "", "", ""]
 
 
 @pytest.mark.parametrize("command", ["run", "certify", "pe-check"])

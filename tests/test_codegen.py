@@ -1,14 +1,15 @@
 """The generated fields and Euler loops against the numpy closure they replace.
 
 oracles.reference_field is each kind's field as numpy operations on whole
-vectors. The package generates straight-line Python for the same operations
-(dynamics._field_statements); its Euler loop and its batched field must
+vectors. The package emits straight-line Python for the same operations
+(dynamics._field_lines); its Euler loop and its batched field must
 reproduce the reference bit for bit, signs of zeros included, on every kind,
 dimension, output decimation and buffer mode.
 """
 
 import builtins
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from hotuner import (
     BASELINE_KINDS,
     BUFFER_KINDS,
+    SOFT_RESET_KINDS,
     DataBuffer,
     Gains,
     SignalGrid,
@@ -29,6 +31,7 @@ from hotuner import (
     simulate,
     simulate_with_buffer,
 )
+from hotuner.cli import bundled_scenario_path, load_scenario
 from hotuner.dynamics import _data_for, _field_maker
 from hotuner.integrator import _loop_maker
 from oracles import reference_field, reference_rows
@@ -93,6 +96,32 @@ def test_generated_loop_rows_equal_the_reference_stepper(kind, mode, case):
         theta, vartheta = reference_rows(kind, gains, grid, every, init, buffer, keeps)
         assert bits(trajectory.theta, trajectory.vartheta) == bits(theta, vartheta), \
             (n, every, t_end)
+
+
+@pytest.mark.parametrize("every", [1, 2])
+@pytest.mark.parametrize("kind", sorted(SOFT_RESET_KINDS), ids=lambda k: k.value)
+def test_a_pass_stopped_by_a_numpy_overflow_replays_to_the_reference_rows(kind, every):
+    """On fig1 from theta0 = (1e160, 0, 0) the soft-reset indicator overflows inside
+    numpy while the state stays finite. The fast pass stops there, and the checked
+    replay fills every row, bit for bit, without a divergence or a warning."""
+    scenario = load_scenario(bundled_scenario_path("fig1"))
+    sim = SimConfig(t_end=0.005, step_h=scenario.sim.step_h, record_every=every)
+    init = TunerState.from_theta0([1e160, 0.0, 0.0])
+    grid = SignalGrid(scenario.signal, sim)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trajectory, buffer = simulate(kind, scenario.signal, scenario.gains, sim, init,
+                                      epsilon=scenario.cl_epsilon, N_bar=scenario.cl_N_bar,
+                                      grid=grid)
+    keeps = grid.schedule(scenario.cl_N_bar, scenario.cl_epsilon)[0]
+    inputs = (kind, scenario.gains, grid, every, init, buffer, keeps)
+    with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+        reference_rows(*inputs)
+    with np.errstate(all="ignore"):
+        theta, vartheta = reference_rows(*inputs)
+    assert np.isfinite(theta).all() and np.isfinite(vartheta).all()
+    assert bits(trajectory.theta, trajectory.vartheta) == bits(theta, vartheta)
+    assert [str(w.message) for w in caught] == []
 
 
 @st.composite

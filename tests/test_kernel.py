@@ -4,7 +4,7 @@ The reference below evaluates the signal, and the one-step recording rule and
 rhs of oracles.py, once per step, the way the integrator did before it
 precomputed its inputs. The kernel must reproduce it bit for bit, and the CLI
 outputs for the bundled scenarios must keep their recorded sha256. rhs is the
-batched field on one row, generated from the same statements as the kernel's
+batched field on one row, emitted from the same KindSpec row as the kernel's
 loop, so here only the golden hashes
 catch a change in how the field rounds; test_codegen.py checks both against
 the numpy closure of oracles.py.

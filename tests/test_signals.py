@@ -164,6 +164,8 @@ def test_check_pe_validation():
         check_pe(sig, T=4.0, scan_horizon=2.0)
     with pytest.raises(ValueError):
         check_pe(sig, T=1.0, scan_horizon=2.0, scan_step=0.0)
+    with pytest.raises(ValueError, match=r"scan_horizon = 1e\+300 .* more than fit in memory"):
+        check_pe(sig, T=1.0, scan_horizon=1e300)
 
 
 def test_check_pe_names_the_bad_argument():

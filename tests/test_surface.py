@@ -10,9 +10,8 @@ import pytest
 
 import hotuner
 
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
-                           (Path(__file__).parents[1] / "README.md").read_text(),
-                           re.MULTILINE | re.DOTALL)
+README = (Path(__file__).parents[1] / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
 
 
 def test_every_listed_name_resolves():
@@ -33,6 +32,18 @@ def test_readme_python_block_runs(index):
     """Each python block of README.md runs on its own, in a fresh namespace."""
     source = compile(README_BLOCKS[index], f"README.md python block {index}", "exec")
     exec(source, {"__name__": "readme_example"})
+
+
+def test_readme_cites_only_names_that_exist():
+    """Every `module.name` that README.md cites for a hotuner module resolves, so a
+    rename that leaves the README behind fails here."""
+    modules = {info.name for info in pkgutil.iter_modules(hotuner.__path__)}
+    cited = sorted({(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)", README)
+                    if module in modules})
+    assert cited, "README.md cites no module.name"
+    missing = [f"{module}.{name}" for module, name in cited
+               if not hasattr(importlib.import_module(f"hotuner.{module}"), name)]
+    assert not missing, f"README.md cites missing names {missing}"
 
 
 def test_readme_has_python_blocks():
