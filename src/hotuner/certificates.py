@@ -71,7 +71,8 @@ class CertificateReport:
 
     @property
     def passed(self) -> bool:
-        return self.violations == 0
+        """No violation among at least one checked point."""
+        return self.violations == 0 and self.checked_points > 0
 
     def to_csv_line(self) -> str:
         return (
@@ -146,22 +147,28 @@ def _decrease_bound(
     Row b of theta_tilde, p and phi (B, n) gives bound b, with N_t at phi[b]
     in nt[b]; each dot product is a stacked 1-d dot (signals.row_dots).
     m_bound bounds |phi| for the normalized concurrent-learning kind.
+
+    The bound is -a e - b |p|^2, over N_t if the gain is. Without recorded
+    data, e = (phi' theta_tilde)^2 and a = 1, else e = theta_tilde' P_mu
+    theta_tilde and a = gamma (data only) or 2; b = beta (data only) or
+    2 beta / (gamma cap), cap = 1 + mu m_bound^2 if data drives a theta row
+    without N_t, else 1.
     """
-    p_sq = row_dots(p, p)
-    if kind is SystemKind.HT or kind is SystemKind.HT_NORMALIZED:
-        bound = -(2.0 * gains.beta / gains.gamma) * p_sq - _squares(row_dots(phi, theta_tilde))
-        if kind is SystemKind.HT_NORMALIZED:
-            bound /= nt
-        return bound
     if kind not in POINTWISE_KINDS:
         raise ValueError(f"no pointwise decrease bound for '{kind.value}'")
-    quad = row_dots(theta_tilde, np.matmul(p_mu, theta_tilde[:, :, None])[:, :, 0])
-    if kind is SystemKind.HT_CL:
-        return -2.0 * quad - (2.0 * gains.beta / gains.gamma) * p_sq
-    if kind is SystemKind.HT_NORMALIZED_CL:
-        cap = 1.0 + gains.mu * m_bound**2
-        return -2.0 * quad - (2.0 * gains.beta / (gains.gamma * cap)) * p_sq
-    return -gains.gamma * quad - gains.beta * p_sq  # HT_B
+    spec = KINDS[kind]
+    if spec.data is None:
+        a, e = 1.0, _squares(row_dots(phi, theta_tilde))
+    else:
+        a = gains.gamma if spec.grad is None else 2.0
+        e = row_dots(theta_tilde, np.matmul(p_mu, theta_tilde[:, :, None])[:, :, 0])
+    if spec.grad is None:
+        b = gains.beta
+    else:
+        cap = 1.0 if spec.data is None or spec.theta_nt else 1.0 + gains.mu * m_bound**2
+        b = 2.0 * gains.beta / (gains.gamma * cap)
+    bound = -a * e - b * row_dots(p, p)
+    return bound / nt if spec.gain_nt else bound
 
 
 def _decrease_sides(
@@ -316,21 +323,21 @@ def lyapunov_along(
     n = signal.dimension
     tilde = trajectory.theta - signal.theta_star
     x = np.hstack((tilde, trajectory.vartheta - trajectory.theta))
-    if kind not in BUFFER_KINDS:
-        q = energy_matrix(kind, gains, n)
-        return np.einsum("ri,ij,rj->r", x, q, x)
-    if buffer is None or len(buffer) == 0:
-        raise ValueError(f"'{kind.value}' needs the buffer that drove the run")
-    counts = trajectory.n_samples
-    if counts.max() > len(buffer):
-        raise ValueError("trajectory refers to more samples than the buffer holds")
-    # Prefix data-sum matrices: prefix[m] covers the first m samples, weighted
-    # as the field weighs them.
-    _, _, weights = _data_for(kind, buffer, gains)
-    phi = buffer.phi
-    terms = weights[:, None, None] * (phi[:, :, None] * phi[:, None, :])
-    prefix = np.concatenate((np.zeros((1, n, n)), np.cumsum(terms, axis=0)))
-    q = energy_matrix(kind, gains, n, prefix)
+    if kind not in BUFFER_KINDS:  # one fill level
+        q, counts = energy_matrix(kind, gains, n)[None], np.zeros(trajectory.n_rows, int)
+    else:
+        if buffer is None or len(buffer) == 0:
+            raise ValueError(f"'{kind.value}' needs the buffer that drove the run")
+        counts = trajectory.n_samples
+        if counts.max() > len(buffer):
+            raise ValueError("trajectory refers to more samples than the buffer holds")
+        # Prefix data-sum matrices: prefix[m] covers the first m samples,
+        # weighted as the field weighs them.
+        _, _, weights = _data_for(kind, buffer, gains)
+        phi = buffer.phi
+        terms = weights[:, None, None] * (phi[:, :, None] * phi[:, None, :])
+        prefix = np.concatenate((np.zeros((1, n, n)), np.cumsum(terms, axis=0)))
+        q = energy_matrix(kind, gains, n, prefix)
     # One pass per run of rows with equal counts: counts never decrease, so
     # the runs are the buffer's fill levels.
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(counts)) + 1, [trajectory.n_rows]))
@@ -355,8 +362,6 @@ def check_decrease_along(
     v_values = np.asarray(v_values, dtype=float)
     if v_values.shape != trajectory.t.shape:
         raise ValueError("need one V value per trajectory row")
-    if trajectory.n_rows < 2:
-        return CertificateReport(0, 0, -math.inf, 0.0)
     dv = v_values[1:] - v_values[:-1]
     slack = SLACK_COEFF * step_h * (1.0 + v_values[:-1])
     margin = dv - slack

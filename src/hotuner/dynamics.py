@@ -7,6 +7,10 @@ normalization signal N_t = 1 + mu |phi(t)|^2; concurrent-learning variants add
 the recorded-data correction B from the buffer; soft-reset variants add a
 state-dependent pull of theta toward vartheta that switches on when the two
 disagree about the descent direction.
+
+Each kind's field is emitted from its row of KINDS (_field_lines) in two
+generated forms: compile_field on a batch of states, and _compile_loop, the
+Euler loop with the field in its body.
 """
 
 from __future__ import annotations
@@ -314,14 +318,18 @@ def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
 _GENERATED_NAMES = {
     "_data_term": data_term,
     "_dot": np.ndarray.dot,
+    "_empty": np.empty,
+    "_isfinite": math.isfinite,
     "_ravel": np.ravel,
     "_row_dots": row_dots,
     "_stack": np.stack,
     "_where": np.where,
 }
+# Input rows that the Euler loop holds as Python floats at a time.
+_ROW_BLOCK = 256
 
 
-def _generate(body: list[str], label: str, names: dict | None = None) -> Callable:
+def _generate(body: list[str], label: str) -> Callable:
     """Compile make(...), whose body is the lines body, and return make.
 
     Only structure and the dimension n are written into body; every value of
@@ -329,7 +337,7 @@ def _generate(body: list[str], label: str, names: dict | None = None) -> Callabl
     _field_arguments).
     """
     source = "\n".join([f"def make({', '.join(_ARGUMENTS)}):", *body]) + "\n"
-    namespace = {**_GENERATED_NAMES, **(names or {})}
+    namespace = dict(_GENERATED_NAMES)
     exec(compile(source, f"<hotuner {label}>", "exec"), namespace)
     return namespace["make"]
 
@@ -375,3 +383,72 @@ def compile_field(kind: SystemKind, gains: Gains, n: int) -> Field:
         raise ValueError(f"dimension must be at least 1 (got {n})")
     return _field_maker(kind, n)(**_field_arguments(kind, gains))
 
+
+@functools.cache
+def _loop_maker(kind: SystemKind, n: int) -> Callable:
+    spec = KINDS[kind]
+    state = ["t"] + (["v"] if spec.high_order else [])
+    finite = " and ".join(f"_isfinite({x}{i})" for x in "tv" for i in range(n))
+    lines = [
+        "    def advance(h, num_steps, inputs, every, keeps, data_at, theta, vartheta, diverged):",
+        f"        _s = _empty({2 * n})",
+        "        _m = memoryview(_s)",
+        f"        _lo, _hi = _s[:{n}], _s[{n}:]",
+        # The rows as flat memoryviews, which take Python floats fastest.
+        "        cells_t = memoryview(theta.reshape(-1))",
+        "        cells_v = memoryview(vartheta.reshape(-1))",
+        f"        {_names('t', n)} = theta[0].tolist()",
+        f"        {_names('v', n)} = vartheta[0].tolist()",
+        "        row = next_row = end = 0",
+    ]
+    # The data that the field reads at step k: the samples kept at steps up to k.
+    load = ["data = data_at(kept)",
+            "next_keep = keeps[kept] if kept < len(keeps) else -1"]
+    if spec.data is not None:
+        lines += ["        kept = 0", *("        " + line for line in load)]
+    store = [
+        f"            j = row * {n}",
+        *(f"            cells_{x}[j{f' + {i}' if i else ''}] = {x}{i}"
+          for x in "tv" for i in range(n)),
+    ]
+    lines += ["        for k in range(num_steps):",
+              "            if k == next_row:",
+              *("    " + line for line in store),
+              "                row += 1",
+              "                next_row += every",
+              "            if k == end:",
+              f"                block = inputs[k:k + {_ROW_BLOCK}].tolist()",
+              f"                base, end = k, k + {_ROW_BLOCK}"]
+    if spec.data is not None:
+        lines += ["            if k == next_keep:",
+                  "                kept += 1",
+                  *("                " + line for line in load)]
+    lines.append(f"            {', '.join([*(f'p{i}' for i in range(n)), 'y', 'nt'])} = "
+                 "block[k - base]")
+    lines += ["            " + line for line in _field_lines(spec, n, False)]
+    lines += [f"            {x}{i} = {x}{i} + d{x}{i} * h" for x in state for i in range(n)]
+    lines += [f"            if diverged and not ({finite}):",
+              "                raise diverged(k)",
+              "        if next_row == num_steps:",
+              *store,
+              f"        return ({', '.join(f'{x}{i}' for x in 'tv' for i in range(n))})",
+              "",
+              "    return advance"]
+    return _generate(lines, f"euler loop {kind.value} n={n}")
+
+
+def _compile_loop(kind: SystemKind, gains: Gains, n: int) -> Callable:
+    """The Euler loop of one kind with one gain set and dimension n (see compile_field).
+
+    advance(h, num_steps, inputs, every, keeps, data_at, theta, vartheta,
+    diverged) takes num_steps steps of size h from row 0 of the (rows, n)
+    arrays theta and vartheta, stores row r at step r every and returns the
+    final state. Row k of inputs is phi, y*, N_t at step k (see
+    integrator.SignalGrid.rows), read _ROW_BLOCK rows at a time as Python
+    floats. From each step of keeps on, the field reads data_at(samples kept
+    so far). Unless diverged is None, a state not finite after step k raises
+    diverged(k). The field (_field_lines, point form) is in the loop body, on
+    Python-float locals; a step is x{i} = x{i} + dx{i} * h, the operations of
+    x + h dx, and a baseline kind steps theta only.
+    """
+    return _loop_maker(kind, n)(**_field_arguments(kind, gains))

@@ -8,36 +8,21 @@ very step at which a sample is kept.
 Nothing on that list but the field depends on the state, so a SignalGrid
 computes the rest once per scenario: phi(t_k), y*(t_k) and |phi(t_k)|^2 on the
 whole time grid, and the recording schedule, which reads only t, phi and the
-last kept sample. The Euler loop of each kind is generated once per
-dimension, with the kind's field (dynamics._field_lines) written into its
-body, and runs on precomputed inputs. It is one of the two forms of that
-field; the other is dynamics.compile_field, one closure on a batch of states,
-which the certificate sweeps call. Every grid value equals its
-per-step counterpart bit for bit, so the outputs do not depend on whether a
-grid was shared.
+last kept sample. _run runs each kind's Euler loop (dynamics._compile_loop)
+on those inputs and turns its rows into a Trajectory. Every grid value equals
+its per-step counterpart bit for bit, so the outputs do not depend on whether
+a grid was shared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from .databuffer import DataBuffer, record_steps
-from .dynamics import (
-    BUFFER_KINDS,
-    KINDS,
-    Gains,
-    SystemKind,
-    TunerState,
-    _data_for,
-    _field_arguments,
-    _field_lines,
-    _generate,
-    _names,
-)
+from .dynamics import BUFFER_KINDS, Gains, SystemKind, TunerState, _compile_loop, _data_for
 from .signals import RegressorSignal, row_dots
 
 __all__ = [
@@ -51,8 +36,6 @@ __all__ = [
 
 # Rows rendered per block by Trajectory.to_csv, which bounds its scratch memory.
 _CSV_BLOCK_ROWS = 4096
-# Grid rows of phi that the Euler loop holds as Python floats at a time.
-_PHI_BLOCK = 256
 
 
 class NumericalDivergence(RuntimeError):
@@ -147,10 +130,10 @@ class SignalGrid:
 
     Rows k = 0..num_steps hold t_k = t_start + k h, phi(t_k), y*(t_k) and
     |phi(t_k)|^2, about n + 3 floats per step; each value equals the per-step
-    computation bit for bit. The Euler loop reads y* and N_t from lists of
-    Python floats, which it indexes faster than arrays. Recording schedules
-    and N_t lists are built on first use and cached per (capacity, epsilon)
-    and per mu, so every system of a scenario shares them.
+    computation bit for bit. The Euler loop reads phi, y* and N_t from one
+    (num_steps + 1, n + 2) array, rows(mu). Recording schedules and input
+    rows are built on first use and cached per (capacity, epsilon) and per
+    mu, so every system of a scenario shares them.
     """
 
     def __init__(self, signal: RegressorSignal, sim: SimConfig) -> None:
@@ -161,8 +144,7 @@ class SignalGrid:
         self.t = sim.t_start + np.arange(self.num_steps + 1) * sim.step_h
         self.phi, self.y_star = signal.eval_grid(self.t)
         self.phi_sq = row_dots(self.phi, self.phi)
-        self.y_star_list = self.y_star.tolist()
-        self._nt_lists: dict[float, list[float]] = {}
+        self._rows: dict[float, np.ndarray] = {}
         self._schedules: dict[tuple[int, float], tuple[list[int], DataBuffer]] = {}
 
     def matches(self, signal: RegressorSignal, sim: SimConfig) -> bool:
@@ -173,11 +155,11 @@ class SignalGrid:
             and sim.num_steps == self.num_steps
         )
 
-    def nt_list(self, mu: float) -> list[float]:
-        """N_t = 1 + mu |phi(t_k)|^2 at every grid row, as Python floats."""
-        if mu not in self._nt_lists:
-            self._nt_lists[mu] = (1.0 + mu * self.phi_sq).tolist()
-        return self._nt_lists[mu]
+    def rows(self, mu: float) -> np.ndarray:
+        """The Euler loop's inputs: row k is phi(t_k), y*(t_k), 1 + mu |phi(t_k)|^2."""
+        if mu not in self._rows:
+            self._rows[mu] = np.column_stack((self.phi, self.y_star, 1.0 + mu * self.phi_sq))
+        return self._rows[mu]
 
     def schedule(self, capacity: int, epsilon: float) -> tuple[list[int], DataBuffer]:
         """Steps at which online recording keeps a sample, and the final buffer.
@@ -200,80 +182,6 @@ def _divergence(kind: SystemKind, grid: SignalGrid, k: int) -> NumericalDivergen
         f"non-finite state for '{kind.value}' at "
         f"t={grid.t.item(k) + grid.step_h:.6g} (after step {k + 1})"
     )
-
-
-@cache
-def _loop_maker(kind: SystemKind, n: int):
-    """Generate the Euler loop of kind in dimension n.
-
-    The loop advance(grid, nts, every, keeps, data_at, theta, vartheta,
-    checked) runs on grid from the state stored at row 0 of the (rows, n)
-    arrays theta and vartheta to the end, and returns the final state. It
-    stores row r at step r every, reads N_t from the list nts, reads phi in
-    blocks of _PHI_BLOCK grid rows, and at each step of keeps switches the
-    data it reads to data_at(samples kept so far). With checked set, the
-    state is tested after every step and the first non-finite one raises
-    NumericalDivergence.
-
-    The kind's field (dynamics._field_lines, in the point form) is
-    written into the loop body, so theta, vartheta, phi and every derivative
-    component are Python-float locals. A step is x{i} = x{i} + dx{i} * h, the
-    operations of x + h dx; a baseline kind steps theta only.
-    """
-    spec = KINDS[kind]
-    state = ["t"] + (["v"] if spec.high_order else [])
-    t, v, p = _names("t", n), _names("v", n), _names("p", n)
-    finite = " and ".join(f"_isfinite({x}{i})" for x in "tv" for i in range(n))
-    lines = [
-        "    def advance(grid, nts, every, keeps, data_at, theta, vartheta, checked):",
-        f"        _s = _empty({2 * n})",
-        "        _m = memoryview(_s)",
-        f"        _lo, _hi = _s[:{n}], _s[{n}:]",
-        "        h, num_steps, phis, ys = grid.step_h, grid.num_steps, grid.phi, grid.y_star_list",
-        # The rows as flat memoryviews, which take Python floats fastest.
-        "        cells_t = memoryview(theta.reshape(-1))",
-        "        cells_v = memoryview(vartheta.reshape(-1))",
-        f"        {t} = theta[0].tolist()",
-        f"        {v} = vartheta[0].tolist()",
-        "        row = next_row = end = 0",
-    ]
-    # The data that the field reads at step k: the samples kept at steps up to k.
-    load = ["data = data_at(kept)",
-            "next_keep = keeps[kept] if kept < len(keeps) else -1"]
-    if spec.data is not None:
-        lines += ["        kept = 0", *("        " + line for line in load)]
-    store = [
-        f"            j = row * {n}",
-        *(f"            cells_{x}[j{f' + {i}' if i else ''}] = {x}{i}"
-          for x in "tv" for i in range(n)),
-    ]
-    lines += ["        for k in range(num_steps):",
-              "            if k == next_row:",
-              *("    " + line for line in store),
-              "                row += 1",
-              "                next_row += every",
-              "            if k == end:",
-              "                block = phis[k:k + _PHI_BLOCK].tolist()",
-              "                base, end = k, k + _PHI_BLOCK"]
-    if spec.data is not None:
-        lines += ["            if k == next_keep:",
-                  "                kept += 1",
-                  *("                " + line for line in load)]
-    lines += [f"            {p} = block[k - base]",
-              "            y = ys[k]",
-              "            nt = nts[k]"]
-    lines += ["            " + line for line in _field_lines(spec, n, False)]
-    lines += [f"            {x}{i} = {x}{i} + d{x}{i} * h" for x in state for i in range(n)]
-    lines += [f"            if checked and not ({finite}):",
-              "                raise _divergence(_kind, grid, k)",
-              "        if next_row == num_steps:",
-              *store,
-              f"        return ({', '.join(f'{x}{i}' for x in 'tv' for i in range(n))})",
-              "",
-              "    return advance"]
-    return _generate(lines, f"euler loop {kind.value} n={n}",
-                     {"_PHI_BLOCK": _PHI_BLOCK, "_divergence": _divergence, "_empty": np.empty,
-                      "_isfinite": math.isfinite, "_kind": kind})
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -313,21 +221,21 @@ def _run(
     n = grid.signal.dimension
     if init.theta.shape != (n,):
         raise ValueError("initial state dimension does not match the signal")
-    advance = _loop_maker(kind, n)(**_field_arguments(kind, gains))
+    advance = _compile_loop(kind, gains, n)
     theta = np.empty((grid.num_steps // sim.record_every + 1, n))
     vartheta = np.empty_like(theta)
     theta[0], vartheta[0] = init.theta, init.vartheta
     first_count = len(buffer) - len(keeps)
-    inputs = (grid, grid.nt_list(gains.mu), sim.record_every, keeps,
+    inputs = (grid.step_h, grid.num_steps, grid.rows(gains.mu), sim.record_every, keeps,
               lambda kept: _data_for(kind, buffer, gains, first_count + kept), theta, vartheta)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            finite = all(map(math.isfinite, advance(*inputs, False)))
+            finite = all(map(math.isfinite, advance(*inputs, None)))
     except FloatingPointError:
         finite = False
     if not finite:
         with np.errstate(all="ignore"):
-            advance(*inputs, True)
+            advance(*inputs, lambda k: _divergence(kind, grid, k))
     row_steps = np.arange(theta.shape[0]) * sim.record_every
     return Trajectory(
         kind=kind,

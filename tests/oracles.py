@@ -6,8 +6,9 @@ the loss gradient written out on its own; the package's fields compute it
 inline (dynamics.compile_field). reference_field is each kind's field written
 as numpy operations on whole vectors, for one point or a batch of rows; the
 package emits straight-line code for the same operations
-(dynamics._field_lines). reference_rows is the Euler loop that calls it
-once per step.
+(dynamics._field_lines) in its batched field and its Euler loop
+(dynamics._compile_loop). reference_rows is an Euler loop that calls it once
+per step.
 
 The one-point forms of the package's batched primitives live here too, for
 the tests that check a field or a certificate at a single state: rhs is
@@ -233,6 +234,7 @@ def reference_rows(kind: SystemKind, gains: Gains, grid, record_every: int, init
     theta, vartheta, dtheta, dvartheta = x[:n], x[n:], dx[:n], dx[n:]
     state, step = (x, dx) if high_order else (theta, dtheta)
     nt = (1.0 + gains.mu * grid.phi_sq).tolist()
+    y_star = grid.y_star.tolist()
     first = len(buffer) - len(keeps)
     thetas, varthetas = [], []
     for k in range(grid.num_steps + 1):
@@ -242,7 +244,7 @@ def reference_rows(kind: SystemKind, gains: Gains, grid, record_every: int, init
         if k == grid.num_steps:
             break
         data = _data_for(kind, buffer, gains, first + int(np.searchsorted(keeps, k, "right")))
-        field(theta, vartheta, grid.phi[k], grid.y_star_list[k], nt[k], data, dtheta, dvartheta)
+        field(theta, vartheta, grid.phi[k], y_star[k], nt[k], data, dtheta, dvartheta)
         np.multiply(step, grid.step_h, step)
         np.add(state, step, state)
     return np.array(thetas), np.array(varthetas)

@@ -443,7 +443,7 @@ def test_check_decrease_along_on_real_run():
     assert report.passed
     tiny = synthetic_trajectory(np.array([0.0]), np.array([1.0]))
     empty = check_decrease_along(tiny, np.array([1.0]), 1e-3)
-    assert empty.checked_points == 0 and empty.passed
+    assert empty.checked_points == 0 and not empty.passed
 
 
 def test_matrosov_constant_signal_closed_form():

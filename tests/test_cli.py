@@ -363,8 +363,9 @@ def test_certify_refuses_a_buffer_kind_over_zero_steps(tmp_path, capsys):
     assert ("system 'ht_cl' records no data over a horizon of 0 steps "
             "(t_end = t_start = 0.0)") in captured.err
     assert not out.exists()
-    # kinds without recorded data still certify over an empty horizon
-    assert main(argv + ["--system", "ht"]) == EXIT_OK
+    # kinds without recorded data still run over an empty horizon, and their
+    # trajectory check, which has no point to check, fails
+    assert main(argv + ["--system", "ht"]) == EXIT_CERTIFICATE
 
 
 def test_load_scenario_rejects_fractional_horizon(tmp_path, capsys):
@@ -533,6 +534,22 @@ def test_certify_reports_violations(tmp_path, capsys, monkeypatch):
     assert "certificate violations found" in stdout
     lines = (out / "tiny_certificates.csv").read_text().splitlines()
     assert "ht,trajectory,3,1,0.25,0.0" in lines
+
+
+def test_certify_fails_a_trajectory_check_of_no_point(tmp_path, capsys):
+    """At t_end 0.005 (5 steps, record_every 100) each trajectory has one row, so
+    the along-trajectory check has no step to check. certify used to print
+    'trajectory pass (0 points' and 'all certificates passed', and exit 0."""
+    out = tmp_path / "out"
+    argv = ["certify", str(bundled_scenario_path("fig1")), "--out-dir", str(out),
+            "--t-end", "0.005"]
+    assert main(argv) == EXIT_CERTIFICATE
+    stdout = capsys.readouterr().out
+    failed = [line.split()[0] for line in stdout.splitlines()
+              if "trajectory FAIL  (0 points" in line]
+    assert failed == ["ht", "ht_cl", "ht_cl_softreset"]
+    assert "certificate violations found" in stdout
+    assert "all certificates passed" not in stdout
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -2,9 +2,11 @@
 
 oracles.reference_field is each kind's field as numpy operations on whole
 vectors. The package emits straight-line Python for the same operations
-(dynamics._field_lines); its Euler loop and its batched field must
-reproduce the reference bit for bit, signs of zeros included, on every kind,
-dimension, output decimation and buffer mode.
+(dynamics._field_lines) in two generated forms, the Euler loop
+(dynamics._compile_loop, which reads one row of phi, y* and N_t per step)
+and the batched field (compile_field); both must reproduce the reference bit
+for bit, signs of zeros included, on every kind, dimension, output
+decimation and buffer mode.
 """
 
 import builtins
@@ -32,8 +34,7 @@ from hotuner import (
     simulate_with_buffer,
 )
 from hotuner.cli import bundled_scenario_path, load_scenario
-from hotuner.dynamics import _data_for, _field_maker
-from hotuner.integrator import _loop_maker
+from hotuner.dynamics import _data_for, _field_maker, _loop_maker
 from oracles import reference_field, reference_rows
 
 PI = np.pi
@@ -72,7 +73,7 @@ def loop_cases(draw):
 @given(loop_cases())
 def test_generated_loop_rows_equal_the_reference_stepper(kind, mode, case):
     """Every row, at every dimension 1-4 and record_every 1, 7 and 100, for no
-    step and for 300 steps, which cross the loop's blocks of 256 phi rows."""
+    step and for 300 steps, which cross the loop's blocks of 256 input rows."""
     seed, gains, spread = case
     rng = np.random.default_rng(seed)
     for n, every, t_end in itertools.product([1, 2, 3, 4], [1, 7, 100], [0.0, 0.3]):

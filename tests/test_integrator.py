@@ -9,6 +9,7 @@ from hotuner import (
     DataBuffer,
     Gains,
     NumericalDivergence,
+    SignalGrid,
     SimConfig,
     SystemKind,
     Trajectory,
@@ -17,6 +18,7 @@ from hotuner import (
     simulate,
     simulate_with_buffer,
 )
+from hotuner.signals import row_dots
 from oracles import make_constant
 from test_kernel import reference_run
 
@@ -290,6 +292,30 @@ def test_single_row_run():
     assert traj.n_rows == 1
     assert traj.t[0] == 3.0
     assert np.array_equal(traj.theta[0], [1.0, 2.0, 3.0])
+
+
+def test_grid_input_rows_hold_phi_y_star_and_nt_per_mu():
+    """Row k of SignalGrid.rows(mu) is (phi(t_k), y*(t_k), 1 + mu |phi(t_k)|^2) bit
+    for bit. It is built once per mu: the systems of a scenario share it."""
+    sig = mix3()
+    sim = SimConfig(t_end=0.6, t_start=0.1)
+    grid = SignalGrid(sig, sim)
+    phi, y_star = sig.eval_grid(grid.t)
+    built = grid.rows
+    seen = []
+    grid.rows = lambda mu: seen.append(built(mu)) or seen[-1]
+    gains = Gains(beta=1.0, gamma=0.1, mu=0.2)
+    for kind in (SystemKind.HT, SystemKind.HT_CL):
+        simulate(kind, sig, gains, sim, TunerState.from_theta0([1.0, -1.0, 0.5]),
+                 epsilon=0.5, N_bar=10, grid=grid)
+    assert len(seen) == 2 and seen[0] is seen[1] is built(0.2)
+    other = built(0.7)
+    assert other is not seen[0] and other is built(0.7)
+    for mu, rows in ((0.2, seen[0]), (0.7, other)):
+        assert rows.shape == (sim.num_steps + 1, 5)
+        nt = 1.0 + mu * row_dots(phi, phi)
+        assert [rows[:, :3].tobytes(), rows[:, 3].tobytes(), rows[:, 4].tobytes()] == \
+            [phi.tobytes(), y_star.tobytes(), nt.tobytes()]
 
 
 def test_csv_round_trip():
