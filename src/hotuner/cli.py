@@ -487,7 +487,8 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
 
     Baseline gradient systems are skipped (they carry no certified energy
     function here). Refuses gain sets violating beta >= 2 gamma / mu when a
-    kind that needs the condition is present.
+    kind that needs the condition is present, and a horizon shorter than one
+    record_every stretch, whose trajectory rows hold no step to check.
     """
     high_order = [k for k in scenario.systems if k not in BASELINE_KINDS]
     if not high_order:
@@ -501,11 +502,12 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
             + f" (beta={scenario.gains.beta}, gamma={scenario.gains.gamma}, "
             f"mu={scenario.gains.mu})"
         )
-    recorders = [k.value for k in high_order if k in BUFFER_KINDS]
-    if recorders and scenario.sim.num_steps == 0:
+    sim = scenario.sim
+    if sim.num_steps < sim.record_every:
         raise ConfigError(
-            f"system '{recorders[0]}' records no data over a horizon of 0 steps "
-            f"(t_end = t_start = {scenario.sim.t_end!r}); certify needs t_end > t_start"
+            f"sim: horizon t_end - t_start = {sim.t_end - sim.t_start!r} at step_h = "
+            f"{sim.step_h!r} is {sim.num_steps} steps, fewer than record_every = "
+            f"{sim.record_every}; certify needs a step between two trajectory rows"
         )
     out = _out_path(out_dir)
     grid = _signal_grid(scenario)
@@ -543,20 +545,20 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
                 )
         if kind in POINTWISE_KINDS:
             report = certificates.check_decrease_pointwise(
-                kind, scenario.signal, buffer, scenario.gains, seed=scenario.sim.seed
+                kind, scenario.signal, buffer, scenario.gains, seed=sim.seed
             )
             note(kind, "pointwise", report)
         v_values = certificates.lyapunov_along(
             kind, trajectory, scenario.signal, scenario.gains, buffer
         )
-        step = scenario.sim.step_h * scenario.sim.record_every
+        step = sim.step_h * sim.record_every
         note(kind, "trajectory",
              certificates.check_decrease_along(trajectory, v_values, step))
         # Without recorded data the V derivative is only semidefinite.
         if kind not in BUFFER_KINDS:
             report = certificates.matrosov_check(
                 scenario.signal, T=pe_report.window_T, delta=pe_report.delta_hat,
-                seed=scenario.sim.seed,
+                seed=sim.seed,
             )
             note(kind, "auxiliary", report)
     (out / f"{scenario.name}_certificates.csv").write_text("\n".join(lines) + "\n")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -316,6 +317,7 @@ def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
 
 # What generated code may refer to besides its arguments.
 _GENERATED_NAMES = {
+    "_array": array,
     "_data_term": data_term,
     "_dot": np.ndarray.dot,
     "_empty": np.empty,
@@ -388,50 +390,42 @@ def compile_field(kind: SystemKind, gains: Gains, n: int) -> Field:
 def _loop_maker(kind: SystemKind, n: int) -> Callable:
     spec = KINDS[kind]
     state = ["t"] + (["v"] if spec.high_order else [])
+    components = ", ".join(f"{x}{i}" for x in "tv" for i in range(n))
     finite = " and ".join(f"_isfinite({x}{i})" for x in "tv" for i in range(n))
     lines = [
-        "    def advance(h, num_steps, inputs, every, keeps, data_at, theta, vartheta, diverged):",
+        "    def advance(h, num_steps, inputs, every, keeps, data_at, start, diverged):",
         f"        _s = _empty({2 * n})",
         "        _m = memoryview(_s)",
         f"        _lo, _hi = _s[:{n}], _s[{n}:]",
-        # The rows as flat memoryviews, which take Python floats fastest.
-        "        cells_t = memoryview(theta.reshape(-1))",
-        "        cells_v = memoryview(vartheta.reshape(-1))",
-        f"        {_names('t', n)} = theta[0].tolist()",
-        f"        {_names('v', n)} = vartheta[0].tolist()",
-        "        row = next_row = end = 0",
+        f"        {components} = start",
+        "        rows, next_row = _array('d'), 0",
     ]
     # The data that the field reads at step k: the samples kept at steps up to k.
     load = ["data = data_at(kept)",
             "next_keep = keeps[kept] if kept < len(keeps) else -1"]
     if spec.data is not None:
         lines += ["        kept = 0", *("        " + line for line in load)]
-    store = [
-        f"            j = row * {n}",
-        *(f"            cells_{x}[j{f' + {i}' if i else ''}] = {x}{i}"
-          for x in "tv" for i in range(n)),
-    ]
-    lines += ["        for k in range(num_steps):",
-              "            if k == next_row:",
-              *("    " + line for line in store),
-              "                row += 1",
-              "                next_row += every",
-              "            if k == end:",
-              f"                block = inputs[k:k + {_ROW_BLOCK}].tolist()",
-              f"                base, end = k, k + {_ROW_BLOCK}"]
+    lines += [f"        for base in range(0, num_steps, {_ROW_BLOCK}):",
+              f"            block = inputs[base:min(base + {_ROW_BLOCK}, num_steps)].tolist()",
+              f"            for k, ({', '.join([*(f'p{i}' for i in range(n)), 'y', 'nt'])}) "
+              "in enumerate(block, base):",
+              "                if k == next_row:",
+              f"                    rows.fromlist([{components}])",
+              "                    next_row += every"]
     if spec.data is not None:
-        lines += ["            if k == next_keep:",
-                  "                kept += 1",
-                  *("                " + line for line in load)]
-    lines.append(f"            {', '.join([*(f'p{i}' for i in range(n)), 'y', 'nt'])} = "
-                 "block[k - base]")
-    lines += ["            " + line for line in _field_lines(spec, n, False)]
-    lines += [f"            {x}{i} = {x}{i} + d{x}{i} * h" for x in state for i in range(n)]
-    lines += [f"            if diverged and not ({finite}):",
-              "                raise diverged(k)",
+        lines += ["                if k == next_keep:",
+                  "                    kept += 1",
+                  *("                    " + line for line in load)]
+    lines += ["                " + line for line in _field_lines(spec, n, False)]
+    lines += [f"                {x}{i} = {x}{i} + d{x}{i} * h" for x in state for i in range(n)]
+    lines += [f"                if diverged and not ({finite}):",
+              "                    raise diverged(k)",
+              f"            if not ({finite}):",
+              "                break",
+              f"        final = [{components}]",
               "        if next_row == num_steps:",
-              *store,
-              f"        return ({', '.join(f'{x}{i}' for x in 'tv' for i in range(n))})",
+              "            rows.fromlist(final)",
+              "        return rows, final",
               "",
               "    return advance"]
     return _generate(lines, f"euler loop {kind.value} n={n}")
@@ -440,15 +434,17 @@ def _loop_maker(kind: SystemKind, n: int) -> Callable:
 def _compile_loop(kind: SystemKind, gains: Gains, n: int) -> Callable:
     """The Euler loop of one kind with one gain set and dimension n (see compile_field).
 
-    advance(h, num_steps, inputs, every, keeps, data_at, theta, vartheta,
-    diverged) takes num_steps steps of size h from row 0 of the (rows, n)
-    arrays theta and vartheta, stores row r at step r every and returns the
-    final state. Row k of inputs is phi, y*, N_t at step k (see
-    integrator.SignalGrid.rows), read _ROW_BLOCK rows at a time as Python
-    floats. From each step of keeps on, the field reads data_at(samples kept
-    so far). Unless diverged is None, a state not finite after step k raises
-    diverged(k). The field (_field_lines, point form) is in the loop body, on
-    Python-float locals; a step is x{i} = x{i} + dx{i} * h, the operations of
-    x + h dx, and a baseline kind steps theta only.
+    advance(h, num_steps, inputs, every, keeps, data_at, start, diverged)
+    takes num_steps steps of size h from start, the 2n floats of theta and
+    vartheta. It returns (rows, final): an array('d') that holds the state at
+    every step r every, 2n floats each, and the final state. Row k of inputs
+    is phi, y*, N_t at step k (see integrator.SignalGrid.rows), walked
+    _ROW_BLOCK rows at a time as Python floats. From each step of keeps on,
+    the field reads data_at(samples kept so far). Unless diverged is None, a
+    state not finite after step k raises diverged(k); either way a block that
+    ends on a non-finite state, which stays so, ends the pass. The field
+    (_field_lines, point form) is in the loop body, on Python-float locals; a
+    step is x{i} = x{i} + dx{i} * h, the operations of x + h dx, and a
+    baseline kind steps theta only.
     """
     return _loop_maker(kind, n)(**_field_arguments(kind, gains))

@@ -9,7 +9,8 @@ Nothing on that list but the field depends on the state, so a SignalGrid
 computes the rest once per scenario: phi(t_k), y*(t_k) and |phi(t_k)|^2 on the
 whole time grid, and the recording schedule, which reads only t, phi and the
 last kept sample. _run runs each kind's Euler loop (dynamics._compile_loop)
-on those inputs and turns its rows into a Trajectory. Every grid value equals
+on those inputs and views the rows it returns as the Trajectory's theta and
+vartheta. Every grid value equals
 its per-step counterpart bit for bit, so the outputs do not depend on whether
 a grid was shared.
 """
@@ -209,33 +210,27 @@ def _run(
 ) -> Trajectory:
     """Run one system on buffer, whose last len(keeps) samples are kept at steps keeps.
 
-    Every row is filled, and a diverging run raises as a step-by-step check
-    would. The fast pass checks nothing per step, and stops early on any
-    floating-point overflow or invalid operation in numpy. A non-finite state
-    stays non-finite under Euler updates, so a pass that ends on a finite
-    state never left it. Otherwise the run is repeated from row 0 with the
-    check after every step, so the divergence report names the step of a
-    per-step check; numpy's floating-point warnings are off there, since an
-    overflow that leaves the state finite is no fault of the run.
+    The fast pass checks nothing per step. A non-finite state stays non-finite
+    under Euler updates, so a pass that ends on a finite state never left it.
+    One that left it stops at the end of that block of input rows and is
+    repeated with the check after every step, so a diverging run raises with
+    the step that a per-step check names. Numpy's floating-point warnings are
+    off in both passes, since an overflow that leaves the state finite is no
+    fault of the run.
     """
     n = grid.signal.dimension
     if init.theta.shape != (n,):
         raise ValueError("initial state dimension does not match the signal")
     advance = _compile_loop(kind, gains, n)
-    theta = np.empty((grid.num_steps // sim.record_every + 1, n))
-    vartheta = np.empty_like(theta)
-    theta[0], vartheta[0] = init.theta, init.vartheta
     first_count = len(buffer) - len(keeps)
     inputs = (grid.step_h, grid.num_steps, grid.rows(gains.mu), sim.record_every, keeps,
-              lambda kept: _data_for(kind, buffer, gains, first_count + kept), theta, vartheta)
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            finite = all(map(math.isfinite, advance(*inputs, None)))
-    except FloatingPointError:
-        finite = False
-    if not finite:
-        with np.errstate(all="ignore"):
+              lambda kept: _data_for(kind, buffer, gains, first_count + kept),
+              [*init.theta.tolist(), *init.vartheta.tolist()])
+    with np.errstate(all="ignore"):
+        rows, final = advance(*inputs, None)
+        if not all(map(math.isfinite, final)):
             advance(*inputs, lambda k: _divergence(kind, grid, k))
+    theta, vartheta = np.hsplit(np.frombuffer(rows).reshape(-1, 2 * n), 2)
     row_steps = np.arange(theta.shape[0]) * sim.record_every
     return Trajectory(
         kind=kind,

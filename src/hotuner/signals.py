@@ -88,15 +88,6 @@ class RegressorSignal:
     def dimension(self) -> int:
         return self.offsets.shape[0]
 
-    def phi(self, t: float) -> np.ndarray:
-        """Regressor vector at time t."""
-        return self.offsets + self.amplitudes * np.sin(self.frequencies * t + self.phases)
-
-    def eval(self, t: float) -> tuple[np.ndarray, float]:
-        """Return (phi(t), y*(t))."""
-        phi = self.phi(t)
-        return phi, float(phi @ self.theta_star)
-
     def phi_grid(self, ts: np.ndarray) -> np.ndarray:
         """Regressor rows phi(ts[k]) for a vector of times."""
         ts = np.asarray(ts, dtype=float)
@@ -105,7 +96,7 @@ class RegressorSignal:
         )
 
     def eval_grid(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized evaluation; row k equals eval(ts[k]) bit for bit."""
+        """phi_grid(ts) and y*(ts[k]) = phi(ts[k])' theta*, each row a 1-d `@` (see row_dots)."""
         phi = self.phi_grid(ts)
         return phi, row_dots(phi, self.theta_star)
 

@@ -13,8 +13,9 @@ per step.
 The one-point forms of the package's batched primitives live here too, for
 the tests that check a field or a certificate at a single state: rhs is
 compile_field on a one-row batch, with normalization giving its N_t, and
-decrease_margin is certificates._decrease_sides on one row. make_constant is
-the zero-amplitude sinusoid mix.
+decrease_margin is certificates._decrease_sides on one row; phi_at and
+eval_at are RegressorSignal.phi_grid and eval_grid at one time. make_constant
+is the zero-amplitude sinusoid mix.
 """
 
 import numpy as np
@@ -31,6 +32,17 @@ def normalization(phi_t, mu: float) -> float:
     return 1.0 + mu * float(phi_t @ phi_t)
 
 
+def phi_at(signal: RegressorSignal, t: float) -> np.ndarray:
+    """Regressor vector phi(t)."""
+    return signal.offsets + signal.amplitudes * np.sin(signal.frequencies * t + signal.phases)
+
+
+def eval_at(signal: RegressorSignal, t: float) -> tuple[np.ndarray, float]:
+    """(phi(t), y*(t))."""
+    phi = phi_at(signal, t)
+    return phi, float(phi @ signal.theta_star)
+
+
 def make_constant(values, theta_star) -> RegressorSignal:
     """Constant regressor phi(t) = values."""
     values = np.asarray(values, dtype=float)
@@ -45,7 +57,7 @@ def rhs(kind: SystemKind, state: TunerState, t: float, signal: RegressorSignal,
     The compiled field on a one-row batch, into fresh (n,) arrays; a baseline
     kind's dvartheta is zero.
     """
-    phi, y_star = signal.eval(t)
+    phi, y_star = eval_at(signal, t)
     n = state.theta.shape[0]
     dtheta, dvartheta = np.empty(n), np.zeros(n)
     compile_field(kind, gains, n)(
@@ -67,7 +79,7 @@ def decrease_margin(kind: SystemKind, x, t: float, signal: RegressorSignal, gain
     x = np.asarray(x, dtype=float)
     if x.shape != (2 * signal.dimension,):
         raise ValueError(f"x must be the ({2 * signal.dimension},) error state (theta_tilde, p)")
-    phi, y_star = signal.eval(t)
+    phi, y_star = eval_at(signal, t)
     lhs, rhs = _decrease_sides(
         kind, x[None], phi[None], np.array([y_star]),
         np.array([normalization(phi, gains.mu)]), signal, gains, buffer,

@@ -28,7 +28,7 @@ from hotuner import (
 )
 from hotuner.certificates import _upper_envelope
 from hotuner.databuffer import data_aggregates
-from oracles import decrease_margin, make_constant, maybe_record, rhs
+from oracles import decrease_margin, make_constant, maybe_record, phi_at, rhs
 
 PI = np.pi
 CERTIFIED_GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)
@@ -41,7 +41,7 @@ def mix3():
 
 
 def consistent_buffer(sig, times):
-    phis = [sig.phi(float(t)) for t in times]
+    phis = [phi_at(sig, float(t)) for t in times]
     return DataBuffer.from_samples(phis, [float(p @ sig.theta_star) for p in phis],
                                    times=list(times))
 
@@ -166,7 +166,7 @@ def test_error_field_matches_state_field(case):
     """The error field derived from rhs equals the closed forms in error coordinates,
     and each energy matrix equals its closed-form quadratic."""
     sig, gains, buffer, x, t = case
-    phi = sig.phi(t)
+    phi = phi_at(sig, t)
     p_mu = p_matrix(buffer, gains.mu)
     theta_tilde, p = x[:sig.dimension], x[sig.dimension:]
     for kind in (SystemKind.HT, SystemKind.HT_NORMALIZED, SystemKind.HT_CL,

@@ -360,12 +360,12 @@ def test_certify_refuses_a_buffer_kind_over_zero_steps(tmp_path, capsys):
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("system 'ht_cl' records no data over a horizon of 0 steps "
-            "(t_end = t_start = 0.0)") in captured.err
+    assert ("sim: horizon t_end - t_start = 0.0 at step_h = 0.001 is 0 steps, fewer "
+            "than record_every = 100") in captured.err
     assert not out.exists()
-    # kinds without recorded data still run over an empty horizon, and their
-    # trajectory check, which has no point to check, fails
-    assert main(argv + ["--system", "ht"]) == EXIT_CERTIFICATE
+    # kinds without recorded data are refused too: their trajectory check
+    # would have no point to check
+    assert main(argv + ["--system", "ht"]) == EXIT_CONFIG
 
 
 def test_load_scenario_rejects_fractional_horizon(tmp_path, capsys):
@@ -536,20 +536,24 @@ def test_certify_reports_violations(tmp_path, capsys, monkeypatch):
     assert "ht,trajectory,3,1,0.25,0.0" in lines
 
 
-def test_certify_fails_a_trajectory_check_of_no_point(tmp_path, capsys):
+def test_certify_refuses_a_trajectory_check_of_no_point(tmp_path, capsys):
     """At t_end 0.005 (5 steps, record_every 100) each trajectory has one row, so
     the along-trajectory check has no step to check. certify used to print
-    'trajectory pass (0 points' and 'all certificates passed', and exit 0."""
+    'trajectory pass (0 points' and exit 0, then 'trajectory FAIL (0 points' and
+    exit 4, though nothing was checked; it now refuses the horizon up front."""
     out = tmp_path / "out"
-    argv = ["certify", str(bundled_scenario_path("fig1")), "--out-dir", str(out),
-            "--t-end", "0.005"]
-    assert main(argv) == EXIT_CERTIFICATE
-    stdout = capsys.readouterr().out
-    failed = [line.split()[0] for line in stdout.splitlines()
-              if "trajectory FAIL  (0 points" in line]
-    assert failed == ["ht", "ht_cl", "ht_cl_softreset"]
-    assert "certificate violations found" in stdout
-    assert "all certificates passed" not in stdout
+    fig1 = str(bundled_scenario_path("fig1"))
+    for extra, message in (
+        (["--t-end", "0.005"], "sim: horizon t_end - t_start = 0.005 at step_h = 0.001 is "
+                               "5 steps, fewer than record_every = 100"),
+        (["--step", "0.5", "--t-end", "1"], "sim: horizon t_end - t_start = 1.0 at step_h "
+                                            "= 0.5 is 2 steps, fewer than record_every = 100"),
+    ):
+        assert main(["certify", fig1, "--out-dir", str(out), *extra]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -662,7 +666,8 @@ def test_run_reports_divergence(tmp_path, capsys):
 
 def test_large_step_warns_before_simulating(tmp_path, capsys):
     data = json.loads(bundled_scenario_path("fig1").read_text())
-    data["sim"] = {**data["sim"], "step_h": 0.02, "t_end": 1.0}
+    # 50 steps: record_every 10 leaves certify steps to check
+    data["sim"] = {**data["sim"], "step_h": 0.02, "t_end": 1.0, "record_every": 10}
     path = write_scenario(tmp_path, data)
     for command in ("run", "certify"):
         main([command, path, "--out-dir", str(tmp_path / command)])

@@ -25,7 +25,7 @@ from hotuner import (
 from hotuner.databuffer import data_aggregates, data_term
 from hotuner.dynamics import _data_for
 from hotuner.signals import row_dots
-from oracles import grad_L, make_constant, normalization, reference_field, rhs
+from oracles import eval_at, grad_L, make_constant, normalization, phi_at, reference_field, rhs
 
 PI = np.pi
 
@@ -40,7 +40,7 @@ def scalar_setup():
 
 def indicator(kind, state, t, signal, gains):
     """Reset trigger (vartheta - theta)' grad L, over N_t for the normalized kind."""
-    phi, y_star = signal.eval(t)
+    phi, y_star = eval_at(signal, t)
     value = float((state.vartheta - state.theta) @ grad_L(phi, y_star, state.theta))
     if kind is SystemKind.HT_NORMALIZED_CL_SOFTRESET:
         value /= normalization(phi, gains.mu)
@@ -169,7 +169,7 @@ def test_softreset_active_raises_theta_gain():
     """When the pull is on, the theta row behaves as if beta were beta + 2 beta_r."""
     sig = make_sinusoid_mix(2, [1, 0], [1, 2], [1, 3], [0, 1], [0.5, -0.5])
     buffer = DataBuffer.from_samples(
-        [sig.phi(0.0), sig.phi(1.0)], [sig.eval(0.0)[1], sig.eval(1.0)[1]]
+        [phi_at(sig, 0.0), phi_at(sig, 1.0)], [eval_at(sig, 0.0)[1], eval_at(sig, 1.0)[1]]
     )
     gains = Gains(beta=1.5, gamma=0.2, mu=0.3, beta_r=2.0)
     boosted = Gains(beta=1.5 + 2.0 * 2.0, gamma=0.2, mu=0.3, beta_r=0.0)
@@ -227,7 +227,7 @@ def test_normalized_pairs_differ_by_n_t():
     for _ in range(50):
         state = TunerState(theta=rng.uniform(-4, 4, 3), vartheta=rng.uniform(-4, 4, 3))
         t = float(rng.uniform(0, 10))
-        nt = normalization(sig.phi(t), gains.mu)
+        nt = normalization(phi_at(sig, t), gains.mu)
         ht = rhs(SystemKind.HT, state, t, sig, None, gains)
         htn = rhs(SystemKind.HT_NORMALIZED, state, t, sig, None, gains)
         assert np.allclose(ht[0], nt * htn[0], atol=1e-10)
@@ -238,7 +238,7 @@ def test_cl_correction_is_additive():
     """ht_cl differs from ht only by the recorded-data drive on the companion row."""
     sig = make_sinusoid_mix(3, [1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, PI / 2],
                             [2.0, -1.0, 0.5])
-    phis = [sig.phi(t) for t in (0.0, 1.0, 2.2)]
+    phis = [phi_at(sig, t) for t in (0.0, 1.0, 2.2)]
     buffer = DataBuffer.from_samples(phis, [float(p @ sig.theta_star) for p in phis])
     gains = Gains(beta=1.0, gamma=0.1, mu=0.2)
     rng = np.random.default_rng(13)
@@ -247,7 +247,7 @@ def test_cl_correction_is_additive():
         t = float(rng.uniform(0, 10))
         plain = rhs(SystemKind.HT, state, t, sig, None, gains)
         with_cl = rhs(SystemKind.HT_CL, state, t, sig, buffer, gains)
-        nt = normalization(sig.phi(t), gains.mu)
+        nt = normalization(phi_at(sig, t), gains.mu)
         correction = data_term(data_aggregates(buffer, gains.mu), state.theta)
         assert np.array_equal(plain[0], with_cl[0])
         assert np.allclose(with_cl[1] - plain[1], -gains.gamma * nt * correction,
@@ -282,7 +282,7 @@ def test_compiled_field_vanishes_at_equilibrium(case):
     field is zero up to 1e-12 of the size of its terms.
     """
     signal, gains, buffer, t = case
-    phi, y_star = signal.eval(t)
+    phi, y_star = eval_at(signal, t)
     nt = normalization(phi, gains.mu)
     star = signal.theta_star
     n = star.shape[0]
@@ -350,7 +350,7 @@ def test_compiled_field_writes_rhs_bits_in_place(case):
     """
     signal, gains, buffer, state, t = case
     n = state.theta.shape[0]
-    phi, y_star = signal.eval(t)
+    phi, y_star = eval_at(signal, t)
     nt = normalization(phi, gains.mu)
     theta, vartheta = state.theta[None], state.vartheta[None]
     swapped = (vartheta, theta, phi, y_star, nt)

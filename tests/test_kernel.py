@@ -31,7 +31,7 @@ from hotuner import (
     simulate_with_buffer,
 )
 from hotuner.cli import bundled_scenario_path, main
-from oracles import maybe_record, rhs
+from oracles import eval_at, maybe_record, rhs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2, beta_r=4.0)
@@ -57,7 +57,7 @@ def reference_run(kind, signal, gains, sim, init, buffer, policy=None):
     for k in range(num_steps + 1):
         t = sim.t_start + k * h
         if records and k < num_steps and len(buffer) < policy[0]:
-            phi, y_star = signal.eval(t)
+            phi, y_star = eval_at(signal, t)
             buffer, _ = maybe_record(buffer, t, phi, y_star, *policy)
         if k % sim.record_every == 0:
             rows.append((

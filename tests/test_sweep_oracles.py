@@ -27,7 +27,7 @@ from hotuner import (
 from hotuner.certificates import CertificateReport, _decrease_sides, _matrosov_moments
 from hotuner.dynamics import BUFFER_KINDS, _data_for
 from hotuner.signals import _window_grams
-from oracles import make_constant, normalization, reference_field
+from oracles import eval_at, make_constant, normalization, phi_at, reference_field
 
 GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)
 TOLERANCE = 1e-9
@@ -85,7 +85,7 @@ def oracle_pointwise(kind, signal, buffer, gains, sample_count=2000, radius=5.0,
                      t_span=4.0 * math.pi, t_points=64, tolerance=TOLERANCE):
     inputs = []
     for t in np.linspace(0.0, t_span, t_points):
-        phi, y_star = signal.eval(float(t))
+        phi, y_star = eval_at(signal, float(t))
         inputs.append((phi, y_star, normalization(phi, gains.mu)))
     m_bound = max(float(np.linalg.norm(phi)) for phi, _, _ in inputs)
     margin_at = oracle_margin_at(kind, signal, gains, buffer, m_bound)
@@ -120,7 +120,7 @@ def oracle_matrosov(signal, T, delta, sample_count=200, seed=0, radius=5.0, t_po
             violations += 1
         worst = max(worst, margin)
     for t in t_grid:
-        phi = signal.phi(float(t))
+        phi = phi_at(signal, float(t))
         raw = rng.standard_normal(n)
         phi_sq = float(phi @ phi)
         if phi_sq > 0.0:
