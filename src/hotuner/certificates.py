@@ -7,7 +7,8 @@ flow is bounded by an explicit nonpositive expression; the checkers sample
 states and times, evaluate both sides analytically, and count violations.
 A Matrosov-style auxiliary function covers the kinds whose V derivative is
 only negative semidefinite, and a decay-rate estimator reads the exponential
-envelope off a simulated trajectory.
+envelope off a simulated trajectory. _certificate_rows decides which of these
+checks each kind gets, so the rows that `certify` writes are chosen here.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .dynamics import (
     _data_for,
     compile_field,
 )
-from .integrator import Trajectory
-from .signals import RegressorSignal, _moments, _window_grams, row_dots
+from .integrator import SimConfig, Trajectory
+from .signals import PEReport, RegressorSignal, _moments, _window_grams, row_dots
 
 __all__ = [
     "CertificateReport",
@@ -431,6 +432,36 @@ def matrosov_check(
     theta_tilde = raw * np.divide(radius, norms, out=np.zeros(t_points), where=spans)[:, None]
     majorant = -decay * row_dots(theta_tilde, theta_tilde) + _squares(row_dots(phis, theta_tilde))
     return _sweep_report(np.concatenate((sampled, majorant)))
+
+
+def _certificate_rows(
+    kind: SystemKind,
+    trajectory: Trajectory,
+    buffer: DataBuffer,
+    signal: RegressorSignal,
+    gains: Gains,
+    pe: PEReport,
+    sim: SimConfig,
+) -> list[tuple[str, CertificateReport]]:
+    """The (check, report) rows of one run of a high-order kind, in the order written.
+
+    pointwise for the kinds with a pointwise decrease bound, trajectory for
+    every high-order kind, then auxiliary for the kinds without a data term,
+    whose V derivative is only semidefinite. Reads the run's trajectory and
+    buffer and simulates nothing; a baseline kind has no certified energy
+    and raises ValueError.
+    """
+    rows = []
+    if kind in POINTWISE_KINDS:
+        rows.append(("pointwise",
+                     check_decrease_pointwise(kind, signal, buffer, gains, seed=sim.seed)))
+    v_values = lyapunov_along(kind, trajectory, signal, gains, buffer)
+    rows.append(("trajectory",
+                 check_decrease_along(trajectory, v_values, sim.step_h * sim.record_every)))
+    if KINDS[kind].data is None:
+        rows.append(("auxiliary", matrosov_check(signal, T=pe.window_T, delta=pe.delta_hat,
+                                                 seed=sim.seed)))
+    return rows
 
 
 def _upper_envelope(times: np.ndarray, values: np.ndarray, window: float) -> np.ndarray:

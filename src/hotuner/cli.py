@@ -30,7 +30,6 @@ from .dynamics import (
     BASELINE_KINDS,
     BUFFER_KINDS,
     HIGH_ORDER_KINDS,
-    POINTWISE_KINDS,
     RATE_CONDITION_KINDS,
     Gains,
     SystemKind,
@@ -483,8 +482,9 @@ def run_pe_check(scenario: Scenario, out_dir: str | Path) -> int:
 
 
 def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
-    """Evaluate pointwise, along-trajectory, and auxiliary certificates.
+    """Simulate each high-order system and write the certificate rows of its run.
 
+    Which rows a kind gets is decided in certificates._certificate_rows.
     Baseline gradient systems are skipped (they carry no certified energy
     function here). Refuses gain sets violating beta >= 2 gamma / mu when a
     kind that needs the condition is present, and a horizon shorter than one
@@ -520,17 +520,6 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
         print(f"skipping baseline systems without certificates: {', '.join(skipped)}")
     lines = ["system,check,checked_points,violations,worst_margin,tolerance"]
     failed = False
-
-    def note(kind: SystemKind, check: str, report: certificates.CertificateReport) -> None:
-        nonlocal failed
-        status = "pass" if report.passed else "FAIL"
-        print(
-            f"{kind.value:>28s}  {check:<10s} {status}  "
-            f"({report.checked_points} points, worst margin {report.worst_margin:.3e})"
-        )
-        lines.append(f"{kind.value},{check},{report.to_csv_line()}")
-        failed = failed or not report.passed
-
     for kind in scenario.systems:
         if kind in BASELINE_KINDS:
             continue
@@ -543,24 +532,16 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
                     f"(rank {rich.rank_D} of {scenario.signal.dimension}); the "
                     "decrease bound is not strictly negative in every direction"
                 )
-        if kind in POINTWISE_KINDS:
-            report = certificates.check_decrease_pointwise(
-                kind, scenario.signal, buffer, scenario.gains, seed=sim.seed
+        for check, report in certificates._certificate_rows(
+            kind, trajectory, buffer, scenario.signal, scenario.gains, pe_report, sim
+        ):
+            status = "pass" if report.passed else "FAIL"
+            print(
+                f"{kind.value:>28s}  {check:<10s} {status}  "
+                f"({report.checked_points} points, worst margin {report.worst_margin:.3e})"
             )
-            note(kind, "pointwise", report)
-        v_values = certificates.lyapunov_along(
-            kind, trajectory, scenario.signal, scenario.gains, buffer
-        )
-        step = sim.step_h * sim.record_every
-        note(kind, "trajectory",
-             certificates.check_decrease_along(trajectory, v_values, step))
-        # Without recorded data the V derivative is only semidefinite.
-        if kind not in BUFFER_KINDS:
-            report = certificates.matrosov_check(
-                scenario.signal, T=pe_report.window_T, delta=pe_report.delta_hat,
-                seed=sim.seed,
-            )
-            note(kind, "auxiliary", report)
+            lines.append(f"{kind.value},{check},{report.to_csv_line()}")
+            failed = failed or not report.passed
     (out / f"{scenario.name}_certificates.csv").write_text("\n".join(lines) + "\n")
     if failed:
         print("certificate violations found")

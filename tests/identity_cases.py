@@ -1,0 +1,102 @@
+"""Byte-identity cases of the command line: exit codes and output hashes.
+
+Each case runs `python -m hotuner` in a fresh process, always with the same
+--out-dir path, and records the exit code and the sha256 of stdout, stderr and
+every file the command wrote, in one JSON file. Two trees that write the same
+JSON file behave byte for byte the same on every case. pytest does not collect
+this file. To compare a parent tree with a changed one, run from either tree:
+
+    PYTHONPATH=<parent>/src python tests/identity_cases.py parent.json
+    PYTHONPATH=<change>/src python tests/identity_cases.py change.json
+    cmp parent.json change.json
+
+Scenario files and outputs go under hotuner_identity/ in the temporary
+directory, which is emptied first; the bundled scenarios are copied there, so
+no output names the tree they came from.
+"""
+
+import hashlib
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from hotuner.cli import bundled_scenario_path
+from test_golden_certify import RECORDING
+
+WORK = Path(tempfile.gettempdir()) / "hotuner_identity"
+OUT = WORK / "out"
+VERBS = ("run", "certify", "pe-check")
+
+# fig1 with both soft-reset kinds from a start whose square overflows.
+HUGE_START = {
+    "systems": ["ht_cl_softreset", "ht_normalized_cl_softreset"],
+    "init": {"mode": "fixed", "theta0": [1e160, 0.0, 0.0]},
+}
+
+CASES = [
+    (verb, name, extra)
+    for name in ("fig1", "fig2")
+    for extra in (["--t-end", "15"], ["--t-end", "100"], ["--t-end", "20", "--seed", "3"],
+                  ["--t-end", "0.2", "--step", "0.002"])
+    for verb in VERBS
+] + [
+    (verb, "recording", ["--t-end", "20", "--seed", str(seed)])
+    for seed in (0, 3) for verb in VERBS
+] + [
+    ("run", "recording", ["--t-end", "100", "--system", "ht_cl_softreset"]),
+    ("run", "huge_start", ["--t-end", "0.005"]),
+    ("certify", "huge_start", ["--t-end", "0.005"]),
+    ("certify", "fig1", ["--system", "ht_cl_softreset"]),
+    ("certify", "fig1", ["--system", "basic"]),
+]
+
+
+def write_scenarios() -> None:
+    """fig1, fig2 and the fig1 variants of CASES, as files in WORK."""
+    fig1 = json.loads(bundled_scenario_path("fig1").read_text())
+    recording = {**fig1, **RECORDING, "sim": {**fig1["sim"], **RECORDING["sim"]}}
+    for name, scenario in (
+        ("fig1", fig1),
+        ("fig2", json.loads(bundled_scenario_path("fig2").read_text())),
+        ("recording", recording),
+        ("huge_start", {**fig1, **HUGE_START, "name": "huge_start"}),
+    ):
+        (WORK / f"{name}.json").write_text(json.dumps(scenario))
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(verb: str, name: str, extra: list[str]) -> dict:
+    """Run one command in a fresh process on an empty OUT; hash what it left."""
+    shutil.rmtree(OUT, ignore_errors=True)
+    done = subprocess.run(
+        [sys.executable, "-m", "hotuner", verb, f"{name}.json", "--out-dir", str(OUT), *extra],
+        cwd=WORK, capture_output=True,
+    )
+    files = sorted(path for path in OUT.rglob("*") if path.is_file()) if OUT.exists() else []
+    return {
+        "exit": done.returncode,
+        "stdout": sha256(done.stdout),
+        "stderr": sha256(done.stderr),
+        "files": {path.relative_to(OUT).as_posix(): sha256(path.read_bytes()) for path in files},
+    }
+
+
+def main(target: str) -> None:
+    shutil.rmtree(WORK, ignore_errors=True)
+    WORK.mkdir(parents=True)
+    write_scenarios()
+    results = {" ".join((verb, name, *extra)): run_case(verb, name, extra)
+               for verb, name, extra in CASES}
+    shutil.rmtree(WORK)
+    Path(target).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    print(f"{len(results)} cases written to {target}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hotuner import (
+    KINDS,
     DataBuffer,
     Gains,
     SimConfig,
@@ -17,6 +18,7 @@ from hotuner import (
     TunerState,
     check_decrease_along,
     check_decrease_pointwise,
+    check_pe,
     energy_matrix,
     estimate_decay_rate,
     lyapunov_along,
@@ -26,7 +28,8 @@ from hotuner import (
     simulate,
     simulate_with_buffer,
 )
-from hotuner.certificates import _upper_envelope
+from hotuner import integrator
+from hotuner.certificates import _certificate_rows, _upper_envelope
 from hotuner.databuffer import data_aggregates
 from oracles import decrease_margin, make_constant, maybe_record, phi_at, rhs
 
@@ -478,6 +481,41 @@ def test_matrosov_rejects_an_empty_time_grid(t_points):
     """t_points = 0 used to raise ZeroDivisionError from the sample loop."""
     with pytest.raises(ValueError, match="t_points"):
         matrosov_check(mix3(), T=1.0, delta=1.0, t_points=t_points)
+
+
+CERTIFICATE_PLANS = {
+    SystemKind.HT: ("pointwise", "trajectory", "auxiliary"),
+    SystemKind.HT_NORMALIZED: ("pointwise", "trajectory", "auxiliary"),
+    SystemKind.HT_CL: ("pointwise", "trajectory"),
+    SystemKind.HT_NORMALIZED_CL: ("pointwise", "trajectory"),
+    SystemKind.HT_B: ("pointwise", "trajectory"),
+    SystemKind.HT_CL_SOFTRESET: ("trajectory",),
+    SystemKind.HT_NORMALIZED_CL_SOFTRESET: ("trajectory",),
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS), ids=lambda kind: kind.value)
+def test_certificate_rows_follow_the_kind(kind, monkeypatch):
+    """Each high-order kind gets its rows in the order certify writes them, read
+    off the run it is handed; a baseline kind has no certified energy."""
+    sig = mix3()
+    sim = SimConfig(t_end=1.0, step_h=1e-3, record_every=10)
+    trajectory, buffer = simulate(kind, sig, CERTIFIED_GAINS, sim,
+                                  TunerState.from_theta0([2.0, -1.0, 3.0]),
+                                  epsilon=0.1, N_bar=10)
+    pe = check_pe(sig, T=2.0 * PI, scan_horizon=4.0 * PI)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the certificate rows simulated a run")
+
+    monkeypatch.setattr(integrator, "_run", no_simulation)
+    if kind not in CERTIFICATE_PLANS:
+        with pytest.raises(ValueError, match="no certified energy"):
+            _certificate_rows(kind, trajectory, buffer, sig, CERTIFIED_GAINS, pe, sim)
+        return
+    rows = _certificate_rows(kind, trajectory, buffer, sig, CERTIFIED_GAINS, pe, sim)
+    assert tuple(check for check, _ in rows) == CERTIFICATE_PLANS[kind]
+    assert all(report.checked_points > 0 for _, report in rows)
 
 
 def test_decay_rate_exact_exponential():

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -490,10 +491,13 @@ def test_certify_passes_on_reduced_scenario(tmp_path, capsys):
     assert "all certificates passed" in stdout
     lines = (out / "certify_me_certificates.csv").read_text().splitlines()
     assert lines[0] == "system,check,checked_points,violations,worst_margin,tolerance"
-    checks = {tuple(line.split(",")[:2]) for line in lines[1:]}
-    assert ("ht", "pointwise") in checks
-    assert ("ht", "auxiliary") in checks
-    assert ("ht_cl", "trajectory") in checks
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(system, check) for system, check, *_ in rows] == [
+        ("ht", "pointwise"), ("ht", "trajectory"), ("ht", "auxiliary"),
+        ("ht_cl", "pointwise"), ("ht_cl", "trajectory"),
+    ]
+    printed = re.findall(r"^ *(\S+)  (\S+) +(pass|FAIL)  \((\d+) points", stdout, re.M)
+    assert printed == [(system, check, "pass", points) for system, check, points, *_ in rows]
 
 
 def test_certify_rejects_unproven_gains(tmp_path, capsys):
