@@ -3,90 +3,20 @@
 Simulation of the gradient-baseline and high-order tuner family with optional
 concurrent learning from recorded data, together with numerical checks of the
 stability certificates that back them.
+
+Each module's __all__ is its share of the package's public names, and the
+package republishes exactly those; other module-level names stay importable
+from their modules. The command line (hotuner.cli) is not republished.
 """
 
-from .certificates import (
-    CertificateReport,
-    check_decrease_along,
-    check_decrease_pointwise,
-    energy_matrix,
-    estimate_decay_rate,
-    lyapunov_along,
-    matrosov_check,
-)
-from .databuffer import (
-    DataBuffer,
-    RichnessReport,
-    buffer_csv,
-    p_matrix,
-    record_steps,
-    richness,
-)
-from .dynamics import (
-    BASELINE_KINDS,
-    BUFFER_KINDS,
-    HIGH_ORDER_KINDS,
-    KINDS,
-    POINTWISE_KINDS,
-    RATE_CONDITION_KINDS,
-    SOFT_RESET_KINDS,
-    Gains,
-    SystemKind,
-    TunerState,
-    compile_field,
-)
-from .integrator import (
-    NumericalDivergence,
-    SignalGrid,
-    SimConfig,
-    Trajectory,
-    simulate,
-    simulate_with_buffer,
-)
-from .signals import (
-    PEReport,
-    RegressorSignal,
-    check_pe,
-    make_sinusoid_mix,
-    pe_gram,
-)
+from . import certificates, databuffer, dynamics, integrator, signals
+from .certificates import *
+from .databuffer import *
+from .dynamics import *
+from .integrator import *
+from .signals import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASELINE_KINDS",
-    "BUFFER_KINDS",
-    "CertificateReport",
-    "DataBuffer",
-    "Gains",
-    "HIGH_ORDER_KINDS",
-    "KINDS",
-    "NumericalDivergence",
-    "PEReport",
-    "POINTWISE_KINDS",
-    "RATE_CONDITION_KINDS",
-    "RegressorSignal",
-    "RichnessReport",
-    "SOFT_RESET_KINDS",
-    "SignalGrid",
-    "SimConfig",
-    "SystemKind",
-    "Trajectory",
-    "TunerState",
-    "buffer_csv",
-    "check_decrease_along",
-    "check_decrease_pointwise",
-    "check_pe",
-    "compile_field",
-    "energy_matrix",
-    "estimate_decay_rate",
-    "lyapunov_along",
-    "make_sinusoid_mix",
-    "matrosov_check",
-    "p_matrix",
-    "pe_gram",
-    "record_steps",
-    "richness",
-    "simulate",
-    "simulate_with_buffer",
-]
+__all__ = sorted(name for module in (certificates, databuffer, dynamics, integrator, signals)
+                 for name in module.__all__)

@@ -14,7 +14,6 @@ checks each kind gets, so the rows that `certify` writes are chosen here.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +31,10 @@ from .dynamics import (
     compile_field,
 )
 from .integrator import SimConfig, Trajectory
-from .signals import PEReport, RegressorSignal, _moments, _window_grams, row_dots
+from .signals import _SQUARE_LIMIT, PEReport, RegressorSignal, _moments, _window_grams, row_dots
 
 __all__ = [
     "CertificateReport",
-    "POINTWISE_TOLERANCE",
     "check_decrease_along",
     "check_decrease_pointwise",
     "energy_matrix",
@@ -57,8 +55,6 @@ ENVELOPE_WINDOW = 2.0 * math.pi
 # Sampled points per block of the certificate sweeps; bounds the (B, N)
 # scratch of the data term.
 _SWEEP_BLOCK = 256
-# Below this magnitude a float's square is finite.
-_SQUARE_LIMIT = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,9 @@ import numpy as np
 from .signals import row_dots
 
 __all__ = [
-    "DataAggregates",
     "DataBuffer",
     "RichnessReport",
     "buffer_csv",
-    "data_aggregates",
-    "data_term",
     "p_matrix",
     "record_steps",
     "richness",

@@ -31,11 +31,9 @@ from .signals import row_dots
 __all__ = [
     "BASELINE_KINDS",
     "BUFFER_KINDS",
-    "Field",
     "Gains",
     "HIGH_ORDER_KINDS",
     "KINDS",
-    "KindSpec",
     "POINTWISE_KINDS",
     "RATE_CONDITION_KINDS",
     "SOFT_RESET_KINDS",
@@ -180,17 +178,6 @@ def _data_for(
     if spec.data is None or buffer is None or len(buffer) == 0 or count == 0:
         return None
     return data_aggregates(buffer, gains.mu if spec.data_mu else 0.0, count)
-
-
-# A compiled field: (theta, vartheta, phi, y_star, nt, data, dtheta, dvartheta) -> None
-# on B states at once (see compile_field). It writes the derivative into the
-# (B, n) arrays dtheta and dvartheta, which the caller owns; a baseline kind,
-# whose vartheta stays constant, leaves dvartheta untouched.
-Field = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, float | np.ndarray, float | np.ndarray,
-     DataAggregates | None, np.ndarray, np.ndarray],
-    None,
-]
 
 
 # The arguments of every generated make(...), which _field_arguments supplies.
@@ -362,7 +349,7 @@ def _field_maker(kind: SystemKind, n: int) -> Callable:
     return _generate(lines, f"field {kind.value} n={n}")
 
 
-def compile_field(kind: SystemKind, gains: Gains, n: int) -> Field:
+def compile_field(kind: SystemKind, gains: Gains, n: int) -> Callable:
     """The field of one kind with one gain set and dimension n, resolved once for many calls.
 
     The closure evaluates B states at once. It takes theta and vartheta as

@@ -10,20 +10,19 @@ estimates that bound numerically on a finite horizon.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "M_HAT_GRID_STEP",
-    "PE_TOLERANCE",
     "PEReport",
     "RegressorSignal",
     "check_pe",
     "make_sinusoid_mix",
     "pe_gram",
-    "row_dots",
 ]
 
 # Step of the dense time grid over which check_pe takes M_hat.
@@ -36,6 +35,8 @@ _GRAM_BLOCK = 4096
 # the least one tie with it; rounding spreads equal Grams by up to 4e-15
 # relative (fig1's Grams over a scan of 32 pi).
 _WORST_TIE = 1e-12
+# Below this magnitude a float's square is finite.
+_SQUARE_LIMIT = math.sqrt(sys.float_info.max)
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -83,6 +84,13 @@ class RegressorSignal:
         n = n[0]
         for name in ("offsets", "amplitudes", "frequencies", "phases", "theta_star"):
             object.__setattr__(self, name, _as_vector(getattr(self, name), n, name))
+        # N_t, the step warning and the decrease bounds square the bound on |phi|;
+        # hypot does not overflow on the way to it.
+        bound = math.hypot(*(abs(o) + abs(a) for o, a in
+                             zip(self.offsets.tolist(), self.amplitudes.tolist())))
+        if not bound < _SQUARE_LIMIT:
+            raise ValueError(f"offsets and amplitudes bound |phi| by M = {bound:.4g}, "
+                             "whose square overflows")
 
     @property
     def dimension(self) -> int:
@@ -140,8 +148,8 @@ def _moments(signal: RegressorSignal, cos_int: Callable, sin_int: Callable) -> n
 
 def _window_moments(signal: RegressorSignal, T: float) -> np.ndarray:
     """_moments of the unit weight on [0, T]."""
-    if not 0.0 < T < np.inf:
-        raise ValueError(f"window length T must be positive and finite, got {T!r}")
+    if not 0.0 < T < _SQUARE_LIMIT:
+        raise ValueError(f"window length T must be positive with a finite square, got {T!r}")
     return _moments(
         signal,
         lambda nu: T * np.sinc(nu * T / np.pi),
@@ -173,9 +181,20 @@ def pe_gram(signal: RegressorSignal, t: float, T: float) -> np.ndarray:
     """Windowed excitation Gram matrix integral_t^{t+T} phi(s) phi(s)' ds.
 
     Exact up to rounding: the integral is taken in closed form through the
-    window's moment matrix (see _window_grams). Result is symmetric.
+    window's moment matrix (see _window_grams). Result is symmetric. A window
+    whose Gram or whose length squared overflows is refused with a ValueError.
     """
-    return _window_grams(signal, np.array([t]), _window_moments(signal, T))[0]
+    return _pe_grams(signal, np.array([t]), T)[0]
+
+
+def _pe_grams(signal: RegressorSignal, starts: np.ndarray, T: float) -> np.ndarray:
+    """_window_grams of the windows of length T at starts; Grams that overflow are refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = _window_grams(signal, starts, _window_moments(signal, T))
+    if not np.isfinite(grams).all():
+        raise ValueError(f"the window Grams overflow with window_T = {T!r} and "
+                         f"|phi| <= M = {signal.norm_bound():.4g}")
+    return grams
 
 
 @dataclass(frozen=True)
@@ -217,12 +236,13 @@ def check_pe(
     periods have equal Grams, which rounding tells apart); M_hat is the
     largest |phi| over the dense evaluation grid of step M_HAT_GRID_STEP.
     scan_step defaults to T / 8. A scan with more windows or grid points than
-    fit in memory is refused with a ValueError.
+    fit in memory, or whose window Grams overflow, is refused with a ValueError.
 
     The window Grams are exact and come from one moment matrix (see
     _window_grams), in blocks of _GRAM_BLOCK starts, so each window costs O(n^3).
     """
-    moments = _window_moments(signal, T)
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"window length T must be positive and finite, got {T!r}")
     if scan_horizon < T:
         raise ValueError("scan_horizon must be at least the window length T")
     if scan_step is None:
@@ -232,7 +252,7 @@ def check_pe(
     windows, points = (scan_horizon - T) / scan_step + 1.0, scan_horizon / M_HAT_GRID_STEP + 1.0
     if max(windows, points) <= np.iinfo(np.intp).max:
         try:
-            return _scan(signal, moments, T, scan_horizon, scan_step)
+            return _scan(signal, T, scan_horizon, scan_step)
         except MemoryError:
             pass
     raise ValueError(
@@ -242,14 +262,13 @@ def check_pe(
     )
 
 
-def _scan(signal: RegressorSignal, moments: np.ndarray, T: float, scan_horizon: float,
-          scan_step: float) -> PEReport:
+def _scan(signal: RegressorSignal, T: float, scan_horizon: float, scan_step: float) -> PEReport:
     """The scan of check_pe, whose arguments it has checked."""
     count = int(np.floor((scan_horizon - T) / scan_step + 1e-12))
     starts = scan_step * np.arange(count + 1)
     blocks = (starts[i:i + _GRAM_BLOCK] for i in range(0, starts.shape[0], _GRAM_BLOCK))
     smallest = np.concatenate([
-        np.linalg.eigvalsh(_window_grams(signal, block, moments))[:, 0] for block in blocks
+        np.linalg.eigvalsh(_pe_grams(signal, block, T))[:, 0] for block in blocks
     ])
     least = float(smallest.min())
     worst = int(np.argmax(smallest <= least + _WORST_TIE * abs(least)))

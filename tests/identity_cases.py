@@ -36,6 +36,15 @@ HUGE_START = {
     "init": {"mode": "fixed", "theta0": [1e160, 0.0, 0.0]},
 }
 
+# fig1 variants where a square overflows: the bound on |phi|, through an offset
+# or an amplitude, the window Grams, and the window length in the moments.
+OVERFLOWS = {
+    "phi_square": ("signal", {"offsets": [1e155, 1.0, 1.0]}),
+    "amplitude_square": ("signal", {"amplitudes": [0.0, 1e160, 1.0]}),
+    "window_grams": ("signal", {"offsets": [1e154, 1.0, 1.0]}),
+    "window_square": ("pe", {"window_T": 1e155, "scan_horizon": 1e155, "scan_step": 1e155}),
+}
+
 CASES = [
     (verb, name, extra)
     for name in ("fig1", "fig2")
@@ -51,6 +60,8 @@ CASES = [
     ("certify", "huge_start", ["--t-end", "0.005"]),
     ("certify", "fig1", ["--system", "ht_cl_softreset"]),
     ("certify", "fig1", ["--system", "basic"]),
+] + [
+    (verb, name, ["--t-end", "1"]) for name in OVERFLOWS for verb in VERBS
 ]
 
 
@@ -63,6 +74,9 @@ def write_scenarios() -> None:
         ("fig2", json.loads(bundled_scenario_path("fig2").read_text())),
         ("recording", recording),
         ("huge_start", {**fig1, **HUGE_START, "name": "huge_start"}),
+    ) + tuple(
+        (name, {**fig1, "name": name, section: {**fig1.get(section, {}), **edits}})
+        for name, (section, edits) in OVERFLOWS.items()
     ):
         (WORK / f"{name}.json").write_text(json.dumps(scenario))
 

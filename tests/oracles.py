@@ -12,17 +12,22 @@ per step.
 
 The one-point forms of the package's batched primitives live here too, for
 the tests that check a field or a certificate at a single state: rhs is
-compile_field on a one-row batch, with normalization giving its N_t, and
-decrease_margin is certificates._decrease_sides on one row; phi_at and
+reference_field at one point, with normalization giving its N_t, so a test
+that compares the package's field with rhs compares it with code it does not
+share; decrease_margin is certificates._decrease_sides on one row; phi_at and
 eval_at are RegressorSignal.phi_grid and eval_grid at one time. make_constant
 is the zero-amplitude sinusoid mix.
+
+The fixtures that several test files share are here once: mix3 (the bundled
+scenarios' regressor), CERTIFIED_GAINS, consistent_buffer and
+rank_by_elimination.
 """
 
 import numpy as np
 
 from hotuner.certificates import _decrease_sides
 from hotuner.databuffer import ZERO_REGRESSOR_NORM, DataBuffer, data_term
-from hotuner.dynamics import KINDS, Gains, SystemKind, TunerState, _data_for, compile_field
+from hotuner.dynamics import KINDS, Gains, SystemKind, TunerState, _data_for
 from hotuner.signals import RegressorSignal, make_sinusoid_mix, row_dots
 
 
@@ -50,19 +55,57 @@ def make_constant(values, theta_star) -> RegressorSignal:
     return make_sinusoid_mix(values.shape[0], values, zeros, zeros, zeros, theta_star)
 
 
+# The equality case of beta >= 2 gamma / mu.
+CERTIFIED_GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)
+
+
+def mix3() -> RegressorSignal:
+    """The bundled scenarios' regressor: a constant first component plus a sine/cosine
+    pair in quadrature."""
+    return make_sinusoid_mix(
+        3, [1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, np.pi / 2], [2.0, -1.0, 0.5]
+    )
+
+
+def consistent_buffer(sig: RegressorSignal, times) -> DataBuffer:
+    """Samples of sig at times whose outputs are consistent with theta*."""
+    phis = [phi_at(sig, float(t)) for t in times]
+    ys = [float(p @ sig.theta_star) for p in phis]
+    return DataBuffer.from_samples(phis, ys, times=list(times))
+
+
+def rank_by_elimination(mat, tol=1e-10) -> int:
+    """Row-reduction rank with partial pivoting; independent of any SVD."""
+    work = np.array(mat, dtype=float)
+    rank = 0
+    for col in range(work.shape[1]):
+        if rank == work.shape[0]:
+            break
+        pivot = rank + int(np.argmax(np.abs(work[rank:, col])))
+        if abs(work[pivot, col]) <= tol:
+            continue
+        work[[rank, pivot]] = work[[pivot, rank]]
+        work[rank] = work[rank] / work[rank, col]
+        for row in range(work.shape[0]):
+            if row != rank:
+                work[row] = work[row] - work[row, col] * work[rank]
+        rank += 1
+    return rank
+
+
 def rhs(kind: SystemKind, state: TunerState, t: float, signal: RegressorSignal,
         buffer: DataBuffer | None, gains: Gains) -> tuple[np.ndarray, np.ndarray]:
     """Derivative (dtheta/dt, dvartheta/dt) of the kind at state and time t.
 
-    The compiled field on a one-row batch, into fresh (n,) arrays; a baseline
-    kind's dvartheta is zero.
+    reference_field at one point, into fresh (n,) arrays; a baseline kind's
+    dvartheta is zero.
     """
     phi, y_star = eval_at(signal, t)
     n = state.theta.shape[0]
     dtheta, dvartheta = np.empty(n), np.zeros(n)
-    compile_field(kind, gains, n)(
-        state.theta[None], state.vartheta[None], phi, y_star, normalization(phi, gains.mu),
-        _data_for(kind, buffer, gains), dtheta[None], dvartheta[None],
+    reference_field(kind, gains, n)(
+        state.theta, state.vartheta, phi, y_star, normalization(phi, gains.mu),
+        _data_for(kind, buffer, gains), dtheta, dvartheta,
     )
     return dtheta, dvartheta
 

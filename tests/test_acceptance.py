@@ -23,30 +23,23 @@ from hotuner import (
     check_decrease_pointwise,
     estimate_decay_rate,
     lyapunov_along,
-    make_sinusoid_mix,
     p_matrix,
     richness,
     simulate,
 )
 from hotuner.certificates import POINTWISE_TOLERANCE, SLACK_COEFF
 from hotuner.databuffer import data_aggregates, data_term
-from oracles import eval_at, make_constant, phi_at, rhs
+from oracles import (
+    CERTIFIED_GAINS,
+    consistent_buffer,
+    eval_at,
+    make_constant,
+    rank_by_elimination,
+    rhs,
+)
+from oracles import mix3 as bundled_mix
 
-PI = np.pi
-CERTIFIED_GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)
 GRID_STEP = 1e-3  # reference-run step; "within 2 grid steps" means 2e-3
-
-
-def bundled_mix():
-    return make_sinusoid_mix(
-        3, [1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, PI / 2], [2.0, -1.0, 0.5]
-    )
-
-
-def consistent_buffer(sig, times):
-    phis = [phi_at(sig, float(t)) for t in times]
-    ys = [float(p @ sig.theta_star) for p in phis]
-    return DataBuffer.from_samples(phis, ys, times=list(times))
 
 
 def first_crossing(trajectory, fraction):
@@ -54,25 +47,6 @@ def first_crossing(trajectory, fraction):
     target = fraction * trajectory.err_norm[0]
     hits = np.nonzero(trajectory.err_norm <= target)[0]
     return None if hits.shape[0] == 0 else float(trajectory.t[hits[0]])
-
-
-def rank_by_elimination(mat, tol=1e-10):
-    """Row-reduction rank with partial pivoting; independent of any SVD."""
-    work = np.array(mat, dtype=float)
-    rank = 0
-    for col in range(work.shape[1]):
-        if rank == work.shape[0]:
-            break
-        pivot = rank + int(np.argmax(np.abs(work[rank:, col])))
-        if abs(work[pivot, col]) <= tol:
-            continue
-        work[[rank, pivot]] = work[[pivot, rank]]
-        work[rank] = work[rank] / work[rank, col]
-        for row in range(work.shape[0]):
-            if row != rank:
-                work[row] = work[row] - work[row, col] * work[rank]
-        rank += 1
-    return rank
 
 
 def finish(num, label, start, budget):

@@ -31,22 +31,18 @@ from hotuner import (
 from hotuner import integrator
 from hotuner.certificates import _certificate_rows, _upper_envelope
 from hotuner.databuffer import data_aggregates
-from oracles import decrease_margin, make_constant, maybe_record, phi_at, rhs
+from oracles import (
+    CERTIFIED_GAINS,
+    consistent_buffer,
+    decrease_margin,
+    make_constant,
+    maybe_record,
+    mix3,
+    phi_at,
+    rhs,
+)
 
 PI = np.pi
-CERTIFIED_GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)
-
-
-def mix3():
-    return make_sinusoid_mix(
-        3, [1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, PI / 2], [2.0, -1.0, 0.5]
-    )
-
-
-def consistent_buffer(sig, times):
-    phis = [phi_at(sig, float(t)) for t in times]
-    return DataBuffer.from_samples(phis, [float(p @ sig.theta_star) for p in phis],
-                                   times=list(times))
 
 
 def energy(kind, x, gains, p_mu=None):
@@ -424,6 +420,12 @@ def test_check_decrease_along_flags_growth():
     assert report.checked_points == 2
     assert report.violations == 1
     assert abs(report.worst_margin - (4.0 - 0.02)) < 1e-12
+
+
+def test_check_decrease_along_needs_one_v_per_row():
+    traj = synthetic_trajectory(np.array([0.0, 1e-3, 2e-3]), np.zeros(3))
+    with pytest.raises(ValueError, match="one V value per trajectory row"):
+        check_decrease_along(traj, np.ones(2), 1e-3)
 
 
 def test_check_decrease_along_exempts_recording_steps():

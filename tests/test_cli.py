@@ -154,11 +154,17 @@ def test_load_scenario_rejects_bad_config(tmp_path, mutate, message):
          "'init.range' must be positive and at most half the largest float"),
         (lambda d: d["init"].update(mode="random", theta0=[1.0]),
          "'init.theta0' must match the signal dimension"),
+        (lambda d: d.update(systems=[]), "'systems' must be a nonempty list"),
+        (lambda d: d["init"].pop("theta0"),
+         "missing key 'init.theta0' (required for fixed mode)"),
+        (lambda d: d["signal"].update(amplitudes=[0.0]),
+         "signal: amplitudes must be a length-2 vector, got shape (1,)"),
     ],
     ids=["gains_number", "signal_number", "sim_null", "cl_number", "pe_list", "pe_null",
          "init_string", "offsets_strings", "phases_scalar", "signal_missing_key",
          "dimension_bool", "dimension_float", "dimension_zero", "dimension_negative",
-         "dimension_mismatch", "range_in_fixed_mode", "theta0_in_random_mode"],
+         "dimension_mismatch", "range_in_fixed_mode", "theta0_in_random_mode",
+         "systems_empty", "theta0_missing_in_fixed_mode", "amplitudes_short"],
 )
 def test_every_command_refuses_a_malformed_section(tmp_path, capsys, mutate, message):
     """Sections that are not objects used to end in a TypeError traceback (an
@@ -263,9 +269,11 @@ def test_offline_buffer_kind_is_refused_before_anything_is_written(tmp_path):
         ("gains", {"beta": float("inf")}, "'gains.beta' must be a finite number"),
         ("gains", {"gamma": 10**400}, "'gains.gamma' must be a finite number"),
         ("sim", {"seed": -1}, "sim: seed must be nonnegative"),
+        ("gains", {"beta": 0.0}, "gains: beta must be positive"),
     ],
     ids=["window_T", "scan_horizon", "quadrature_step", "scan_step", "theta0_text",
-         "theta0_nan", "range_overflow", "beta_inf", "gamma_beyond_float", "seed_negative"],
+         "theta0_nan", "range_overflow", "beta_inf", "gamma_beyond_float", "seed_negative",
+         "beta_zero"],
 )
 def test_every_command_rejects_bad_settings(tmp_path, capsys, section, edits, message):
     """Bad pe settings and non-finite numbers (JSON NaN, Infinity, an integer
@@ -349,6 +357,41 @@ def test_pe_scan_beyond_memory_is_refused_before_anything_is_written(tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"pe: {needs}, more than fit in memory" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("section", "edits", "commands", "message"), [
+    pytest.param("signal", {"offsets": [1e155, 1.0, 1.0]}, ("run", "certify", "pe-check"),
+                 "signal: offsets and amplitudes bound |phi| by M = 1e+155, whose square "
+                 "overflows", id="phi_square"),
+    pytest.param("signal", {"amplitudes": [0.0, 1e160, 1.0]}, ("run", "certify", "pe-check"),
+                 "signal: offsets and amplitudes bound |phi| by M = 1e+160, whose square "
+                 "overflows", id="amplitude_square"),
+    pytest.param("signal", {"offsets": [1e154, 1.0, 1.0]}, ("certify", "pe-check"),
+                 "pe: the window Grams overflow with window_T = 6.283185307179586 and "
+                 "|phi| <= M = 1e+154", id="window_grams"),
+    pytest.param("pe", {"window_T": 1e155, "scan_horizon": 1e155, "scan_step": 1e155},
+                 ("certify", "pe-check"),
+                 "pe: scan_horizon = 1e+155 with window_T = 1e+155 and scan_step = 1e+155 "
+                 "needs 1 windows and 1e+158 M_hat grid points, more than fit in memory",
+                 id="window_length_square"),
+])
+def test_overflowing_regressor_or_window_is_refused_before_anything_is_written(
+        tmp_path, capsys, section, edits, commands, message):
+    """fig1 with one edit. A regressor whose |phi|^2 bound overflows used to give
+    delta_hat=nan and M_hat=inf from pe-check (exit 0), inf in run's step warning
+    (exit 3), or LAPACK's "Eigenvalues did not converge"; Grams that overflow gave
+    delta_hat=nan; a window whose square overflows ended in an OverflowError
+    traceback. Each printed numpy RuntimeWarnings on the way."""
+    raw = json.loads(Path(bundled_scenario_path("fig1")).read_text())
+    raw[section] = {**raw.get(section, {}), **edits}
+    path = write_scenario(tmp_path, raw)
+    out = tmp_path / "out"
+    for command in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, path, "--out-dir", str(out), "--t-end", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
     assert not out.exists()
 
 

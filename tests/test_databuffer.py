@@ -15,27 +15,7 @@ from hotuner import (
     richness,
 )
 from hotuner.databuffer import _RECORD_CHUNK, data_aggregates, data_term
-from oracles import maybe_record
-
-
-def rank_by_elimination(mat, tol=1e-10):
-    """Row-reduction rank with partial pivoting; independent of the svd path."""
-    a = np.array(mat, dtype=float)
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[pivot, col]) <= tol:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = a[rank] / a[rank, col]
-        for r in range(rows):
-            if r != rank:
-                a[r] = a[r] - a[r, col] * a[rank]
-        rank += 1
-    return rank
+from oracles import maybe_record, rank_by_elimination
 
 
 def test_sample_validation():
@@ -280,6 +260,15 @@ def test_richness_reports():
     assert report.sufficient
     assert report.min_eig_P > 1e-10
     assert report.delta_mu == report.min_eig_P
+
+
+def test_samples_without_a_sample_axis_or_a_direction():
+    """1-d phis are refused; an all-zero buffer has rank 0 and is not sufficient."""
+    with pytest.raises(ValueError, match=r"phis must be \(N, n\)"):
+        DataBuffer.from_samples([1.0, 2.0], [0.0, 0.0])
+    report = richness(DataBuffer.from_samples(np.zeros((3, 2)), np.zeros(3)), 0.2)
+    assert report.rank_D == 0
+    assert not report.sufficient
 
 
 def test_rank_eigenvalue_equivalence_fuzz():

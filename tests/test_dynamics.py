@@ -219,6 +219,11 @@ def test_buffer_kinds_require_data():
     assert out[0].shape == (1,)
 
 
+def test_compile_field_refuses_dimension_zero():
+    with pytest.raises(ValueError, match=r"dimension must be at least 1 \(got 0\)"):
+        compile_field(SystemKind.HT, Gains(beta=1.0, gamma=0.1, mu=0.2), 0)
+
+
 def test_normalized_pairs_differ_by_n_t():
     sig = make_sinusoid_mix(3, [1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, PI / 2],
                             [2.0, -1.0, 0.5])

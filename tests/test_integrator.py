@@ -19,16 +19,8 @@ from hotuner import (
     simulate_with_buffer,
 )
 from hotuner.signals import row_dots
-from oracles import make_constant
+from oracles import make_constant, mix3
 from test_kernel import reference_run
-
-PI = np.pi
-
-
-def mix3():
-    return make_sinusoid_mix(
-        3, [1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, PI / 2], [2.0, -1.0, 0.5]
-    )
 
 
 def test_sim_config():

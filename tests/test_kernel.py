@@ -4,10 +4,9 @@ The reference below evaluates the signal, and the one-step recording rule and
 rhs of oracles.py, once per step, the way the integrator did before it
 precomputed its inputs. The kernel must reproduce it bit for bit, and the CLI
 outputs for the bundled scenarios must keep their recorded sha256. rhs is the
-batched field on one row, emitted from the same KindSpec row as the kernel's
-loop, so here only the golden hashes
-catch a change in how the field rounds; test_codegen.py checks both against
-the numpy closure of oracles.py.
+numpy closure of oracles.py (reference_field) at one point, which shares no
+code with the kernel's generated loop, so a change in how that loop's field
+rounds fails here as well as in the golden hashes.
 """
 
 import hashlib

@@ -1,21 +1,15 @@
 """Sinusoid-mix regressors and the windowed excitation scan."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hotuner import check_pe, make_sinusoid_mix, pe_gram
-from oracles import eval_at, make_constant, phi_at
+from hotuner import RegressorSignal, check_pe, make_sinusoid_mix, pe_gram
+from oracles import eval_at, make_constant, mix3, phi_at
 
 PI = np.pi
-
-
-def mix3():
-    """Constant first component plus a sine/cosine pair in quadrature."""
-    return make_sinusoid_mix(
-        3, [1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, PI / 2], [2.0, -1.0, 0.5]
-    )
 
 
 def test_phi_components():
@@ -69,6 +63,28 @@ def test_construction_validation():
         make_sinusoid_mix(1, [np.nan], [0.0], [0.0], [0.0], [0.0])
     with pytest.raises(ValueError):
         make_sinusoid_mix(0, [], [], [], [], [])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RegressorSignal(np.ones((2, 2)), *[np.zeros(2)] * 4),
+     "offsets must be a nonempty 1-d vector"),
+    (lambda: make_sinusoid_mix(2, [1e155, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]),
+     r"bound \|phi\| by M = 1e\+155, whose square overflows"),
+    (lambda: make_sinusoid_mix(2, [1e308, 1.0], [1e308, 1.0], [0.0, 1.0], [0.0, 0.0],
+                               [1.0, 1.0]),
+     r"bound \|phi\| by M = inf, whose square overflows"),
+    (lambda: pe_gram(mix3(), 0.0, 1e155), "window length T must be positive with a finite square"),
+    (lambda: pe_gram(make_constant([1e154, 1.0], [1.0, 1.0]), 0.0, 2.0 * PI),
+     r"the window Grams overflow with window_T = 6.28\d+ and \|phi\| <= M = 1e\+154"),
+], ids=["offsets_matrix", "bound_square", "bound_itself", "window_square", "window_grams"])
+def test_signal_refusals(make, message):
+    """A regressor whose |phi| bound squares to inf, and a window or Grams that
+    overflow, are refused with a ValueError that names the cause, and no numpy
+    warning is raised on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def test_signal_arrays_immutable():

@@ -27,7 +27,7 @@ from hotuner import (
 from hotuner.certificates import CertificateReport, _decrease_sides, _matrosov_moments
 from hotuner.dynamics import BUFFER_KINDS, _data_for
 from hotuner.signals import _window_grams
-from oracles import eval_at, make_constant, normalization, phi_at, reference_field
+from oracles import eval_at, make_constant, mix3, normalization, phi_at, reference_field
 
 GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)
 TOLERANCE = 1e-9
@@ -134,11 +134,6 @@ def oracle_matrosov(signal, T, delta, sample_count=200, seed=0, radius=5.0, t_po
             violations += 1
         worst = max(worst, majorant)
     return CertificateReport(checked, violations, worst, tolerance)
-
-
-def mix3():
-    return make_sinusoid_mix(3, [1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, PI / 2],
-                             [2.0, -1.0, 0.5])
 
 
 def mix5():
