@@ -20,7 +20,6 @@ import numpy as np
 
 from .databuffer import DataBuffer, p_matrix
 from .dynamics import (
-    BASELINE_KINDS,
     BUFFER_KINDS,
     KINDS,
     POINTWISE_KINDS,
@@ -151,8 +150,6 @@ def _decrease_bound(
     2 beta / (gamma cap), cap = 1 + mu m_bound^2 if data drives a theta row
     without N_t, else 1.
     """
-    if kind not in POINTWISE_KINDS:
-        raise ValueError(f"no pointwise decrease bound for '{kind.value}'")
     spec = KINDS[kind]
     if spec.data is None:
         a, e = 1.0, _squares(row_dots(phi, theta_tilde))
@@ -315,8 +312,6 @@ def lyapunov_along(
     row (reconstructed from the final buffer via the per-row sample count), so
     the value matches what the flow was actually driven by at that time.
     """
-    if kind in BASELINE_KINDS:
-        raise ValueError(f"no certified energy function for '{kind.value}'")
     n = signal.dimension
     tilde = trajectory.theta - signal.theta_star
     x = np.hstack((tilde, trajectory.vartheta - trajectory.theta))

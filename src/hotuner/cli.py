@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from . import certificates
 from .databuffer import DataBuffer, buffer_csv, richness
 from .dynamics import (
     BASELINE_KINDS,
-    BUFFER_KINDS,
     HIGH_ORDER_KINDS,
     RATE_CONDITION_KINDS,
     Gains,
@@ -83,11 +81,10 @@ class Scenario:
 
 def bundled_scenario_path(name: str) -> Path:
     """Path of a scenario file shipped with the package (e.g. 'fig1')."""
-    candidate = resources.files("hotuner") / "scenarios" / f"{name}.json"
-    with resources.as_file(candidate) as path:
-        if not path.exists():
-            raise FileNotFoundError(f"no bundled scenario named '{name}'")
-        return path
+    path = Path(__file__).parent / "scenarios" / f"{name}.json"
+    if not path.exists():
+        raise FileNotFoundError(f"no bundled scenario named '{name}'")
+    return path
 
 
 _REQUIRED = object()
@@ -139,6 +136,14 @@ def _systems(value, key: str) -> list[SystemKind]:
         if kinds.count(kinds[-1]) > 1:
             raise ConfigError(f"duplicate system '{entry}' in '{key}'")
     return kinds
+
+
+def _checked(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs), whose ValueError becomes a ConfigError naming section."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}")
 
 
 def _section(raw, name: str) -> dict:
@@ -235,20 +240,16 @@ def load_scenario(
     if "\0" in name:
         raise ConfigError(f"'name' must not contain a NUL character (got {name!r})")
 
-    try:
-        signal = make_sinusoid_mix(**top["signal"])
-    except ValueError as exc:
-        raise ConfigError(f"signal: {exc}")
-    try:
-        gains = Gains(**top["gains"])
-    except ValueError as exc:
-        raise ConfigError(f"gains: {exc}")
+    signal = _checked("signal", make_sinusoid_mix, **top["signal"])
+    gains = _checked("gains", Gains, **top["gains"])
     overrides = {"seed": seed, "step_h": step_h, "t_end": t_end}
-    try:
-        sim = SimConfig(**top["sim"] | {k: v for k, v in overrides.items() if v is not None})
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}")
+    sim = _checked("sim", SimConfig,
+                   **top["sim"] | {k: v for k, v in overrides.items() if v is not None})
 
+    # A scenario file cannot supply a prefilled buffer, so data is recorded online.
+    if not cl["online"]:
+        raise ConfigError("'cl.online' must be true: no prefilled buffer can be supplied "
+                          "through a scenario file")
     if cl["epsilon"] <= 0.0:
         raise ConfigError("'cl.epsilon' must be positive")
     if cl["N_bar"] < signal.dimension:
@@ -277,24 +278,11 @@ def load_scenario(
         raise ConfigError("'pe.scan_step' must be positive")
 
     if systems:
-        chosen = []
-        for entry in systems:
-            try:
-                chosen.append(SystemKind(entry))
-            except ValueError:
-                raise ConfigError(f"unknown system '{entry}' in --system filter")
+        chosen = _systems(systems, "--system")
         missing = [k.value for k in chosen if k not in kinds]
         if missing:
             raise ConfigError(f"--system names not in scenario: {', '.join(missing)}")
         kinds = [k for k in kinds if k in chosen]
-    # A scenario file cannot supply a prefilled buffer, so a buffer-driven
-    # kind can only record online.
-    offline = [k.value for k in kinds if k in BUFFER_KINDS and not cl["online"]]
-    if offline:
-        raise ConfigError(
-            f"system '{offline[0]}' needs cl.online=true (no prefilled buffer "
-            "can be supplied through a scenario file)"
-        )
 
     return Scenario(
         name=name,
@@ -459,11 +447,8 @@ def _scan_pe(scenario: Scenario) -> PEReport:
     """check_pe on the scenario's regressor with its pe settings; a scan that
     check_pe refuses, such as one too large to hold, is a config error."""
     pe = scenario.pe
-    try:
-        return check_pe(scenario.signal, T=pe["window_T"], scan_horizon=pe["scan_horizon"],
-                        scan_step=pe["scan_step"])
-    except ValueError as exc:
-        raise ConfigError(f"pe: {exc}")
+    return _checked("pe", check_pe, scenario.signal, T=pe["window_T"],
+                    scan_horizon=pe["scan_horizon"], scan_step=pe["scan_step"])
 
 
 def run_pe_check(scenario: Scenario, out_dir: str | Path) -> int:
@@ -488,7 +473,8 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
     Baseline gradient systems are skipped (they carry no certified energy
     function here). Refuses gain sets violating beta >= 2 gamma / mu when a
     kind that needs the condition is present, and a horizon shorter than one
-    record_every stretch, whose trajectory rows hold no step to check.
+    record_every stretch: the trajectory check allows each pair of rows the
+    growth of a whole stretch.
     """
     high_order = [k for k in scenario.systems if k not in BASELINE_KINDS]
     if not high_order:
@@ -515,14 +501,12 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
     _warn_step(scenario, sys.stderr)
     _make_out_dir(out)
     print(pe_report.summary())
-    skipped = [k.value for k in scenario.systems if k in BASELINE_KINDS]
+    skipped = [k.value for k in scenario.systems if k not in high_order]
     if skipped:
         print(f"skipping baseline systems without certificates: {', '.join(skipped)}")
     lines = ["system,check,checked_points,violations,worst_margin,tolerance"]
     failed = False
-    for kind in scenario.systems:
-        if kind in BASELINE_KINDS:
-            continue
+    for kind in high_order:
         trajectory, buffer = _simulate_system(scenario, kind, grid)
         if len(buffer):
             rich = richness(buffer, scenario.gains.mu)

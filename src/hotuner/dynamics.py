@@ -410,8 +410,7 @@ def _loop_maker(kind: SystemKind, n: int) -> Callable:
               f"            if not ({finite}):",
               "                break",
               f"        final = [{components}]",
-              "        if next_row == num_steps:",
-              "            rows.fromlist(final)",
+              "        rows.fromlist(final)",
               "        return rows, final",
               "",
               "    return advance"]
@@ -424,14 +423,14 @@ def _compile_loop(kind: SystemKind, gains: Gains, n: int) -> Callable:
     advance(h, num_steps, inputs, every, keeps, data_at, start, diverged)
     takes num_steps steps of size h from start, the 2n floats of theta and
     vartheta. It returns (rows, final): an array('d') that holds the state at
-    every step r every, 2n floats each, and the final state. Row k of inputs
-    is phi, y*, N_t at step k (see integrator.SignalGrid.rows), walked
-    _ROW_BLOCK rows at a time as Python floats. From each step of keeps on,
-    the field reads data_at(samples kept so far). Unless diverged is None, a
-    state not finite after step k raises diverged(k); either way a block that
-    ends on a non-finite state, which stays so, ends the pass. The field
-    (_field_lines, point form) is in the loop body, on Python-float locals; a
-    step is x{i} = x{i} + dx{i} * h, the operations of x + h dx, and a
-    baseline kind steps theta only.
+    every step r every and after the last step, 2n floats each, and the final
+    state. Row k of inputs is phi, y*, N_t at step k (see
+    integrator.SignalGrid.rows), walked _ROW_BLOCK rows at a time as Python
+    floats. From each step of keeps on, the field reads data_at(samples kept
+    so far). Unless diverged is None, a state not finite after step k raises
+    diverged(k); either way a block that ends on a non-finite state, which
+    stays so, ends the pass. The field (_field_lines, point form) is in the
+    loop body, on Python-float locals; a step is x{i} = x{i} + dx{i} * h, the
+    operations of x + h dx, and a baseline kind steps theta only.
     """
     return _loop_maker(kind, n)(**_field_arguments(kind, gains))

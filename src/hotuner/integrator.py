@@ -88,10 +88,10 @@ class Trajectory:
 
     Row k holds time t[k], the two state vectors, the parameter error norm
     |theta - theta*|, the companion gap |vartheta - theta|, and the number of
-    recorded samples at that time.
+    recorded samples at that time. Rows are taken every record_every steps,
+    and the last row is the final state even where fewer steps lead to it.
     """
 
-    kind: SystemKind
     t: np.ndarray
     theta: np.ndarray
     vartheta: np.ndarray
@@ -210,6 +210,7 @@ def _run(
 ) -> Trajectory:
     """Run one system on buffer, whose last len(keeps) samples are kept at steps keeps.
 
+    Row r is the state at step r record_every, and the last row the final state.
     The fast pass checks nothing per step. A non-finite state stays non-finite
     under Euler updates, so a pass that ends on a finite state never left it.
     One that left it stops at the end of that block of input rows and is
@@ -231,9 +232,8 @@ def _run(
         if not all(map(math.isfinite, final)):
             advance(*inputs, lambda k: _divergence(kind, grid, k))
     theta, vartheta = np.hsplit(np.frombuffer(rows).reshape(-1, 2 * n), 2)
-    row_steps = np.arange(theta.shape[0]) * sim.record_every
+    row_steps = np.minimum(np.arange(theta.shape[0]) * sim.record_every, grid.num_steps)
     return Trajectory(
-        kind=kind,
         t=grid.t[row_steps],
         theta=theta,
         vartheta=vartheta,

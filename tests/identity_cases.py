@@ -62,6 +62,11 @@ CASES = [
     ("certify", "fig1", ["--system", "basic"]),
 ] + [
     (verb, name, ["--t-end", "1"]) for name in OVERFLOWS for verb in VERBS
+] + [
+    ("run", "fig1", ["--t-end", "15", "--step", "0.3"]),
+    ("run", "fig1", ["--system", "ht", "--system", "ht"]),
+] + [
+    (verb, "offline", ["--t-end", "1"]) for verb in VERBS
 ]
 
 
@@ -74,6 +79,9 @@ def write_scenarios() -> None:
         ("fig2", json.loads(bundled_scenario_path("fig2").read_text())),
         ("recording", recording),
         ("huge_start", {**fig1, **HUGE_START, "name": "huge_start"}),
+        # a kind that reads no recorded data, with cl.online false
+        ("offline", {**fig1, "name": "offline", "systems": ["ht"],
+                     "cl": {**fig1["cl"], "online": False}}),
     ) + tuple(
         (name, {**fig1, "name": name, section: {**fig1.get(section, {}), **edits}})
         for name, (section, edits) in OVERFLOWS.items()

@@ -276,10 +276,10 @@ def reference_rows(kind: SystemKind, gains: Gains, grid, record_every: int, init
                    buffer: DataBuffer, keeps: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """theta and vartheta rows of the Euler loop on grid (an integrator.SignalGrid).
 
-    Row r is the state at step r record_every. keeps are the steps that add
-    the last len(keeps) samples of buffer, the samples before them being held
-    from the start. A step is dx *= h, x += dx on x = (theta, vartheta); a
-    baseline kind steps theta only.
+    Row r is the state at step r record_every, and the last row the final state.
+    keeps are the steps that add the last len(keeps) samples of buffer, the
+    samples before them being held from the start. A step is dx *= h, x += dx
+    on x = (theta, vartheta); a baseline kind steps theta only.
     """
     n = grid.phi.shape[1]
     field = reference_field(kind, gains, n)
@@ -293,7 +293,7 @@ def reference_rows(kind: SystemKind, gains: Gains, grid, record_every: int, init
     first = len(buffer) - len(keeps)
     thetas, varthetas = [], []
     for k in range(grid.num_steps + 1):
-        if k % record_every == 0:
+        if k % record_every == 0 or k == grid.num_steps:
             thetas.append(theta.copy())
             varthetas.append(vartheta.copy())
         if k == grid.num_steps:

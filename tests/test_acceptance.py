@@ -204,10 +204,10 @@ def test_criterion_08_soft_reset_reduces_at_zero_gain():
     from hotuner import buffer_csv
 
     assert buffer_csv(buf_a) == buffer_csv(buf_b)
-    thin_plain = Trajectory(SystemKind.HT_CL, plain.t[::100], plain.theta[::100],
+    thin_plain = Trajectory(plain.t[::100], plain.theta[::100],
                             plain.vartheta[::100], plain.err_norm[::100],
                             plain.p_norm[::100], plain.n_samples[::100])
-    thin_soft = Trajectory(SystemKind.HT_CL, soft.t[::100], soft.theta[::100],
+    thin_soft = Trajectory(soft.t[::100], soft.theta[::100],
                            soft.vartheta[::100], soft.err_norm[::100],
                            soft.p_norm[::100], soft.n_samples[::100])
     assert thin_plain.to_csv() == thin_soft.to_csv()
@@ -268,7 +268,6 @@ def test_criterion_11_decay_rate_fit(request, fig1_scenario):
         assert quality >= 0.8, (kind, quality)
     t = np.linspace(0.0, 20.0, 2001)
     synthetic = Trajectory(
-        kind=SystemKind.HT,
         t=t,
         theta=np.zeros((t.shape[0], 1)),
         vartheta=np.zeros((t.shape[0], 1)),

@@ -67,7 +67,6 @@ def error_field(kind, x, t, signal, gains, buffer=None):
 def synthetic_trajectory(t, err):
     m = t.shape[0]
     return Trajectory(
-        kind=SystemKind.HT,
         t=t,
         theta=np.zeros((m, 1)),
         vartheta=np.zeros((m, 1)),
@@ -365,7 +364,7 @@ def test_lyapunov_along_weighs_samples_as_the_field():
     rows = counts.shape[0]
     theta = rng.uniform(-2.0, 2.0, (rows, 3))
     vartheta = rng.uniform(-2.0, 2.0, (rows, 3))
-    traj = Trajectory(kind=SystemKind.HT_CL, t=np.arange(rows, dtype=float), theta=theta,
+    traj = Trajectory(t=np.arange(rows, dtype=float), theta=theta,
                       vartheta=vartheta, err_norm=np.zeros(rows), p_norm=np.zeros(rows),
                       n_samples=counts)
     x = np.hstack((theta - sig.theta_star, vartheta - theta))

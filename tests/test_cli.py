@@ -239,20 +239,23 @@ def test_cl_online_is_optional(tmp_path):
 
 
 def test_offline_buffer_kind_is_refused_before_anything_is_written(tmp_path):
-    """A buffer kind with cl.online false used to fail only when its turn came."""
+    """A buffer kind with cl.online false used to fail only when its turn came.
+    Without a buffer kind the setting was read and then ignored; a scenario file
+    cannot supply a prefilled buffer, so false is now refused whatever the systems."""
+    message = ("'cl.online' must be true: no prefilled buffer can be supplied through "
+               "a scenario file")
     data = scenario_dict()
-    data["systems"] = ["ht", "ht_cl"]
     data["cl"]["online"] = False
-    path = write_scenario(tmp_path, data)
-    with pytest.raises(ConfigError, match="system 'ht_cl' needs cl.online=true"):
-        load_scenario(path)
     out = tmp_path / "out"
-    for verb in ("run", "certify", "pe-check"):
-        assert main([verb, path, "--out-dir", str(out)]) == EXIT_CONFIG
-    assert not out.exists()
-    # without a buffer kind the setting has nothing to refuse
-    assert main(["run", path, "--out-dir", str(out), "--system", "ht"]) == EXIT_OK
-    assert sorted(p.name for p in out.iterdir()) == ["tiny_ht.csv", "tiny_report.csv"]
+    for systems, extra in ((["ht", "ht_cl"], []), (["ht", "ht_cl"], ["--system", "ht"]),
+                           (["ht"], [])):
+        data["systems"] = systems
+        path = write_scenario(tmp_path, data)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_scenario(path, systems=extra[1:])
+        for verb in ("run", "certify", "pe-check"):
+            assert main([verb, path, "--out-dir", str(out), *extra]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -486,11 +489,40 @@ def test_run_system_filter_cli(tmp_path):
 
 
 def test_run_system_filter_errors(tmp_path, capsys):
+    """--system values are read as the file's systems are: an unknown kind lists
+    the valid ones and a repeated kind is refused."""
     fig1 = str(bundled_scenario_path("fig1"))
     assert main(["run", fig1, "--system", "warp"]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    valid = ", ".join(k.value for k in SystemKind)
+    assert capsys.readouterr().err == (
+        f"config error: unknown system 'warp' in '--system' (valid: {valid})\n")
     assert main(["run", fig1, "--system", "ht_b"]) == EXIT_CONFIG
     assert "not in scenario" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", fig1, "--system", "ht", "--system", "ht",
+                 "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: duplicate system 'ht' in '--system'\n"
+    assert not out.exists()
+
+
+def test_run_ends_on_the_final_state(tmp_path, capsys):
+    """At step 0.3 fig1's 50 steps are fewer than record_every = 100. run used to
+    write only the initial row and report the initial error as final_err_norm
+    for every kind; the last row is now the state at t_end."""
+    out = tmp_path / "out"
+    argv = ["run", str(bundled_scenario_path("fig1")), "--t-end", "15", "--step", "0.3",
+            "--out-dir", str(out)]
+    assert main(argv) == EXIT_OK
+    report = (out / "fig1_report.csv").read_text().splitlines()[1:]
+    assert len(report) == 5
+    for line in report:
+        kind, final_err_norm = line.split(",")[:2]
+        lines = (out / f"fig1_{kind}.csv").read_text().splitlines()
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        assert len(rows) == 2
+        assert float(rows[-1][0]) == 15.0
+        assert final_err_norm == rows[-1][header.index("err_norm")]
+    assert float(report[0].split(",")[1]) > 1e14  # basic, far from its start
 
 
 def test_run_single_row_when_span_is_empty(tmp_path):

@@ -58,7 +58,7 @@ def reference_run(kind, signal, gains, sim, init, buffer, policy=None):
         if records and k < num_steps and len(buffer) < policy[0]:
             phi, y_star = eval_at(signal, t)
             buffer, _ = maybe_record(buffer, t, phi, y_star, *policy)
-        if k % sim.record_every == 0:
+        if k % sim.record_every == 0 or k == num_steps:
             rows.append((
                 t, theta, vartheta,
                 np.linalg.norm(theta - signal.theta_star),
