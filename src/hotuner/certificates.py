@@ -20,7 +20,6 @@ import numpy as np
 
 from .databuffer import DataBuffer, p_matrix
 from .dynamics import (
-    BUFFER_KINDS,
     KINDS,
     POINTWISE_KINDS,
     RATE_CONDITION_KINDS,
@@ -95,7 +94,8 @@ def energy_matrix(
     if spec.data is None:
         return q / gains.gamma
     if p_mu is None:
-        raise ValueError(f"the energy of '{kind.value}' needs the data matrix P_mu")
+        raise ValueError(f"the energy of '{kind.value}' needs the data matrix P_mu "
+                         "of a nonempty buffer")
     p_mu = np.asarray(p_mu, dtype=float)
     if spec.grad is None:
         q, weight = 0.5 * q, gains.gamma / gains.beta
@@ -104,17 +104,6 @@ def energy_matrix(
     q = np.tile(q, p_mu.shape[:-2] + (1, 1))
     q[..., :n, :n] += weight * p_mu
     return q
-
-
-def _data_matrix(
-    kind: SystemKind, buffer: DataBuffer | None, gains: Gains
-) -> np.ndarray | None:
-    """P_mu of the buffer for the kinds whose energy reads recorded data, else None."""
-    if kind not in BUFFER_KINDS:
-        return None
-    if buffer is None or len(buffer) == 0:
-        raise ValueError(f"'{kind.value}' needs a nonempty buffer")
-    return p_matrix(buffer, gains.mu)
 
 
 def _squares(values: np.ndarray) -> np.ndarray:
@@ -183,13 +172,13 @@ def _decrease_sides(
     theta + p, seen through the change of variables: (dtheta, dvartheta -
     dtheta). q @ x and every dot product are stacked, so each row rounds as
     the same computation at one point. Rows go through in blocks of
-    _SWEEP_BLOCK.
+    _SWEEP_BLOCK. Without samples, energy_matrix refuses a data-driven kind.
     """
     n = signal.dimension
-    p_mu = _data_matrix(kind, buffer, gains)
+    data = _data_for(kind, buffer, gains)
+    p_mu = None if data is None else p_matrix(buffer, gains.mu)
     q = energy_matrix(kind, gains, n, p_mu)
     field = compile_field(kind, gains, n)
-    data = _data_for(kind, buffer, gains)
     lhs, rhs = np.empty(x.shape[0]), np.empty(x.shape[0])
     for start in range(0, x.shape[0], _SWEEP_BLOCK):
         rows = slice(start, start + _SWEEP_BLOCK)
@@ -207,8 +196,10 @@ def _decrease_sides(
     return lhs, rhs
 
 
-def _check_sweep(radius: float) -> None:
-    """Refuse a radius under which a sweep could not fail."""
+def _check_sweep(t_points: int, radius: float) -> None:
+    """Refuse an empty time grid, and a radius under which a sweep could not fail."""
+    if t_points < 1:
+        raise ValueError(f"t_points must be at least 1 (got {t_points})")
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive (got {radius!r})")
 
@@ -243,13 +234,14 @@ def _sweep_report(
 ) -> CertificateReport:
     """Count margins beyond tolerance; a non-finite margin counts as a violation.
 
-    A NaN margin makes worst_margin NaN, so the report cannot look clean.
+    A NaN margin makes worst_margin NaN, so the report cannot look clean. No
+    margins give (0, 0, -inf, tolerance), which does not pass.
     """
     violations = np.count_nonzero((margins > tolerance) | ~np.isfinite(margins))
     return CertificateReport(
         checked_points=int(margins.shape[0]),
         violations=int(violations),
-        worst_margin=float(margins.max()),
+        worst_margin=float(margins.max(initial=-math.inf)),
         tolerance=tolerance,
     )
 
@@ -278,9 +270,7 @@ def check_decrease_pointwise(
         raise ValueError(f"no pointwise decrease bound for '{kind.value}'")
     if sample_count < 1:
         raise ValueError(f"sample_count must be at least 1 (got {sample_count})")
-    if t_points < 1:
-        raise ValueError(f"t_points must be at least 1 (got {t_points})")
-    _check_sweep(radius)
+    _check_sweep(t_points, radius)
     if kind in RATE_CONDITION_KINDS and not gains.rate_condition_ok:
         raise ValueError(
             f"decrease bound for '{kind.value}' is only certified when "
@@ -310,22 +300,22 @@ def lyapunov_along(
 
     For buffer-driven kinds the data term uses the samples recorded up to each
     row (reconstructed from the final buffer via the per-row sample count), so
-    the value matches what the flow was actually driven by at that time.
+    the value matches what the flow was actually driven by at that time; with
+    no samples to read, energy_matrix refuses a kind whose energy needs them.
     """
     n = signal.dimension
     tilde = trajectory.theta - signal.theta_star
     x = np.hstack((tilde, trajectory.vartheta - trajectory.theta))
-    if kind not in BUFFER_KINDS:  # one fill level
+    data = _data_for(kind, buffer, gains)
+    if data is None:  # one fill level
         q, counts = energy_matrix(kind, gains, n)[None], np.zeros(trajectory.n_rows, int)
     else:
-        if buffer is None or len(buffer) == 0:
-            raise ValueError(f"'{kind.value}' needs the buffer that drove the run")
         counts = trajectory.n_samples
         if counts.max() > len(buffer):
             raise ValueError("trajectory refers to more samples than the buffer holds")
         # Prefix data-sum matrices: prefix[m] covers the first m samples,
         # weighted as the field weighs them.
-        _, _, weights = _data_for(kind, buffer, gains)
+        _, _, weights = data
         phi = buffer.phi
         terms = weights[:, None, None] * (phi[:, :, None] * phi[:, None, :])
         prefix = np.concatenate((np.zeros((1, n, n)), np.cumsum(terms, axis=0)))
@@ -349,7 +339,8 @@ def check_decrease_along(
     The allowance per step is SLACK_COEFF * step_h * (1 + V). Steps at which a
     new sample was recorded are exempt: the recorded-data term of V changes
     discontinuously there, outside the flow the certificate covers. A
-    non-finite margin (V overflowed) counts as a violation.
+    non-finite margin (V overflowed) counts as a violation, and a trajectory
+    without a flow step gets the empty report of _sweep_report.
     """
     v_values = np.asarray(v_values, dtype=float)
     if v_values.shape != trajectory.t.shape:
@@ -358,8 +349,6 @@ def check_decrease_along(
     slack = SLACK_COEFF * step_h * (1.0 + v_values[:-1])
     margin = dv - slack
     flow_steps = trajectory.n_samples[1:] == trajectory.n_samples[:-1]
-    if not flow_steps.any():
-        return CertificateReport(0, 0, -math.inf, 0.0)
     return _sweep_report(margin[flow_steps], 0.0)
 
 
@@ -394,11 +383,13 @@ def matrosov_check(
     then evaluated as arrays, each row rounding as at a single point. A
     non-finite margin counts as a violation.
     """
-    if delta < 0.0 or T <= 0.0:
-        raise ValueError("need T > 0 and nonnegative delta")
-    if t_points < 1:
-        raise ValueError(f"t_points must be at least 1 (got {t_points})")
-    _check_sweep(radius)
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"T must be finite and positive (got {T!r})")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"delta must be finite and nonnegative (got {delta!r})")
+    if sample_count < 0:
+        raise ValueError(f"sample_count must be nonnegative (got {sample_count})")
+    _check_sweep(t_points, radius)
     n = signal.dimension
     decay = math.exp(-T) * delta
     t_grid = np.linspace(0.0, SWEEP_SPAN, t_points)

@@ -353,15 +353,12 @@ def comparison_report(
     return "\n".join(csv_lines) + "\n", table
 
 
-def _warn_gains(scenario: Scenario, stream) -> None:
-    relevant = [k for k in scenario.systems if k in RATE_CONDITION_KINDS]
-    if relevant and not scenario.gains.rate_condition_ok:
-        names = ", ".join(k.value for k in relevant)
-        print(
-            f"warning: beta >= 2 gamma / mu does not hold; decrease guarantees "
-            f"for {names} are not certified",
-            file=stream,
-        )
+def _unproven_kinds(scenario: Scenario) -> str:
+    """Names of the scenario's kinds whose certificates need beta >= 2 gamma / mu,
+    joined by ", ", when the gains break it; "" when they keep it or none needs it."""
+    if scenario.gains.rate_condition_ok:
+        return ""
+    return ", ".join(k.value for k in scenario.systems if k in RATE_CONDITION_KINDS)
 
 
 def _warn_step(scenario: Scenario, stream) -> None:
@@ -425,7 +422,9 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> int:
     out = _out_path(out_dir)
     grid = _signal_grid(scenario)
     _make_out_dir(out)
-    _warn_gains(scenario, sys.stderr)
+    if unproven := _unproven_kinds(scenario):
+        print(f"warning: beta >= 2 gamma / mu does not hold; decrease guarantees "
+              f"for {unproven} are not certified", file=sys.stderr)
     _warn_step(scenario, sys.stderr)
     results: dict[SystemKind, tuple[Trajectory, DataBuffer]] = {}
     for kind in scenario.systems:
@@ -480,20 +479,17 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
     if not high_order:
         print("no high-order systems in scenario; nothing to certify")
         return EXIT_OK
-    needs_condition = [k for k in high_order if k in RATE_CONDITION_KINDS]
-    if needs_condition and not scenario.gains.rate_condition_ok:
-        raise ConfigError(
-            "gains: beta >= 2 gamma / mu is required to certify "
-            + ", ".join(k.value for k in needs_condition)
-            + f" (beta={scenario.gains.beta}, gamma={scenario.gains.gamma}, "
-            f"mu={scenario.gains.mu})"
-        )
+    if unproven := _unproven_kinds(scenario):
+        gains = scenario.gains
+        raise ConfigError(f"gains: beta >= 2 gamma / mu is required to certify {unproven} "
+                          f"(beta={gains.beta}, gamma={gains.gamma}, mu={gains.mu})")
     sim = scenario.sim
     if sim.num_steps < sim.record_every:
         raise ConfigError(
             f"sim: horizon t_end - t_start = {sim.t_end - sim.t_start!r} at step_h = "
             f"{sim.step_h!r} is {sim.num_steps} steps, fewer than record_every = "
-            f"{sim.record_every}; certify needs a step between two trajectory rows"
+            f"{sim.record_every}; the trajectory check would allow each pair of rows "
+            "the growth of a whole record_every stretch"
         )
     out = _out_path(out_dir)
     grid = _signal_grid(scenario)
@@ -581,7 +577,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    console_main()

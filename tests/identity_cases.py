@@ -67,6 +67,10 @@ CASES = [
     ("run", "fig1", ["--system", "ht", "--system", "ht"]),
 ] + [
     (verb, "offline", ["--t-end", "1"]) for verb in VERBS
+] + [
+    ("certify", "fig1", ["--t-end", "0"]),
+    ("run", "rate", ["--t-end", "15"]),
+    ("certify", "rate", ["--t-end", "15"]),
 ]
 
 
@@ -82,6 +86,8 @@ def write_scenarios() -> None:
         # a kind that reads no recorded data, with cl.online false
         ("offline", {**fig1, "name": "offline", "systems": ["ht"],
                      "cl": {**fig1["cl"], "online": False}}),
+        # gains under which beta >= 2 gamma / mu fails
+        ("rate", {**fig1, "name": "rate", "gains": {**fig1["gains"], "gamma": 0.9}}),
     ) + tuple(
         (name, {**fig1, "name": name, section: {**fig1.get(section, {}), **edits}})
         for name, (section, edits) in OVERFLOWS.items()

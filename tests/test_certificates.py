@@ -296,6 +296,8 @@ def test_sweep_report_counts_non_finite_margins():
     assert report.checked_points == 6 and report.violations == 4
     assert math.isnan(report.worst_margin)
     assert _sweep_report(np.array([-1.0, 1e-9])).to_csv_line() == "2,0,1e-09,1e-09"
+    empty = _sweep_report(np.array([]))
+    assert empty.to_csv_line() == "0,0,-inf,1e-09" and not empty.passed
 
 
 def test_sweeps_count_overflowing_points_as_violations():
@@ -403,7 +405,7 @@ def test_lyapunov_along_guards():
                             epsilon=1.0, N_bar=4)
     with pytest.raises(ValueError, match="no certified energy"):
         lyapunov_along(SystemKind.BASIC, traj, sig, CERTIFIED_GAINS)
-    with pytest.raises(ValueError, match="needs the buffer"):
+    with pytest.raises(ValueError, match="needs the data matrix P_mu of a nonempty buffer"):
         lyapunov_along(SystemKind.HT_CL, traj, sig, CERTIFIED_GAINS, None)
     short = consistent_buffer(sig, (0.0,))
     if traj.n_samples.max() > 1:
@@ -470,11 +472,14 @@ def test_matrosov_periodic_signal():
 
 
 def test_matrosov_validation():
+    """T = inf used to pass with no violation, T = nan and a non-finite delta to
+    fail at every point, and sample_count = -1 to raise numpy's negative-dimension
+    error."""
     sig = mix3()
-    with pytest.raises(ValueError):
-        matrosov_check(sig, T=0.0, delta=1.0)
-    with pytest.raises(ValueError):
-        matrosov_check(sig, T=1.0, delta=-1.0)
+    for argument, value in (("T", 0.0), ("T", math.inf), ("T", math.nan), ("delta", -1.0),
+                            ("delta", math.inf), ("delta", math.nan), ("sample_count", -1)):
+        with pytest.raises(ValueError, match=f"^{argument} must be .*got {value!r}"):
+            matrosov_check(sig, **{"T": 1.0, "delta": 1.0, argument: value})
 
 
 @pytest.mark.parametrize("t_points", [0, -3])

@@ -576,12 +576,21 @@ def test_certify_passes_on_reduced_scenario(tmp_path, capsys):
 
 
 def test_certify_rejects_unproven_gains(tmp_path, capsys):
+    """certify refuses, and run warns about, the kinds that need beta >= 2 gamma / mu:
+    not the baseline kind, nor ht_b."""
     data = scenario_dict()
+    data["systems"] = ["basic", "ht", "ht_b", "ht_cl"]
     data["gains"] = {"beta": 1.0, "gamma": 0.9, "mu": 0.2}
     path = write_scenario(tmp_path, data)
-    rc = main(["certify", path, "--out-dir", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    rc = main(["certify", path, "--out-dir", str(out)])
     assert rc == EXIT_CONFIG
-    assert "beta >= 2 gamma / mu" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "config error: gains: beta >= 2 gamma / mu is required "
+                                       "to certify ht, ht_cl (beta=1.0, gamma=0.9, mu=0.2)\n")
+    assert not out.exists()
+    assert main(["run", path, "--out-dir", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ("warning: beta >= 2 gamma / mu does not hold; decrease "
+                                       "guarantees for ht, ht_cl are not certified\n")
 
 
 def test_certify_baselines_only(tmp_path, capsys):
@@ -616,10 +625,11 @@ def test_certify_reports_violations(tmp_path, capsys, monkeypatch):
 
 
 def test_certify_refuses_a_trajectory_check_of_no_point(tmp_path, capsys):
-    """At t_end 0.005 (5 steps, record_every 100) each trajectory has one row, so
-    the along-trajectory check has no step to check. certify used to print
-    'trajectory pass (0 points' and exit 0, then 'trajectory FAIL (0 points' and
-    exit 4, though nothing was checked; it now refuses the horizon up front."""
+    """At t_end 0.005 (5 steps, record_every 100) each trajectory has two rows
+    5 steps apart, and the along-trajectory check would allow them the growth of
+    100 steps. certify used to print 'trajectory pass (0 points' and exit 0, then
+    'trajectory FAIL (0 points' and exit 4, while each trajectory had one row; it
+    now refuses the horizon up front, naming that reason."""
     out = tmp_path / "out"
     fig1 = str(bundled_scenario_path("fig1"))
     for extra, message in (
@@ -631,7 +641,9 @@ def test_certify_refuses_a_trajectory_check_of_no_point(tmp_path, capsys):
         assert main(["certify", fig1, "--out-dir", str(out), *extra]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert message in captured.err
+        assert captured.err == (f"config error: {message}; the trajectory check would allow "
+                                "each pair of rows the growth of a whole record_every "
+                                "stretch\n")
         assert not out.exists()
 
 
