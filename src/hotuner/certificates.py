@@ -44,7 +44,8 @@ __all__ = [
 POINTWISE_TOLERANCE = 1e-9
 # Both sweeps take their times on a grid over [0, SWEEP_SPAN].
 SWEEP_SPAN = 4.0 * math.pi
-# Allowed per-step V growth along a trajectory is SLACK_COEFF * h * (1 + V).
+# Allowed V growth from one trajectory row to the next is SLACK_COEFF * dt * (1 + V),
+# dt the time between the rows (h * record_every for a decimated run).
 SLACK_COEFF = 10.0
 # The decay fit drops this leading fraction of the rows and takes the upper
 # envelope over windows of this length.
@@ -336,11 +337,13 @@ def check_decrease_along(
 ) -> CertificateReport:
     """Flag rows where V grows faster than the discretization allowance.
 
-    The allowance per step is SLACK_COEFF * step_h * (1 + V). Steps at which a
-    new sample was recorded are exempt: the recorded-data term of V changes
-    discontinuously there, outside the flow the certificate covers. A
-    non-finite margin (V overflowed) counts as a violation, and a trajectory
-    without a flow step gets the empty report of _sweep_report.
+    The allowance per row is SLACK_COEFF * step_h * (1 + V), with step_h the
+    time between consecutive rows: the Euler step times record_every for a
+    decimated run. Rows at which a new sample was recorded are exempt: the
+    recorded-data term of V changes discontinuously there, outside the flow
+    the certificate covers. A non-finite margin (V overflowed) counts as a
+    violation, and a trajectory without a flow step gets the empty report of
+    _sweep_report.
     """
     v_values = np.asarray(v_values, dtype=float)
     if v_values.shape != trajectory.t.shape:

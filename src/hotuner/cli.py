@@ -1,7 +1,7 @@
 """Command-line front end: scenario runs, certificate checks, excitation scans.
 
 Scenarios are JSON files read through one key table, _SECTIONS, that refuses
-unknown keys, missing ones and values of the wrong type. The
+repeated keys, unknown ones, missing ones and values of the wrong type. The
 `run` command simulates every listed system, writes one trajectory CSV per
 system plus a comparison report; `certify` evaluates the stability
 certificates for the high-order systems; `pe-check` scans the scenario's
@@ -34,7 +34,7 @@ from .dynamics import (
     TunerState,
 )
 from .integrator import NumericalDivergence, SignalGrid, SimConfig, Trajectory, simulate
-from .signals import PEReport, RegressorSignal, check_pe, make_sinusoid_mix
+from .signals import PEReport, RegressorSignal, check_pe
 
 __all__ = [
     "ConfigError",
@@ -146,19 +146,30 @@ def _checked(section: str, build, *args, **kwargs):
         raise ConfigError(f"{section}: {exc}")
 
 
+class _Object(dict):
+    """A JSON object and the first key it repeats (None if none): json.loads keeps the last."""
+
+    def __init__(self, pairs: list[tuple[str, object]]) -> None:
+        super().__init__(pairs)
+        seen: set[str] = set()
+        self.repeated = next((key for key, _ in pairs if key in seen or seen.add(key)), None)
+
+
 def _section(raw, name: str) -> dict:
     """Read one section of a scenario file ("" is the top level) through _SECTIONS.
 
-    Refuses a non-object, unknown keys and missing required ones; reads every
-    key present and fills in the defaults of the absent ones. A default is read
-    like a given value, so an absent section is the section of its defaults;
-    a None default stays None.
+    Refuses a non-object, repeated keys, unknown keys and missing required
+    ones; reads every key present and fills in the defaults of the absent ones.
+    A default is read like a given value, so an absent section is the section
+    of its defaults; a None default stays None.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"'{name}' must be an object" if name else
                           "scenario must be a JSON object")
     keys = _SECTIONS[name]
     prefix = f"{name}." if name else ""
+    if getattr(raw, "repeated", None) is not None:
+        raise ConfigError(f"duplicate key '{prefix}{raw.repeated}'")
     for key in raw:
         if key not in keys:
             raise ConfigError(f"unknown key '{prefix}{key}'")
@@ -179,11 +190,10 @@ _SECTIONS: dict[str, dict[str, tuple]] = {
     "": {
         "name": (_text, _REQUIRED),
         "systems": (_systems, _REQUIRED),
-        **dict.fromkeys(("signal", "gains", "sim", "cl", "init"), (_section, _REQUIRED)),
-        "pe": (_section, {}),
+        **dict.fromkeys(("signal", "gains", "sim", "cl"), (_section, _REQUIRED)),
+        **dict.fromkeys(("init", "pe"), (_section, {})),
     },
     "signal": {
-        "dimension": (_integer, _REQUIRED),
         **dict.fromkeys(("offsets", "amplitudes", "frequencies", "phases", "theta_star"),
                         (_numbers, _REQUIRED)),
     },
@@ -204,7 +214,6 @@ _SECTIONS: dict[str, dict[str, tuple]] = {
         "online": (_boolean, True),
     },
     "init": {
-        "mode": (_text, _REQUIRED),
         "theta0": (_numbers, None),
         "range": (_number, 5.0),
     },
@@ -226,7 +235,7 @@ def load_scenario(
     """Parse and validate a scenario file, applying any command-line overrides."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), object_pairs_hook=_Object)
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -240,7 +249,7 @@ def load_scenario(
     if "\0" in name:
         raise ConfigError(f"'name' must not contain a NUL character (got {name!r})")
 
-    signal = _checked("signal", make_sinusoid_mix, **top["signal"])
+    signal = _checked("signal", RegressorSignal, **top["signal"])
     gains = _checked("gains", Gains, **top["gains"])
     overrides = {"seed": seed, "step_h": step_h, "t_end": t_end}
     sim = _checked("sim", SimConfig,
@@ -260,15 +269,11 @@ def load_scenario(
     # rng.uniform needs the width 2 * range to be finite.
     if not 0.0 < init["range"] <= sys.float_info.max / 2.0:
         raise ConfigError("'init.range' must be positive and at most half the largest float")
-    if init["mode"] == "fixed":
-        if init["theta0"] is None:
-            raise ConfigError("missing key 'init.theta0' (required for fixed mode)")
-        theta0 = np.array(init["theta0"])
-    elif init["mode"] == "random":
+    if init["theta0"] is None:
         rng = np.random.default_rng(sim.seed)
         theta0 = rng.uniform(-init["range"], init["range"], signal.dimension)
     else:
-        raise ConfigError("'init.mode' must be 'fixed' or 'random'")
+        theta0 = np.array(init["theta0"])
 
     if pe["window_T"] <= 0.0:
         raise ConfigError("'pe.window_T' must be positive")

@@ -222,8 +222,11 @@ def _run(
     n = grid.signal.dimension
     if init.theta.shape != (n,):
         raise ValueError("initial state dimension does not match the signal")
+    if not (np.isfinite(init.theta).all() and np.isfinite(init.vartheta).all()):
+        raise ValueError("initial state must be finite")
     advance = _compile_loop(kind, gains, n)
-    first_count = len(buffer) - len(keeps)
+    # Samples the kind reads from the start; a kind without a data term reads none.
+    first_count = len(buffer) - len(keeps) if kind in BUFFER_KINDS else 0
     inputs = (grid.step_h, grid.num_steps, grid.rows(gains.mu), sim.record_every, keeps,
               lambda kept: _data_for(kind, buffer, gains, first_count + kept),
               [*init.theta.tolist(), *init.vartheta.tolist()])
@@ -288,4 +291,7 @@ def simulate_with_buffer(
     """Simulate with a fixed pre-recorded buffer (no online recording)."""
     if kind in BUFFER_KINDS and len(buffer) == 0:
         raise ValueError(f"'{kind.value}' needs a nonempty buffer")
+    if len(buffer) and buffer.dimension != signal.dimension:
+        raise ValueError(f"buffer dimension {buffer.dimension} does not match the "
+                         f"signal dimension {signal.dimension}")
     return _run(kind, gains, sim, SignalGrid(signal, sim), init, buffer, [])

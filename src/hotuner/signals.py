@@ -21,7 +21,6 @@ __all__ = [
     "PEReport",
     "RegressorSignal",
     "check_pe",
-    "make_sinusoid_mix",
     "pe_gram",
 ]
 
@@ -111,23 +110,6 @@ class RegressorSignal:
     def norm_bound(self) -> float:
         """Certified upper bound on sup_t |phi(t)| from the component ranges."""
         return float(np.sqrt(np.sum((np.abs(self.offsets) + np.abs(self.amplitudes)) ** 2)))
-
-
-def make_sinusoid_mix(
-    dimension, offsets, amplitudes, frequencies, phases, theta_star
-) -> RegressorSignal:
-    """Build a sinusoid-mix regressor; all vectors must have length dimension.
-
-    RegressorSignal validates every vector against the length of offsets, so
-    only that length is checked here.
-    """
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
-    if np.shape(offsets) != (dimension,):
-        raise ValueError(
-            f"offsets must be a length-{dimension} vector, got shape {np.shape(offsets)}"
-        )
-    return RegressorSignal(offsets, amplitudes, frequencies, phases, theta_star)
 
 
 def _moments(signal: RegressorSignal, cos_int: Callable, sin_int: Callable) -> np.ndarray:

@@ -33,7 +33,7 @@ VERBS = ("run", "certify", "pe-check")
 # fig1 with both soft-reset kinds from a start whose square overflows.
 HUGE_START = {
     "systems": ["ht_cl_softreset", "ht_normalized_cl_softreset"],
-    "init": {"mode": "fixed", "theta0": [1e160, 0.0, 0.0]},
+    "init": {"theta0": [1e160, 0.0, 0.0]},
 }
 
 # fig1 variants where a square overflows: the bound on |phi|, through an offset
@@ -71,6 +71,9 @@ CASES = [
     ("certify", "fig1", ["--t-end", "0"]),
     ("run", "rate", ["--t-end", "15"]),
     ("certify", "rate", ["--t-end", "15"]),
+    ("run", "repeated", ["--t-end", "1"]),
+    ("run", "old_mode", ["--t-end", "1"]),
+    ("run", "theta0", ["--t-end", "1"]),
 ]
 
 
@@ -88,11 +91,18 @@ def write_scenarios() -> None:
                      "cl": {**fig1["cl"], "online": False}}),
         # gains under which beta >= 2 gamma / mu fails
         ("rate", {**fig1, "name": "rate", "gains": {**fig1["gains"], "gamma": 0.9}}),
+        # the retired init.mode, and the start given by init.theta0 alone
+        ("old_mode", {**fig1, "name": "old_mode", "init": {"mode": "random"}}),
+        ("theta0", {**fig1, "name": "theta0", "init": {"theta0": [4.0, -3.0, 2.5]}}),
     ) + tuple(
         (name, {**fig1, "name": name, section: {**fig1.get(section, {}), **edits}})
         for name, (section, edits) in OVERFLOWS.items()
     ):
         (WORK / f"{name}.json").write_text(json.dumps(scenario))
+    # a gains object set twice, the first with beta = 9
+    text = json.dumps({**fig1, "name": "repeated"})
+    (WORK / "repeated.json").write_text(
+        text.replace('"gains": {', '"gains": {"beta": 9.0, "gamma": 0.1, "mu": 0.2}, "gains": {'))
 
 
 def sha256(data: bytes) -> str:

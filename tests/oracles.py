@@ -28,7 +28,7 @@ import numpy as np
 from hotuner.certificates import _decrease_sides
 from hotuner.databuffer import ZERO_REGRESSOR_NORM, DataBuffer, data_term
 from hotuner.dynamics import KINDS, Gains, SystemKind, TunerState, _data_for
-from hotuner.signals import RegressorSignal, make_sinusoid_mix, row_dots
+from hotuner.signals import RegressorSignal, row_dots
 
 
 def normalization(phi_t, mu: float) -> float:
@@ -52,7 +52,7 @@ def make_constant(values, theta_star) -> RegressorSignal:
     """Constant regressor phi(t) = values."""
     values = np.asarray(values, dtype=float)
     zeros = np.zeros(values.shape[0])
-    return make_sinusoid_mix(values.shape[0], values, zeros, zeros, zeros, theta_star)
+    return RegressorSignal(values, zeros, zeros, zeros, theta_star)
 
 
 # The equality case of beta >= 2 gamma / mu.
@@ -62,8 +62,8 @@ CERTIFIED_GAINS = Gains(beta=1.0, gamma=0.1, mu=0.2)
 def mix3() -> RegressorSignal:
     """The bundled scenarios' regressor: a constant first component plus a sine/cosine
     pair in quadrature."""
-    return make_sinusoid_mix(
-        3, [1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, np.pi / 2], [2.0, -1.0, 0.5]
+    return RegressorSignal(
+        [1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, np.pi / 2], [2.0, -1.0, 0.5]
     )
 
 

@@ -12,6 +12,7 @@ from hotuner import (
     KINDS,
     DataBuffer,
     Gains,
+    RegressorSignal,
     SimConfig,
     SystemKind,
     Trajectory,
@@ -22,7 +23,6 @@ from hotuner import (
     energy_matrix,
     estimate_decay_rate,
     lyapunov_along,
-    make_sinusoid_mix,
     matrosov_check,
     p_matrix,
     simulate,
@@ -148,8 +148,8 @@ def error_field_cases(draw):
     def vec(lo, hi):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
 
-    sig = make_sinusoid_mix(n, vec(-2, 2), vec(0, 3), vec(0, 5), vec(0, 2 * PI),
-                            vec(-3, 3))
+    sig = RegressorSignal(vec(-2, 2), vec(0, 3), vec(0, 5), vec(0, 2 * PI),
+                          vec(-3, 3))
     gains = Gains(beta=draw(st.floats(0.1, 5.0)), gamma=draw(st.floats(0.01, 2.0)),
                   mu=draw(st.floats(0.0, 2.0)), beta_r=draw(st.floats(0.0, 5.0)))
     gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6))

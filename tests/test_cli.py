@@ -32,7 +32,6 @@ def scenario_dict():
         "name": "tiny",
         "systems": ["ht"],
         "signal": {
-            "dimension": 2,
             "offsets": [1.0, 1.0],
             "amplitudes": [0.0, 2.0],
             "frequencies": [0.0, 1.0],
@@ -42,7 +41,7 @@ def scenario_dict():
         "gains": {"beta": 1.0, "gamma": 0.1, "mu": 0.2, "beta_r": 4.0},
         "sim": {"step_h": 1e-3, "t_end": 1.0, "record_every": 10, "seed": 0},
         "cl": {"epsilon": 1.0, "N_bar": 4, "online": True},
-        "init": {"mode": "fixed", "theta0": [3.0, 0.5]},
+        "init": {"theta0": [3.0, 0.5]},
     }
 
 
@@ -112,8 +111,7 @@ def test_load_scenario_invalid_json(tmp_path):
         (lambda d: d["cl"].update(online=1), "'cl.online' must be a boolean"),
         (lambda d: d["signal"].update(wavelength=2.0), "unknown key 'signal.wavelength'"),
         (lambda d: d["sim"].update(step_h="fast"), "'sim.step_h' must be a number"),
-        (lambda d: d["init"].update(mode="fixed", theta0=[1.0]),
-         "match the signal dimension"),
+        (lambda d: d["init"].update(theta0=[1.0]), "match the signal dimension"),
         (lambda d: d.update(systems=["ht", "basic", "ht"]),
          "duplicate system 'ht' in 'systems'"),
         (lambda d: d.update(name="a\0b"), "'name' must not contain a NUL character"),
@@ -144,27 +142,20 @@ def test_load_scenario_rejects_bad_config(tmp_path, mutate, message):
         (lambda d: d["signal"].update(offsets=["1", "1"]), "'signal.offsets.0' must be a number"),
         (lambda d: d["signal"].update(phases=0.0), "'signal.phases' must be a list of numbers"),
         (lambda d: d["signal"].pop("phases"), "missing key 'signal.phases'"),
-        (lambda d: d["signal"].update(dimension=True), "'signal.dimension' must be an integer"),
-        (lambda d: d["signal"].update(dimension=2.0), "'signal.dimension' must be an integer"),
-        (lambda d: d["signal"].update(dimension=0), "signal: dimension must be at least 1"),
-        (lambda d: d["signal"].update(dimension=-2), "signal: dimension must be at least 1"),
-        (lambda d: d["signal"].update(dimension=3),
-         "signal: offsets must be a length-3 vector, got shape (2,)"),
+        (lambda d: d["signal"].update(dict.fromkeys(d["signal"], [])),
+         "signal: offsets must be a nonempty 1-d vector"),
+        (lambda d: d["signal"].update(offsets=[1.0, 1.0, 1.0]),
+         "signal: amplitudes must be a length-3 vector, got shape (2,)"),
         (lambda d: d["init"].update(range=-1),
          "'init.range' must be positive and at most half the largest float"),
-        (lambda d: d["init"].update(mode="random", theta0=[1.0]),
-         "'init.theta0' must match the signal dimension"),
         (lambda d: d.update(systems=[]), "'systems' must be a nonempty list"),
-        (lambda d: d["init"].pop("theta0"),
-         "missing key 'init.theta0' (required for fixed mode)"),
         (lambda d: d["signal"].update(amplitudes=[0.0]),
          "signal: amplitudes must be a length-2 vector, got shape (1,)"),
     ],
     ids=["gains_number", "signal_number", "sim_null", "cl_number", "pe_list", "pe_null",
          "init_string", "offsets_strings", "phases_scalar", "signal_missing_key",
-         "dimension_bool", "dimension_float", "dimension_zero", "dimension_negative",
-         "dimension_mismatch", "range_in_fixed_mode", "theta0_in_random_mode",
-         "systems_empty", "theta0_missing_in_fixed_mode", "amplitudes_short"],
+         "dimension_zero", "dimension_mismatch", "range_in_fixed_mode", "systems_empty",
+         "amplitudes_short"],
 )
 def test_every_command_refuses_a_malformed_section(tmp_path, capsys, mutate, message):
     """Sections that are not objects used to end in a TypeError traceback (an
@@ -238,6 +229,46 @@ def test_cl_online_is_optional(tmp_path):
     assert scenario.systems == [SystemKind.HT, SystemKind.HT_CL]
 
 
+def test_theta0_fixes_the_start_and_init_is_optional(tmp_path):
+    """init.theta0 is the start whenever it is given, a range beside it included;
+    without it (or without init) the start is the seeded draw on [-range, range]^n."""
+    data = scenario_dict()
+    data["init"]["range"] = 2.0
+    scenario = load_scenario(write_scenario(tmp_path, data))
+    assert scenario.init_theta0.tolist() == [3.0, 0.5]
+    del data["init"]["theta0"]
+    scenario = load_scenario(write_scenario(tmp_path, data), seed=4)
+    want = np.random.default_rng(4).uniform(-2.0, 2.0, 2)
+    assert np.array_equal(scenario.init_theta0, want)
+    del data["init"]
+    scenario = load_scenario(write_scenario(tmp_path, data), seed=4)
+    want = np.random.default_rng(4).uniform(-5.0, 5.0, 2)
+    assert np.array_equal(scenario.init_theta0, want)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"gains": {', '"gains": {"beta": 9.0, "gamma": 0.1, "mu": 0.2}, "gains": {',
+     "duplicate key 'gains'"),
+    ('"beta": 1.0,', '"beta": 9.0, "beta": 1.0,', "duplicate key 'gains.beta'"),
+    ('"name": "fig1",', '"name": "fig1", "name": "fig1",', "duplicate key 'name'"),
+], ids=["section", "nested", "top_level"])
+def test_every_command_refuses_a_repeated_key(tmp_path, capsys, old, new, message):
+    """json.loads keeps the last of two equal keys, so a file whose first gains
+    object set beta = 9 used to run on the second one."""
+    text = bundled_scenario_path("fig1").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "scenario.json"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ConfigError) as caught:
+        load_scenario(path)
+    assert str(caught.value) == message
+    out = tmp_path / "out"
+    for command in ("run", "certify", "pe-check"):
+        assert main([command, str(path), "--out-dir", str(out), "--t-end", "0.1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_offline_buffer_kind_is_refused_before_anything_is_written(tmp_path):
     """A buffer kind with cl.online false used to fail only when its turn came.
     Without a buffer kind the setting was read and then ignored; a scenario file
@@ -264,25 +295,27 @@ def test_offline_buffer_kind_is_refused_before_anything_is_written(tmp_path):
         ("pe", {"window_T": 0.0}, "'pe.window_T' must be positive"),
         ("pe", {"scan_horizon": 1.0}, "'pe.scan_horizon' must be at least 'pe.window_T'"),
         ("pe", {"quadrature_step": 7.0}, "unknown key 'pe.quadrature_step'"),
+        ("signal", {"dimension": 2}, "unknown key 'signal.dimension'"),
+        ("init", {"mode": "fixed"}, "unknown key 'init.mode'"),
         ("pe", {"scan_step": 0.0}, "'pe.scan_step' must be positive"),
         ("init", {"theta0": ["a", 1.0]}, "'init.theta0.0' must be a number"),
         ("init", {"theta0": [1.0, float("nan")]}, "'init.theta0.1' must be a finite number"),
-        ("init", {"mode": "random", "range": 1e308},
+        ("init", {"range": 1e308},
          "'init.range' must be positive and at most half the largest float"),
         ("gains", {"beta": float("inf")}, "'gains.beta' must be a finite number"),
         ("gains", {"gamma": 10**400}, "'gains.gamma' must be a finite number"),
         ("sim", {"seed": -1}, "sim: seed must be nonnegative"),
         ("gains", {"beta": 0.0}, "gains: beta must be positive"),
     ],
-    ids=["window_T", "scan_horizon", "quadrature_step", "scan_step", "theta0_text",
-         "theta0_nan", "range_overflow", "beta_inf", "gamma_beyond_float", "seed_negative",
-         "beta_zero"],
+    ids=["window_T", "scan_horizon", "quadrature_step", "signal_dimension", "init_mode",
+         "scan_step", "theta0_text", "theta0_nan", "range_overflow", "beta_inf",
+         "gamma_beyond_float", "seed_negative", "beta_zero"],
 )
 def test_every_command_rejects_bad_settings(tmp_path, capsys, section, edits, message):
     """Bad pe settings and non-finite numbers (JSON NaN, Infinity, an integer
-    beyond the float range) are config errors. The retired pe.quadrature_step is
-    an unknown key. An init.range whose width 2 * range overflows used to end in
-    rng.uniform's OverflowError traceback."""
+    beyond the float range) are config errors. The retired pe.quadrature_step,
+    signal.dimension and init.mode are unknown keys. An init.range whose width
+    2 * range overflows used to end in rng.uniform's OverflowError traceback."""
     data = scenario_dict()
     data.setdefault(section, {}).update(edits)
     path = write_scenario(tmp_path, data)
@@ -557,7 +590,7 @@ def test_certify_passes_on_reduced_scenario(tmp_path, capsys):
         bundled_scenario_path("fig1").read_text())["signal"]
     data["sim"] = {"step_h": 1e-3, "t_end": 10.0, "record_every": 10, "seed": 0}
     data["cl"] = {"epsilon": 1.0, "N_bar": 10, "online": True}
-    data["init"] = {"mode": "random", "range": 5.0}
+    del data["init"]  # the seeded draw on [-5, 5]^3
     path = write_scenario(tmp_path, data)
     out = tmp_path / "out"
     rc = main(["certify", path, "--out-dir", str(out)])
@@ -653,7 +686,7 @@ def test_certify_fails_an_energy_that_overflows(tmp_path, capsys):
     along the trajectory is NaN. certify used to count no violation and pass."""
     raw = json.loads(Path(bundled_scenario_path("fig1")).read_text())
     raw["systems"] = ["ht", "ht_cl"]
-    raw["init"] = {"mode": "fixed", "theta0": [1e200, 0, 0]}
+    raw["init"] = {"theta0": [1e200, 0, 0]}
     out = tmp_path / "out"
     argv = ["certify", write_scenario(tmp_path, raw), "--out-dir", str(out), "--t-end", "0.5"]
     assert main(argv) == EXIT_CERTIFICATE
@@ -670,7 +703,7 @@ def test_norms_of_a_finite_state_that_overflow_when_squared(tmp_path, capsys):
     whose norm itself exceeds the float range reports no time either."""
     raw = json.loads(Path(bundled_scenario_path("fig1")).read_text())
     raw["systems"] = ["basic", "ht", "ht_cl"]
-    raw["init"] = {"mode": "fixed", "theta0": [1e200, 0, 0]}
+    raw["init"] = {"theta0": [1e200, 0, 0]}
     path = write_scenario(tmp_path, raw)
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -739,7 +772,6 @@ def test_out_dir_that_cannot_be_made_is_a_config_error(tmp_path, capsys, monkeyp
 def test_run_reports_divergence(tmp_path, capsys):
     data = scenario_dict()
     data["signal"] = {
-        "dimension": 1,
         "offsets": [1.0],
         "amplitudes": [1.0],
         "frequencies": [1.0],
@@ -748,7 +780,7 @@ def test_run_reports_divergence(tmp_path, capsys):
     }
     data["gains"] = {"beta": 1e8, "gamma": 1e8, "mu": 0.2}
     data["cl"] = {"epsilon": 1.0, "N_bar": 1, "online": True}
-    data["init"] = {"mode": "fixed", "theta0": [4.0]}
+    data["init"] = {"theta0": [4.0]}
     path = write_scenario(tmp_path, data)
     rc = main(["run", path, "--out-dir", str(tmp_path / "out")])
     assert rc == EXIT_NUMERIC

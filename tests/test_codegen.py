@@ -24,12 +24,12 @@ from hotuner import (
     SOFT_RESET_KINDS,
     DataBuffer,
     Gains,
+    RegressorSignal,
     SignalGrid,
     SimConfig,
     SystemKind,
     TunerState,
     compile_field,
-    make_sinusoid_mix,
     simulate,
     simulate_with_buffer,
 )
@@ -54,9 +54,9 @@ def draw_gains(draw):
 
 
 def draw_signal(n, rng):
-    return make_sinusoid_mix(n, rng.uniform(-2, 2, n), rng.uniform(0, 3, n),
-                             rng.uniform(0, 5, n), rng.uniform(0, 2 * PI, n),
-                             rng.uniform(-3, 3, n))
+    return RegressorSignal(rng.uniform(-2, 2, n), rng.uniform(0, 3, n),
+                           rng.uniform(0, 5, n), rng.uniform(0, 2 * PI, n),
+                           rng.uniform(-3, 3, n))
 
 
 @st.composite
@@ -196,7 +196,7 @@ def test_generated_fields_equal_the_reference_closure(case):
 def test_generated_source_is_the_same_for_any_gains(monkeypatch):
     """No gain value is written into generated code: it reaches the code as an
     argument, so two gain sets compile the same source text."""
-    signal = make_sinusoid_mix(2, [1, 1], [0, 3], [0, 1], [0, 1.0], [2.0, -1.0])
+    signal = RegressorSignal([1, 1], [0, 3], [0, 1], [0, 1.0], [2.0, -1.0])
     sim = SimConfig(t_end=0.05)
     init = TunerState.from_theta0([0.5, -1.0])
     real_compile = builtins.compile

@@ -17,10 +17,10 @@ from hotuner import (
     SOFT_RESET_KINDS,
     DataBuffer,
     Gains,
+    RegressorSignal,
     SystemKind,
     TunerState,
     compile_field,
-    make_sinusoid_mix,
 )
 from hotuner.databuffer import data_aggregates, data_term
 from hotuner.dynamics import _data_for
@@ -167,7 +167,7 @@ def test_softreset_active_hand_values():
 
 def test_softreset_active_raises_theta_gain():
     """When the pull is on, the theta row behaves as if beta were beta + 2 beta_r."""
-    sig = make_sinusoid_mix(2, [1, 0], [1, 2], [1, 3], [0, 1], [0.5, -0.5])
+    sig = RegressorSignal([1, 0], [1, 2], [1, 3], [0, 1], [0.5, -0.5])
     buffer = DataBuffer.from_samples(
         [phi_at(sig, 0.0), phi_at(sig, 1.0)], [eval_at(sig, 0.0)[1], eval_at(sig, 1.0)[1]]
     )
@@ -225,8 +225,8 @@ def test_compile_field_refuses_dimension_zero():
 
 
 def test_normalized_pairs_differ_by_n_t():
-    sig = make_sinusoid_mix(3, [1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, PI / 2],
-                            [2.0, -1.0, 0.5])
+    sig = RegressorSignal([1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, PI / 2],
+                          [2.0, -1.0, 0.5])
     gains = Gains(beta=1.0, gamma=0.1, mu=0.2)
     rng = np.random.default_rng(9)
     for _ in range(50):
@@ -241,8 +241,8 @@ def test_normalized_pairs_differ_by_n_t():
 
 def test_cl_correction_is_additive():
     """ht_cl differs from ht only by the recorded-data drive on the companion row."""
-    sig = make_sinusoid_mix(3, [1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, PI / 2],
-                            [2.0, -1.0, 0.5])
+    sig = RegressorSignal([1, 1, 1], [0, 3, 3], [0, 1, 1], [0, 0, PI / 2],
+                          [2.0, -1.0, 0.5])
     phis = [phi_at(sig, t) for t in (0.0, 1.0, 2.2)]
     buffer = DataBuffer.from_samples(phis, [float(p @ sig.theta_star) for p in phis])
     gains = Gains(beta=1.0, gamma=0.1, mu=0.2)
@@ -267,8 +267,8 @@ def equilibrium_cases(draw):
     def vec(lo, hi):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
 
-    signal = make_sinusoid_mix(n, vec(-2, 2), vec(0, 3), vec(0, 5), vec(0, 2 * PI),
-                               vec(-3, 3))
+    signal = RegressorSignal(vec(-2, 2), vec(0, 3), vec(0, 5), vec(0, 2 * PI),
+                             vec(-3, 3))
     gains = Gains(beta=draw(st.floats(0.1, 5.0)), gamma=draw(st.floats(0.01, 2.0)),
                   mu=draw(st.floats(0.0, 2.0)), beta_r=draw(st.floats(0.0, 5.0)))
     times = np.cumsum(draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6)))
@@ -321,8 +321,8 @@ def field_cases(draw):
     def vec(lo, hi):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
 
-    signal = make_sinusoid_mix(n, vec(-2, 2), vec(0, 3), vec(0, 5), vec(0, 2 * PI),
-                               vec(-3, 3))
+    signal = RegressorSignal(vec(-2, 2), vec(0, 3), vec(0, 5), vec(0, 2 * PI),
+                             vec(-3, 3))
     gains = Gains(beta=draw(st.floats(0.1, 5.0)), gamma=draw(st.floats(0.01, 2.0)),
                   mu=draw(st.floats(0.0, 2.0)),
                   beta_r=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))))
@@ -408,9 +408,9 @@ def batch_cases(draw):
     n = draw(st.integers(1, 5))
     rows = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    signal = make_sinusoid_mix(n, rng.uniform(-2, 2, n), rng.uniform(0, 3, n),
-                               rng.uniform(0, 5, n), rng.uniform(0, 2 * PI, n),
-                               rng.uniform(-3, 3, n))
+    signal = RegressorSignal(rng.uniform(-2, 2, n), rng.uniform(0, 3, n),
+                             rng.uniform(0, 5, n), rng.uniform(0, 2 * PI, n),
+                             rng.uniform(-3, 3, n))
     gains = Gains(beta=draw(st.floats(0.1, 5.0)), gamma=draw(st.floats(0.01, 2.0)),
                   mu=draw(st.floats(0.0, 2.0)),
                   beta_r=draw(st.one_of(st.just(0.0), st.floats(0.01, 5.0))))

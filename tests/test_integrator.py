@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from hotuner import (
+    BUFFER_KINDS,
     DataBuffer,
     Gains,
     NumericalDivergence,
+    RegressorSignal,
     SignalGrid,
     SimConfig,
     SystemKind,
     Trajectory,
     TunerState,
-    make_sinusoid_mix,
     simulate,
     simulate_with_buffer,
 )
@@ -122,8 +123,8 @@ def test_constant_signal_start_time_is_irrelevant():
 def test_shifted_signal_matches_shifted_start():
     """phi(t + 5) is the sinusoid mix with phases advanced by 5 frequencies."""
     sig = mix3()
-    shifted = make_sinusoid_mix(3, sig.offsets, sig.amplitudes, sig.frequencies,
-                                sig.phases + 5.0 * sig.frequencies, sig.theta_star)
+    shifted = RegressorSignal(sig.offsets, sig.amplitudes, sig.frequencies,
+                              sig.phases + 5.0 * sig.frequencies, sig.theta_star)
     gains = Gains(beta=1.0, gamma=0.1, mu=0.2)
     init = TunerState.from_theta0([1.0, 0.0, -1.0])
     a, _ = simulate(SystemKind.HT, sig, gains,
@@ -244,6 +245,38 @@ def test_simulate_argument_guards():
     # A NaN threshold used to keep only the unconditional first sample.
     with pytest.raises(ValueError, match="epsilon must be positive"):
         simulate(SystemKind.HT_CL, sig, gains, sim, init, epsilon=math.nan, N_bar=5)
+    # A buffer of another dimension used to end in numpy's "shapes not aligned"
+    # from inside the Euler loop.
+    narrow = DataBuffer.from_samples([[1.0, 0.0]], [0.0])
+    for kind in (SystemKind.HT_CL, SystemKind.HT_B, SystemKind.HT):
+        with pytest.raises(ValueError, match="^buffer dimension 2 does not match the "
+                                             "signal dimension 3$"):
+            simulate_with_buffer(kind, sig, gains, sim, init, narrow)
+    # A NaN start used to raise NumericalDivergence after step 1, and an infinite
+    # one with no steps to leak numpy's "invalid value" warning.
+    for start in (TunerState([math.nan, 0.0, 0.0], [0.0, 0.0, 0.0]),
+                  TunerState.from_theta0([math.inf, 0.0, 0.0])):
+        for horizon in (sim, SimConfig(t_end=0.0)):
+            with pytest.raises(ValueError, match="^initial state must be finite$"):
+                simulate(SystemKind.HT, sig, gains, horizon, start)
+
+
+def test_kinds_without_a_data_term_count_no_samples():
+    """simulate_with_buffer used to report the buffer's length as n_samples on
+    every row of every kind, where simulate reports 0 for a kind that reads no data."""
+    sig = mix3()
+    gains = Gains(beta=1.0, gamma=0.1, mu=0.2)
+    sim = SimConfig(t_end=0.1, record_every=10)
+    init = TunerState.from_theta0([1.0, 0.0, -1.0])
+    phis, y_stars = sig.eval_grid(np.array([0.0, 1.0, 2.0, 3.0]))
+    buffer = DataBuffer.from_samples(phis, y_stars)
+    for kind in SystemKind:
+        online, _ = simulate(kind, sig, gains, sim, init, epsilon=1.0, N_bar=4)
+        prefilled = simulate_with_buffer(kind, sig, gains, sim, init, buffer)
+        want = 4 if kind in BUFFER_KINDS else 0
+        assert prefilled.n_samples.tolist() == [want] * prefilled.n_rows, kind
+        if kind not in BUFFER_KINDS:
+            assert online.n_samples.tolist() == prefilled.n_samples.tolist(), kind
 
 
 def test_online_recording_freezes_at_capacity():

@@ -20,12 +20,12 @@ from hotuner import (
     BUFFER_KINDS,
     DataBuffer,
     Gains,
+    RegressorSignal,
     SignalGrid,
     SimConfig,
     SystemKind,
     TunerState,
     buffer_csv,
-    make_sinusoid_mix,
     simulate,
     simulate_with_buffer,
 )
@@ -38,8 +38,8 @@ THETA0 = [0.5, -2.0, 1.0, 3.0]
 
 
 def signal4():
-    return make_sinusoid_mix(
-        4, [1, 1, 1, 0.5], [0, 3, 3, 2], [0, 4, 4, 9], [0, 0, np.pi / 2, 1.0],
+    return RegressorSignal(
+        [1, 1, 1, 0.5], [0, 3, 3, 2], [0, 4, 4, 9], [0, 0, np.pi / 2, 1.0],
         [2.0, -1.0, 0.5, 1.5],
     )
 
@@ -48,6 +48,7 @@ def reference_run(kind, signal, gains, sim, init, buffer, policy=None):
     """Euler with per-step signal evaluation, recording and rhs calls.
 
     policy is the (capacity, epsilon) of online recording, None for a fixed buffer.
+    A kind without a data term counts no samples, whatever the buffer holds.
     """
     h, num_steps = sim.step_h, sim.num_steps
     theta, vartheta = init.theta.copy(), init.vartheta.copy()
@@ -63,7 +64,7 @@ def reference_run(kind, signal, gains, sim, init, buffer, policy=None):
                 t, theta, vartheta,
                 np.linalg.norm(theta - signal.theta_star),
                 np.linalg.norm(vartheta - theta),
-                len(buffer),
+                len(buffer) if kind in BUFFER_KINDS else 0,
             ))
         if k == num_steps:
             break

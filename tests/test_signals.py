@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hotuner import RegressorSignal, check_pe, make_sinusoid_mix, pe_gram
+from hotuner import RegressorSignal, check_pe, pe_gram
 from oracles import eval_at, make_constant, mix3, phi_at
 
 PI = np.pi
@@ -42,8 +42,7 @@ def test_norm_bound_dominates_samples():
     rng = np.random.default_rng(7)
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        sig = make_sinusoid_mix(
-            n,
+        sig = RegressorSignal(
             rng.uniform(-2, 2, n),
             rng.uniform(0, 3, n),
             rng.uniform(0, 4, n),
@@ -58,20 +57,20 @@ def test_norm_bound_dominates_samples():
 
 def test_construction_validation():
     with pytest.raises(ValueError):
-        make_sinusoid_mix(2, [1.0], [0, 0], [0, 0], [0, 0], [0, 0])
+        RegressorSignal([1.0], [0, 0], [0, 0], [0, 0], [0, 0])
     with pytest.raises(ValueError, match="finite"):
-        make_sinusoid_mix(1, [np.nan], [0.0], [0.0], [0.0], [0.0])
+        RegressorSignal([np.nan], [0.0], [0.0], [0.0], [0.0])
     with pytest.raises(ValueError):
-        make_sinusoid_mix(0, [], [], [], [], [])
+        RegressorSignal([], [], [], [], [])
 
 
 @pytest.mark.parametrize("make, message", [
     (lambda: RegressorSignal(np.ones((2, 2)), *[np.zeros(2)] * 4),
      "offsets must be a nonempty 1-d vector"),
-    (lambda: make_sinusoid_mix(2, [1e155, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]),
+    (lambda: RegressorSignal([1e155, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]),
      r"bound \|phi\| by M = 1e\+155, whose square overflows"),
-    (lambda: make_sinusoid_mix(2, [1e308, 1.0], [1e308, 1.0], [0.0, 1.0], [0.0, 0.0],
-                               [1.0, 1.0]),
+    (lambda: RegressorSignal([1e308, 1.0], [1e308, 1.0], [0.0, 1.0], [0.0, 0.0],
+                             [1.0, 1.0]),
      r"bound \|phi\| by M = inf, whose square overflows"),
     (lambda: pe_gram(mix3(), 0.0, 1e155), "window length T must be positive with a finite square"),
     (lambda: pe_gram(make_constant([1e154, 1.0], [1.0, 1.0]), 0.0, 2.0 * PI),
@@ -115,8 +114,7 @@ def test_pe_gram_symmetric_psd():
     rng = np.random.default_rng(11)
     for _ in range(10):
         n = int(rng.integers(1, 4))
-        sig = make_sinusoid_mix(
-            n,
+        sig = RegressorSignal(
             rng.uniform(-2, 2, n),
             rng.uniform(0, 2, n),
             rng.uniform(0, 3, n),
@@ -137,7 +135,7 @@ def test_pe_gram_periodic_window_invariance():
 
 def test_pe_gram_hand_value():
     """integral_0^1 sin^2 = 1/2 - sin(2)/4; the trapezoid at step 1e-3 was off by 2.8e-7."""
-    sig = make_sinusoid_mix(1, [0.0], [1.0], [1.0], [0.0], [1.0])
+    sig = RegressorSignal([0.0], [1.0], [1.0], [0.0], [1.0])
     exact = 0.5 - math.sin(2.0) / 4.0
     assert abs(pe_gram(sig, 0.0, 1.0)[0, 0] - exact) <= 1e-14 * exact
 
@@ -167,7 +165,7 @@ def test_check_pe_reference_values(reference):
 
 def test_check_pe_rank_deficient():
     # two identical components can never excite the difference direction
-    sig = make_sinusoid_mix(2, [0, 0], [1, 1], [1, 1], [0, 0], [1.0, 1.0])
+    sig = RegressorSignal([0, 0], [1, 1], [1, 1], [0, 0], [1.0, 1.0])
     report = check_pe(sig, T=2.0 * PI, scan_horizon=4.0 * PI)
     assert report.delta_hat == 0.0
     assert not report.satisfied()

@@ -19,7 +19,7 @@ PUBLIC = set("""
     NumericalDivergence PEReport POINTWISE_KINDS RATE_CONDITION_KINDS RegressorSignal
     RichnessReport SOFT_RESET_KINDS SignalGrid SimConfig SystemKind Trajectory TunerState
     buffer_csv check_decrease_along check_decrease_pointwise check_pe compile_field
-    energy_matrix estimate_decay_rate lyapunov_along make_sinusoid_mix matrosov_check
+    energy_matrix estimate_decay_rate lyapunov_along matrosov_check
     p_matrix pe_gram record_steps richness simulate simulate_with_buffer
 """.split())
 MODULE_ONLY = {

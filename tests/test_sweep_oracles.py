@@ -16,11 +16,11 @@ from hotuner import (
     POINTWISE_KINDS,
     DataBuffer,
     Gains,
+    RegressorSignal,
     SystemKind,
     check_decrease_pointwise,
     check_pe,
     energy_matrix,
-    make_sinusoid_mix,
     matrosov_check,
     p_matrix,
 )
@@ -137,8 +137,8 @@ def oracle_matrosov(signal, T, delta, sample_count=200, seed=0, radius=5.0, t_po
 
 
 def mix5():
-    return make_sinusoid_mix(5, [1, 0.5, 0, 1, -1], [0, 3, 2, 1, 0.5], [0, 1, 2.5, 0.7, 3],
-                             [0, 0, 1, 2, 3], [2.0, -1.0, 0.5, 1.5, -0.3])
+    return RegressorSignal([1, 0.5, 0, 1, -1], [0, 3, 2, 1, 0.5], [0, 1, 2.5, 0.7, 3],
+                           [0, 0, 1, 2, 3], [2.0, -1.0, 0.5, 1.5, -0.3])
 
 
 def buffer_of(signal, times, offset=0.0):
@@ -247,7 +247,7 @@ def test_zero_direction_gives_the_origin_in_both(monkeypatch, kind):
 
 
 def sin1():
-    return make_sinusoid_mix(1, [0.5], [2.0], [1.3], [0.4], [1.5])
+    return RegressorSignal([0.5], [2.0], [1.3], [0.4], [1.5])
 
 
 @pytest.mark.parametrize("signal_of", [mix3, mix5, sin1, lambda: make_constant([2.0], [1.0])])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotuner import check_pe, make_sinusoid_mix, pe_gram, signals
+from hotuner import RegressorSignal, check_pe, pe_gram, signals
 from hotuner.certificates import _matrosov_moments
 from hotuner.cli import bundled_scenario_path, load_scenario
 from hotuner.signals import _window_grams, _window_moments
@@ -78,7 +78,7 @@ def mixes(draw, near_pairs=False):
         # a near-equal pair: its difference frequency is close to 0
         frequencies[1] = frequencies[0] + draw(floats(0.0, 1e-3))
     phases = draw(st.lists(floats(-math.pi, math.pi), min_size=n, max_size=n))
-    return make_sinusoid_mix(n, offsets, amplitudes, frequencies, phases, np.zeros(n))
+    return RegressorSignal(offsets, amplitudes, frequencies, phases, np.zeros(n))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -146,7 +146,7 @@ def test_check_pe_takes_the_smallest_oracle_eigenvalue(signal, T, scan_fraction,
 
 def test_check_pe_reports_the_worst_window():
     """sin^2 over a unit window is least where the window straddles a zero of sin."""
-    signal = make_sinusoid_mix(1, [0.0], [1.0], [1.0], [0.0], [1.0])
+    signal = RegressorSignal([0.0], [1.0], [1.0], [0.0], [1.0])
     report = check_pe(signal, T=1.0, scan_horizon=5.0, scan_step=0.01)
     starts = 0.01 * np.arange(401)
     grams = [pe_gram(signal, float(s), 1.0)[0, 0] for s in starts]
@@ -161,7 +161,7 @@ def test_check_pe_reports_the_worst_window():
 
 def test_blocks_do_not_change_the_scan(monkeypatch):
     """Blocks of 3 starts give the report of one block of all."""
-    signal = make_sinusoid_mix(3, [1, 0, 2], [0, 3, 1], [0, 1, 0.7], [0, 0.3, 1], [1, 1, 1])
+    signal = RegressorSignal([1, 0, 2], [0, 3, 1], [0, 1, 0.7], [0, 0.3, 1], [1, 1, 1])
     whole = check_pe(signal, T=2.0, scan_horizon=12.0, scan_step=0.25)
     monkeypatch.setattr(signals, "_GRAM_BLOCK", 3)
     blocked = check_pe(signal, T=2.0, scan_horizon=12.0, scan_step=0.25)
