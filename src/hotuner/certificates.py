@@ -29,7 +29,7 @@ from .dynamics import (
     compile_field,
 )
 from .integrator import SimConfig, Trajectory
-from .signals import _SQUARE_LIMIT, PEReport, RegressorSignal, _moments, _window_grams, row_dots
+from .signals import PEReport, RegressorSignal, _moments, _window_grams, row_dots
 
 __all__ = [
     "CertificateReport",
@@ -45,7 +45,7 @@ POINTWISE_TOLERANCE = 1e-9
 # Both sweeps take their times on a grid over [0, SWEEP_SPAN].
 SWEEP_SPAN = 4.0 * math.pi
 # Allowed V growth from one trajectory row to the next is SLACK_COEFF * dt * (1 + V),
-# dt the time between the rows (h * record_every for a decimated run).
+# dt = h * k for the k Euler steps of size h between the rows.
 SLACK_COEFF = 10.0
 # The decay fit drops this leading fraction of the rows and takes the upper
 # envelope over windows of this length.
@@ -107,17 +107,6 @@ def energy_matrix(
     return q
 
 
-def _squares(values: np.ndarray) -> np.ndarray:
-    """values ** 2 as Python floats square them.
-
-    A Python float ** 2 goes through libm pow, which differs from the correctly
-    rounded values * values in about one case in a thousand; the bounds square
-    with it, so that every row rounds as the per-point form of the bound.
-    Where the square overflows, ** raises and value * value gives inf.
-    """
-    return np.array([v**2 if abs(v) < _SQUARE_LIMIT else v * v for v in values.tolist()])
-
-
 def _decrease_bound(
     kind: SystemKind,
     theta_tilde: np.ndarray,
@@ -142,7 +131,8 @@ def _decrease_bound(
     """
     spec = KINDS[kind]
     if spec.data is None:
-        a, e = 1.0, _squares(row_dots(phi, theta_tilde))
+        e_y = row_dots(phi, theta_tilde)
+        a, e = 1.0, e_y * e_y
     else:
         a = gains.gamma if spec.grad is None else 2.0
         e = row_dots(theta_tilde, np.matmul(p_mu, theta_tilde[:, :, None])[:, :, 0])
@@ -337,19 +327,19 @@ def check_decrease_along(
 ) -> CertificateReport:
     """Flag rows where V grows faster than the discretization allowance.
 
-    The allowance per row is SLACK_COEFF * step_h * (1 + V), with step_h the
-    time between consecutive rows: the Euler step times record_every for a
-    decimated run. Rows at which a new sample was recorded are exempt: the
-    recorded-data term of V changes discontinuously there, outside the flow
-    the certificate covers. A non-finite margin (V overflowed) counts as a
-    violation, and a trajectory without a flow step gets the empty report of
-    _sweep_report.
+    step_h is the Euler step, and a pair of rows k steps apart (k read off the
+    row times) may grow by SLACK_COEFF * (step_h * k) * (1 + V), V at the first
+    row. Rows at which a new sample was recorded are exempt: the recorded-data
+    term of V changes discontinuously there, outside the flow the certificate
+    covers. A non-finite margin (V overflowed) counts as a violation, and a
+    trajectory without a flow step gets the empty report of _sweep_report.
     """
     v_values = np.asarray(v_values, dtype=float)
     if v_values.shape != trajectory.t.shape:
         raise ValueError("need one V value per trajectory row")
     dv = v_values[1:] - v_values[:-1]
-    slack = SLACK_COEFF * step_h * (1.0 + v_values[:-1])
+    steps = np.rint(np.diff(trajectory.t) / step_h)
+    slack = SLACK_COEFF * (step_h * steps) * (1.0 + v_values[:-1])
     margin = dv - slack
     flow_steps = trajectory.n_samples[1:] == trajectory.n_samples[:-1]
     return _sweep_report(margin[flow_steps], 0.0)
@@ -415,7 +405,8 @@ def matrosov_check(
     # so the only orthogonal choice is the origin (a scale of 0)
     spans = norms > 1e-9
     theta_tilde = raw * np.divide(radius, norms, out=np.zeros(t_points), where=spans)[:, None]
-    majorant = -decay * row_dots(theta_tilde, theta_tilde) + _squares(row_dots(phis, theta_tilde))
+    e_y = row_dots(phis, theta_tilde)
+    majorant = -decay * row_dots(theta_tilde, theta_tilde) + e_y * e_y
     return _sweep_report(np.concatenate((sampled, majorant)))
 
 
@@ -442,7 +433,7 @@ def _certificate_rows(
                      check_decrease_pointwise(kind, signal, buffer, gains, seed=sim.seed)))
     v_values = lyapunov_along(kind, trajectory, signal, gains, buffer)
     rows.append(("trajectory",
-                 check_decrease_along(trajectory, v_values, sim.step_h * sim.record_every)))
+                 check_decrease_along(trajectory, v_values, sim.step_h)))
     if KINDS[kind].data is None:
         rows.append(("auxiliary", matrosov_check(signal, T=pe.window_T, delta=pe.delta_hat,
                                                  seed=sim.seed)))

@@ -26,7 +26,6 @@ import numpy as np
 from . import certificates
 from .databuffer import DataBuffer, buffer_csv, richness
 from .dynamics import (
-    BASELINE_KINDS,
     HIGH_ORDER_KINDS,
     RATE_CONDITION_KINDS,
     Gains,
@@ -58,6 +57,9 @@ EXIT_NUMERIC = 3
 EXIT_CERTIFICATE = 4
 
 THRESHOLD_FRACTIONS = (1e-1, 1e-2, 1e-3)
+# Output files are named <name><suffix>, the longest suffix _<kind>_buffer.csv,
+# and a file name holds at most 255 bytes on common file systems.
+_NAME_BYTES = 255 - max(len(f"_{kind.value}_buffer.csv") for kind in SystemKind)
 
 
 class ConfigError(ValueError):
@@ -248,6 +250,12 @@ def load_scenario(
         raise ConfigError(f"'name' must not contain a path separator (got {name!r})")
     if "\0" in name:
         raise ConfigError(f"'name' must not contain a NUL character (got {name!r})")
+    try:
+        size = len(name.encode())
+    except UnicodeEncodeError:
+        raise ConfigError(f"'name' must encode to UTF-8 (got {name!r})")
+    if size > _NAME_BYTES:
+        raise ConfigError(f"'name' must be at most {_NAME_BYTES} bytes in UTF-8 (got {size})")
 
     signal = _checked("signal", RegressorSignal, **top["signal"])
     gains = _checked("gains", Gains, **top["gains"])
@@ -476,11 +484,10 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
     Which rows a kind gets is decided in certificates._certificate_rows.
     Baseline gradient systems are skipped (they carry no certified energy
     function here). Refuses gain sets violating beta >= 2 gamma / mu when a
-    kind that needs the condition is present, and a horizon shorter than one
-    record_every stretch: the trajectory check allows each pair of rows the
-    growth of a whole stretch.
+    kind that needs the condition is present, and a horizon of no step, which
+    leaves the trajectory check no row pair and a data-driven kind no sample.
     """
-    high_order = [k for k in scenario.systems if k not in BASELINE_KINDS]
+    high_order = [k for k in scenario.systems if k in HIGH_ORDER_KINDS]
     if not high_order:
         print("no high-order systems in scenario; nothing to certify")
         return EXIT_OK
@@ -489,13 +496,9 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
         raise ConfigError(f"gains: beta >= 2 gamma / mu is required to certify {unproven} "
                           f"(beta={gains.beta}, gamma={gains.gamma}, mu={gains.mu})")
     sim = scenario.sim
-    if sim.num_steps < sim.record_every:
-        raise ConfigError(
-            f"sim: horizon t_end - t_start = {sim.t_end - sim.t_start!r} at step_h = "
-            f"{sim.step_h!r} is {sim.num_steps} steps, fewer than record_every = "
-            f"{sim.record_every}; the trajectory check would allow each pair of rows "
-            "the growth of a whole record_every stretch"
-        )
+    if sim.num_steps == 0:
+        raise ConfigError(f"sim: horizon t_end - t_start = {sim.t_end - sim.t_start!r} at "
+                          f"step_h = {sim.step_h!r} is 0 steps; there is no step to certify")
     out = _out_path(out_dir)
     grid = _signal_grid(scenario)
     pe_report = _scan_pe(scenario)

@@ -235,7 +235,9 @@ def _run(
         if not all(map(math.isfinite, final)):
             advance(*inputs, lambda k: _divergence(kind, grid, k))
     theta, vartheta = np.hsplit(np.frombuffer(rows).reshape(-1, 2 * n), 2)
-    row_steps = np.minimum(np.arange(theta.shape[0]) * sim.record_every, grid.num_steps)
+    # Capped at the step count, record_every names the same rows and fits an int64.
+    stride = min(sim.record_every, grid.num_steps)
+    row_steps = np.minimum(np.arange(theta.shape[0]) * stride, grid.num_steps)
     return Trajectory(
         t=grid.t[row_steps],
         theta=theta,

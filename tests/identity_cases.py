@@ -74,16 +74,22 @@ CASES = [
     ("run", "repeated", ["--t-end", "1"]),
     ("run", "old_mode", ["--t-end", "1"]),
     ("run", "theta0", ["--t-end", "1"]),
+    ("certify", "fig1", ["--t-end", "15.05"]),
+    ("run", "stride", ["--t-end", "1"]),
+    ("certify", "stride", ["--t-end", "1"]),
+    ("run", "long_name", ["--t-end", "0.2"]),
+    ("run", "surrogate", ["--t-end", "1"]),
 ]
 
 
 def write_scenarios() -> None:
-    """fig1, fig2 and the fig1 variants of CASES, as files in WORK."""
+    """fig1, fig2 and their variants of CASES, as files in WORK."""
     fig1 = json.loads(bundled_scenario_path("fig1").read_text())
+    fig2 = json.loads(bundled_scenario_path("fig2").read_text())
     recording = {**fig1, **RECORDING, "sim": {**fig1["sim"], **RECORDING["sim"]}}
     for name, scenario in (
         ("fig1", fig1),
-        ("fig2", json.loads(bundled_scenario_path("fig2").read_text())),
+        ("fig2", fig2),
         ("recording", recording),
         ("huge_start", {**fig1, **HUGE_START, "name": "huge_start"}),
         # a kind that reads no recorded data, with cl.online false
@@ -94,6 +100,12 @@ def write_scenarios() -> None:
         # the retired init.mode, and the start given by init.theta0 alone
         ("old_mode", {**fig1, "name": "old_mode", "init": {"mode": "random"}}),
         ("theta0", {**fig1, "name": "theta0", "init": {"theta0": [4.0, -3.0, 2.5]}}),
+        # a record_every beyond int64
+        ("stride", {**fig1, "name": "stride", "sim": {**fig1["sim"], "record_every": 10**20}}),
+        # a name one byte too long for the longest output file name, and one
+        # that does not encode to UTF-8
+        ("long_name", {**fig2, "name": "n" * 218}),
+        ("surrogate", {**fig1, "name": "\ud800"}),
     ) + tuple(
         (name, {**fig1, "name": name, section: {**fig1.get(section, {}), **edits}})
         for name, (section, edits) in OVERFLOWS.items()

@@ -423,6 +423,16 @@ def test_check_decrease_along_flags_growth():
     assert abs(report.worst_margin - (4.0 - 0.02)) < 1e-12
 
 
+def test_check_decrease_along_allows_each_pair_its_own_steps():
+    """step_h is the Euler step: the last pair spans 50 steps, not a whole stretch
+    of 100, and is allowed 10 * 0.05 * (1 + 1) = 1.0 of growth, not 2.0."""
+    traj = synthetic_trajectory(np.array([0.0, 0.1, 0.15]), np.zeros(3))
+    report = check_decrease_along(traj, np.array([1.0, 1.0, 2.5]), 1e-3)
+    assert report.checked_points == 2
+    assert report.violations == 1
+    assert abs(report.worst_margin - 0.5) < 1e-12
+
+
 def test_check_decrease_along_needs_one_v_per_row():
     traj = synthetic_trajectory(np.array([0.0, 1e-3, 2e-3]), np.zeros(3))
     with pytest.raises(ValueError, match="one V value per trajectory row"):

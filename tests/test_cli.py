@@ -115,6 +115,10 @@ def test_load_scenario_invalid_json(tmp_path):
         (lambda d: d.update(systems=["ht", "basic", "ht"]),
          "duplicate system 'ht' in 'systems'"),
         (lambda d: d.update(name="a\0b"), "'name' must not contain a NUL character"),
+        # a lone surrogate is valid JSON but no file name
+        (lambda d: d.update(name="\ud800"), "'name' must encode to UTF-8"),
+        # 109 two-byte characters: the limit counts bytes
+        (lambda d: d.update(name="\u00e9" * 109), "'name' must be at most 217 bytes in UTF-8"),
     ],
 )
 def test_load_scenario_rejects_bad_config(tmp_path, mutate, message):
@@ -440,12 +444,13 @@ def test_certify_refuses_a_buffer_kind_over_zero_steps(tmp_path, capsys):
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("sim: horizon t_end - t_start = 0.0 at step_h = 0.001 is 0 steps, fewer "
-            "than record_every = 100") in captured.err
+    assert captured.err == ("config error: sim: horizon t_end - t_start = 0.0 at step_h = "
+                            "0.001 is 0 steps; there is no step to certify\n")
     assert not out.exists()
     # kinds without recorded data are refused too: their trajectory check
-    # would have no point to check
+    # would have no row pair to check
     assert main(argv + ["--system", "ht"]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_load_scenario_rejects_fractional_horizon(tmp_path, capsys):
@@ -541,21 +546,28 @@ def test_run_system_filter_errors(tmp_path, capsys):
 def test_run_ends_on_the_final_state(tmp_path, capsys):
     """At step 0.3 fig1's 50 steps are fewer than record_every = 100. run used to
     write only the initial row and report the initial error as final_err_norm
-    for every kind; the last row is now the state at t_end."""
-    out = tmp_path / "out"
-    argv = ["run", str(bundled_scenario_path("fig1")), "--t-end", "15", "--step", "0.3",
-            "--out-dir", str(out)]
-    assert main(argv) == EXIT_OK
-    report = (out / "fig1_report.csv").read_text().splitlines()[1:]
-    assert len(report) == 5
-    for line in report:
-        kind, final_err_norm = line.split(",")[:2]
-        lines = (out / f"fig1_{kind}.csv").read_text().splitlines()
-        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
-        assert len(rows) == 2
-        assert float(rows[-1][0]) == 15.0
-        assert final_err_norm == rows[-1][header.index("err_norm")]
-    assert float(report[0].split(",")[1]) > 1e14  # basic, far from its start
+    for every kind; the last row is now the state at t_end. A record_every of
+    1e20, beyond int64, used to end in an OverflowError traceback after the out
+    dir was made."""
+    fig1 = str(bundled_scenario_path("fig1"))
+    raw = json.loads(Path(fig1).read_text())
+    raw["sim"]["record_every"] = 10**20
+    for config, extra, t_end in (
+        (fig1, ["--t-end", "15", "--step", "0.3"], 15.0),
+        (write_scenario(tmp_path, raw), ["--t-end", "1"], 1.0),
+    ):
+        out = tmp_path / f"out_{t_end}"
+        assert main(["run", config, "--out-dir", str(out), *extra]) == EXIT_OK
+        report = (out / "fig1_report.csv").read_text().splitlines()[1:]
+        assert len(report) == 5
+        for line in report:
+            kind, final_err_norm = line.split(",")[:2]
+            lines = (out / f"fig1_{kind}.csv").read_text().splitlines()
+            header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+            assert [float(row[0]) for row in rows] == [0.0, t_end]
+            assert final_err_norm == rows[-1][header.index("err_norm")]
+        if t_end == 15.0:
+            assert float(report[0].split(",")[1]) > 1e14  # basic, far from its start
 
 
 def test_run_single_row_when_span_is_empty(tmp_path):
@@ -657,27 +669,41 @@ def test_certify_reports_violations(tmp_path, capsys, monkeypatch):
     assert "ht,trajectory,3,1,0.25,0.0" in lines
 
 
-def test_certify_refuses_a_trajectory_check_of_no_point(tmp_path, capsys):
+def test_certify_checks_a_horizon_shorter_than_a_stretch(tmp_path, capsys):
     """At t_end 0.005 (5 steps, record_every 100) each trajectory has two rows
-    5 steps apart, and the along-trajectory check would allow them the growth of
-    100 steps. certify used to print 'trajectory pass (0 points' and exit 0, then
-    'trajectory FAIL (0 points' and exit 4, while each trajectory had one row; it
-    now refuses the horizon up front, naming that reason."""
-    out = tmp_path / "out"
+    5 steps apart, and the along-trajectory check allows them the growth of those
+    5 steps. certify used to refuse such a horizon, because the check allowed
+    each pair of rows the growth of a whole stretch of 100 steps."""
     fig1 = str(bundled_scenario_path("fig1"))
-    for extra, message in (
-        (["--t-end", "0.005"], "sim: horizon t_end - t_start = 0.005 at step_h = 0.001 is "
-                               "5 steps, fewer than record_every = 100"),
-        (["--step", "0.5", "--t-end", "1"], "sim: horizon t_end - t_start = 1.0 at step_h "
-                                            "= 0.5 is 2 steps, fewer than record_every = 100"),
+    for extra, margins in (
+        (["--t-end", "0.005"], ("-18.980899406737187", "-34.695901398401")),
+        (["--step", "0.5", "--t-end", "1"], ("-2797.049672104592", "-540.6833685725687")),
     ):
-        assert main(["certify", fig1, "--out-dir", str(out), *extra]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"config error: {message}; the trajectory check would allow "
-                                "each pair of rows the growth of a whole record_every "
-                                "stretch\n")
-        assert not out.exists()
+        out = tmp_path / extra[-1]
+        assert main(["certify", fig1, "--out-dir", str(out), *extra]) == EXIT_OK
+        assert "all certificates passed" in capsys.readouterr().out
+        lines = (out / "fig1_certificates.csv").read_text().splitlines()
+        assert [line for line in lines if ",trajectory," in line] == [
+            f"ht,trajectory,1,0,{margins[0]},0.0",
+            f"ht_cl,trajectory,1,0,{margins[1]},0.0",
+            f"ht_cl_softreset,trajectory,1,0,{margins[1]},0.0",
+        ]
+
+
+def test_certify_allows_a_short_last_stretch_its_own_steps(tmp_path, capsys):
+    """At t_end 15.05 the last pair of rows spans 50 steps. The trajectory check
+    used to allow it the growth of a whole stretch of 100, which doubled the
+    worst margins of ht, ht_cl and ht_cl_softreset."""
+    out = tmp_path / "out"
+    argv = ["certify", str(bundled_scenario_path("fig1")), "--out-dir", str(out),
+            "--t-end", "15.05"]
+    assert main(argv) == EXIT_OK
+    lines = (out / "fig1_certificates.csv").read_text().splitlines()
+    assert [line for line in lines if ",trajectory," in line] == [
+        "ht,trajectory,151,0,-0.6067151469460101,0.0",
+        "ht_cl,trajectory,142,0,-0.5000000000000001,0.0",
+        "ht_cl_softreset,trajectory,142,0,-0.5,0.0",
+    ]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

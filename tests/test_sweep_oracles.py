@@ -47,10 +47,10 @@ def oracle_bound(kind, theta_tilde, p, phi, gains, p_mu, m_bound):
     p_sq = float(p @ p)
     e_y = float(phi @ theta_tilde)
     if kind is SystemKind.HT:
-        return -(2.0 * gains.beta / gains.gamma) * p_sq - e_y**2
+        return -(2.0 * gains.beta / gains.gamma) * p_sq - e_y * e_y
     if kind is SystemKind.HT_NORMALIZED:
         nt = 1.0 + gains.mu * float(phi @ phi)
-        return (-(2.0 * gains.beta / gains.gamma) * p_sq - e_y**2) / nt
+        return (-(2.0 * gains.beta / gains.gamma) * p_sq - e_y * e_y) / nt
     quad = float(theta_tilde @ (p_mu @ theta_tilde))
     if kind is SystemKind.HT_CL:
         return -2.0 * quad - (2.0 * gains.beta / gains.gamma) * p_sq
@@ -128,7 +128,7 @@ def oracle_matrosov(signal, T, delta, sample_count=200, seed=0, radius=5.0, t_po
         norm = float(np.linalg.norm(raw))
         theta_tilde = raw * (radius / norm) if norm > 1e-9 else np.zeros(n)
         e_y = float(phi @ theta_tilde)
-        majorant = -decay * float(theta_tilde @ theta_tilde) + e_y**2
+        majorant = -decay * float(theta_tilde @ theta_tilde) + e_y * e_y
         checked += 1
         if majorant > tolerance:
             violations += 1
@@ -149,8 +149,8 @@ def buffer_of(signal, times, offset=0.0):
 
 @pytest.mark.parametrize("kind", sorted(POINTWISE_KINDS, key=lambda k: k.value))
 def test_both_sides_equal_the_per_point_values_row_by_row(kind):
-    """Every row, not only the worst: the bound squares e_y as a Python float does,
-    which differs from e_y * e_y in about one row in a thousand."""
+    """Every row, not only the worst: the bound squares e_y as e_y * e_y, which
+    differs from a Python float's e_y ** 2 in about one row in a thousand."""
     rng = np.random.default_rng(11)
     for signal in (mix3(), mix5()):
         n = signal.dimension
