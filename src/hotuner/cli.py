@@ -509,7 +509,7 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
     if skipped:
         print(f"skipping baseline systems without certificates: {', '.join(skipped)}")
     lines = ["system,check,checked_points,violations,worst_margin,tolerance"]
-    failed = False
+    violated, unchecked = False, []
     for kind in high_order:
         trajectory, buffer = _simulate_system(scenario, kind, grid)
         if len(buffer):
@@ -529,10 +529,15 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
                 f"({report.checked_points} points, worst margin {report.worst_margin:.3e})"
             )
             lines.append(f"{kind.value},{check},{report.to_csv_line()}")
-            failed = failed or not report.passed
+            violated = violated or report.violations > 0
+            if not report.checked_points:
+                unchecked.append(f"{kind.value} {check}")
     (out / f"{scenario.name}_certificates.csv").write_text("\n".join(lines) + "\n")
-    if failed:
+    if violated:
         print("certificate violations found")
+    if unchecked:
+        print(f"no point to check: {', '.join(unchecked)}")
+    if violated or unchecked:
         return EXIT_CERTIFICATE
     print("all certificates passed")
     return EXIT_OK

@@ -1,8 +1,8 @@
 """Recorded-sample store for concurrent learning.
 
 Holds regressor/output pairs captured at discrete times, decides which pairs
-of a regressor sequence are informative enough to keep, and exposes the two
-aggregates the learning laws need: the normalized data-sum matrix P_mu and the
+of a regressor sequence are informative enough to keep, and exposes what the
+learning laws read: the normalized data-sum matrix P_mu and the arrays of the
 data-driven correction term B. Buffers are immutable values.
 """
 
@@ -41,7 +41,7 @@ class DataBuffer:
     Row k of t (N,), phi (N, n) and y_star (N,) is the k-th recorded pair
     (t_k, phi_k, y*_k); times increase strictly. DataBuffer.empty has phi of
     shape (0, 0). The regressors are also kept as contiguous columns (n, N),
-    the layout that data_term's rounding depends on. The recording policy
+    the layout that the data term's rounding depends on. The recording policy
     (sample budget and threshold) belongs to record_steps, not to the buffer.
     """
 
@@ -160,44 +160,14 @@ def data_aggregates(buffer: DataBuffer, mu: float, count: int | None = None) -> 
 
     Column k of phi_mat is phi_k and weights[k] = 1 / (1 + mu |phi_k|^2). A
     prefix is copied into the contiguous layout that a buffer holding only
-    those samples has, so data_term rounds exactly as it would on that buffer.
+    those samples has, so the data term (dynamics._field_lines) rounds
+    exactly as it would on that buffer.
     """
     phi_mat = buffer._phi_mat
     if count is not None and count != len(buffer):
         phi_mat = np.ascontiguousarray(phi_mat[:, :count])
     weights = 1.0 / (1.0 + mu * (phi_mat**2).sum(axis=0))
     return phi_mat, buffer.y_star[:phi_mat.shape[1]], weights
-
-
-def data_term(aggregates: DataAggregates, theta: np.ndarray, rows: bool = False) -> np.ndarray:
-    """sum_k phi_k (phi_k' theta - y*_k) weights[k] from data_aggregates output.
-
-    ndarray.dot makes the same matrix-vector calls as `@`, bit for bit, with
-    less overhead per call. The residual is subtracted and weighted in place,
-    the same roundings as weights * (phi_mat' theta - y_vec) without two
-    temporaries. With rows set, theta is (B, n) and row b of the (B, n) result
-    equals the term at theta[b] bit for bit: both products become stacked
-    matmuls, one matrix-vector call per row with the matrices of the 1-d form,
-    and the residual formula is shared. One sample in one dimension is the
-    exception: there the 1-d form's products are single multiplications,
-    which keep the sign of a zero, and matmul adds them to +0, so the rows
-    form multiplies too.
-    """
-    phi_mat, y_vec, weights = aggregates
-    scalar = rows and phi_mat.size == 1
-    if scalar:
-        residual = theta * phi_mat[0]
-    elif rows:
-        residual = np.matmul(phi_mat.T[None], theta[:, :, None])[:, :, 0]
-    else:
-        residual = phi_mat.T.dot(theta)
-    np.subtract(residual, y_vec, residual)
-    np.multiply(residual, weights, residual)
-    if scalar:
-        return residual * phi_mat[0]
-    if rows:
-        return np.matmul(phi_mat[None], residual[:, :, None])[:, :, 0]
-    return phi_mat.dot(residual)
 
 
 def richness(buffer: DataBuffer, mu: float) -> RichnessReport:

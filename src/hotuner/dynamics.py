@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .databuffer import DataAggregates, DataBuffer, data_aggregates, data_term
+from .databuffer import DataAggregates, DataBuffer, data_aggregates
 from .signals import row_dots
 
 __all__ = [
@@ -215,7 +215,9 @@ def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
     ends in; g keeps the loss gradient undivided for the reset indicator. An
     absent term is skipped rather than added as zero, and a soft-reset pull
     that is off (or has beta_r = 0, pulls false) is not added either, which
-    keeps the sign of every zero component.
+    keeps the sign of every zero component. The data term phi_mat (weights *
+    (phi_mat' theta - y_vec)) reads data as _pm, _yv, _w; its residual _r is
+    subtracted and weighted in place, with the formula's roundings.
 
     Three things differ between the two forms. The point form (rows false),
     in which the Euler loop is written, works on Python floats; its dot
@@ -223,13 +225,16 @@ def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
     they must reproduce: a dot packs its two vectors into the contiguous
     halves _lo and _hi of the loop's 2n scratch array (through the memoryview
     _m), and the data term reads theta from _hi, where phi . theta left it if
-    the kind has a loss gradient. The rows form, in which compile_field is
-    written, works on (B,) columns of a batch: phi . theta is
-    signals.row_dots of the (B, n) inputs, every other dot stacks its vectors
-    into (B, n) arrays first, and the soft-reset pull is added through a row
-    mask. In one dimension a dot is a product in both forms: ndarray.dot of
-    length 1 is one multiplication, which keeps the sign of a zero, and
-    row_dots adds it to +0.
+    the kind has a loss gradient; its products are ndarray.dot calls, the
+    matrix-vector calls of `@` with less overhead. The rows form, in which
+    compile_field is written, works on (B,) columns of a batch: phi . theta
+    is signals.row_dots of the (B, n) inputs, every other dot stacks its
+    vectors into (B, n) arrays first, the data term's products are stacked
+    matmuls, each row the point form's call, and the soft-reset pull is added
+    through a row mask. In one dimension a dot is a product in both forms:
+    ndarray.dot of length 1 is one multiplication, which keeps the sign of a
+    zero, and row_dots and matmul add it to +0. So is the data term of one
+    sample.
     """
     def each(template: str) -> list[str]:
         return [template.format(i=i) for i in range(n)]
@@ -244,7 +249,10 @@ def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
             return [f"{name} = _row_dots(_stack(({_names(b, n)}), 1), "
                     f"_stack(({_names(a, n)}), 1))"]
 
-        data = [f"{_names('c', n)} = _data_term(data, theta, True).T"]
+        residual = ["_r = (theta * _pm[0] if _pm.size == 1 else "
+                    "_matmul(_pm.T[None], theta[:, :, None])[:, :, 0])"]
+        term = (f"{_names('c', n)} = (_r * _pm[0] if _pm.size == 1 else "
+                "_matmul(_pm[None], _r[:, :, None])[:, :, 0]).T")
 
         def switch(pull: str) -> list[str]:
             # Rows whose indicator is not negative keep the value they had.
@@ -256,8 +264,8 @@ def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
         def dot(name: str, a: str, b: str) -> list[str]:
             return [*pack(a, 0), *pack(b, n), f"{name} = float(_dot(_lo, _hi))"]
 
-        data = [*([] if spec.grad is not None else pack("t", n)),
-                f"{_names('c', n)} = _data_term(data, _hi).tolist()"]
+        residual = [*([] if spec.grad is not None else pack("t", n)), "_r = _pm.T.dot(_hi)"]
+        term = f"{_names('c', n)} = _pm.dot(_r).tolist()"
 
         def switch(pull: str) -> list[str]:
             return ["if ind < 0.0:", *each(f"    dt{{i}} = dt{{i}} + {pull}")]
@@ -271,7 +279,8 @@ def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
             lines += each("a{i} = g{i} / nt")
             source = "a"
     if spec.data is not None:
-        lines += ["if data is None:", "    raise ValueError(missing)", *data]
+        lines += ["if data is None:", "    raise ValueError(missing)", "_pm, _yv, _w = data",
+                  *residual, "_sub(_r, _yv, _r)", "_mul(_r, _w, _r)", term]
         if spec.data > 0:
             lines += each("c{i} = c{i} * nt")
         if source is not None:
@@ -305,13 +314,15 @@ def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
 # What generated code may refer to besides its arguments.
 _GENERATED_NAMES = {
     "_array": array,
-    "_data_term": data_term,
     "_dot": np.ndarray.dot,
     "_empty": np.empty,
     "_isfinite": math.isfinite,
+    "_matmul": np.matmul,
+    "_mul": np.multiply,
     "_ravel": np.ravel,
     "_row_dots": row_dots,
     "_stack": np.stack,
+    "_sub": np.subtract,
     "_where": np.where,
 }
 # Input rows that the Euler loop holds as Python floats at a time.

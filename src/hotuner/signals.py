@@ -90,6 +90,7 @@ class RegressorSignal:
         if not bound < _SQUARE_LIMIT:
             raise ValueError(f"offsets and amplitudes bound |phi| by M = {bound:.4g}, "
                              "whose square overflows")
+        object.__setattr__(self, "_norm_bound", bound)
 
     @property
     def dimension(self) -> int:
@@ -109,7 +110,7 @@ class RegressorSignal:
 
     def norm_bound(self) -> float:
         """Certified upper bound on sup_t |phi(t)| from the component ranges."""
-        return float(np.sqrt(np.sum((np.abs(self.offsets) + np.abs(self.amplitudes)) ** 2)))
+        return self._norm_bound
 
 
 def _moments(signal: RegressorSignal, cos_int: Callable, sin_int: Callable) -> np.ndarray:

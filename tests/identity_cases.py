@@ -79,6 +79,8 @@ CASES = [
     ("certify", "stride", ["--t-end", "1"]),
     ("run", "long_name", ["--t-end", "0.2"]),
     ("run", "surrogate", ["--t-end", "1"]),
+] + [
+    (verb, "one_d", []) for verb in VERBS
 ]
 
 
@@ -106,6 +108,14 @@ def write_scenarios() -> None:
         # that does not encode to UTF-8
         ("long_name", {**fig2, "name": "n" * 218}),
         ("surrogate", {**fig1, "name": "\ud800"}),
+        # one dimension and one sample in every buffer, the case where the
+        # data term is a product in both generated forms
+        ("one_d", {**fig1, "name": "one_d", "systems": ["basic_cl", "ht_cl", "ht_b",
+                                                         "ht_cl_softreset"],
+                   "signal": {"offsets": [1.0], "amplitudes": [2.0], "frequencies": [1.0],
+                              "phases": [0.0], "theta_star": [0.5]},
+                   "cl": {"epsilon": 1e9, "N_bar": 1},
+                   "sim": {**fig1["sim"], "t_end": 5.0, "record_every": 100}}),
     ) + tuple(
         (name, {**fig1, "name": name, section: {**fig1.get(section, {}), **edits}})
         for name, (section, edits) in OVERFLOWS.items()

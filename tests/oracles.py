@@ -8,7 +8,8 @@ as numpy operations on whole vectors, for one point or a batch of rows; the
 package emits straight-line code for the same operations
 (dynamics._field_lines) in its batched field and its Euler loop
 (dynamics._compile_loop). reference_rows is an Euler loop that calls it once
-per step.
+per step. data_term is the concurrent-learning correction as numpy calls on
+the buffer's arrays, which the fields emit inline.
 
 The one-point forms of the package's batched primitives live here too, for
 the tests that check a field or a certificate at a single state: rhs is
@@ -26,9 +27,38 @@ rank_by_elimination.
 import numpy as np
 
 from hotuner.certificates import _decrease_sides
-from hotuner.databuffer import ZERO_REGRESSOR_NORM, DataBuffer, data_term
+from hotuner.databuffer import ZERO_REGRESSOR_NORM, DataBuffer
 from hotuner.dynamics import KINDS, Gains, SystemKind, TunerState, _data_for
 from hotuner.signals import RegressorSignal, row_dots
+
+
+def data_term(aggregates, theta: np.ndarray, rows: bool = False) -> np.ndarray:
+    """sum_k phi_k (phi_k' theta - y*_k) weights[k] from databuffer.data_aggregates output.
+
+    The numpy operations whose bits the fields' emitted data term reproduces:
+    ndarray.dot makes the matrix-vector calls of `@`, and the residual is
+    subtracted and weighted in place, the roundings of weights * (phi_mat'
+    theta - y_vec). With rows set, theta is (B, n) and row b of the (B, n)
+    result is the term at theta[b]: both products become stacked matmuls,
+    except for one sample in one dimension, where the 1-d form's products are
+    single multiplications, which keep the sign of a zero, and matmul adds
+    them to +0.
+    """
+    phi_mat, y_vec, weights = aggregates
+    scalar = rows and phi_mat.size == 1
+    if scalar:
+        residual = theta * phi_mat[0]
+    elif rows:
+        residual = np.matmul(phi_mat.T[None], theta[:, :, None])[:, :, 0]
+    else:
+        residual = phi_mat.T.dot(theta)
+    np.subtract(residual, y_vec, residual)
+    np.multiply(residual, weights, residual)
+    if scalar:
+        return residual * phi_mat[0]
+    if rows:
+        return np.matmul(phi_mat[None], residual[:, :, None])[:, :, 0]
+    return phi_mat.dot(residual)
 
 
 def normalization(phi_t, mu: float) -> float:

@@ -28,10 +28,11 @@ from hotuner import (
     simulate,
 )
 from hotuner.certificates import POINTWISE_TOLERANCE, SLACK_COEFF
-from hotuner.databuffer import data_aggregates, data_term
+from hotuner.databuffer import data_aggregates
 from oracles import (
     CERTIFIED_GAINS,
     consistent_buffer,
+    data_term,
     eval_at,
     make_constant,
     rank_by_elimination,

@@ -706,6 +706,26 @@ def test_certify_allows_a_short_last_stretch_its_own_steps(tmp_path, capsys):
     ]
 
 
+def test_certify_names_the_rows_with_no_point_to_check(tmp_path, capsys):
+    """With record_every 1e20 at t_end 1 the only row pair of each CL kind spans
+    a recording, so their trajectory rows check no point and fail. certify used
+    to end such a run with "certificate violations found", although no row had
+    a violation; it now names the rows that had nothing to check."""
+    raw = json.loads(Path(bundled_scenario_path("fig1")).read_text())
+    raw["sim"]["record_every"] = 10**20
+    out = tmp_path / "out"
+    argv = ["certify", write_scenario(tmp_path, raw), "--out-dir", str(out), "--t-end", "1"]
+    assert main(argv) == EXIT_CERTIFICATE
+    stdout = capsys.readouterr().out
+    assert "certificate violations found" not in stdout
+    assert stdout.splitlines()[-1] == (
+        "no point to check: ht_cl trajectory, ht_cl_softreset trajectory")
+    lines = (out / "fig1_certificates.csv").read_text().splitlines()
+    assert "ht_cl,trajectory,0,0,-inf,0.0" in lines
+    assert "ht_cl_softreset,trajectory,0,0,-inf,0.0" in lines
+    assert all(line.split(",")[3] == "0" for line in lines[1:])
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_certify_fails_an_energy_that_overflows(tmp_path, capsys):
     """At theta0 = 1e200 the state stays finite but V overflows, so every margin

@@ -1,4 +1,4 @@
-"""Recording rule, data aggregates, and the rank/definiteness equivalence."""
+"""Recording rule, data aggregates, the data term, and the rank/definiteness equivalence."""
 
 import math
 
@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from hotuner import (
     DataBuffer,
+    Gains,
+    SystemKind,
     buffer_csv,
+    compile_field,
     p_matrix,
     record_steps,
     richness,
 )
-from hotuner.databuffer import _RECORD_CHUNK, data_aggregates, data_term
-from oracles import maybe_record, rank_by_elimination
+from hotuner.databuffer import _RECORD_CHUNK, data_aggregates
+from hotuner.dynamics import _data_for
+from oracles import data_term, maybe_record, rank_by_elimination, reference_field
 
 
 def test_sample_validation():
@@ -208,16 +212,27 @@ def test_b_term_hand_values():
 @pytest.mark.parametrize("count", [1, 2, 5])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_data_term_rows_equal_the_one_dimensional_form(n, count):
-    """Row b of the rows form is the term at theta[b], bit for bit, signs of zeros
-    included; one sample in one dimension is where matmul used to differ."""
+    """Row b of the emitted batched field of ht_b and ht_cl is the reference field,
+    with its 1-d data term, at theta[b], bit for bit, signs of zeros included; one
+    sample in one dimension is where a stacked matmul would differ. ht_b's drive
+    is the data term alone, so the sign of each zero in it reaches the output."""
     rng = np.random.default_rng(7 * n + count)
     for _ in range(50):
-        phis, y_stars, theta = (rng.choice([-1.5, -0.0, 0.0, 2.0], shape)
-                                for shape in ((count, n), count, (6, n)))
-        data = data_aggregates(DataBuffer.from_samples(phis, y_stars), float(rng.uniform(0, 2)))
-        rows = data_term(data, theta, True)
-        for b in range(theta.shape[0]):
-            assert rows[b].tobytes() == data_term(data, theta[b]).tobytes(), (theta[b], data)
+        phis, y_stars, theta, vartheta, phi, y = (
+            rng.choice([-1.5, -0.0, 0.0, 2.0], shape)
+            for shape in ((count, n), count, (6, n), (6, n), (6, n), 6))
+        gains = Gains(beta=1.0, gamma=0.1, mu=float(rng.uniform(0, 2)))
+        buffer = DataBuffer.from_samples(phis, y_stars)
+        nt = 1.0 + gains.mu * (phi * phi).sum(axis=1)
+        for kind in (SystemKind.HT_B, SystemKind.HT_CL):
+            data = _data_for(kind, buffer, gains)
+            got, want = np.empty((2, 6, n)), np.empty((2, 6, n))
+            compile_field(kind, gains, n)(theta, vartheta, phi, y[:, None], nt[:, None], data,
+                                          *got)
+            point = reference_field(kind, gains, n)
+            for b in range(6):
+                point(theta[b], vartheta[b], phi[b], y[b], nt[b], data, want[0, b], want[1, b])
+            assert got.tobytes() == want.tobytes(), (kind, theta, data)
 
 
 def test_b_term_is_p_matrix_times_error():

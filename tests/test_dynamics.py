@@ -22,10 +22,19 @@ from hotuner import (
     TunerState,
     compile_field,
 )
-from hotuner.databuffer import data_aggregates, data_term
+from hotuner.databuffer import data_aggregates
 from hotuner.dynamics import _data_for
 from hotuner.signals import row_dots
-from oracles import eval_at, grad_L, make_constant, normalization, phi_at, reference_field, rhs
+from oracles import (
+    data_term,
+    eval_at,
+    grad_L,
+    make_constant,
+    normalization,
+    phi_at,
+    reference_field,
+    rhs,
+)
 
 PI = np.pi
 

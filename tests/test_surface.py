@@ -24,7 +24,7 @@ PUBLIC = set("""
 """.split())
 MODULE_ONLY = {
     "certificates": ["POINTWISE_TOLERANCE"],
-    "databuffer": ["DataAggregates", "data_aggregates", "data_term"],
+    "databuffer": ["DataAggregates", "data_aggregates"],
     "dynamics": ["KindSpec"],
     "integrator": [],
     "signals": ["M_HAT_GRID_STEP", "PE_TOLERANCE", "row_dots"],
