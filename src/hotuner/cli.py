@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -77,8 +78,17 @@ class Scenario:
     sim: SimConfig
     cl_epsilon: float
     cl_N_bar: int
-    init_theta0: np.ndarray
+    init: dict[str, list[float] | float | None]  # theta0 (None: drawn), range
     pe: dict[str, float | None]  # window_T, scan_horizon, scan_step (None: T / 8)
+
+    @functools.cached_property
+    def init_theta0(self) -> np.ndarray:
+        """init.theta0 when given, else the draw seeded by sim.seed, uniform on
+        [-range, range]^n. Drawn on first read: pe-check never loads numpy.random."""
+        if self.init["theta0"] is not None:
+            return np.array(self.init["theta0"])
+        rng = np.random.default_rng(self.sim.seed)
+        return rng.uniform(-self.init["range"], self.init["range"], self.signal.dimension)
 
 
 def bundled_scenario_path(name: str) -> Path:
@@ -277,11 +287,6 @@ def load_scenario(
     # rng.uniform needs the width 2 * range to be finite.
     if not 0.0 < init["range"] <= sys.float_info.max / 2.0:
         raise ConfigError("'init.range' must be positive and at most half the largest float")
-    if init["theta0"] is None:
-        rng = np.random.default_rng(sim.seed)
-        theta0 = rng.uniform(-init["range"], init["range"], signal.dimension)
-    else:
-        theta0 = np.array(init["theta0"])
 
     if pe["window_T"] <= 0.0:
         raise ConfigError("'pe.window_T' must be positive")
@@ -305,7 +310,7 @@ def load_scenario(
         sim=sim,
         cl_epsilon=cl["epsilon"],
         cl_N_bar=cl["N_bar"],
-        init_theta0=theta0,
+        init=init,
         pe=pe,
     )
 

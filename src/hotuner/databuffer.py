@@ -8,6 +8,7 @@ data-driven correction term B. Buffers are immutable values.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,12 +101,14 @@ class RichnessReport:
     sufficient: bool
 
 
-def record_steps(phis, capacity: int, epsilon: float) -> list[int]:
-    """Rows of phis that the online recording rule keeps when fed them in order.
+def record_steps(phi_rows: Callable[[int, int], np.ndarray], count: int, capacity: int,
+                 epsilon: float) -> list[int]:
+    """Rows 0..count-1 of phi_rows that the online recording rule keeps when fed them in order.
 
-    Row k stands for the regressor at the k-th of increasing times, starting
-    from an empty buffer; recording stops (the buffer freezes) once capacity
-    rows are kept. capacity must be at least the regressor dimension n, below
+    phi_rows(lo, hi) returns rows lo..hi-1 as an (hi - lo, n) array; row k
+    stands for the regressor at the k-th of increasing times, starting from
+    an empty buffer. Recording stops (the buffer freezes) once capacity rows
+    are kept. capacity must be at least the regressor dimension n, below
     which the data can never pin down theta, and epsilon must be positive.
     The first row is kept unconditionally; after it a row is kept when it
     has moved far enough from the last kept one,
@@ -116,11 +119,11 @@ def record_steps(phis, capacity: int, epsilon: float) -> list[int]:
     norm is the square root of its dot product, as np.linalg.norm computes
     it, and its squared gap is summed along the row, as np.sum sums a 1-d
     vector, so the rows are those the rule keeps when applied one sample at a
-    time. From each kept row, the following rows are tested in chunks for the
-    first one far enough from it.
+    time. From each kept row, the following rows are tested in chunks of
+    _RECORD_CHUNK for the first one far enough from it; phi_rows is asked for
+    those chunks only, and for none after the buffer freezes.
     """
-    phis = np.asarray(phis, dtype=float)
-    count, n = phis.shape
+    n = phi_rows(0, 0).shape[1]
     if not capacity >= max(n, 1):
         raise ValueError(
             f"capacity must be at least 1 and at least the regressor dimension {n} "
@@ -128,15 +131,18 @@ def record_steps(phis, capacity: int, epsilon: float) -> list[int]:
         )
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive (got {epsilon!r})")
-    steps = [0] if count else []
+    if not count:
+        return []
+    steps, last = [0], phi_rows(0, 1)[0]
     start = 1
     while len(steps) < capacity and start < count:
-        rows = phis[start:start + _RECORD_CHUNK]
+        rows = phi_rows(start, min(start + _RECORD_CHUNK, count))
         norm = np.sqrt(row_dots(rows, rows))
-        gap = ((rows - phis[steps[-1]]) ** 2).sum(axis=1)
+        gap = ((rows - last) ** 2).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             hits = np.flatnonzero((norm >= ZERO_REGRESSOR_NORM) & (gap / norm >= epsilon))
         if hits.shape[0]:
+            last = rows[hits[0]]
             steps.append(start + int(hits[0]))
             start = steps[-1] + 1
         else:

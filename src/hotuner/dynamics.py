@@ -325,7 +325,7 @@ _GENERATED_NAMES = {
     "_sub": np.subtract,
     "_where": np.where,
 }
-# Input rows that the Euler loop holds as Python floats at a time.
+# Input rows that the Euler loop asks for, and holds as Python floats, at a time.
 _ROW_BLOCK = 256
 
 
@@ -404,7 +404,7 @@ def _loop_maker(kind: SystemKind, n: int) -> Callable:
     if spec.data is not None:
         lines += ["        kept = 0", *("        " + line for line in load)]
     lines += [f"        for base in range(0, num_steps, {_ROW_BLOCK}):",
-              f"            block = inputs[base:min(base + {_ROW_BLOCK}, num_steps)].tolist()",
+              f"            block = inputs(base, min(base + {_ROW_BLOCK}, num_steps)).tolist()",
               f"            for k, ({', '.join([*(f'p{i}' for i in range(n)), 'y', 'nt'])}) "
               "in enumerate(block, base):",
               "                if k == next_row:",
@@ -435,13 +435,15 @@ def _compile_loop(kind: SystemKind, gains: Gains, n: int) -> Callable:
     takes num_steps steps of size h from start, the 2n floats of theta and
     vartheta. It returns (rows, final): an array('d') that holds the state at
     every step r every and after the last step, 2n floats each, and the final
-    state. Row k of inputs is phi, y*, N_t at step k (see
-    integrator.SignalGrid.rows), walked _ROW_BLOCK rows at a time as Python
-    floats. From each step of keeps on, the field reads data_at(samples kept
-    so far). Unless diverged is None, a state not finite after step k raises
-    diverged(k); either way a block that ends on a non-finite state, which
-    stays so, ends the pass. The field (_field_lines, point form) is in the
-    loop body, on Python-float locals; a step is x{i} = x{i} + dx{i} * h, the
-    operations of x + h dx, and a baseline kind steps theta only.
+    state. inputs(lo, hi) returns the rows of steps lo..hi-1, row k - lo
+    holding phi, y*, N_t at step k (see integrator.SignalGrid.rows); the loop
+    asks for _ROW_BLOCK rows at a time, as it reaches them, and walks them as
+    Python floats, so no input outlives its block. From each step of keeps
+    on, the field reads data_at(samples kept so far). Unless diverged is
+    None, a state not finite after step k raises diverged(k); either way a
+    block that ends on a non-finite state, which stays so, ends the pass.
+    The field (_field_lines, point form) is in the loop body, on Python-float
+    locals; a step is x{i} = x{i} + dx{i} * h, the operations of x + h dx,
+    and a baseline kind steps theta only.
     """
     return _loop_maker(kind, n)(**_field_arguments(kind, gains))

@@ -6,18 +6,20 @@ current buffer, update the state. Recording therefore takes effect from the
 very step at which a sample is kept.
 
 Nothing on that list but the field depends on the state, so a SignalGrid
-computes the rest once per scenario: phi(t_k), y*(t_k) and |phi(t_k)|^2 on the
-whole time grid, and the recording schedule, which reads only t, phi and the
-last kept sample. _run runs each kind's Euler loop (dynamics._compile_loop)
-on those inputs and views the rows it returns as the Trajectory's theta and
-vartheta. Every grid value equals
-its per-step counterpart bit for bit, so the outputs do not depend on whether
-a grid was shared.
+holds what a scenario's systems share: the time grid t_k and the recording
+schedule, which reads only t, phi and the last kept sample. phi(t_k), y*(t_k)
+and N_t are evaluated a window of rows at a time as the loop reads them, so
+memory does not grow with the horizon beyond t and the output rows. _run
+runs each kind's Euler loop (dynamics._compile_loop) on those rows and views
+the rows it returns as the Trajectory's theta and vartheta. Every evaluated
+value equals its per-step counterpart bit for bit, so the outputs do not
+depend on the window boundaries or on whether a grid was shared.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,8 @@ __all__ = [
 
 # Rows rendered per block by Trajectory.to_csv, which bounds its scratch memory.
 _CSV_BLOCK_ROWS = 4096
+# Input rows that SignalGrid.rows evaluates at a time.
+_WINDOW_ROWS = 1024
 
 
 class NumericalDivergence(RuntimeError):
@@ -127,14 +131,13 @@ class Trajectory:
 
 
 class SignalGrid:
-    """Everything a run of one signal on one time grid needs but the state.
+    """The time grid of a run of one signal, and its recording schedules.
 
-    Rows k = 0..num_steps hold t_k = t_start + k h, phi(t_k), y*(t_k) and
-    |phi(t_k)|^2, about n + 3 floats per step; each value equals the per-step
-    computation bit for bit. The Euler loop reads phi, y* and N_t from one
-    (num_steps + 1, n + 2) array, rows(mu). Recording schedules and input
-    rows are built on first use and cached per (capacity, epsilon) and per
-    mu, so every system of a scenario shares them.
+    t holds t_k = t_start + k h for k = 0..num_steps. Everything else the
+    loop reads, phi(t_k), y*(t_k) and N_t, is evaluated from t in windows of
+    rows as the loop reaches them (rows(mu)); each value equals the per-step
+    computation bit for bit. Recording schedules are built on first use and
+    cached per (capacity, epsilon), so every system of a scenario shares them.
     """
 
     def __init__(self, signal: RegressorSignal, sim: SimConfig) -> None:
@@ -142,10 +145,11 @@ class SignalGrid:
         self.t_start = sim.t_start
         self.step_h = sim.step_h
         self.num_steps = sim.num_steps
-        self.t = sim.t_start + np.arange(self.num_steps + 1) * sim.step_h
-        self.phi, self.y_star = signal.eval_grid(self.t)
-        self.phi_sq = row_dots(self.phi, self.phi)
-        self._rows: dict[float, np.ndarray] = {}
+        # In place, so that only t itself is ever held: k h + t_start, as
+        # t_start + k h rounds.
+        self.t = np.arange(self.num_steps + 1, dtype=float)
+        self.t *= sim.step_h
+        self.t += sim.t_start
         self._schedules: dict[tuple[int, float], tuple[list[int], DataBuffer]] = {}
 
     def matches(self, signal: RegressorSignal, sim: SimConfig) -> bool:
@@ -156,23 +160,37 @@ class SignalGrid:
             and sim.num_steps == self.num_steps
         )
 
-    def rows(self, mu: float) -> np.ndarray:
-        """The Euler loop's inputs: row k is phi(t_k), y*(t_k), 1 + mu |phi(t_k)|^2."""
-        if mu not in self._rows:
-            self._rows[mu] = np.column_stack((self.phi, self.y_star, 1.0 + mu * self.phi_sq))
-        return self._rows[mu]
+    def rows(self, mu: float) -> Callable[[int, int], np.ndarray]:
+        """The Euler loop's inputs: rows(mu)(lo, hi) holds, in row k - lo for each
+        step k of lo..hi-1, phi(t_k), y*(t_k) and 1 + mu |phi(t_k)|^2.
+
+        Rows are evaluated _WINDOW_ROWS at a time, from the first row asked
+        for, and the last window serves every range inside it: numpy's cost
+        per call is about 40 % of what a 256-row evaluation costs.
+        """
+        start, values = 0, np.empty((0, self.signal.dimension + 2))
+
+        def block(lo: int, hi: int) -> np.ndarray:
+            nonlocal start, values
+            if not start <= lo <= hi <= start + values.shape[0]:
+                phi, y_star = self.signal.eval_grid(self.t[lo:max(hi, lo + _WINDOW_ROWS)])
+                start, values = lo, np.column_stack((phi, y_star, 1.0 + mu * row_dots(phi, phi)))
+            return values[lo - start:hi - start]
+        return block
 
     def schedule(self, capacity: int, epsilon: float) -> tuple[list[int], DataBuffer]:
         """Steps at which online recording keeps a sample, and the final buffer.
 
         The rule runs at steps 0..num_steps-1 until the buffer freezes; a
-        sample kept at step k is in the buffer from step k on.
+        sample kept at step k is in the buffer from step k on. phi is
+        evaluated only on the rows the rule tests.
         """
         key = (capacity, epsilon)
         if key not in self._schedules:
-            steps = record_steps(self.phi[:self.num_steps], capacity, epsilon)
-            buffer = DataBuffer.from_samples(self.phi[steps], self.y_star[steps],
-                                             times=self.t[steps])
+            steps = record_steps(lambda lo, hi: self.signal.phi_grid(self.t[lo:hi]),
+                                 self.num_steps, capacity, epsilon)
+            times = self.t[steps]
+            buffer = DataBuffer.from_samples(*self.signal.eval_grid(times), times=times)
             self._schedules[key] = (steps, buffer)
         return self._schedules[key]
 

@@ -28,7 +28,8 @@ __all__ = [
 M_HAT_GRID_STEP = 1e-3
 # Window Gram eigenvalues below this are treated as numerically zero.
 PE_TOLERANCE = 1e-10
-# Window starts per block of check_pe's scan; bounds its scratch memory.
+# Window starts, and M_hat grid points, per block of check_pe's scan; bounds
+# its scratch memory.
 _GRAM_BLOCK = 4096
 # Windows whose smallest Gram eigenvalue is within this relative distance of
 # the least one tie with it; rounding spreads equal Grams by up to 4e-15
@@ -98,10 +99,14 @@ class RegressorSignal:
 
     def phi_grid(self, ts: np.ndarray) -> np.ndarray:
         """Regressor rows phi(ts[k]) for a vector of times."""
-        ts = np.asarray(ts, dtype=float)
-        return self.offsets + self.amplitudes * np.sin(
-            np.outer(ts, self.frequencies) + self.phases
-        )
+        # Each entry is offsets[i] + amplitudes[i] sin(frequencies[i] ts[k] + phases[i]);
+        # worked one component per row, each operation runs along the times.
+        values = np.multiply.outer(self.frequencies, np.asarray(ts, dtype=float).ravel())
+        values += self.phases[:, None]
+        np.sin(values, out=values)
+        values *= self.amplitudes[:, None]
+        values += self.offsets[:, None]
+        return values.T.copy()
 
     def eval_grid(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """phi_grid(ts) and y*(ts[k]) = phi(ts[k])' theta*, each row a 1-d `@` (see row_dots)."""
@@ -255,9 +260,13 @@ def _scan(signal: RegressorSignal, T: float, scan_horizon: float, scan_step: flo
     ])
     least = float(smallest.min())
     worst = int(np.argmax(smallest <= least + _WORST_TIE * abs(least)))
-    grid = M_HAT_GRID_STEP * np.arange(int(np.floor(scan_horizon / M_HAT_GRID_STEP)) + 1)
-    phi = signal.phi_grid(grid)
-    m_hat = float(np.sqrt((phi**2).sum(axis=1).max()))
+    # The whole grid is made up front, in place, so a scan too long to hold
+    # fails at once; phi is evaluated on _GRAM_BLOCK points of it at a time.
+    grid = np.arange(int(np.floor(scan_horizon / M_HAT_GRID_STEP)) + 1, dtype=float)
+    grid *= M_HAT_GRID_STEP
+    squares = [(signal.phi_grid(grid[i:i + _GRAM_BLOCK]) ** 2).sum(axis=1).max()
+               for i in range(0, grid.shape[0], _GRAM_BLOCK)]
+    m_hat = float(np.sqrt(max(squares)))
     return PEReport(
         window_T=float(T),
         delta_hat=max(least, 0.0),

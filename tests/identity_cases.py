@@ -81,6 +81,8 @@ CASES = [
     ("run", "surrogate", ["--t-end", "1"]),
 ] + [
     (verb, "one_d", []) for verb in VERBS
+] + [
+    (verb, "offset", []) for verb in ("run", "certify")
 ]
 
 
@@ -116,6 +118,11 @@ def write_scenarios() -> None:
                               "phases": [0.0], "theta_star": [0.5]},
                    "cl": {"epsilon": 1e9, "N_bar": 1},
                    "sim": {**fig1["sim"], "t_end": 5.0, "record_every": 100}}),
+        # a start off zero, a stride prime to the 256-row input blocks and a
+        # horizon of 10300 steps, which ends inside a block and a 1024-row window
+        ("offset", {**fig1, "name": "offset",
+                    "sim": {**fig1["sim"], "t_start": 0.05, "t_end": 10.35,
+                            "record_every": 7}}),
     ) + tuple(
         (name, {**fig1, "name": name, section: {**fig1.get(section, {}), **edits}})
         for name, (section, edits) in OVERFLOWS.items()

@@ -1,15 +1,16 @@
 """Reference rules that the package computes another way, kept as test oracles.
 
 maybe_record is the online recording rule applied one step at a time; the
-package runs it over a whole grid at once (databuffer.record_steps). grad_L is
+package runs it over chunks of grid rows (databuffer.record_steps). grad_L is
 the loss gradient written out on its own; the package's fields compute it
 inline (dynamics.compile_field). reference_field is each kind's field written
 as numpy operations on whole vectors, for one point or a batch of rows; the
 package emits straight-line code for the same operations
 (dynamics._field_lines) in its batched field and its Euler loop
 (dynamics._compile_loop). reference_rows is an Euler loop that calls it once
-per step. data_term is the concurrent-learning correction as numpy calls on
-the buffer's arrays, which the fields emit inline.
+per step, on inputs evaluated over the whole time grid at once. data_term is
+the concurrent-learning correction as numpy calls on the buffer's arrays,
+which the fields emit inline.
 
 The one-point forms of the package's batched primitives live here too, for
 the tests that check a field or a certificate at a single state: rhs is
@@ -309,17 +310,20 @@ def reference_rows(kind: SystemKind, gains: Gains, grid, record_every: int, init
     Row r is the state at step r record_every, and the last row the final state.
     keeps are the steps that add the last len(keeps) samples of buffer, the
     samples before them being held from the start. A step is dx *= h, x += dx
-    on x = (theta, vartheta); a baseline kind steps theta only.
+    on x = (theta, vartheta); a baseline kind steps theta only. phi, y* and
+    N_t are evaluated on the whole of grid.t at once, where the package
+    evaluates them in windows of rows.
     """
-    n = grid.phi.shape[1]
+    phi, y_star = grid.signal.eval_grid(grid.t)
+    n = phi.shape[1]
     field = reference_field(kind, gains, n)
     high_order = KINDS[kind].high_order
     x = np.concatenate((init.theta, init.vartheta))
     dx = np.empty_like(x)
     theta, vartheta, dtheta, dvartheta = x[:n], x[n:], dx[:n], dx[n:]
     state, step = (x, dx) if high_order else (theta, dtheta)
-    nt = (1.0 + gains.mu * grid.phi_sq).tolist()
-    y_star = grid.y_star.tolist()
+    nt = (1.0 + gains.mu * row_dots(phi, phi)).tolist()
+    y_star = y_star.tolist()
     first = len(buffer) - len(keeps)
     thetas, varthetas = [], []
     for k in range(grid.num_steps + 1):
@@ -329,7 +333,7 @@ def reference_rows(kind: SystemKind, gains: Gains, grid, record_every: int, init
         if k == grid.num_steps:
             break
         data = _data_for(kind, buffer, gains, first + int(np.searchsorted(keeps, k, "right")))
-        field(theta, vartheta, grid.phi[k], y_star[k], nt[k], data, dtheta, dvartheta)
+        field(theta, vartheta, phi[k], y_star[k], nt[k], data, dtheta, dvartheta)
         np.multiply(step, grid.step_h, step)
         np.add(state, step, state)
     return np.array(thetas), np.array(varthetas)

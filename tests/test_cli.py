@@ -250,6 +250,29 @@ def test_theta0_fixes_the_start_and_init_is_optional(tmp_path):
     assert np.array_equal(scenario.init_theta0, want)
 
 
+def test_only_the_simulating_commands_draw_theta0(tmp_path):
+    """The seeded draw of theta0 is made on first read of Scenario.init_theta0,
+    so load_scenario and pe-check never import numpy.random; run does."""
+    source = str(Path(hotuner.__file__).parents[1])
+    paths = [source, os.environ.get("PYTHONPATH", "")]
+    code = ("import sys\n"
+            "from hotuner.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "print('numpy.random' in sys.modules)\n")
+    loaded = []
+    for verb in ("pe-check", "run"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, verb, str(bundled_scenario_path("fig1")),
+             "--t-end", "1", "--out-dir", str(tmp_path / verb)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded.append(proc.stdout.splitlines()[-1])
+    assert loaded == ["False", "True"]
+
+
 @pytest.mark.parametrize("old, new, message", [
     ('"gains": {', '"gains": {"beta": 9.0, "gamma": 0.1, "mu": 0.2}, "gains": {',
      "duplicate key 'gains'"),

@@ -64,9 +64,9 @@ def test_buffer_validation():
 def test_record_steps_refuses_a_bad_policy(capacity, epsilon, message):
     """Each of these used to return a schedule: capacity 0 kept row 0, epsilon 0
     or below kept every row, and a NaN epsilon kept only row 0."""
-    phis = [[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]]
+    phis = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
     with pytest.raises(ValueError, match=message):
-        record_steps(phis, capacity, epsilon)
+        record_steps(lambda lo, hi: phis[lo:hi], len(phis), capacity, epsilon)
 
 
 def test_from_samples_defaults():
@@ -174,7 +174,7 @@ def test_record_steps_replays_maybe_record(case):
         buffer, kept = maybe_record(buffer, float(k), phi, k + 0.5, capacity, epsilon)
         if kept:
             kept_rows.append(k)
-    steps = record_steps(phis, capacity, epsilon)
+    steps = record_steps(lambda lo, hi: phis[lo:hi], len(phis), capacity, epsilon)
     assert steps == kept_rows
     rebuilt = DataBuffer.from_samples(phis[steps], np.array(steps) + 0.5, times=steps)
     assert buffer_csv(rebuilt) == buffer_csv(buffer)

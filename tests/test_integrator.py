@@ -1,6 +1,8 @@
 """Fixed-step integration: exact recursions, convergence order, output plumbing."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from hotuner import (
     simulate,
     simulate_with_buffer,
 )
+from hotuner.cli import bundled_scenario_path, load_scenario
+from hotuner.databuffer import _RECORD_CHUNK
 from hotuner.signals import row_dots
 from oracles import make_constant, mix3
 from test_kernel import reference_run
@@ -319,28 +323,81 @@ def test_single_row_run():
     assert np.array_equal(traj.theta[0], [1.0, 2.0, 3.0])
 
 
-def test_grid_input_rows_hold_phi_y_star_and_nt_per_mu():
-    """Row k of SignalGrid.rows(mu) is (phi(t_k), y*(t_k), 1 + mu |phi(t_k)|^2) bit
-    for bit. It is built once per mu: the systems of a scenario share it."""
+def test_grid_input_rows_hold_phi_y_star_and_nt_per_mu(monkeypatch):
+    """Row k - lo of SignalGrid.rows(mu)(lo, hi) is (phi(t_k), y*(t_k),
+    1 + mu |phi(t_k)|^2) bit for bit as eval_grid gives it on the whole time
+    grid, whatever the boundaries: a start off zero, blocks of 1, 7, 256 and
+    1000 rows, random ranges, and the blocks the Euler loop asks for, 256 rows
+    each and a short last one, which are evaluated 1024 rows at a time."""
     sig = mix3()
-    sim = SimConfig(t_end=0.6, t_start=0.1)
+    sim = SimConfig(t_end=3.1, t_start=0.1)  # 3000 steps: 11 blocks of 256 and one of 184
     grid = SignalGrid(sig, sim)
     phi, y_star = sig.eval_grid(grid.t)
-    built = grid.rows
-    seen = []
-    grid.rows = lambda mu: seen.append(built(mu)) or seen[-1]
-    gains = Gains(beta=1.0, gamma=0.1, mu=0.2)
-    for kind in (SystemKind.HT, SystemKind.HT_CL):
-        simulate(kind, sig, gains, sim, TunerState.from_theta0([1.0, -1.0, 0.5]),
-                 epsilon=0.5, N_bar=10, grid=grid)
-    assert len(seen) == 2 and seen[0] is seen[1] is built(0.2)
-    other = built(0.7)
-    assert other is not seen[0] and other is built(0.7)
-    for mu, rows in ((0.2, seen[0]), (0.7, other)):
-        assert rows.shape == (sim.num_steps + 1, 5)
+    rng = np.random.default_rng(29)
+    ranges = [(lo, min(lo + size, sim.num_steps + 1))
+              for size in (1, 7, 256, 1000) for lo in range(0, sim.num_steps + 1, size)]
+    ranges += [tuple(sorted(rng.integers(0, sim.num_steps + 2, 2))) for _ in range(200)]
+    for mu in (0.0, 0.2, 0.7):
+        rows = grid.rows(mu)
         nt = 1.0 + mu * row_dots(phi, phi)
-        assert [rows[:, :3].tobytes(), rows[:, 3].tobytes(), rows[:, 4].tobytes()] == \
-            [phi.tobytes(), y_star.tobytes(), nt.tobytes()]
+        for lo, hi in ranges:
+            block = rows(lo, hi)
+            assert block.shape == (hi - lo, 5)
+            assert [block[:, :3].tobytes(), block[:, 3].tobytes(), block[:, 4].tobytes()] == \
+                [phi[lo:hi].tobytes(), y_star[lo:hi].tobytes(), nt[lo:hi].tobytes()]
+    asked, evaluated = [], []
+    built = grid.rows
+
+    def rows(mu):
+        inner = built(mu)
+        return lambda lo, hi: asked.append((lo, hi)) or inner(lo, hi)
+    grid.rows = rows
+    eval_grid = RegressorSignal.eval_grid
+    monkeypatch.setattr(RegressorSignal, "eval_grid",
+                        lambda self, ts: evaluated.append(len(ts)) or eval_grid(self, ts))
+    simulate(SystemKind.HT_CL, sig, Gains(beta=1.0, gamma=0.1, mu=0.2), sim,
+             TunerState.from_theta0([1.0, -1.0, 0.5]), epsilon=0.5, N_bar=10, grid=grid)
+    assert asked == [(base, min(base + 256, 3000)) for base in range(0, 3000, 256)]
+    assert evaluated[-3:] == [1024, 1024, 953]  # after the schedule's final buffer
+
+
+def test_schedule_evaluates_no_row_past_the_freeze(monkeypatch):
+    """On fig1 the buffer freezes at step 5267 of 100 000. The schedule asks
+    for phi only up to the end of the chunk in which the last sample is kept,
+    and its buffer equals the kept rows of phi and y* on the whole grid."""
+    scenario = load_scenario(bundled_scenario_path("fig1"))
+    grid = SignalGrid(scenario.signal, scenario.sim)
+    phi, y_star = scenario.signal.eval_grid(grid.t)
+    evaluated = []
+    phi_grid = RegressorSignal.phi_grid
+    monkeypatch.setattr(RegressorSignal, "phi_grid",
+                        lambda self, ts: evaluated.append(ts) or phi_grid(self, ts))
+    steps, buffer = grid.schedule(scenario.cl_N_bar, scenario.cl_epsilon)
+    assert len(steps) == scenario.cl_N_bar and steps[-1] == 5267
+    last = max(float(ts.max()) for ts in evaluated if ts.size)
+    assert last <= grid.t[steps[-1] + _RECORD_CHUNK - 1]
+    assert (buffer.t.tobytes(), buffer.phi.tobytes(), buffer.y_star.tobytes()) == \
+        (grid.t[steps].tobytes(), phi[steps].tobytes(), y_star[steps].tobytes())
+
+
+def test_simulation_memory_does_not_grow_with_the_horizon():
+    """phi, y* and N_t are evaluated a block at a time, so a run that writes two
+    rows holds little more per step than the time grid t (8 bytes a step):
+    between t_end 10 and 40, the traced peak of simulate grows by at most 24
+    bytes a step. Holding phi, y*, |phi|^2 and the input rows took 95."""
+    scenario = load_scenario(bundled_scenario_path("fig1"))
+    init = TunerState.from_theta0(scenario.init_theta0)
+    peaks = []
+    for t_end in (10.0, 40.0):
+        sim = replace(scenario.sim, t_end=t_end, record_every=round(t_end / 1e-3))
+        tracemalloc.start()
+        try:
+            simulate(SystemKind.HT_CL, scenario.signal, scenario.gains, sim, init,
+                     epsilon=scenario.cl_epsilon, N_bar=scenario.cl_N_bar)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 30_000 <= 24.0, peaks
 
 
 def test_csv_round_trip():

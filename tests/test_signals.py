@@ -29,6 +29,16 @@ def test_eval_consistency():
     for k, t in enumerate(ts):
         assert np.allclose(phis[k], phi_at(sig, float(t)), atol=1e-14)
         assert abs(ys[k] - eval_at(sig, float(t))[1]) < 1e-12
+    # phi_grid works one component per row; every entry keeps the bits of the
+    # row-major expression, whose rounding the golden outputs were made with.
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 5):
+        sig = RegressorSignal(*rng.uniform(-3.0, 3.0, (2, n)), rng.uniform(0.0, 40.0, n),
+                              *rng.uniform(-3.0, 3.0, (2, n)))
+        ts = np.concatenate((rng.uniform(-1e3, 1e3, 301), 0.05 + 1e-3 * np.arange(777)))
+        row_major = sig.offsets + sig.amplitudes * np.sin(np.outer(ts, sig.frequencies)
+                                                          + sig.phases)
+        assert sig.phi_grid(ts).tobytes() == row_major.tobytes()
 
 
 def test_constant_signal():
@@ -161,6 +171,30 @@ def test_check_pe_reference_values(reference):
     assert report.M_hat > exact_m - 1e-5
     assert report.M_hat <= sig.norm_bound()
     assert "satisfied" in report.summary()
+
+
+def test_check_pe_takes_m_hat_in_blocks_as_on_the_whole_grid(monkeypatch):
+    """M_hat is the largest |phi| over the dense grid, bit for bit as one
+    evaluation of the whole grid gives it, though phi is evaluated on at most
+    4096 points at a time (4 pi is 12 567 points: three whole blocks and a
+    short one)."""
+    rng = np.random.default_rng(29)
+    signals = [mix3()] + [
+        RegressorSignal(*rng.uniform(-3.0, 3.0, (2, 4)), rng.uniform(0.0, 5.0, 4),
+                        *rng.uniform(-3.0, 3.0, (2, 4)))
+        for _ in range(5)
+    ]
+    sizes = []
+    phi_grid = RegressorSignal.phi_grid
+    for sig in signals:
+        for horizon in (4.0 * PI, 4.096, 9.0):
+            grid = 1e-3 * np.arange(int(np.floor(horizon / 1e-3)) + 1)
+            want = float(np.sqrt((phi_grid(sig, grid) ** 2).sum(axis=1).max()))
+            with monkeypatch.context() as patch:
+                patch.setattr(RegressorSignal, "phi_grid",
+                              lambda self, ts: sizes.append(len(ts)) or phi_grid(self, ts))
+                assert check_pe(sig, T=1.0, scan_horizon=horizon).M_hat == want
+    assert max(sizes) == 4096 and 279 in sizes
 
 
 def test_check_pe_rank_deficient():
