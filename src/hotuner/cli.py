@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +34,16 @@ from .dynamics import (
     SystemKind,
     TunerState,
 )
-from .integrator import NumericalDivergence, SignalGrid, SimConfig, Trajectory, simulate
+# The commands run their kinds in one pass (_simulate_kinds); simulate, the
+# one-kind call, stays importable here for code that wraps it (bench/spans.py).
+from .integrator import (  # noqa: F401
+    NumericalDivergence,
+    SignalGrid,
+    SimConfig,
+    Trajectory,
+    _simulate_kinds,
+    simulate,
+)
 from .signals import PEReport, RegressorSignal, check_pe
 
 __all__ = [
@@ -315,20 +325,22 @@ def load_scenario(
     )
 
 
-def _simulate_system(
-    scenario: Scenario, kind: SystemKind, grid: SignalGrid
-) -> tuple[Trajectory, DataBuffer]:
-    init = TunerState.from_theta0(scenario.init_theta0)
-    return simulate(
-        kind,
+def _simulate_systems(
+    scenario: Scenario, kinds: list[SystemKind], grid: SignalGrid
+) -> Iterator[tuple[SystemKind, tuple[Trajectory, DataBuffer]]]:
+    """(kind, (trajectory, buffer)) for each of kinds in order, from one pass
+    over grid (see integrator._run); the iterator raises NumericalDivergence
+    at the first of kinds whose run leaves the finite."""
+    return zip(kinds, _simulate_kinds(
+        kinds,
         scenario.signal,
         scenario.gains,
         scenario.sim,
-        init,
+        TunerState.from_theta0(scenario.init_theta0),
         epsilon=scenario.cl_epsilon,
         N_bar=scenario.cl_N_bar,
         grid=grid,
-    )
+    ))
 
 
 def _first_time(trajectory: Trajectory, mask: np.ndarray) -> str:
@@ -445,10 +457,10 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> int:
               f"for {unproven} are not certified", file=sys.stderr)
     _warn_step(scenario, sys.stderr)
     results: dict[SystemKind, tuple[Trajectory, DataBuffer]] = {}
-    for kind in scenario.systems:
-        trajectory, buffer = _simulate_system(scenario, kind, grid)
+    for kind, (trajectory, buffer) in _simulate_systems(scenario, scenario.systems, grid):
         results[kind] = (trajectory, buffer)
-        (out / f"{scenario.name}_{kind.value}.csv").write_text(trajectory.to_csv())
+        with (out / f"{scenario.name}_{kind.value}.csv").open("w") as stream:
+            stream.writelines(trajectory.csv_blocks())
         if len(buffer):
             (out / f"{scenario.name}_{kind.value}_buffer.csv").write_text(
                 buffer_csv(buffer)
@@ -515,8 +527,7 @@ def run_certificates(scenario: Scenario, out_dir: str | Path) -> int:
         print(f"skipping baseline systems without certificates: {', '.join(skipped)}")
     lines = ["system,check,checked_points,violations,worst_margin,tolerance"]
     violated, unchecked = False, []
-    for kind in high_order:
-        trajectory, buffer = _simulate_system(scenario, kind, grid)
+    for kind, (trajectory, buffer) in _simulate_systems(scenario, high_order, grid):
         if len(buffer):
             rich = richness(buffer, scenario.gains.mu)
             if not rich.sufficient:

@@ -119,9 +119,10 @@ def record_steps(phi_rows: Callable[[int, int], np.ndarray], count: int, capacit
     norm is the square root of its dot product, as np.linalg.norm computes
     it, and its squared gap is summed along the row, as np.sum sums a 1-d
     vector, so the rows are those the rule keeps when applied one sample at a
-    time. From each kept row, the following rows are tested in chunks of
-    _RECORD_CHUNK for the first one far enough from it; phi_rows is asked for
-    those chunks only, and for none after the buffer freezes.
+    time. phi_rows is asked for the rows after the first in chunks of
+    _RECORD_CHUNK, each row once, and for none after the chunk in which the
+    buffer freezes; within a chunk, the rows after each kept one are tested
+    for the first one far enough from it.
     """
     n = phi_rows(0, 0).shape[1]
     if not capacity >= max(n, 1):
@@ -138,15 +139,20 @@ def record_steps(phi_rows: Callable[[int, int], np.ndarray], count: int, capacit
     while len(steps) < capacity and start < count:
         rows = phi_rows(start, min(start + _RECORD_CHUNK, count))
         norm = np.sqrt(row_dots(rows, rows))
-        gap = ((rows - last) ** 2).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hits = np.flatnonzero((norm >= ZERO_REGRESSOR_NORM) & (gap / norm >= epsilon))
-        if hits.shape[0]:
-            last = rows[hits[0]]
-            steps.append(start + int(hits[0]))
-            start = steps[-1] + 1
-        else:
-            start += rows.shape[0]
+        # After a keep at row j of the chunk, rows j + 1 on are tested against it.
+        first = 0
+        while len(steps) < capacity and first < rows.shape[0]:
+            gap = ((rows[first:] - last) ** 2).sum(axis=1)
+            tested = norm[first:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hits = np.flatnonzero((tested >= ZERO_REGRESSOR_NORM) & (gap / tested >= epsilon))
+            if not hits.shape[0]:
+                break
+            first += int(hits[0])
+            last = rows[first]
+            steps.append(start + first)
+            first += 1
+        start += rows.shape[0]
     return steps
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -202,7 +203,8 @@ def _names(prefix: str, n: int) -> str:
     return ", ".join(f"{prefix}{i}" for i in range(n)) + ("," if n == 1 else "")
 
 
-def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
+def _field_lines(spec: KindSpec, n: int, rows: bool, stacked_dot: bool = False,
+                 stacked_data: bool = False) -> list[str]:
     """The field of one kind as straight-line Python on its n components.
 
     Component i of a vector x is the local x{i}: theta t, vartheta v, phi p,
@@ -222,35 +224,43 @@ def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
     Three things differ between the two forms. The point form (rows false),
     in which the Euler loop is written, works on Python floats; its dot
     products and the data term's products go through numpy, whose rounding
-    they must reproduce: a dot packs its two vectors into the contiguous
-    halves _lo and _hi of the loop's 2n scratch array (through the memoryview
-    _m), and the data term reads theta from _hi, where phi . theta left it if
-    the kind has a loss gradient; its products are ndarray.dot calls, the
-    matrix-vector calls of `@` with less overhead. The rows form, in which
-    compile_field is written, works on (B,) columns of a batch: phi . theta
-    is signals.row_dots of the (B, n) inputs, every other dot stacks its
-    vectors into (B, n) arrays first, the data term's products are stacked
-    matmuls, each row the point form's call, and the soft-reset pull is added
-    through a row mask. In one dimension a dot is a product in both forms:
-    ndarray.dot of length 1 is one multiplication, which keeps the sign of a
-    zero, and row_dots and matmul add it to +0. So is the data term of one
-    sample.
+    they must reproduce. phi . theta is a 1-d ndarray.dot of the loop's
+    scratch arrays _ph, which holds phi, and _th, the kind's row of the
+    loop's theta stack; the data term's products are ndarray.dot calls on
+    _th, the matrix-vector calls of `@` with less overhead; the reset
+    indicator packs its two vectors into the contiguous halves _lo and _hi
+    of a 2n scratch array (through the memoryview _m). With stacked_dot or
+    stacked_data the loop has already computed phi . theta into r, or the
+    data term into c, for several kinds at once (see _loop_maker), and those
+    lines are left out. The rows form, in which compile_field is written,
+    works on (B,) columns of a batch: phi . theta is signals.row_dots of the
+    (B, n) inputs, every other dot stacks its vectors into (B, n) arrays
+    first, the data term's products are stacked matmuls, each row the point
+    form's call, and the soft-reset pull is added through a row mask. In one
+    dimension a dot is a product in both forms: ndarray.dot of length 1 is
+    one multiplication, which keeps the sign of a zero, where row_dots and
+    matmul add it to +0. So is the data term of one sample in the rows form.
     """
     def each(template: str) -> list[str]:
         return [template.format(i=i) for i in range(n)]
 
     # The three points where the forms differ: dots, the data term, the switch.
-    if rows:
-        def dot(name: str, a: str, b: str) -> list[str]:
-            if n == 1:
-                return [f"{name} = {a}0 * {b}0"]
+    def dot(name: str, a: str, b: str) -> list[str]:
+        if n == 1:
+            return [f"{name} = {a}0 * {b}0"]
+        if rows:
             if (a, b) == ("p", "t"):
                 return [f"{name} = _row_dots(theta, phi)"]
             return [f"{name} = _row_dots(_stack(({_names(b, n)}), 1), "
                     f"_stack(({_names(a, n)}), 1))"]
+        if (a, b) == ("p", "t"):
+            return [] if stacked_dot else [f"{name} = float(_dot(_ph, _th))"]
+        return [*(f"_m[{offset + i}] = {x}{i}" for offset, x in ((0, a), (n, b))
+                  for i in range(n)), f"{name} = float(_dot(_lo, _hi))"]
 
-        residual = ["_r = (theta * _pm[0] if _pm.size == 1 else "
-                    "_matmul(_pm.T[None], theta[:, :, None])[:, :, 0])"]
+    if rows:
+        residual = ("_r = (theta * _pm[0] if _pm.size == 1 else "
+                    "_matmul(_pm.T[None], theta[:, :, None])[:, :, 0])")
         term = (f"{_names('c', n)} = (_r * _pm[0] if _pm.size == 1 else "
                 "_matmul(_pm[None], _r[:, :, None])[:, :, 0]).T")
 
@@ -258,13 +268,7 @@ def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
             # Rows whose indicator is not negative keep the value they had.
             return ["_on = ind < 0.0", *each(f"dt{{i}} = _where(_on, dt{{i}} + {pull}, dt{{i}})")]
     else:
-        def pack(prefix: str, offset: int) -> list[str]:
-            return [f"_m[{offset + i}] = {prefix}{i}" for i in range(n)]
-
-        def dot(name: str, a: str, b: str) -> list[str]:
-            return [*pack(a, 0), *pack(b, n), f"{name} = float(_dot(_lo, _hi))"]
-
-        residual = [*([] if spec.grad is not None else pack("t", n)), "_r = _pm.T.dot(_hi)"]
+        residual = "_r = _pm.T.dot(_th)"
         term = f"{_names('c', n)} = _pm.dot(_r).tolist()"
 
         def switch(pull: str) -> list[str]:
@@ -279,8 +283,9 @@ def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
             lines += each("a{i} = g{i} / nt")
             source = "a"
     if spec.data is not None:
-        lines += ["if data is None:", "    raise ValueError(missing)", "_pm, _yv, _w = data",
-                  *residual, "_sub(_r, _yv, _r)", "_mul(_r, _w, _r)", term]
+        if not stacked_data:
+            lines += ["if data is None:", "    raise ValueError(missing)", "_pm, _yv, _w = data",
+                      residual, "_sub(_r, _yv, _r)", "_mul(_r, _w, _r)", term]
         if spec.data > 0:
             lines += each("c{i} = c{i} * nt")
         if source is not None:
@@ -311,6 +316,24 @@ def _field_lines(spec: KindSpec, n: int, rows: bool) -> list[str]:
     return lines
 
 
+def _stacked_data(aggregates: list[DataAggregates | None]) -> tuple | None:
+    """The data of several kinds as the operands of one stacked data term, or None if there is none.
+
+    The kinds read the same samples, phi_mat (n, N) and y_vec, each with its
+    own weights. Returned are phi_mat and its transpose as one-matrix stacks,
+    y_vec as a column, the (K, N, 1) stack of the weights, the (K, N, 1)
+    residual and the (K, n, 1) term, with the term's flat view: the operands
+    of the rows form's data term (_field_lines), row k for kind k.
+    """
+    if aggregates[0] is None:
+        return None
+    phi_mat, y_vec, _ = aggregates[0]
+    term = np.empty((len(aggregates), phi_mat.shape[0], 1))
+    return (phi_mat[None], phi_mat.T[None], y_vec[:, None],
+            np.stack([w for _, _, w in aggregates])[:, :, None],
+            np.empty((len(aggregates), phi_mat.shape[1], 1)), term, term.reshape(-1))
+
+
 # What generated code may refer to besides its arguments.
 _GENERATED_NAMES = {
     "_array": array,
@@ -322,21 +345,33 @@ _GENERATED_NAMES = {
     "_ravel": np.ravel,
     "_row_dots": row_dots,
     "_stack": np.stack,
+    "_stacked_data": _stacked_data,
     "_sub": np.subtract,
     "_where": np.where,
 }
 # Input rows that the Euler loop asks for, and holds as Python floats, at a time.
 _ROW_BLOCK = 256
+# The fewest kinds whose phi . theta dots, and whose data terms, a loop
+# stacks into one numpy call each per step; below, each kind makes its own
+# 1-d calls (see _loop_maker). Measured on fig1 at t_end 15: a stack of two
+# dots is slower than two 1-d dots, one of three is faster, and a stack of
+# two data terms is faster than two.
+_DOT_STACK = 3
+_DATA_STACK = 2
+# The names of a field's own values in its point form (_field_lines): in a
+# loop of several kinds, each kind's take its index as a suffix.
+_OWN_NAMES = re.compile(r"\b(?:(?:dt|dv|t|v|g|c|q|a)\d+|r|ng|nb|ind|data|_th|_pm|_yv|_w|_r|"
+                        + "|".join(_ARGUMENTS) + r")\b")
 
 
-def _generate(body: list[str], label: str) -> Callable:
-    """Compile make(...), whose body is the lines body, and return make.
+def _generate(body: list[str], label: str, arguments=_ARGUMENTS) -> Callable:
+    """Compile make(*arguments), whose body is the lines body, and return make.
 
     Only structure and the dimension n are written into body; every value of
     a scenario reaches the generated code as an argument of make (see
     _field_arguments).
     """
-    source = "\n".join([f"def make({', '.join(_ARGUMENTS)}):", *body]) + "\n"
+    source = "\n".join([f"def make({', '.join(arguments)}):", *body]) + "\n"
     namespace = dict(_GENERATED_NAMES)
     exec(compile(source, f"<hotuner {label}>", "exec"), namespace)
     return namespace["make"]
@@ -384,24 +419,60 @@ def compile_field(kind: SystemKind, gains: Gains, n: int) -> Callable:
     return _field_maker(kind, n)(**_field_arguments(kind, gains))
 
 
+def _stack_order(kinds) -> tuple[SystemKind, ...]:
+    """kinds in the order of a loop's stacks: those with a data term but no
+    loss gradient, then those with both, then those without a data term, each
+    group in the order given. So the kinds with a data term come first and
+    those with a loss gradient last, each group contiguous."""
+    return tuple(sorted(kinds, key=lambda kind: (KINDS[kind].data is None,
+                                                 KINDS[kind].grad is not None)))
+
+
 @functools.cache
-def _loop_maker(kind: SystemKind, n: int) -> Callable:
-    spec = KINDS[kind]
-    state = ["t"] + (["v"] if spec.high_order else [])
-    components = ", ".join(f"{x}{i}" for x in "tv" for i in range(n))
-    finite = " and ".join(f"_isfinite({x}{i})" for x in "tv" for i in range(n))
+def _loop_maker(kinds: tuple[SystemKind, ...], n: int) -> Callable:
+    if kinds != _stack_order(kinds):
+        raise ValueError("the kinds of a loop must be in _stack_order")
+    specs = [KINDS[kind] for kind in kinds]
+    readers = [j for j, spec in enumerate(specs) if spec.data is not None]
+    dotted = [j for j, spec in enumerate(specs) if spec.grad is not None]
+    stack_dot = n > 1 and len(dotted) >= _DOT_STACK
+    stack_data = n > 1 and len(readers) >= _DATA_STACK
+
+    def own(lines: list[str], j: int) -> list[str]:
+        return [_OWN_NAMES.sub(lambda name: f"{name.group()}_{j}", line) for line in lines]
+
+    def joined(names: list[str]) -> str:
+        return ", ".join(names) + ("," if len(names) == 1 else "")
+
+    state = [f"{x}{i}" for x in "tv" for i in range(n)]
+    components = ", ".join(name for j in range(len(kinds)) for name in own(state, j))
+    finite = [" and ".join(f"_isfinite({name})" for name in own(state, j))
+              for j in range(len(kinds))]
     lines = [
         "    def advance(h, num_steps, inputs, every, keeps, data_at, start, diverged):",
-        f"        _s = _empty({2 * n})",
-        "        _m = memoryview(_s)",
+        f"        _s, _ph, _thf = _empty({2 * n}), _empty({n}), _empty({len(kinds) * n})",
+        "        _m, _mp, _mt = memoryview(_s), memoryview(_ph), memoryview(_thf)",
         f"        _lo, _hi = _s[:{n}], _s[{n}:]",
+        f"        {joined([f'_th_{j}' for j in range(len(kinds))])} = "
+        f"_thf.reshape({len(kinds)}, {n})",
         f"        {components} = start",
         "        rows, next_row = _array('d'), 0",
     ]
-    # The data that the field reads at step k: the samples kept at steps up to k.
-    load = ["data = data_at(kept)",
-            "next_keep = keeps[kept] if kept < len(keeps) else -1"]
-    if spec.data is not None:
+    if stack_dot:
+        lines += [f"        _rd = _empty(({len(dotted)}, 1, 1))",
+                  f"        _rdv, _phc = _rd.reshape({len(dotted)}), _ph[:, None]",
+                  f"        _thg = _thf.reshape({len(kinds)}, {n})[{dotted[0]}:, None, :]"]
+    if stack_data:
+        lines.append(f"        _thd = _thf.reshape({len(kinds)}, {n})[:{len(readers)}, :, None]")
+    # The data that the fields read at step k: the samples kept at steps up to k.
+    if stack_data:
+        load = ["_sd = _stacked_data(data_at(kept))",
+                "if _sd is not None:",
+                "    _spm, _spmt, _syv, _sw, _sr, _sc, _scv = _sd"]
+    else:
+        load = [f"{joined([f'data_{j}' for j in readers])} = data_at(kept)"]
+    load.append("next_keep = keeps[kept] if kept < len(keeps) else -1")
+    if readers:
         lines += ["        kept = 0", *("        " + line for line in load)]
     lines += [f"        for base in range(0, num_steps, {_ROW_BLOCK}):",
               f"            block = inputs(base, min(base + {_ROW_BLOCK}, num_steps)).tolist()",
@@ -410,40 +481,73 @@ def _loop_maker(kind: SystemKind, n: int) -> Callable:
               "                if k == next_row:",
               f"                    rows.fromlist([{components}])",
               "                    next_row += every"]
-    if spec.data is not None:
+    if readers:
         lines += ["                if k == next_keep:",
                   "                    kept += 1",
                   *("                    " + line for line in load)]
-    lines += ["                " + line for line in _field_lines(spec, n, False)]
-    lines += [f"                {x}{i} = {x}{i} + d{x}{i} * h" for x in state for i in range(n)]
-    lines += [f"                if diverged and not ({finite}):",
+    # Each dot and data term reads phi from _ph and a kind's theta from its row
+    # of the stack _thf; in one dimension the dots are products.
+    body = [f"_mp[{i}] = p{i}" for i in range(n)] if n > 1 and dotted else []
+    body += [f"_mt[{j * n + i}] = t{i}_{j}" for j in range(len(kinds))
+             if j in readers or (n > 1 and j in dotted) for i in range(n)]
+    if stack_dot:
+        body += ["_matmul(_thg, _phc, out=_rd)",
+                 f"{joined([f'r_{j}' for j in dotted])} = _rdv.tolist()"]
+    if stack_data:
+        body += ["if _sd is None:", f"    raise ValueError(missing_{readers[0]})",
+                 "_matmul(_spmt, _thd, out=_sr)", "_sub(_sr, _syv, _sr)", "_mul(_sr, _sw, _sr)",
+                 "_matmul(_spm, _sr, out=_sc)",
+                 f"{joined([f'c{i}_{j}' for j in readers for i in range(n)])} = _scv.tolist()"]
+    for j, spec in enumerate(specs):
+        body += own(_field_lines(spec, n, False, stack_dot, stack_data), j)
+        body += own([f"{x}{i} = {x}{i} + d{x}{i} * h"
+                     for x in "tv"[:1 + spec.high_order] for i in range(n)], j)
+    lines += ["                " + line for line in body]
+    lines += [f"                if diverged and not ({' and '.join(finite)}):",
               "                    raise diverged(k)",
-              f"            if not ({finite}):",
+              f"            if not ({' or '.join(f'({test})' for test in finite)}):",
               "                break",
               f"        final = [{components}]",
               "        rows.fromlist(final)",
               "        return rows, final",
               "",
               "    return advance"]
-    return _generate(lines, f"euler loop {kind.value} n={n}")
+    arguments = [name for j in range(len(kinds)) for name in own(list(_ARGUMENTS), j)]
+    label = "+".join(kind.value for kind in kinds)
+    return _generate(lines, f"euler loop {label} n={n}", arguments)
 
 
-def _compile_loop(kind: SystemKind, gains: Gains, n: int) -> Callable:
-    """The Euler loop of one kind with one gain set and dimension n (see compile_field).
+def _compile_loop(kinds: tuple[SystemKind, ...], gains: Gains, n: int) -> Callable:
+    """The Euler loop of kinds, in _stack_order, on one gain set and dimension n (see compile_field).
 
     advance(h, num_steps, inputs, every, keeps, data_at, start, diverged)
-    takes num_steps steps of size h from start, the 2n floats of theta and
-    vartheta. It returns (rows, final): an array('d') that holds the state at
-    every step r every and after the last step, 2n floats each, and the final
-    state. inputs(lo, hi) returns the rows of steps lo..hi-1, row k - lo
-    holding phi, y*, N_t at step k (see integrator.SignalGrid.rows); the loop
-    asks for _ROW_BLOCK rows at a time, as it reaches them, and walks them as
-    Python floats, so no input outlives its block. From each step of keeps
-    on, the field reads data_at(samples kept so far). Unless diverged is
-    None, a state not finite after step k raises diverged(k); either way a
-    block that ends on a non-finite state, which stays so, ends the pass.
-    The field (_field_lines, point form) is in the loop body, on Python-float
-    locals; a step is x{i} = x{i} + dx{i} * h, the operations of x + h dx,
-    and a baseline kind steps theta only.
+    takes num_steps steps of size h of every kind at once, in one pass, from
+    start, the 2n floats of theta and vartheta of each kind in turn. It
+    returns (rows, final): an array('d') that holds the states of all kinds
+    at every step r every and after the last step, 2n floats per kind, and
+    the final states. inputs(lo, hi) returns the rows of steps lo..hi-1, row
+    k - lo holding phi, y*, N_t at step k (see integrator.SignalGrid.rows);
+    the loop asks for _ROW_BLOCK rows at a time, as it reaches them, and
+    walks them as Python floats, so no input outlives its block. From each
+    step of keeps on, the fields read data_at(samples kept so far), the
+    aggregates of each kind with a data term, in order; they read the same
+    samples. Unless diverged is None, a state not finite after step k
+    raises diverged(k); either way a block that ends with no kind's state
+    finite, which stays so, ends the pass.
+
+    Each kind's field (_field_lines, point form) is in the loop body, on
+    Python-float locals suffixed with the kind's index; a step is
+    x{i} = x{i} + dx{i} * h, the operations of x + h dx, and a baseline kind
+    steps theta only. The numpy calls that each kind would repeat run once
+    per step for all of them: phi is written into one scratch array and each
+    kind's theta into its row of one stack, and from _DOT_STACK kinds on
+    their phi . theta dots are one stacked matmul (signals.row_dots), from
+    _DATA_STACK kinds on their data terms are the rows form's stacked calls.
+    Each row of a stacked call rounds as the 1-d call it replaces, and rows
+    do not mix, so every kind's values are those of its one-kind loop, also
+    where another kind's state is not finite. Below those counts, and in
+    one dimension, a kind makes its own calls; a one-kind loop stacks none.
     """
-    return _loop_maker(kind, n)(**_field_arguments(kind, gains))
+    arguments = {f"{name}_{j}": value for j, kind in enumerate(kinds)
+                 for name, value in _field_arguments(kind, gains).items()}
+    return _loop_maker(tuple(kinds), n)(**arguments)

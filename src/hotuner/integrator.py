@@ -10,22 +10,32 @@ holds what a scenario's systems share: the time grid t_k and the recording
 schedule, which reads only t, phi and the last kept sample. phi(t_k), y*(t_k)
 and N_t are evaluated a window of rows at a time as the loop reads them, so
 memory does not grow with the horizon beyond t and the output rows. _run
-runs each kind's Euler loop (dynamics._compile_loop) on those rows and views
-the rows it returns as the Trajectory's theta and vartheta. Every evaluated
-value equals its per-step counterpart bit for bit, so the outputs do not
-depend on the window boundaries or on whether a grid was shared.
+steps all the kinds of a run in one Euler loop (dynamics._compile_loop) on
+one set of those rows, and splits the rows it returns into each kind's
+Trajectory. Every evaluated value equals its per-step counterpart bit for
+bit, and no kind's values depend on another's, so the outputs do not depend
+on the window boundaries, on whether a grid was shared or on which kinds
+ran together.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .databuffer import DataBuffer, record_steps
-from .dynamics import BUFFER_KINDS, Gains, SystemKind, TunerState, _compile_loop, _data_for
+from .dynamics import (
+    BUFFER_KINDS,
+    Gains,
+    SystemKind,
+    TunerState,
+    _compile_loop,
+    _data_for,
+    _stack_order,
+)
 from .signals import RegressorSignal, row_dots
 
 __all__ = [
@@ -37,7 +47,7 @@ __all__ = [
     "simulate_with_buffer",
 ]
 
-# Rows rendered per block by Trajectory.to_csv, which bounds its scratch memory.
+# Rows rendered per block by Trajectory.csv_blocks, which bounds its scratch memory.
 _CSV_BLOCK_ROWS = 4096
 # Input rows that SignalGrid.rows evaluates at a time.
 _WINDOW_ROWS = 1024
@@ -109,6 +119,11 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """Render rows as CSV; floats use shortest round-trip formatting."""
+        return "".join(self.csv_blocks())
+
+    def csv_blocks(self) -> Iterator[str]:
+        """The text of to_csv in pieces: the header line, then the lines of
+        _CSV_BLOCK_ROWS rows at a time, so a writer holds one block at once."""
         n = self.theta.shape[1]
         header = (
             ["t"]
@@ -121,13 +136,12 @@ class Trajectory:
         ]
         columns = [np.asarray(c, dtype=float) for c in columns]
         columns.append(np.asarray(self.n_samples).astype(int))
-        lines = [",".join(header)]
+        yield ",".join(header) + "\n"
         # repr of a Python float or int is the cell text; tolist() makes them
         # without boxing each cell through float() or int().
         for start in range(0, self.n_rows, _CSV_BLOCK_ROWS):
             block = [c[start:start + _CSV_BLOCK_ROWS].tolist() for c in columns]
-            lines.extend(",".join(map(repr, row)) for row in zip(*block))
-        return "\n".join(lines) + "\n"
+            yield "\n".join(",".join(map(repr, row)) for row in zip(*block)) + "\n"
 
 
 class SignalGrid:
@@ -218,21 +232,25 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _run(
-    kind: SystemKind,
+    kinds: tuple[SystemKind, ...],
     gains: Gains,
     sim: SimConfig,
     grid: SignalGrid,
     init: TunerState,
     buffer: DataBuffer,
     keeps: list[int],
-) -> Trajectory:
-    """Run one system on buffer, whose last len(keeps) samples are kept at steps keeps.
+) -> Iterator[Trajectory]:
+    """Run the systems kinds in one pass from init; return an iterator of their trajectories.
 
-    Row r is the state at step r record_every, and the last row the final state.
-    The fast pass checks nothing per step. A non-finite state stays non-finite
-    under Euler updates, so a pass that ends on a finite state never left it.
-    One that left it stops at the end of that block of input rows and is
-    repeated with the check after every step, so a diverging run raises with
+    The kinds with a data term read buffer, whose last len(keeps) samples are
+    kept at steps keeps. Row r is the state at step r record_every, and the
+    last row the final state. The pass (dynamics._compile_loop) steps every
+    kind on one set of input rows and checks nothing per step. A non-finite
+    state stays non-finite under Euler updates, and no kind's values depend
+    on another's, so a kind that ends on a finite state never left it. The
+    iterator gives the kinds' trajectories in the order of kinds; at a kind
+    that ends on a state that is not finite, it repeats that kind's run alone
+    with the check after every step, which raises NumericalDivergence with
     the step that a per-step check names. Numpy's floating-point warnings are
     off in both passes, since an overflow that leaves the state finite is no
     fault of the run.
@@ -242,28 +260,77 @@ def _run(
         raise ValueError("initial state dimension does not match the signal")
     if not (np.isfinite(init.theta).all() and np.isfinite(init.vartheta).all()):
         raise ValueError("initial state must be finite")
-    advance = _compile_loop(kind, gains, n)
-    # Samples the kind reads from the start; a kind without a data term reads none.
-    first_count = len(buffer) - len(keeps) if kind in BUFFER_KINDS else 0
-    inputs = (grid.step_h, grid.num_steps, grid.rows(gains.mu), sim.record_every, keeps,
-              lambda kept: _data_for(kind, buffer, gains, first_count + kept),
-              [*init.theta.tolist(), *init.vartheta.tolist()])
+    # Samples the kinds with a data term read from the start.
+    first_count = len(buffer) - len(keeps)
+    start = [*init.theta.tolist(), *init.vartheta.tolist()]
+
+    def advance(kinds: tuple[SystemKind, ...], diverged) -> tuple:
+        readers = [kind for kind in kinds if kind in BUFFER_KINDS]
+        return _compile_loop(kinds, gains, n)(
+            grid.step_h, grid.num_steps, grid.rows(gains.mu), sim.record_every, keeps,
+            lambda kept: [_data_for(kind, buffer, gains, first_count + kept) for kind in readers],
+            start * len(kinds), diverged)
+
+    order = _stack_order(kinds)
     with np.errstate(all="ignore"):
-        rows, final = advance(*inputs, None)
-        if not all(map(math.isfinite, final)):
-            advance(*inputs, lambda k: _divergence(kind, grid, k))
-    theta, vartheta = np.hsplit(np.frombuffer(rows).reshape(-1, 2 * n), 2)
+        rows, final = advance(order, None)
+    states = np.frombuffer(rows).reshape(-1, len(order), 2 * n)
+    # Each kind's rows as the (R, 2n) array of a one-kind pass, theta then
+    # vartheta; the pass's own rows are dropped on return.
+    halves = {kind: np.hsplit(states[:, j].copy(), 2) for j, kind in enumerate(order)}
     # Capped at the step count, record_every names the same rows and fits an int64.
     stride = min(sim.record_every, grid.num_steps)
-    row_steps = np.minimum(np.arange(theta.shape[0]) * stride, grid.num_steps)
-    return Trajectory(
-        t=grid.t[row_steps],
-        theta=theta,
-        vartheta=vartheta,
-        err_norm=_distances(theta, grid.signal.theta_star),
-        p_norm=_distances(vartheta, theta),
-        n_samples=first_count + np.searchsorted(keeps, row_steps, side="right"),
-    )
+    row_steps = np.minimum(np.arange(states.shape[0]) * stride, grid.num_steps)
+
+    def trajectory(kind: SystemKind) -> Trajectory:
+        j = order.index(kind)
+        if not all(map(math.isfinite, final[2 * n * j:2 * n * (j + 1)])):
+            with np.errstate(all="ignore"):
+                advance((kind,), lambda k: _divergence(kind, grid, k))
+        theta, vartheta = halves[kind]
+        count, kept = (first_count, keeps) if kind in BUFFER_KINDS else (0, [])
+        return Trajectory(
+            t=grid.t[row_steps],
+            theta=theta,
+            vartheta=vartheta,
+            err_norm=_distances(theta, grid.signal.theta_star),
+            p_norm=_distances(vartheta, theta),
+            n_samples=count + np.searchsorted(kept, row_steps, side="right"),
+        )
+    return map(trajectory, kinds)
+
+
+def _simulate_kinds(
+    kinds: Iterable[SystemKind],
+    signal: RegressorSignal,
+    gains: Gains,
+    sim: SimConfig,
+    init: TunerState,
+    epsilon: float | None = None,
+    N_bar: int | None = None,
+    grid: SignalGrid | None = None,
+) -> Iterator[tuple[Trajectory, DataBuffer]]:
+    """simulate of several systems at once, in one pass (see _run).
+
+    Returns an iterator of each kind's (trajectory, buffer), in the order of
+    kinds, which raises NumericalDivergence at the first kind whose run
+    leaves the finite.
+    """
+    kinds = tuple(kinds)
+    recording = [kind for kind in kinds if kind in BUFFER_KINDS]
+    if recording and (epsilon is None or N_bar is None):
+        raise ValueError(
+            f"'{recording[0].value}' records its data online and needs both epsilon and "
+            "N_bar; to run it on fixed pre-recorded data use simulate_with_buffer"
+        )
+    if grid is None:
+        grid = SignalGrid(signal, sim)
+    elif not grid.matches(signal, sim):
+        raise ValueError("grid was built for another signal or time grid")
+    keeps, buffer = grid.schedule(N_bar, epsilon) if recording else ([], DataBuffer.empty())
+    empty = DataBuffer.empty()
+    return zip(_run(kinds, gains, sim, grid, init, buffer, keeps),
+               (buffer if kind in BUFFER_KINDS else empty for kind in kinds))
 
 
 def simulate(
@@ -284,20 +351,7 @@ def simulate(
     buffer. Pass the SignalGrid of (signal, sim) to share it between systems;
     by default one is built.
     """
-    if kind in BUFFER_KINDS and (epsilon is None or N_bar is None):
-        raise ValueError(
-            f"'{kind.value}' records its data online and needs both epsilon and "
-            "N_bar; to run it on fixed pre-recorded data use simulate_with_buffer"
-        )
-    if grid is None:
-        grid = SignalGrid(signal, sim)
-    elif not grid.matches(signal, sim):
-        raise ValueError("grid was built for another signal or time grid")
-    if kind in BUFFER_KINDS:
-        keeps, buffer = grid.schedule(N_bar, epsilon)
-    else:
-        keeps, buffer = [], DataBuffer.empty()
-    return _run(kind, gains, sim, grid, init, buffer, keeps), buffer
+    return next(_simulate_kinds((kind,), signal, gains, sim, init, epsilon, N_bar, grid))
 
 
 def simulate_with_buffer(
@@ -314,4 +368,4 @@ def simulate_with_buffer(
     if len(buffer) and buffer.dimension != signal.dimension:
         raise ValueError(f"buffer dimension {buffer.dimension} does not match the "
                          f"signal dimension {signal.dimension}")
-    return _run(kind, gains, sim, SignalGrid(signal, sim), init, buffer, [])
+    return next(_run((kind,), gains, sim, SignalGrid(signal, sim), init, buffer, []))

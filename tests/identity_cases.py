@@ -83,6 +83,11 @@ CASES = [
     (verb, "one_d", []) for verb in VERBS
 ] + [
     (verb, "offset", []) for verb in ("run", "certify")
+] + [
+    ("run", "mixdiv", ["--t-end", "1"]),
+] + [
+    (verb, name, ["--t-end", "1"]) for name in ("mixdiv_certify", "mixdiv_order")
+    for verb in ("run", "certify")
 ]
 
 
@@ -123,6 +128,26 @@ def write_scenarios() -> None:
         ("offset", {**fig1, "name": "offset",
                     "sim": {**fig1["sim"], "t_start": 0.05, "t_end": 10.35,
                             "record_every": 7}}),
+        # kinds that leave the finite on one regressor component: ht after step
+        # 60, the later-listed ht_cl after step 59; the run names ht
+        ("mixdiv", {**fig1, "name": "mixdiv", "systems": ["basic", "ht", "ht_cl"],
+                    "gains": {"beta": 1e8, "gamma": 1e8, "mu": 0.2},
+                    "signal": {"offsets": [1.0], "amplitudes": [3.0], "frequencies": [1.0],
+                               "phases": [0.0], "theta_star": [2.0]},
+                    "init": {"theta0": [4.0]}}),
+        ("mixdiv_certify", {**fig1, "name": "mixdiv_certify", "systems": ["basic", "ht", "ht_cl"],
+                            "gains": {"beta": 1e8, "gamma": 1e6, "mu": 0.2},
+                            "signal": {"offsets": [1.0], "amplitudes": [3.0],
+                                       "frequencies": [1.0], "phases": [0.0],
+                                       "theta_star": [2.0]},
+                            "init": {"theta0": [4.0]}}),
+        # three components, so that a pass stacks its dots and data terms; the
+        # first listed kind to leave the finite, ht_b after step 64, is named,
+        # not ht_cl or ht, which leave it after step 55
+        ("mixdiv_order", {**fig1, "name": "mixdiv_order",
+                          "systems": ["basic", "ht_b", "ht_normalized_cl", "ht_cl", "ht"],
+                          "gains": {"beta": 1e8, "gamma": 1e7, "mu": 0.2, "beta_r": 4.0},
+                          "init": {"theta0": [4.0, 4.0, 4.0]}}),
     ) + tuple(
         (name, {**fig1, "name": name, section: {**fig1.get(section, {}), **edits}})
         for name, (section, edits) in OVERFLOWS.items()

@@ -6,7 +6,8 @@ vectors. The package emits straight-line Python for the same operations
 (dynamics._compile_loop, which reads one row of phi, y* and N_t per step)
 and the batched field (compile_field); both must reproduce the reference bit
 for bit, signs of zeros included, on every kind, dimension, output
-decimation and buffer mode.
+decimation and buffer mode. A loop of several kinds, which stacks their
+numpy calls, must give each kind the bytes of its one-kind loop.
 """
 
 import builtins
@@ -34,7 +35,8 @@ from hotuner import (
     simulate_with_buffer,
 )
 from hotuner.cli import bundled_scenario_path, load_scenario
-from hotuner.dynamics import _data_for, _field_maker, _loop_maker
+from hotuner.dynamics import _data_for, _field_maker, _loop_maker, _stack_order
+from hotuner.integrator import _run, _simulate_kinds
 from oracles import reference_field, reference_rows
 
 PI = np.pi
@@ -222,3 +224,64 @@ def test_generated_source_is_the_same_for_any_gains(monkeypatch):
     second = sources(Gains(beta=3.5, gamma=0.7, mu=0.0, beta_r=0.0))
     assert len(first) == 2 * len(SystemKind)
     assert first == second
+
+
+@st.composite
+def pass_cases(draw):
+    """Kinds in any order, a dimension, an output decimation and a buffer mode."""
+    kinds = draw(st.lists(st.sampled_from(list(SystemKind)), min_size=1, unique=True))
+    return (kinds, draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 7, 100])),
+            draw(st.sampled_from(list(BUFFER_MODES))), draw(loop_cases()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(pass_cases())
+def test_one_pass_gives_every_kind_the_bytes_of_its_own_run(case):
+    """One pass over several kinds, whatever their order, number and mix of data
+    terms and loss gradients, writes each kind's CSV and buffer as its one-kind
+    run does, on 300 steps, which cross into a second block of input rows."""
+    kinds, n, every, mode, (seed, gains, spread) = case
+    rng = np.random.default_rng(seed)
+    signal = draw_signal(n, rng)
+    sim = SimConfig(t_end=0.3, record_every=every)
+    theta0 = rng.uniform(-5, 5, n)
+    init = TunerState(theta0, theta0 + spread * rng.normal(size=n))
+    policy = BUFFER_MODES[mode]
+    if policy is None:
+        times = [0.01, 0.2, 0.45, 0.9, 1.3][:n + 1]
+        buffer = DataBuffer.from_samples(*signal.eval_grid(np.array(times)), times=times)
+        together = [(trajectory, buffer) for trajectory in
+                    _run(tuple(kinds), gains, sim, SignalGrid(signal, sim), init, buffer, [])]
+        alone = [(simulate_with_buffer(kind, signal, gains, sim, init, buffer), buffer)
+                 for kind in kinds]
+    else:
+        epsilon, n_bar = policy
+        grid = SignalGrid(signal, sim)
+        together = list(_simulate_kinds(tuple(kinds), signal, gains, sim, init, epsilon,
+                                        max(n_bar, n), grid))
+        alone = [simulate(kind, signal, gains, sim, init, epsilon=epsilon,
+                          N_bar=max(n_bar, n), grid=grid) for kind in kinds]
+    for kind, (got, got_buffer), (want, want_buffer) in zip(kinds, together, alone):
+        same = got.to_csv() == want.to_csv()  # not in the assert: a text diff is slow
+        assert same, kind
+        assert got_buffer is want_buffer or len(got_buffer) == len(want_buffer) == 0, kind
+
+
+def loop_names(kinds, n):
+    """The global names that the generated Euler loop of kinds refers to."""
+    make = _loop_maker(_stack_order(kinds), n)
+    (advance,) = [code for code in make.__code__.co_consts if hasattr(code, "co_names")]
+    return advance.co_names
+
+
+def test_only_a_loop_of_several_kinds_stacks_numpy_calls():
+    """A one-kind loop makes the 1-d calls of its field, so a kind run alone is no
+    slower for the stacks; fig1's five kinds in three dimensions stack both
+    their phi . theta dots and their data terms."""
+    for kind, n in itertools.product(SystemKind, [1, 2, 3, 4]):
+        assert "_matmul" not in loop_names((kind,), n), (kind, n)
+    fig1 = load_scenario(bundled_scenario_path("fig1"))
+    assert "_matmul" in loop_names(fig1.systems, 3)
+    assert "_matmul" not in loop_names(fig1.systems, 1)
+    # Two dots and no data term stay 1-d calls.
+    assert "_matmul" not in loop_names((SystemKind.HT, SystemKind.BASIC), 3)

@@ -164,7 +164,8 @@ RESTING = np.repeat([[1.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.0, 5.0], [4.0, 4.0]]
 @example((RESTING, 10, 1.0))
 @example((np.array([[1.0, 0.0], [2.0, 0.0]]), 2, 0.5))  # |1|^2 / 2 == epsilon: kept
 def test_record_steps_replays_maybe_record(case):
-    """The vectorized schedule keeps exactly the rows the one-step rule keeps."""
+    """The vectorized schedule keeps exactly the rows the one-step rule keeps, and
+    asks for no row twice."""
     phis, capacity, epsilon = case
     buffer = DataBuffer.empty()
     kept_rows = []
@@ -174,8 +175,22 @@ def test_record_steps_replays_maybe_record(case):
         buffer, kept = maybe_record(buffer, float(k), phi, k + 0.5, capacity, epsilon)
         if kept:
             kept_rows.append(k)
-    steps = record_steps(lambda lo, hi: phis[lo:hi], len(phis), capacity, epsilon)
+    asked = []
+
+    def phi_rows(lo, hi):
+        asked.append((lo, hi))
+        return phis[lo:hi]
+
+    steps = record_steps(phi_rows, len(phis), capacity, epsilon)
     assert steps == kept_rows
+    # Each row is asked for once at most: every row if the buffer never
+    # freezes, and none after the chunk of the freeze if it does.
+    rows = [k for lo, hi in asked for k in range(lo, hi)]
+    assert len(rows) == len(set(rows))
+    if len(steps) == capacity:
+        assert all(lo <= steps[-1] for lo, hi in asked)
+    else:
+        assert sorted(rows) == list(range(len(phis)))
     rebuilt = DataBuffer.from_samples(phis[steps], np.array(steps) + 0.5, times=steps)
     assert buffer_csv(rebuilt) == buffer_csv(buffer)
 

@@ -23,6 +23,7 @@ from hotuner import (
 )
 from hotuner.cli import bundled_scenario_path, load_scenario
 from hotuner.databuffer import _RECORD_CHUNK
+from hotuner.integrator import _CSV_BLOCK_ROWS, _simulate_kinds
 from hotuner.signals import row_dots
 from oracles import make_constant, mix3
 from test_kernel import reference_run
@@ -221,6 +222,50 @@ def test_divergence_report_matches_the_reference_stepper(kind, every, t_end):
     with pytest.raises(NumericalDivergence) as caught:
         simulate(kind, sig, gains, sim, init, epsilon=epsilon, N_bar=n_bar)
     assert str(caught.value) == expected
+
+
+@pytest.mark.parametrize("every", [1, 7])
+def test_a_diverging_kind_leaves_the_others_of_its_pass_unchanged(every):
+    """On fig1's regressor with beta = 1e8, gamma = 1e7 and theta0 = (4, 4, 4),
+    ht_cl and ht leave the finite after step 55 and the other three kinds stay
+    finite to step 60. In one pass, which stacks the five kinds' dots and data
+    terms, the non-finite rows of the two leave the other kinds' outputs as
+    their runs alone write them, and the first diverging kind listed is
+    reported as its run alone reports it."""
+    scenario = load_scenario(bundled_scenario_path("fig1"))
+    gains = Gains(beta=1e8, gamma=1e7, mu=0.2, beta_r=4.0)
+    sim = SimConfig(t_end=0.06, record_every=every)
+    init = TunerState.from_theta0([4.0, 4.0, 4.0])
+    kinds = (SystemKind.HT, SystemKind.BASIC, SystemKind.HT_B, SystemKind.HT_NORMALIZED_CL,
+             SystemKind.HT_CL)
+    grid = SignalGrid(scenario.signal, sim)
+    inputs = (scenario.signal, gains, sim, init, scenario.cl_epsilon, scenario.cl_N_bar, grid)
+    with np.errstate(all="ignore"):
+        results = _simulate_kinds(kinds[1:], *inputs)
+        for kind in kinds[1:4]:
+            (got, _), (want, _) = next(results), simulate(kind, *inputs)
+            assert got.to_csv() == want.to_csv(), kind
+        with pytest.raises(NumericalDivergence) as together:
+            next(results)
+        with pytest.raises(NumericalDivergence) as alone:
+            simulate(SystemKind.HT_CL, *inputs)
+        assert str(together.value) == str(alone.value) == (
+            "non-finite state for 'ht_cl' at t=0.055 (after step 55)")
+        # Listed first, ht is reported though ht_cl is non-finite from the same step.
+        with pytest.raises(NumericalDivergence, match="'ht' at t=0.055"):
+            next(_simulate_kinds(kinds, *inputs))
+
+
+def test_csv_blocks_are_the_csv_text_in_pieces():
+    """The streamed pieces join to to_csv: a header line, then whole lines of at
+    most _CSV_BLOCK_ROWS rows each."""
+    sim = SimConfig(t_end=2 * _CSV_BLOCK_ROWS * 1e-3 + 1e-3)
+    trajectory, _ = simulate(SystemKind.HT, mix3(), Gains(beta=1.0, gamma=0.1, mu=0.2), sim,
+                             TunerState.from_theta0([1.0, 0.0, -1.0]))
+    pieces = list(trajectory.csv_blocks())
+    assert "".join(pieces) == trajectory.to_csv()
+    assert [piece.count("\n") for piece in pieces] == [1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS, 2]
+    assert all(piece.endswith("\n") for piece in pieces)
 
 
 def test_horizon_must_be_whole_number_of_steps():
