@@ -34,15 +34,12 @@ from .dynamics import (
     SystemKind,
     TunerState,
 )
-# The commands run their kinds in one pass (_simulate_kinds); simulate, the
-# one-kind call, stays importable here for code that wraps it (bench/spans.py).
-from .integrator import (  # noqa: F401
+from .integrator import (
     NumericalDivergence,
     SignalGrid,
     SimConfig,
     Trajectory,
     _simulate_kinds,
-    simulate,
 )
 from .signals import PEReport, RegressorSignal, check_pe
 
@@ -333,13 +330,12 @@ def _simulate_systems(
     at the first of kinds whose run leaves the finite."""
     return zip(kinds, _simulate_kinds(
         kinds,
-        scenario.signal,
+        grid,
         scenario.gains,
-        scenario.sim,
+        scenario.sim.record_every,
         TunerState.from_theta0(scenario.init_theta0),
         epsilon=scenario.cl_epsilon,
         N_bar=scenario.cl_N_bar,
-        grid=grid,
     ))
 
 

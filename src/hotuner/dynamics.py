@@ -349,8 +349,10 @@ _GENERATED_NAMES = {
     "_sub": np.subtract,
     "_where": np.where,
 }
-# Input rows that the Euler loop asks for, and holds as Python floats, at a time.
-_ROW_BLOCK = 256
+# Input rows that the Euler loop asks for, and holds as Python floats, at a
+# time. Each block is one evaluation of phi, y* and N_t; at 256 rows numpy's
+# cost per call was about 40 % of the evaluation's.
+_ROW_BLOCK = 1024
 # The fewest kinds whose phi . theta dots, and whose data terms, a loop
 # stacks into one numpy call each per step; below, each kind makes its own
 # 1-d calls (see _loop_maker). Measured on fig1 at t_end 15: a stack of two
@@ -525,10 +527,10 @@ def _compile_loop(kinds: tuple[SystemKind, ...], gains: Gains, n: int) -> Callab
     start, the 2n floats of theta and vartheta of each kind in turn. It
     returns (rows, final): an array('d') that holds the states of all kinds
     at every step r every and after the last step, 2n floats per kind, and
-    the final states. inputs(lo, hi) returns the rows of steps lo..hi-1, row
-    k - lo holding phi, y*, N_t at step k (see integrator.SignalGrid.rows);
-    the loop asks for _ROW_BLOCK rows at a time, as it reaches them, and
-    walks them as Python floats, so no input outlives its block. From each
+    the final states. inputs(lo, hi) evaluates the rows of steps lo..hi-1,
+    row k - lo holding phi, y*, N_t at step k (see integrator.SignalGrid.rows);
+    the loop asks for each block of _ROW_BLOCK rows once, as it reaches it,
+    and walks it as Python floats, so no input outlives its block. From each
     step of keeps on, the fields read data_at(samples kept so far), the
     aggregates of each kind with a data term, in order; they read the same
     samples. Unless diverged is None, a state not finite after step k

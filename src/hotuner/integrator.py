@@ -6,16 +6,16 @@ current buffer, update the state. Recording therefore takes effect from the
 very step at which a sample is kept.
 
 Nothing on that list but the field depends on the state, so a SignalGrid
-holds what a scenario's systems share: the time grid t_k and the recording
-schedule, which reads only t, phi and the last kept sample. phi(t_k), y*(t_k)
-and N_t are evaluated a window of rows at a time as the loop reads them, so
-memory does not grow with the horizon beyond t and the output rows. _run
-steps all the kinds of a run in one Euler loop (dynamics._compile_loop) on
-one set of those rows, and splits the rows it returns into each kind's
-Trajectory. Every evaluated value equals its per-step counterpart bit for
-bit, and no kind's values depend on another's, so the outputs do not depend
-on the window boundaries, on whether a grid was shared or on which kinds
-ran together.
+holds the time grid t_k of a run and evaluates from it what the loop reads:
+the recording schedule, which reads only t, phi and the last kept sample,
+and phi(t_k), y*(t_k) and N_t, a block of rows at a time as the loop asks
+for them, so memory does not grow with the horizon beyond t and the output
+rows. _run steps all the kinds of a run in one Euler loop
+(dynamics._compile_loop) on one set of those rows, and splits the rows it
+returns into each kind's Trajectory. Every evaluated value equals its
+per-step counterpart bit for bit, and no kind's values depend on another's,
+so the outputs do not depend on the block boundaries or on which kinds ran
+together.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ __all__ = [
 
 # Rows rendered per block by Trajectory.csv_blocks, which bounds its scratch memory.
 _CSV_BLOCK_ROWS = 4096
-# Input rows that SignalGrid.rows evaluates at a time.
-_WINDOW_ROWS = 1024
 
 
 class NumericalDivergence(RuntimeError):
@@ -145,18 +143,17 @@ class Trajectory:
 
 
 class SignalGrid:
-    """The time grid of a run of one signal, and its recording schedules.
+    """The time grid of a run of one signal, and the inputs the Euler loop reads from it.
 
     t holds t_k = t_start + k h for k = 0..num_steps. Everything else the
-    loop reads, phi(t_k), y*(t_k) and N_t, is evaluated from t in windows of
-    rows as the loop reaches them (rows(mu)); each value equals the per-step
-    computation bit for bit. Recording schedules are built on first use and
-    cached per (capacity, epsilon), so every system of a scenario shares them.
+    loop reads is evaluated from t when asked for: phi(t_k), y*(t_k) and N_t
+    on the rows of each block the loop reaches (rows), and the recording
+    schedule on the rows its rule tests (schedule). Each value equals the
+    per-step computation bit for bit, and the grid keeps none of them.
     """
 
     def __init__(self, signal: RegressorSignal, sim: SimConfig) -> None:
         self.signal = signal
-        self.t_start = sim.t_start
         self.step_h = sim.step_h
         self.num_steps = sim.num_steps
         # In place, so that only t itself is ever held: k h + t_start, as
@@ -164,32 +161,13 @@ class SignalGrid:
         self.t = np.arange(self.num_steps + 1, dtype=float)
         self.t *= sim.step_h
         self.t += sim.t_start
-        self._schedules: dict[tuple[int, float], tuple[list[int], DataBuffer]] = {}
-
-    def matches(self, signal: RegressorSignal, sim: SimConfig) -> bool:
-        return (
-            signal is self.signal
-            and sim.t_start == self.t_start
-            and sim.step_h == self.step_h
-            and sim.num_steps == self.num_steps
-        )
 
     def rows(self, mu: float) -> Callable[[int, int], np.ndarray]:
-        """The Euler loop's inputs: rows(mu)(lo, hi) holds, in row k - lo for each
-        step k of lo..hi-1, phi(t_k), y*(t_k) and 1 + mu |phi(t_k)|^2.
-
-        Rows are evaluated _WINDOW_ROWS at a time, from the first row asked
-        for, and the last window serves every range inside it: numpy's cost
-        per call is about 40 % of what a 256-row evaluation costs.
-        """
-        start, values = 0, np.empty((0, self.signal.dimension + 2))
-
+        """The Euler loop's inputs: rows(mu)(lo, hi) evaluates, in row k - lo for
+        each step k of lo..hi-1, phi(t_k), y*(t_k) and 1 + mu |phi(t_k)|^2."""
         def block(lo: int, hi: int) -> np.ndarray:
-            nonlocal start, values
-            if not start <= lo <= hi <= start + values.shape[0]:
-                phi, y_star = self.signal.eval_grid(self.t[lo:max(hi, lo + _WINDOW_ROWS)])
-                start, values = lo, np.column_stack((phi, y_star, 1.0 + mu * row_dots(phi, phi)))
-            return values[lo - start:hi - start]
+            phi, y_star = self.signal.eval_grid(self.t[lo:hi])
+            return np.column_stack((phi, y_star, 1.0 + mu * row_dots(phi, phi)))
         return block
 
     def schedule(self, capacity: int, epsilon: float) -> tuple[list[int], DataBuffer]:
@@ -199,14 +177,10 @@ class SignalGrid:
         sample kept at step k is in the buffer from step k on. phi is
         evaluated only on the rows the rule tests.
         """
-        key = (capacity, epsilon)
-        if key not in self._schedules:
-            steps = record_steps(lambda lo, hi: self.signal.phi_grid(self.t[lo:hi]),
-                                 self.num_steps, capacity, epsilon)
-            times = self.t[steps]
-            buffer = DataBuffer.from_samples(*self.signal.eval_grid(times), times=times)
-            self._schedules[key] = (steps, buffer)
-        return self._schedules[key]
+        steps = record_steps(lambda lo, hi: self.signal.phi_grid(self.t[lo:hi]),
+                             self.num_steps, capacity, epsilon)
+        times = self.t[steps]
+        return steps, DataBuffer.from_samples(*self.signal.eval_grid(times), times=times)
 
 
 def _divergence(kind: SystemKind, grid: SignalGrid, k: int) -> NumericalDivergence:
@@ -233,14 +207,14 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _run(
     kinds: tuple[SystemKind, ...],
-    gains: Gains,
-    sim: SimConfig,
     grid: SignalGrid,
+    gains: Gains,
+    record_every: int,
     init: TunerState,
     buffer: DataBuffer,
     keeps: list[int],
 ) -> Iterator[Trajectory]:
-    """Run the systems kinds in one pass from init; return an iterator of their trajectories.
+    """Run the systems kinds in one pass over grid from init; return an iterator of their trajectories.
 
     The kinds with a data term read buffer, whose last len(keeps) samples are
     kept at steps keeps. Row r is the state at step r record_every, and the
@@ -267,7 +241,7 @@ def _run(
     def advance(kinds: tuple[SystemKind, ...], diverged) -> tuple:
         readers = [kind for kind in kinds if kind in BUFFER_KINDS]
         return _compile_loop(kinds, gains, n)(
-            grid.step_h, grid.num_steps, grid.rows(gains.mu), sim.record_every, keeps,
+            grid.step_h, grid.num_steps, grid.rows(gains.mu), record_every, keeps,
             lambda kept: [_data_for(kind, buffer, gains, first_count + kept) for kind in readers],
             start * len(kinds), diverged)
 
@@ -279,7 +253,7 @@ def _run(
     # vartheta; the pass's own rows are dropped on return.
     halves = {kind: np.hsplit(states[:, j].copy(), 2) for j, kind in enumerate(order)}
     # Capped at the step count, record_every names the same rows and fits an int64.
-    stride = min(sim.record_every, grid.num_steps)
+    stride = min(record_every, grid.num_steps)
     row_steps = np.minimum(np.arange(states.shape[0]) * stride, grid.num_steps)
 
     def trajectory(kind: SystemKind) -> Trajectory:
@@ -302,15 +276,14 @@ def _run(
 
 def _simulate_kinds(
     kinds: Iterable[SystemKind],
-    signal: RegressorSignal,
+    grid: SignalGrid,
     gains: Gains,
-    sim: SimConfig,
+    record_every: int,
     init: TunerState,
     epsilon: float | None = None,
     N_bar: int | None = None,
-    grid: SignalGrid | None = None,
 ) -> Iterator[tuple[Trajectory, DataBuffer]]:
-    """simulate of several systems at once, in one pass (see _run).
+    """simulate of several systems at once, in one pass over grid (see _run).
 
     Returns an iterator of each kind's (trajectory, buffer), in the order of
     kinds, which raises NumericalDivergence at the first kind whose run
@@ -323,13 +296,9 @@ def _simulate_kinds(
             f"'{recording[0].value}' records its data online and needs both epsilon and "
             "N_bar; to run it on fixed pre-recorded data use simulate_with_buffer"
         )
-    if grid is None:
-        grid = SignalGrid(signal, sim)
-    elif not grid.matches(signal, sim):
-        raise ValueError("grid was built for another signal or time grid")
     keeps, buffer = grid.schedule(N_bar, epsilon) if recording else ([], DataBuffer.empty())
     empty = DataBuffer.empty()
-    return zip(_run(kinds, gains, sim, grid, init, buffer, keeps),
+    return zip(_run(kinds, grid, gains, record_every, init, buffer, keeps),
                (buffer if kind in BUFFER_KINDS else empty for kind in kinds))
 
 
@@ -341,17 +310,16 @@ def simulate(
     init: TunerState,
     epsilon: float | None = None,
     N_bar: int | None = None,
-    grid: SignalGrid | None = None,
 ) -> tuple[Trajectory, DataBuffer]:
     """Simulate one system; return its trajectory and the data it recorded.
 
     Buffer-driven kinds record samples online with the threshold epsilon and
     the sample budget N_bar; to run them on fixed pre-recorded data use
     simulate_with_buffer instead. Other kinds ignore both and return an empty
-    buffer. Pass the SignalGrid of (signal, sim) to share it between systems;
-    by default one is built.
+    buffer.
     """
-    return next(_simulate_kinds((kind,), signal, gains, sim, init, epsilon, N_bar, grid))
+    return next(_simulate_kinds((kind,), SignalGrid(signal, sim), gains, sim.record_every,
+                                init, epsilon, N_bar))
 
 
 def simulate_with_buffer(
@@ -368,4 +336,5 @@ def simulate_with_buffer(
     if len(buffer) and buffer.dimension != signal.dimension:
         raise ValueError(f"buffer dimension {buffer.dimension} does not match the "
                          f"signal dimension {signal.dimension}")
-    return next(_run((kind,), gains, sim, SignalGrid(signal, sim), init, buffer, []))
+    return next(_run((kind,), SignalGrid(signal, sim), gains, sim.record_every, init,
+                     buffer, []))

@@ -10,6 +10,13 @@ this file. To compare a parent tree with a changed one, run from either tree:
     PYTHONPATH=<change>/src python tests/identity_cases.py change.json
     cmp parent.json change.json
 
+Given a second, existing JSON file, as in
+
+    PYTHONPATH=<change>/src python tests/identity_cases.py change.json parent.json
+
+it also prints the key of each case whose record differs from that file's,
+or is in one file only, and exits 1 if there is any.
+
 Scenario files and outputs go under hotuner_identity/ in the temporary
 directory, which is emptied first; the bundled scenarios are copied there, so
 no output names the tree they came from.
@@ -17,6 +24,7 @@ no output names the tree they came from.
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -28,6 +36,11 @@ from test_golden_certify import RECORDING
 
 WORK = Path(tempfile.gettempdir()) / "hotuner_identity"
 OUT = WORK / "out"
+# The commands run in WORK, so each PYTHONPATH entry is made absolute: a
+# relative one would fail every case on the import of hotuner, in either tree.
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    str(Path(entry).resolve()) for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    if entry)}
 VERBS = ("run", "certify", "pe-check")
 
 # fig1 with both soft-reset kinds from a start whose square overflows.
@@ -123,8 +136,8 @@ def write_scenarios() -> None:
                               "phases": [0.0], "theta_star": [0.5]},
                    "cl": {"epsilon": 1e9, "N_bar": 1},
                    "sim": {**fig1["sim"], "t_end": 5.0, "record_every": 100}}),
-        # a start off zero, a stride prime to the 256-row input blocks and a
-        # horizon of 10300 steps, which ends inside a block and a 1024-row window
+        # a start off zero, a stride prime to the 1024-row input blocks and a
+        # horizon of 10300 steps, which ends inside a block
         ("offset", {**fig1, "name": "offset",
                     "sim": {**fig1["sim"], "t_start": 0.05, "t_end": 10.35,
                             "record_every": 7}}),
@@ -168,7 +181,7 @@ def run_case(verb: str, name: str, extra: list[str]) -> dict:
     shutil.rmtree(OUT, ignore_errors=True)
     done = subprocess.run(
         [sys.executable, "-m", "hotuner", verb, f"{name}.json", "--out-dir", str(OUT), *extra],
-        cwd=WORK, capture_output=True,
+        cwd=WORK, capture_output=True, env=ENV,
     )
     files = sorted(path for path in OUT.rglob("*") if path.is_file()) if OUT.exists() else []
     return {
@@ -179,7 +192,14 @@ def run_case(verb: str, name: str, extra: list[str]) -> dict:
     }
 
 
-def main(target: str) -> None:
+def differing(results: dict, other: dict) -> list[str]:
+    """The keys of the cases whose records differ between results and other,
+    or that only one of them has, in sorted order."""
+    return sorted(key for key in results.keys() | other.keys()
+                  if results.get(key) != other.get(key))
+
+
+def main(target: str, compare: str | None = None) -> int:
     shutil.rmtree(WORK, ignore_errors=True)
     WORK.mkdir(parents=True)
     write_scenarios()
@@ -188,7 +208,14 @@ def main(target: str) -> None:
     shutil.rmtree(WORK)
     Path(target).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
     print(f"{len(results)} cases written to {target}")
+    if compare is None:
+        return 0
+    keys = differing(results, json.loads(Path(compare).read_text()))
+    for key in keys:
+        print(f"differs from {compare}: {key}")
+    print(f"{len(keys)} of the cases differ from {compare}")
+    return 1 if keys else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1])
+    sys.exit(main(*sys.argv[1:3]))

@@ -312,7 +312,7 @@ def reference_rows(kind: SystemKind, gains: Gains, grid, record_every: int, init
     samples before them being held from the start. A step is dx *= h, x += dx
     on x = (theta, vartheta); a baseline kind steps theta only. phi, y* and
     N_t are evaluated on the whole of grid.t at once, where the package
-    evaluates them in windows of rows.
+    evaluates them a block of rows at a time.
     """
     phi, y_star = grid.signal.eval_grid(grid.t)
     n = phi.shape[1]

@@ -815,7 +815,7 @@ def test_out_dir_that_cannot_be_made_is_a_config_error(tmp_path, capsys, monkeyp
     def no_work(*args, **kwargs):
         pytest.fail("simulated or scanned before refusing the out dir")
 
-    monkeypatch.setattr(cli, "simulate", no_work)
+    monkeypatch.setattr(cli, "_simulate_kinds", no_work)
     monkeypatch.setattr(cli, "check_pe", no_work)
     scenario = str(bundled_scenario_path("fig1"))
     blocker = tmp_path / "f"

@@ -10,6 +10,7 @@ decimation and buffer mode. A loop of several kinds, which stacks their
 numpy calls, must give each kind the bytes of its one-kind loop.
 """
 
+import ast
 import builtins
 import itertools
 import warnings
@@ -30,12 +31,23 @@ from hotuner import (
     SimConfig,
     SystemKind,
     TunerState,
+    buffer_csv,
     compile_field,
     simulate,
     simulate_with_buffer,
 )
 from hotuner.cli import bundled_scenario_path, load_scenario
-from hotuner.dynamics import _data_for, _field_maker, _loop_maker, _stack_order
+from hotuner.dynamics import (
+    _GENERATED_NAMES,
+    _OWN_NAMES,
+    _ROW_BLOCK,
+    KINDS,
+    _data_for,
+    _field_lines,
+    _field_maker,
+    _loop_maker,
+    _stack_order,
+)
 from hotuner.integrator import _run, _simulate_kinds
 from oracles import reference_field, reference_rows
 
@@ -75,13 +87,14 @@ def loop_cases(draw):
 @given(loop_cases())
 def test_generated_loop_rows_equal_the_reference_stepper(kind, mode, case):
     """Every row, at every dimension 1-4 and record_every 1, 7 and 100, for no
-    step, for 256 steps (one whole block of 256 input rows, then the store of
-    the final row) and for 300 steps, which cross into a second block."""
+    step, for 256 and for 300 steps, and at n = 3 and record_every 7 for
+    _ROW_BLOCK + 44 steps, which cross into a second block of input rows."""
     seed, gains, spread = case
     rng = np.random.default_rng(seed)
-    for n, every, t_end in itertools.product([1, 2, 3, 4], [1, 7, 100], [0.0, 0.256, 0.3]):
+    for n, every, steps in [*itertools.product([1, 2, 3, 4], [1, 7, 100], [0, 256, 300]),
+                            (3, 7, _ROW_BLOCK + 44)]:
         signal = draw_signal(n, rng)
-        sim = SimConfig(t_end=t_end, record_every=every)
+        sim = SimConfig(t_end=steps * 1e-3, record_every=every)
         theta0 = rng.uniform(-5, 5, n)
         init = TunerState(theta0, theta0 + spread * rng.normal(size=n))
         grid = SignalGrid(signal, sim)
@@ -95,11 +108,11 @@ def test_generated_loop_rows_equal_the_reference_stepper(kind, mode, case):
         else:
             epsilon, n_bar = policy
             trajectory, buffer = simulate(kind, signal, gains, sim, init,
-                                          epsilon=epsilon, N_bar=max(n_bar, n), grid=grid)
+                                          epsilon=epsilon, N_bar=max(n_bar, n))
             keeps = grid.schedule(max(n_bar, n), epsilon)[0] if kind in BUFFER_KINDS else []
         theta, vartheta = reference_rows(kind, gains, grid, every, init, buffer, keeps)
         assert bits(trajectory.theta, trajectory.vartheta) == bits(theta, vartheta), \
-            (n, every, t_end)
+            (n, every, steps)
 
 
 @pytest.mark.parametrize("every", [1, 2])
@@ -116,8 +129,7 @@ def test_a_pass_stopped_by_a_numpy_overflow_replays_to_the_reference_rows(kind, 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         trajectory, buffer = simulate(kind, scenario.signal, scenario.gains, sim, init,
-                                      epsilon=scenario.cl_epsilon, N_bar=scenario.cl_N_bar,
-                                      grid=grid)
+                                      epsilon=scenario.cl_epsilon, N_bar=scenario.cl_N_bar)
     keeps = grid.schedule(scenario.cl_N_bar, scenario.cl_epsilon)[0]
     inputs = (kind, scenario.gains, grid, every, init, buffer, keeps)
     with pytest.raises(FloatingPointError), np.errstate(over="raise"):
@@ -239,11 +251,13 @@ def pass_cases(draw):
 def test_one_pass_gives_every_kind_the_bytes_of_its_own_run(case):
     """One pass over several kinds, whatever their order, number and mix of data
     terms and loss gradients, writes each kind's CSV and buffer as its one-kind
-    run does, on 300 steps, which cross into a second block of input rows."""
+    run does, on 300 steps, and at n = 3 and record_every 7 on _ROW_BLOCK + 44
+    steps, which cross into a second block of input rows."""
     kinds, n, every, mode, (seed, gains, spread) = case
     rng = np.random.default_rng(seed)
     signal = draw_signal(n, rng)
-    sim = SimConfig(t_end=0.3, record_every=every)
+    steps = _ROW_BLOCK + 44 if (n, every) == (3, 7) else 300
+    sim = SimConfig(t_end=steps * 1e-3, record_every=every)
     theta0 = rng.uniform(-5, 5, n)
     init = TunerState(theta0, theta0 + spread * rng.normal(size=n))
     policy = BUFFER_MODES[mode]
@@ -251,20 +265,19 @@ def test_one_pass_gives_every_kind_the_bytes_of_its_own_run(case):
         times = [0.01, 0.2, 0.45, 0.9, 1.3][:n + 1]
         buffer = DataBuffer.from_samples(*signal.eval_grid(np.array(times)), times=times)
         together = [(trajectory, buffer) for trajectory in
-                    _run(tuple(kinds), gains, sim, SignalGrid(signal, sim), init, buffer, [])]
+                    _run(tuple(kinds), SignalGrid(signal, sim), gains, every, init, buffer, [])]
         alone = [(simulate_with_buffer(kind, signal, gains, sim, init, buffer), buffer)
                  for kind in kinds]
     else:
         epsilon, n_bar = policy
-        grid = SignalGrid(signal, sim)
-        together = list(_simulate_kinds(tuple(kinds), signal, gains, sim, init, epsilon,
-                                        max(n_bar, n), grid))
+        together = list(_simulate_kinds(tuple(kinds), SignalGrid(signal, sim), gains, every,
+                                        init, epsilon, max(n_bar, n)))
         alone = [simulate(kind, signal, gains, sim, init, epsilon=epsilon,
-                          N_bar=max(n_bar, n), grid=grid) for kind in kinds]
+                          N_bar=max(n_bar, n)) for kind in kinds]
     for kind, (got, got_buffer), (want, want_buffer) in zip(kinds, together, alone):
         same = got.to_csv() == want.to_csv()  # not in the assert: a text diff is slow
         assert same, kind
-        assert got_buffer is want_buffer or len(got_buffer) == len(want_buffer) == 0, kind
+        assert buffer_csv(got_buffer) == buffer_csv(want_buffer), kind
 
 
 def loop_names(kinds, n):
@@ -285,3 +298,22 @@ def test_only_a_loop_of_several_kinds_stacks_numpy_calls():
     assert "_matmul" not in loop_names(fig1.systems, 1)
     # Two dots and no data term stay 1-d calls.
     assert "_matmul" not in loop_names((SystemKind.HT, SystemKind.BASIC), 3)
+
+
+def test_a_loop_suffixes_every_name_of_a_field_but_the_shared_ones():
+    """In a loop of several kinds, each kind's field writes the names that
+    _OWN_NAMES matches with the kind's index as a suffix. Every other name of
+    the point form must be one that the loop shares between kinds: a helper of
+    _GENERATED_NAMES, phi's components, y*, N_t, the scratch arrays or a
+    builtin. A local that the pattern misses would be read and written by
+    every kind of the loop."""
+    for kind, n, stacked_dot, stacked_data in itertools.product(
+            SystemKind, [1, 2, 3, 4], [False, True], [False, True]):
+        lines = _field_lines(KINDS[kind], n, False, stacked_dot, stacked_data)
+        shared = {*_GENERATED_NAMES, *(f"p{i}" for i in range(n)), "y", "nt",
+                  "_ph", "_m", "_lo", "_hi", *dir(builtins)}
+        names = {node.id for node in ast.walk(ast.parse("\n".join(lines)))
+                 if isinstance(node, ast.Name)}
+        stray = sorted(name for name in names
+                       if name not in shared and not _OWN_NAMES.fullmatch(name))
+        assert not stray, (kind, n, stacked_dot, stacked_data)

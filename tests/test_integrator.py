@@ -23,6 +23,7 @@ from hotuner import (
 )
 from hotuner.cli import bundled_scenario_path, load_scenario
 from hotuner.databuffer import _RECORD_CHUNK
+from hotuner.dynamics import _ROW_BLOCK
 from hotuner.integrator import _CSV_BLOCK_ROWS, _simulate_kinds
 from hotuner.signals import row_dots
 from oracles import make_constant, mix3
@@ -239,16 +240,18 @@ def test_a_diverging_kind_leaves_the_others_of_its_pass_unchanged(every):
     kinds = (SystemKind.HT, SystemKind.BASIC, SystemKind.HT_B, SystemKind.HT_NORMALIZED_CL,
              SystemKind.HT_CL)
     grid = SignalGrid(scenario.signal, sim)
-    inputs = (scenario.signal, gains, sim, init, scenario.cl_epsilon, scenario.cl_N_bar, grid)
+    policy = (init, scenario.cl_epsilon, scenario.cl_N_bar)
+    inputs = (grid, gains, every, *policy)
     with np.errstate(all="ignore"):
         results = _simulate_kinds(kinds[1:], *inputs)
         for kind in kinds[1:4]:
-            (got, _), (want, _) = next(results), simulate(kind, *inputs)
+            (got, _), (want, _) = next(results), simulate(kind, scenario.signal, gains, sim,
+                                                          *policy)
             assert got.to_csv() == want.to_csv(), kind
         with pytest.raises(NumericalDivergence) as together:
             next(results)
         with pytest.raises(NumericalDivergence) as alone:
-            simulate(SystemKind.HT_CL, *inputs)
+            simulate(SystemKind.HT_CL, scenario.signal, gains, sim, *policy)
         assert str(together.value) == str(alone.value) == (
             "non-finite state for 'ht_cl' at t=0.055 (after step 55)")
         # Listed first, ht is reported though ht_cl is non-finite from the same step.
@@ -372,10 +375,10 @@ def test_grid_input_rows_hold_phi_y_star_and_nt_per_mu(monkeypatch):
     """Row k - lo of SignalGrid.rows(mu)(lo, hi) is (phi(t_k), y*(t_k),
     1 + mu |phi(t_k)|^2) bit for bit as eval_grid gives it on the whole time
     grid, whatever the boundaries: a start off zero, blocks of 1, 7, 256 and
-    1000 rows, random ranges, and the blocks the Euler loop asks for, 256 rows
-    each and a short last one, which are evaluated 1024 rows at a time."""
+    1000 rows and random ranges. The Euler loop asks for blocks of _ROW_BLOCK
+    rows and a short last one, and each row is evaluated once."""
     sig = mix3()
-    sim = SimConfig(t_end=3.1, t_start=0.1)  # 3000 steps: 11 blocks of 256 and one of 184
+    sim = SimConfig(t_end=3.1, t_start=0.1)  # 3000 steps: 2 blocks of 1024 and one of 952
     grid = SignalGrid(sig, sim)
     phi, y_star = sig.eval_grid(grid.t)
     rng = np.random.default_rng(29)
@@ -399,11 +402,13 @@ def test_grid_input_rows_hold_phi_y_star_and_nt_per_mu(monkeypatch):
     grid.rows = rows
     eval_grid = RegressorSignal.eval_grid
     monkeypatch.setattr(RegressorSignal, "eval_grid",
-                        lambda self, ts: evaluated.append(len(ts)) or eval_grid(self, ts))
-    simulate(SystemKind.HT_CL, sig, Gains(beta=1.0, gamma=0.1, mu=0.2), sim,
-             TunerState.from_theta0([1.0, -1.0, 0.5]), epsilon=0.5, N_bar=10, grid=grid)
-    assert asked == [(base, min(base + 256, 3000)) for base in range(0, 3000, 256)]
-    assert evaluated[-3:] == [1024, 1024, 953]  # after the schedule's final buffer
+                        lambda self, ts: evaluated.append(ts) or eval_grid(self, ts))
+    next(_simulate_kinds((SystemKind.HT_CL,), grid, Gains(beta=1.0, gamma=0.1, mu=0.2), 1,
+                         TunerState.from_theta0([1.0, -1.0, 0.5]), epsilon=0.5, N_bar=10))
+    assert asked == [(base, min(base + _ROW_BLOCK, 3000)) for base in range(0, 3000, _ROW_BLOCK)]
+    # After the schedule's final buffer, the loop's blocks, each row once.
+    assert len(evaluated) == len(asked) + 1
+    assert np.concatenate(evaluated[1:]).tobytes() == grid.t[:3000].tobytes()
 
 
 def test_schedule_evaluates_no_row_past_the_freeze(monkeypatch):
